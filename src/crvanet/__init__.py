@@ -19,7 +19,7 @@ from .config import (
     load_scenario_file,
     num_time_slices,
 )
-from .engine import SimClock, SimulationEngine, run_simulation
+from .engine import SimulationEngine, run_simulation
 from .report import SimulationReport, TraceEvent, record_event
 from .sweep import SweepRow, SweepSpec, SweepTable, run_sweep, write_csv
 from .plots import render_plots
@@ -30,7 +30,6 @@ __all__ = [
     "ScenarioParseError",
     "ScenarioValidationError",
     "Scheme",
-    "SimClock",
     "SimulationEngine",
     "SimulationReport",
     "SweepRow",

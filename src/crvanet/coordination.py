@@ -27,10 +27,11 @@ attempts spread over the spectrum instead of serializing on the lowest
 channel id.
 
 Only the sensing a vehicle performs while trying to acquire a channel is
-returned from ``attempt`` and counted in the run report; epoch sensing is
-infrastructure and only updates shared state. Switching scheme changes
-nothing but candidate selection and epoch work: mobility, propagation and
-PU schedules draw from their own streams either way.
+returned from ``attempt``, as one SenseBlock, and counted in the run
+report; epoch sensing is infrastructure and only updates shared state.
+Switching scheme changes nothing but candidate selection and epoch work:
+mobility, propagation and PU schedules draw from their own streams either
+way.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 from .config import ScenarioConfig, Scheme
 from .mobility import neighbors_in_range
 from .scheduling import ChannelMap
-from .sensing import ChannelSensor, ChannelState, SensingOutcome
+from .sensing import ChannelSensor, SenseBlock
 
 # cooperative scheme tuning
 VOTE_CHANNELS_PER_EPOCH = 5   # channels each vehicle senses and shares per epoch
@@ -51,6 +52,7 @@ VERIFY_SHORTLIST = 3          # top-group candidates a requester verifies itself
 # proposed scheme: re-check spans this many independent fading blocks
 RECHECK_BLOCKS = 2
 
+# votes store a sensed `occupied` decision as its integer value
 VOTE_UNKNOWN = -1
 VOTE_VACANT = 0
 VOTE_OCCUPIED = 1
@@ -122,10 +124,10 @@ def coordinated_sense(coord_set: CoordinatorSet, sensor: ChannelSensor,
     all_channels = np.arange(n)
     vacant = np.ones(n, dtype=bool)
     for cid in coord_set.distinct_coordinators():
-        outcomes = sensor.sense_block(
+        block = sensor.sense_block(
             cid, float(positions[cid]), all_channels, channel_map, now, streams
         )
-        vacant &= np.array([o.decision == ChannelState.VACANT for o in outcomes])
+        vacant &= ~block.occupied
     return vacant
 
 
@@ -169,13 +171,13 @@ class Strategy:
         raise NotImplementedError
 
     def attempt(self, vehicle_id: int, positions: np.ndarray, now: float,
-                channel_map: ChannelMap, streams) -> tuple[list[SensingOutcome], int | None]:
+                channel_map: ChannelMap, streams) -> tuple[SenseBlock | None, int | None]:
         """Sense candidates for one acquisition attempt.
 
         positions is the fleet position array (the requester's own position
-        is positions[vehicle_id]). Returns (counted sensing outcomes,
-        channel sensed vacant to occupy, or None when the attempt must back
-        off)."""
+        is positions[vehicle_id]). Returns (the counted sensing, or None
+        when nothing was sensed; channel sensed vacant to occupy, or None
+        when the attempt must back off)."""
         raise NotImplementedError
 
 
@@ -189,14 +191,14 @@ class StandaloneStrategy(Strategy):
 
     def attempt(self, vehicle_id, positions, now, channel_map, streams):
         all_channels = np.arange(self.config.n_channels)
-        outcomes = self.sensor.sense_block(
+        block = self.sensor.sense_block(
             vehicle_id, float(positions[vehicle_id]), all_channels, channel_map, now, streams
         )
-        vacant = [o.channel_id for o in outcomes if o.decision == ChannelState.VACANT]
-        if not vacant:
-            return outcomes, None
-        pick = int(streams.su_stream(vehicle_id).integers(len(vacant)))
-        return outcomes, vacant[pick]
+        vacant = block.channel_ids[~block.occupied]
+        if vacant.size == 0:
+            return block, None
+        pick = int(streams.su_stream(vehicle_id).integers(vacant.size))
+        return block, int(vacant[pick])
 
 
 class CooperativeStrategy(Strategy):
@@ -219,18 +221,12 @@ class CooperativeStrategy(Strategy):
     def on_epoch(self, now, fleet, channel_map, streams):
         for vehicle_id in range(len(fleet)):
             channels = self._rotation(vehicle_id)
-            outcomes = self.sensor.sense_block(
+            block = self.sensor.sense_block(
                 vehicle_id, float(fleet.positions[vehicle_id]), channels,
                 channel_map, now, streams,
             )
-            self._absorb(vehicle_id, outcomes)
+            self.votes[vehicle_id, block.channel_ids] = block.occupied
         self._epoch_index += 1
-
-    def _absorb(self, vehicle_id: int, outcomes: list[SensingOutcome]) -> None:
-        for o in outcomes:
-            self.votes[vehicle_id, o.channel_id] = (
-                VOTE_VACANT if o.decision == ChannelState.VACANT else VOTE_OCCUPIED
-            )
 
     def shortlist(self, vehicle_id: int, positions: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
@@ -259,16 +255,16 @@ class CooperativeStrategy(Strategy):
     def attempt(self, vehicle_id, positions, now, channel_map, streams):
         rng = streams.su_stream(vehicle_id)
         shortlist = self.shortlist(vehicle_id, positions, rng)
-        outcomes = self.sensor.sense_block(
+        block = self.sensor.sense_block(
             vehicle_id, float(positions[vehicle_id]), shortlist, channel_map, now, streams
         )
         # verification doubles as the requester's own freshest votes
-        self._absorb(vehicle_id, outcomes)
-        vacant = [o.channel_id for o in outcomes if o.decision == ChannelState.VACANT]
-        if not vacant:
-            return outcomes, None
-        pick = int(rng.integers(len(vacant)))
-        return outcomes, vacant[pick]
+        self.votes[vehicle_id, block.channel_ids] = block.occupied
+        vacant = block.channel_ids[~block.occupied]
+        if vacant.size == 0:
+            return block, None
+        pick = int(rng.integers(vacant.size))
+        return block, int(vacant[pick])
 
 
 class ProposedStrategy(Strategy):
@@ -308,15 +304,13 @@ class ProposedStrategy(Strategy):
     def attempt(self, vehicle_id, positions, now, channel_map, streams):
         candidates = self.candidates(vehicle_id, now)
         if candidates.size == 0:
-            return [], None
-        pick = candidates[int(streams.su_stream(vehicle_id).integers(candidates.size))]
-        outcomes = self.sensor.sense_block(
+            return None, None
+        pick = int(candidates[int(streams.su_stream(vehicle_id).integers(candidates.size))])
+        block = self.sensor.sense_block(
             vehicle_id, float(positions[vehicle_id]), np.array([pick]), channel_map,
             now, streams, blocks=RECHECK_BLOCKS,
         )
-        if outcomes[0].decision == ChannelState.VACANT:
-            return outcomes, outcomes[0].channel_id
-        return outcomes, None
+        return block, None if block.occupied[0] else pick
 
 
 def make_strategy(config: ScenarioConfig, sensor: ChannelSensor) -> Strategy:

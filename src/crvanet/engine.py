@@ -11,14 +11,12 @@ from the scenario seed, making a run a pure function of (config, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import ScenarioConfig, num_time_slices
 from .coordination import make_strategy
 from .mobility import Fleet
-from .report import MOVE, SU_PREEMPTED, SimulationReport, TraceEvent, record_event
+from .report import MOVE, SU_PREEMPTED, SimulationReport, record_event
 from .scheduling import (
     ChannelMap,
     PuTransmitter,
@@ -26,23 +24,9 @@ from .scheduling import (
     schedule_next,
     step_pu,
     step_su,
-    su_due,
 )
 from .sensing import ChannelSensor
 from .streams import StreamBundle
-
-
-@dataclass(frozen=True)
-class SimClock:
-    """Tick counter with drift-free timestamps."""
-
-    tick_index: int
-    time_step: float
-    n_time_slices: int
-
-    @property
-    def now(self) -> float:
-        return self.tick_index * self.time_step
 
 
 class SimulationEngine:
@@ -100,8 +84,7 @@ class SimulationEngine:
         eps = 1e-12
 
         for tick in range(self.n_ticks):
-            clock = SimClock(tick_index=tick, time_step=dt, n_time_slices=self.n_ticks)
-            now = clock.now
+            now = tick * dt
 
             # 1. mobility: refresh Gipps decisions on the reaction-time
             #    cadence, then advance everyone at their held speed
@@ -111,10 +94,10 @@ class SimulationEngine:
                 self.fleet.advance(dt)
                 if trace_mobility and report.trace is not None:
                     for i in range(len(self.fleet)):
-                        record_event(report, TraceEvent(
-                            tick, now, MOVE, -1, i,
-                            detail=f"{self.fleet.positions[i]:.3f},{self.fleet.speeds[i]:.3f}",
-                        ))
+                        record_event(
+                            report, MOVE, tick, now, -1, i,
+                            f"{self.fleet.positions[i]:.3f},{self.fleet.speeds[i]:.3f}",
+                        )
 
             # 2. PU state changes
             due_channels = np.nonzero(now >= self.pu_next - eps)[0]
@@ -128,7 +111,8 @@ class SimulationEngine:
                     su_rngs=self.streams.su_stream,
                 )
                 for event in events:
-                    record_event(report, event)
+                    record_event(report, event.event, tick, now, event.channel_id,
+                                 event.actor_id)
                     if event.event == SU_PREEMPTED and event.actor_id >= 0:
                         self._refresh_su_next(event.actor_id)
                 self._refresh_pu_next(int(c))
@@ -141,10 +125,7 @@ class SimulationEngine:
 
             # 4. SU sensing/occupation for vehicles with pending actions
             due_vehicles = np.nonzero(now >= self.su_next - eps)[0]
-            for v in due_vehicles:
-                v = int(v)
-                if not su_due(self.su_states[v], now):
-                    continue
+            for v in due_vehicles.tolist():
                 step_su(
                     v, self.su_states[v], self.fleet.positions, now, tick,
                     self.strategy, self.channel_map, report, self.streams,

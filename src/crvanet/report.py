@@ -69,35 +69,38 @@ class SimulationReport:
                 == self.sensing_events)
 
 
-_SENSE_COUNTER = {
-    Classification.FALSE_ALARM: "false_alarms",
-    Classification.MISDETECTION: "misdetections",
-    Classification.CORRECT_DETECTION: "correct_detections",
-}
+_CORRECT = Classification.CORRECT_DETECTION.value
+_FALSE_ALARM = Classification.FALSE_ALARM.value
+_MISDETECTION = Classification.MISDETECTION.value
 
 
-def record_event(report: SimulationReport, event: TraceEvent,
-                 classification: Classification | None = None) -> SimulationReport:
-    """Fold one trace event into the report counters.
+def record_event(report: SimulationReport, kind: str, tick: int, time: float,
+                 channel_id: int = -1, actor_id: int = -1, detail: str = "") -> None:
+    """Fold one event into the report counters, and into the trace when
+    the report holds one; the TraceEvent is built only then.
 
-    su-occupied bumps allocations; a sense event bumps exactly one of the
-    three classification counters plus the sensing-event total; all other
-    event types touch only their bookkeeping counter or the trace.
+    su-occupied bumps allocations; a sense event, whose detail is its
+    Classification value, bumps exactly one of the three classification
+    counters plus the sensing-event total; all other event types touch
+    only their bookkeeping counter or the trace.
     """
-    if event.event == SU_OCCUPIED:
-        report.allocations += 1
-    elif event.event == SENSE:
-        if classification is None:
-            raise ValueError("sense events need a classification")
-        setattr(report, _SENSE_COUNTER[classification],
-                getattr(report, _SENSE_COUNTER[classification]) + 1)
+    if kind == SENSE:
+        if detail == _CORRECT:
+            report.correct_detections += 1
+        elif detail == _FALSE_ALARM:
+            report.false_alarms += 1
+        elif detail == _MISDETECTION:
+            report.misdetections += 1
+        else:
+            raise ValueError(f"sense events need a classification, got detail {detail!r}")
         report.sensing_events += 1
-    elif event.event == SU_INTERFERENCE:
+    elif kind == SU_OCCUPIED:
+        report.allocations += 1
+    elif kind == SU_INTERFERENCE:
         report.harmful_occupations += 1
-    elif event.event == SU_PREEMPTED:
+    elif kind == SU_PREEMPTED:
         report.preemptions += 1
-    elif event.event == SU_BACKOFF:
+    elif kind == SU_BACKOFF:
         report.backoffs += 1
     if report.trace is not None:
-        report.trace.append(event)
-    return report
+        report.trace.append(TraceEvent(tick, time, kind, channel_id, actor_id, detail))

@@ -32,6 +32,10 @@ from .report import (
     TraceEvent,
     record_event,
 )
+from .sensing import CLASSES, classify_block
+
+# trace detail of a sense event, by classify_block index
+_SENSE_DETAIL = tuple(c.value for c in CLASSES)
 
 
 def schedule_next(mean: float, rng: np.random.Generator) -> float:
@@ -127,13 +131,6 @@ def step_pu(pu: PuTransmitter, now: float, tick: int, channel_map: ChannelMap,
     return events
 
 
-def su_due(su: SuRadioState, now: float) -> bool:
-    """Whether this SU has an action pending at the current time."""
-    if su.occupying:
-        return now >= su.vacation_time - 1e-12
-    return now >= su.occupation_time - 1e-12
-
-
 def apply_backoff(su: SuRadioState, now: float) -> None:
     """Failed attempt: next attempt exactly one back-off later."""
     su.occupation_time = now + su.back_off_time
@@ -159,34 +156,29 @@ def step_su(vehicle_id: int, su: SuRadioState, positions: np.ndarray,
         su.occupying = False
         su.channel_id = None
         su.occupation_time = now + schedule_next(su_gap_mean, rng)
-        record_event(report, TraceEvent(tick, now, SU_VACATED, channel, vehicle_id))
+        record_event(report, SU_VACATED, tick, now, channel, vehicle_id)
         return
 
-    outcomes, chosen = coord_view.attempt(vehicle_id, positions, now, channel_map, streams)
-    for o in outcomes:
-        record_event(
-            report,
-            TraceEvent(tick, now, SENSE, o.channel_id, vehicle_id,
-                       detail=o.classification.value),
-            o.classification,
-        )
+    block, chosen = coord_view.attempt(vehicle_id, positions, now, channel_map, streams)
+    if block is not None:
+        classes = classify_block(block.occupied, block.truth).tolist()
+        for channel, cls in zip(block.channel_ids.tolist(), classes):
+            record_event(report, SENSE, tick, now, channel, vehicle_id, _SENSE_DETAIL[cls])
     if chosen is None:
         apply_backoff(su, now)
-        record_event(report, TraceEvent(tick, now, SU_BACKOFF, -1, vehicle_id))
+        record_event(report, SU_BACKOFF, tick, now, -1, vehicle_id)
         return
     if channel_map.holder_of(chosen) is not None:
         apply_backoff(su, now)
-        record_event(report, TraceEvent(tick, now, SU_BACKOFF, chosen, vehicle_id,
-                                        detail="holder-conflict"))
+        record_event(report, SU_BACKOFF, tick, now, chosen, vehicle_id, "holder-conflict")
         return
     if channel_map.pu_active[chosen]:
-        record_event(report, TraceEvent(tick, now, SU_INTERFERENCE, chosen, vehicle_id))
+        record_event(report, SU_INTERFERENCE, tick, now, chosen, vehicle_id)
         apply_backoff(su, now)
-        record_event(report, TraceEvent(tick, now, SU_BACKOFF, chosen, vehicle_id,
-                                        detail="pu-collision"))
+        record_event(report, SU_BACKOFF, tick, now, chosen, vehicle_id, "pu-collision")
         return
     channel_map.set_holder(chosen, vehicle_id, float(positions[vehicle_id]))
     su.occupying = True
     su.channel_id = chosen
     su.vacation_time = now + schedule_next(su_hold_mean, rng)
-    record_event(report, TraceEvent(tick, now, SU_OCCUPIED, chosen, vehicle_id))
+    record_event(report, SU_OCCUPIED, tick, now, chosen, vehicle_id)

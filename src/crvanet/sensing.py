@@ -12,9 +12,10 @@ the usual Gaussian tail approximation:
 
     lambda = sigma2 * (1 + Qinv(pfa) / sqrt(N))
 
-A sensing outcome bundles decision, ground truth at the same instant, and
-the statistic/threshold pair; classification against truth is a pure
-function of (decision, truth).
+A sense block holds, per sensed channel, the decision, the ground truth
+at the same instant and the statistic, plus the threshold they were
+decided against; classification against truth is a pure function of
+(decision, truth).
 """
 
 from __future__ import annotations
@@ -68,19 +69,15 @@ class DetectorParams:
         )
 
 
-@dataclass(frozen=True)
-class SensingOutcome:
-    observer_id: int
-    channel_id: int
-    decision: ChannelState
-    truth: ChannelState
-    statistic: float     # linear power
-    threshold: float     # linear power
-    time: float          # s
+@dataclass(frozen=True, eq=False)
+class SenseBlock:
+    """One observer's sensing of a set of channels, one entry per channel."""
 
-    @property
-    def classification(self) -> Classification:
-        return classify_outcome(self.decision, self.truth)
+    channel_ids: np.ndarray   # int
+    occupied: np.ndarray      # bool decision: statistic >= threshold
+    truth: np.ndarray         # bool: truly occupied at the observer
+    statistic: np.ndarray     # linear power
+    threshold: float          # linear power
 
 
 def detection_threshold(params: DetectorParams) -> float:
@@ -122,6 +119,17 @@ def classify_outcome(decision: ChannelState, truth: ChannelState) -> Classificat
     return Classification.MISDETECTION
 
 
+# the classifications classify_block returns, by index
+CLASSES = (Classification.CORRECT_DETECTION, Classification.FALSE_ALARM,
+           Classification.MISDETECTION)
+
+
+def classify_block(occupied: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """classify_outcome over arrays of (decided occupied, truly occupied):
+    one index into CLASSES per entry."""
+    return np.where(occupied == truth, 0, np.where(occupied, 1, 2))
+
+
 def block_pfa(target_pfa: float, blocks: int) -> float:
     """Per-block false-alarm target so that a max-hold decision over
     `blocks` independent fading blocks has overall Pfa = target_pfa."""
@@ -152,6 +160,7 @@ class ChannelSensor:
         ).calibrated()
         self.su_snr_linear = 10.0 ** (SU_SENSE_SNR_DB / 10.0)
         self.tower_of = np.repeat(np.arange(config.n_pu_towers), config.channels_per_tower)
+        self._thresholds = {1: self.detector.threshold}
 
     def median_pu_snr(self, tower: TowerGeometry, observer_pos: float) -> float:
         """Median (no fading) linear SNR of a tower's signal at a road position."""
@@ -163,19 +172,22 @@ class ChannelSensor:
         return 10.0 ** ((self.config.tx_power_pu - loss - self.noise_dbw) / 10.0)
 
     def threshold_for(self, blocks: int) -> float:
-        if blocks == 1:
-            return self.detector.threshold
-        per_block = DetectorParams(
-            n_samples=self.detector.n_samples,
-            noise_power=self.detector.noise_power,
-            target_pfa=block_pfa(self.detector.target_pfa, blocks),
-        )
-        return detection_threshold(per_block)
+        """Per-block threshold for a max-hold decision over `blocks`
+        blocks, calibrated once per block count."""
+        threshold = self._thresholds.get(blocks)
+        if threshold is None:
+            threshold = self._thresholds[blocks] = detection_threshold(DetectorParams(
+                n_samples=self.detector.n_samples,
+                noise_power=self.detector.noise_power,
+                target_pfa=block_pfa(self.detector.target_pfa, blocks),
+            ))
+        return threshold
 
     def sense_block(self, observer_id: int, observer_pos: float,
                     channel_ids: np.ndarray, channel_map, now: float,
-                    streams, blocks: int = 1) -> list[SensingOutcome]:
-        """Sense a set of channels at one position, one outcome per channel.
+                    streams, blocks: int = 1) -> SenseBlock:
+        """Sense a set of channels at one position; channel_map holds the
+        ground truth at the sensing instant `now`.
 
         With blocks > 1 each channel is observed over that many independent
         fading blocks and decided occupied if any block's statistic crosses
@@ -184,8 +196,8 @@ class ChannelSensor:
         """
         channel_ids = np.asarray(channel_ids, dtype=int)
         n = channel_ids.size
-        if n == 0:
-            return []
+        if n and not (0 <= channel_ids.min() and channel_ids.max() < self.config.n_channels):
+            raise ValueError(f"unknown channel in {channel_ids.tolist()}")
         threshold = self.threshold_for(blocks)
         cfg = self.config
 
@@ -196,7 +208,7 @@ class ChannelSensor:
         tower_sel = []
         for tower in self.towers:
             sel = towers_here == tower.tower_id
-            count = int(sel.sum())
+            count = np.count_nonzero(sel)
             tower_sel.append((tower, sel, count))
             if count:
                 snr_median[sel & pu_active] = self.median_pu_snr(tower, observer_pos)
@@ -209,7 +221,9 @@ class ChannelSensor:
 
         # Independent fading per block; one statistic draw per (block, channel).
         # The statistic is drawn from its exact Gamma form directly (what
-        # energy_statistic computes), skipping per-call revalidation.
+        # energy_statistic computes). standard_gamma(N) * scale is the very
+        # draw gamma(N, scale) makes, bit for bit, without gamma's costly
+        # checks of an array scale.
         n_samples = self.detector.n_samples
         noise = self.detector.noise_power
         stat_rng = streams.sensing_stream(observer_id)
@@ -222,38 +236,6 @@ class ChannelSensor:
                         tower.tower_id, observer_id
                     ).exponential(1.0, size=count)
             scale = noise * (1.0 + snr_median * gains) / n_samples
-            stat = np.maximum(stat, stat_rng.gamma(n_samples, scale))
+            stat = np.maximum(stat, stat_rng.standard_gamma(n_samples, size=n) * scale)
 
-        outcomes = []
-        for i, cid in enumerate(channel_ids):
-            decision = ChannelState.OCCUPIED if stat[i] >= threshold else ChannelState.VACANT
-            truth = ChannelState.OCCUPIED if truth_occupied[i] else ChannelState.VACANT
-            outcomes.append(SensingOutcome(
-                observer_id=observer_id, channel_id=int(cid),
-                decision=decision, truth=truth,
-                statistic=float(stat[i]), threshold=threshold, time=now,
-            ))
-        return outcomes
-
-
-def sense_channel(observer_pos: float, channel_id: int, channel_map,
-                  config: ScenarioConfig, rng: np.random.Generator,
-                  now: float = 0.0, observer_id: int = -1) -> SensingOutcome:
-    """Single-channel sensing with one generator for both fading and
-    statistic draws. The engine uses ChannelSensor with split streams; this
-    standalone form serves the same contract for direct use and tests."""
-    if not (0 <= channel_id < config.n_channels):
-        raise ValueError(f"unknown channel {channel_id}")
-    sensor = ChannelSensor(config)
-
-    class _MonoStreams:
-        def fading_stream(self, tower_id, obs):
-            return rng
-
-        def sensing_stream(self, obs):
-            return rng
-
-    (outcome,) = sensor.sense_block(
-        observer_id, observer_pos, np.array([channel_id]), channel_map, now, _MonoStreams()
-    )
-    return outcome
+        return SenseBlock(channel_ids, stat >= threshold, truth_occupied, stat, threshold)

@@ -4,9 +4,9 @@ A sweep varies one axis (vehicle count, channel count, or average speed)
 over a value grid, runs every (value, scheme, seed) combination, and
 collects the per-run counters into a table ordered by (value, scheme,
 seed) regardless of execution order. Runs share nothing, so sweep points
-may execute in parallel; the CRVANET_PARALLEL environment variable caps
-the worker count (default: one worker per run, 1 forces in-process
-serial execution).
+may execute in parallel; the CRVANET_PARALLEL environment variable sets
+the worker count (default: one worker per usable core, 1 forces
+in-process serial execution).
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ PARALLEL_ENV = "CRVANET_PARALLEL"
 
 AXES = ("vehicles", "channels", "speed")
 
-CSV_HEADER = "axis_value,scheme,seed,allocations,false_alarms,misdetections,sensing_events"
+CSV_HEADER = ("axis_value,scheme,seed,allocations,false_alarms,misdetections,"
+              "sensing_events,harmful_occupations")
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,27 @@ def _run_point(args: tuple) -> SweepRow:
     )
 
 
+def resolve_workers(workers: int | None, n_jobs: int) -> int:
+    """Worker processes for n_jobs sweep runs: `workers` if given, else
+    CRVANET_PARALLEL if set, else one per usable core; at most one per
+    run and at least one."""
+    if workers is None:
+        env = os.environ.get(PARALLEL_ENV, "").strip()
+        if env:
+            try:
+                workers = int(env)
+            except ValueError:
+                workers = 0
+            if workers < 1:
+                raise ValueError(f"{PARALLEL_ENV} must be an integer >= 1, got {env!r}")
+        else:
+            try:
+                workers = len(os.sched_getaffinity(0))
+            except AttributeError:  # platforms without CPU affinity
+                workers = os.cpu_count() or 1
+    return max(1, min(workers, n_jobs))
+
+
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepTable:
     """Run every (value, scheme, seed) combination, rows in that order.
 
@@ -114,10 +136,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepTable:
                 config = apply_axis(spec.base_config, spec.axis, value, scheme, seed)
                 jobs.append((config, value, scheme, seed))
 
-    if workers is None:
-        env = os.environ.get(PARALLEL_ENV, "")
-        workers = int(env) if env.strip() else len(jobs)
-    workers = max(1, min(workers, len(jobs))) if jobs else 1
+    workers = resolve_workers(workers, len(jobs))
 
     rows: list[SweepRow] = []
     if workers == 1:
@@ -153,7 +172,8 @@ def write_csv(table: SweepTable, path: str) -> None:
     for r in table.rows:
         lines.append(
             f"{format_axis_value(r.axis_value)},{r.scheme.value},{r.seed},"
-            f"{r.allocations},{r.false_alarms},{r.misdetections},{r.sensing_events}"
+            f"{r.allocations},{r.false_alarms},{r.misdetections},{r.sensing_events},"
+            f"{r.harmful_occupations}"
         )
     data = "\n".join(lines) + "\n"
     try:
@@ -171,10 +191,11 @@ def read_csv(path: str) -> SweepTable:
         raise ValueError(f"{path}: missing or wrong header")
     rows = []
     for line in lines[1:]:
-        value, scheme, seed, alloc, fa, md, senses = line.split(",")
+        value, scheme, seed, alloc, fa, md, senses, harmful = line.split(",")
         rows.append(SweepRow(
             axis_value=float(value), scheme=Scheme(scheme), seed=int(seed),
             allocations=int(alloc), false_alarms=int(fa),
             misdetections=int(md), sensing_events=int(senses),
+            harmful_occupations=int(harmful),
         ))
     return SweepTable(spec_axis="", rows=tuple(rows))

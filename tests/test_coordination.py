@@ -16,7 +16,7 @@ from crvanet.coordination import (
 )
 from crvanet.engine import SimulationEngine
 from crvanet.scheduling import ChannelMap
-from crvanet.sensing import ChannelSensor, ChannelState
+from crvanet.sensing import ChannelSensor
 from crvanet.streams import StreamBundle
 
 
@@ -124,9 +124,9 @@ class TestCoordinatedSense:
         streams = StreamBundle(3)
         per_coord = []
         for cid in cs.distinct_coordinators():
-            outcomes = sensor.sense_block(cid, float(positions[cid]),
-                                          np.arange(4), cmap, 0.0, StreamBundle(3))
-            per_coord.append([o.decision == ChannelState.VACANT for o in outcomes])
+            block = sensor.sense_block(cid, float(positions[cid]),
+                                       np.arange(4), cmap, 0.0, StreamBundle(3))
+            per_coord.append(~block.occupied)
         fused = coordinated_sense(cs, sensor, cmap, positions, 0.0, StreamBundle(3))
         expected = np.logical_and.reduce(np.array(per_coord))
         np.testing.assert_array_equal(fused, expected)
@@ -156,10 +156,10 @@ class TestProposedStrategy:
         engine.channel_map.pu_active[:] = True
         engine.fleet.sync_states()
         engine.strategy.on_epoch(0.0, engine.fleet, engine.channel_map, engine.streams)
-        outcomes, chosen = engine.strategy.attempt(
+        block, chosen = engine.strategy.attempt(
             0, engine.fleet.positions, 0.001, engine.channel_map, engine.streams
         )
-        assert outcomes == [] and chosen is None
+        assert block is None and chosen is None
 
     def test_recheck_blocks_occupation_on_occupied_decision(self):
         """A vacant report alone is not enough: the requester's own re-sense
@@ -172,10 +172,10 @@ class TestProposedStrategy:
         engine.channel_map.pu_active[:] = True
         blocked = 0
         for vid in range(10):
-            outcomes, chosen = engine.strategy.attempt(
+            block, chosen = engine.strategy.attempt(
                 vid, engine.fleet.positions, 0.01, engine.channel_map, engine.streams
             )
-            if outcomes and chosen is None:
+            if block is not None and chosen is None:
                 blocked += 1
         assert blocked == 10  # at +33 dB median SNR double-fade misses are ~never
 
@@ -223,10 +223,21 @@ class TestCooperativeStrategy:
     def test_attempt_senses_whole_shortlist(self):
         engine = self._engine()
         engine.fleet.sync_states()
-        outcomes, chosen = engine.strategy.attempt(
+        block, chosen = engine.strategy.attempt(
             0, engine.fleet.positions, 0.0, engine.channel_map, engine.streams
         )
-        assert len(outcomes) == 3
+        assert block.channel_ids.size == 3
+
+    def test_attempt_votes_equal_its_decisions(self):
+        engine = self._engine()
+        strategy = engine.strategy
+        for vid in range(5):
+            block, chosen = strategy.attempt(
+                vid, engine.fleet.positions, 0.0, engine.channel_map, engine.streams
+            )
+            np.testing.assert_array_equal(strategy.votes[vid, block.channel_ids],
+                                          block.occupied.astype(int))
+            assert chosen is None or not strategy.votes[vid, chosen]
 
 
 class TestStandaloneStrategy:
@@ -234,11 +245,10 @@ class TestStandaloneStrategy:
         config = replace(ScenarioConfig(), running_time=0.1, seed=9,
                          scheme=Scheme.STANDALONE).validate()
         engine = SimulationEngine(config)
-        outcomes, chosen = engine.strategy.attempt(
+        block, chosen = engine.strategy.attempt(
             0, engine.fleet.positions, 0.0, engine.channel_map, engine.streams
         )
-        assert len(outcomes) == config.n_channels
-        assert [o.channel_id for o in outcomes] == list(range(config.n_channels))
+        assert block.channel_ids.tolist() == list(range(config.n_channels))
         assert chosen is not None
 
     def test_all_channels_occupied_backs_off(self):
@@ -248,7 +258,7 @@ class TestStandaloneStrategy:
         engine.channel_map.pu_active[:] = True
         misses = 0
         for vid in range(5):
-            outcomes, chosen = engine.strategy.attempt(
+            block, chosen = engine.strategy.attempt(
                 vid, engine.fleet.positions, 0.0, engine.channel_map, engine.streams
             )
             misses += chosen is None

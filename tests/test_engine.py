@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from crvanet.config import ScenarioConfig, Scheme
-from crvanet.engine import SimClock, SimulationEngine, run_simulation
+from crvanet.engine import SimulationEngine, run_simulation
 from crvanet.report import (
     MOVE,
     PU_OCCUPIED,
@@ -16,14 +16,32 @@ from crvanet.report import (
     SU_PREEMPTED,
     SU_VACATED,
 )
+from crvanet.sensing import CLASSES
 
 _ORDER = {MOVE: 0, PU_OCCUPIED: 1, PU_VACATED: 1, SU_OCCUPIED: 2, SU_VACATED: 2,
           SU_PREEMPTED: 1, SU_BACKOFF: 2, SENSE: 2, "su-interference": 2}
 
 
 def test_clock_is_exact_product():
-    clock = SimClock(tick_index=7919, time_step=0.001, n_time_slices=10_000)
-    assert clock.now == 7919 * 0.001
+    config = replace(ScenarioConfig(), running_time=7.92, n_vehicles=1, n_channels=2,
+                     channels_per_tower=1).validate()
+    report = run_simulation(config, collect_trace=True, trace_mobility=True)
+    moves = [e for e in report.trace if e.event == MOVE]
+    assert len(moves) == 7920
+    assert moves[7919].tick == 7919 and moves[7919].time == 7919 * 0.001
+    assert all(e.time == e.tick * config.time_step for e in report.trace)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_traced_and_untraced_runs_count_alike(scheme):
+    config = replace(ScenarioConfig(), running_time=0.2, seed=11, scheme=scheme).validate()
+    traced = run_simulation(config, collect_trace=True)
+    untraced = run_simulation(config)
+    assert traced.counters == untraced.counters
+    senses = [e.detail for e in traced.trace if e.event == SENSE]
+    assert len(senses) == untraced.sensing_events > 0
+    assert [senses.count(c.value) for c in CLASSES] == [
+        untraced.correct_detections, untraced.false_alarms, untraced.misdetections]
 
 
 def test_empty_fleet_yields_zero_counters():

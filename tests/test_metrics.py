@@ -16,11 +16,13 @@ from crvanet.report import (
 from crvanet.sensing import Classification
 from crvanet.sweep import (
     CSV_HEADER,
+    PARALLEL_ENV,
     SweepRow,
     SweepSpec,
     SweepTable,
     apply_axis,
     read_csv,
+    resolve_workers,
     run_sweep,
     write_csv,
 )
@@ -37,31 +39,29 @@ def small_base():
 class TestRecordEvent:
     def test_su_occupied_counts_allocation(self):
         report = SimulationReport()
-        record_event(report, TraceEvent(0, 0.0, SU_OCCUPIED, 3, 1))
+        record_event(report, SU_OCCUPIED, 0, 0.0, 3, 1)
         assert report.allocations == 1
 
     def test_sense_counts_exactly_one_class(self):
         report = SimulationReport()
-        record_event(report, TraceEvent(0, 0.0, SENSE, 3, 1),
-                     Classification.MISDETECTION)
+        record_event(report, SENSE, 0, 0.0, 3, 1, Classification.MISDETECTION.value)
         assert report.misdetections == 1
         assert report.sensing_events == 1
         assert report.false_alarms == 0 and report.correct_detections == 0
 
     def test_sense_requires_classification(self):
         with pytest.raises(ValueError):
-            record_event(SimulationReport(), TraceEvent(0, 0.0, SENSE, 3, 1))
+            record_event(SimulationReport(), SENSE, 0, 0.0, 3, 1)
 
     def test_pu_vacated_touches_nothing(self):
         report = SimulationReport()
-        record_event(report, TraceEvent(0, 0.0, PU_VACATED, 3, 0))
+        record_event(report, PU_VACATED, 0, 0.0, 3, 0)
         assert report.counters == SimulationReport().counters
 
     def test_trace_appended_when_collecting(self):
         report = SimulationReport(trace=[])
-        e = TraceEvent(0, 0.0, SU_OCCUPIED, 3, 1)
-        record_event(report, e)
-        assert report.trace == [e]
+        record_event(report, SU_OCCUPIED, 0, 0.0, 3, 1)
+        assert report.trace == [TraceEvent(0, 0.0, SU_OCCUPIED, 3, 1)]
 
 
 class TestSweepSpec:
@@ -122,6 +122,32 @@ class TestRunSweep:
         assert "seed" in str(err.value) or "runningTime" in str(err.value)
 
 
+class TestResolveWorkers:
+    def test_default_is_one_per_usable_core(self, monkeypatch):
+        monkeypatch.delenv(PARALLEL_ENV, raising=False)
+        cores = len(os.sched_getaffinity(0))
+        assert resolve_workers(None, 75) == min(cores, 75)
+        assert resolve_workers(None, 1) == 1
+
+    def test_env_sets_the_count_capped_at_jobs(self, monkeypatch):
+        monkeypatch.setenv(PARALLEL_ENV, "3")
+        assert resolve_workers(None, 10) == 3
+        assert resolve_workers(None, 2) == 2
+        monkeypatch.setenv(PARALLEL_ENV, " 1 ")
+        assert resolve_workers(None, 10) == 1
+
+    def test_explicit_count_wins_over_env(self, monkeypatch):
+        monkeypatch.setenv(PARALLEL_ENV, "junk")
+        assert resolve_workers(2, 10) == 2
+
+    @pytest.mark.parametrize("value", ["two", "1.5", "0", "-3"])
+    def test_bad_env_value_names_variable_and_value(self, monkeypatch, value):
+        monkeypatch.setenv(PARALLEL_ENV, value)
+        with pytest.raises(ValueError) as err:
+            resolve_workers(None, 10)
+        assert PARALLEL_ENV in str(err.value) and repr(value) in str(err.value)
+
+
 def _scheme_rank(name):
     order = [s.value for s in (Scheme.STANDALONE, Scheme.PROPOSED)]
     return order.index(name) if name in order else 99
@@ -138,7 +164,7 @@ class TestCsv:
         path = tmp_path / "one.csv"
         write_csv(SweepTable("vehicles", (row,)), str(path))
         lines = path.read_text().splitlines()
-        assert lines == [CSV_HEADER, "50,proposed,7,120,3,0,800"]
+        assert lines == [CSV_HEADER, "50,proposed,7,120,3,0,800,0"]
 
     def test_lf_line_endings_and_ascii(self, tmp_path):
         row = SweepRow(50, Scheme.PROPOSED, 7, 120, 3, 0, 800)
@@ -150,7 +176,7 @@ class TestCsv:
 
     def test_round_trip(self, tmp_path):
         rows = (
-            SweepRow(10, Scheme.STANDALONE, 1, 5, 2, 1, 30),
+            SweepRow(10, Scheme.STANDALONE, 1, 5, 2, 1, 30, 4),
             SweepRow(20, Scheme.PROPOSED, 2, 8, 0, 0, 12),
         )
         path = tmp_path / "rt.csv"
@@ -158,11 +184,11 @@ class TestCsv:
         back = read_csv(str(path))
         assert [
             (r.axis_value, r.scheme, r.seed, r.allocations, r.false_alarms,
-             r.misdetections, r.sensing_events)
+             r.misdetections, r.sensing_events, r.harmful_occupations)
             for r in back.rows
         ] == [
             (r.axis_value, r.scheme, r.seed, r.allocations, r.false_alarms,
-             r.misdetections, r.sensing_events)
+             r.misdetections, r.sensing_events, r.harmful_occupations)
             for r in rows
         ]
 

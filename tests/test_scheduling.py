@@ -1,8 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from crvanet.config import ScenarioConfig
+from crvanet.engine import SimulationEngine
 from crvanet.report import (
+    MOVE,
     PU_OCCUPIED,
     PU_VACATED,
     SENSE,
@@ -10,6 +15,7 @@ from crvanet.report import (
     SU_INTERFERENCE,
     SU_OCCUPIED,
     SU_PREEMPTED,
+    SU_VACATED,
     SimulationReport,
 )
 from crvanet.scheduling import (
@@ -20,9 +26,8 @@ from crvanet.scheduling import (
     schedule_next,
     step_pu,
     step_su,
-    su_due,
 )
-from crvanet.sensing import ChannelState, Classification, SensingOutcome
+from crvanet.sensing import ChannelState, SenseBlock
 
 
 class TestScheduleNext:
@@ -113,14 +118,15 @@ class _PinnedStrategy:
 
     def attempt(self, vehicle_id, positions, now, channel_map, streams):
         if self.channel_id is None:
-            return [], None
-        outcome = SensingOutcome(
-            observer_id=vehicle_id, channel_id=self.channel_id,
-            decision=self.decision, truth=self.truth,
-            statistic=0.0, threshold=1.0, time=now,
+            return None, None
+        block = SenseBlock(
+            channel_ids=np.array([self.channel_id]),
+            occupied=np.array([self.decision is ChannelState.OCCUPIED]),
+            truth=np.array([self.truth is ChannelState.OCCUPIED]),
+            statistic=np.zeros(1), threshold=1.0,
         )
         chosen = self.channel_id if self.decision is ChannelState.VACANT else None
-        return [outcome], chosen
+        return block, chosen
 
 
 class TestStepSu:
@@ -218,12 +224,26 @@ class TestChannelMap:
 
 
 def test_su_due_and_backoff():
+    """The engine steps an SU on the first tick at its pending instant and
+    never before: an idle SU at its next attempt, a transmitting SU at its
+    scheduled vacation."""
+    config = replace(ScenarioConfig(), running_time=0.012, n_vehicles=2, seed=3).validate()
+    engine = SimulationEngine(config)
+    dt = config.time_step
+    engine.su_states[0].occupation_time = 5 * dt
+    holder = engine.su_states[1]
+    holder.occupying, holder.channel_id, holder.vacation_time = True, 3, 7 * dt
+    engine.channel_map.set_holder(3, 1, float(engine.fleet.positions[1]))
+    engine.pu_units[3].occupation_time = 1.0  # no preemption within the run
+    engine._refresh_pu_next(3)
+    for v in (0, 1):
+        engine._refresh_su_next(v)
+    report = engine.run(collect_trace=True)
+    su_events = [e for e in report.trace if e.event not in (PU_OCCUPIED, PU_VACATED, MOVE)]
+    assert min(e.tick for e in su_events if e.actor_id == 0) == 5
+    vacated = [e for e in su_events if e.actor_id == 1]
+    assert [(e.tick, e.event) for e in vacated[:1]] == [(7, SU_VACATED)]
+
     su = SuRadioState(back_off_time=0.01, occupation_time=1.0)
-    assert not su_due(su, 0.999)
-    assert su_due(su, 1.0)
     apply_backoff(su, 1.0)
     assert su.occupation_time == pytest.approx(1.010, abs=1e-12)
-    su.occupying = True
-    su.vacation_time = 2.0
-    assert not su_due(su, 1.5)
-    assert su_due(su, 2.0)

@@ -3,19 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from crvanet.config import ScenarioConfig
+import crvanet.sensing
 from crvanet.scheduling import ChannelMap
 from crvanet.sensing import (
+    CLASSES,
     ChannelSensor,
     ChannelState,
     Classification,
     DetectorParams,
-    SensingOutcome,
     block_pfa,
+    classify_block,
     classify_outcome,
     detection_threshold,
     energy_statistic,
-    sense_channel,
 )
 from crvanet.streams import StreamBundle
 
@@ -115,8 +115,15 @@ class TestClassification:
                 assert classify_outcome(decision, truth) in Classification
 
     def test_outcome_property_agrees(self):
-        o = SensingOutcome(0, 1, ChannelState.VACANT, ChannelState.OCCUPIED, 1.0, 1.1, 0.0)
-        assert o.classification is Classification.MISDETECTION
+        """The vectorised block classification equals classify_outcome for
+        every (decision, truth) pair."""
+        pairs = [(d, t) for d in ChannelState for t in ChannelState]
+        occupied = np.array([d is ChannelState.OCCUPIED for d, _ in pairs])
+        truth = np.array([t is ChannelState.OCCUPIED for _, t in pairs])
+        got = [CLASSES[i] for i in classify_block(occupied, truth)]
+        assert got == [classify_outcome(d, t) for d, t in pairs]
+        assert classify_block(np.array([False]), np.array([True]))[0] == \
+            CLASSES.index(Classification.MISDETECTION)
 
 
 def test_raising_threshold_never_adds_false_alarms():
@@ -139,49 +146,79 @@ def test_block_pfa_compensation():
 
 
 class TestSenseChannel:
-    def _map(self, config):
-        return ChannelMap(config.n_channels)
+    """Sensing one channel at a time through ChannelSensor.sense_block."""
+
+    def _sense(self, config, cmap, position, channel_id, streams):
+        block = ChannelSensor(config).sense_block(
+            0, position, np.array([channel_id]), cmap, 0.0, streams
+        )
+        assert block.channel_ids.tolist() == [channel_id]
+        return block
 
     def test_unknown_channel_rejected(self, default_config):
-        with pytest.raises(ValueError):
-            sense_channel(0.0, 100, self._map(default_config), default_config,
-                          np.random.default_rng(0))
+        cmap = ChannelMap(default_config.n_channels)
+        for channel_id in (100, -1):
+            with pytest.raises(ValueError):
+                self._sense(default_config, cmap, 0.0, channel_id, StreamBundle(0))
 
     def test_vacant_channel_outcomes_mostly_correct(self, default_config):
-        cmap = self._map(default_config)
-        rng = np.random.default_rng(1)
-        classes = [
-            sense_channel(500.0, 3, cmap, default_config, rng).classification
-            for _ in range(300)
-        ]
+        cmap = ChannelMap(default_config.n_channels)
+        streams = StreamBundle(1)
+        classes = []
+        for _ in range(300):
+            block = self._sense(default_config, cmap, 500.0, 3, streams)
+            classes.append(CLASSES[classify_block(block.occupied, block.truth)[0]])
         fa = sum(c is Classification.FALSE_ALARM for c in classes)
         assert all(c is not Classification.MISDETECTION for c in classes)
         assert 0 < fa < 80  # ~10% of 300
 
     def test_pu_active_channel_detected(self, default_config):
-        cmap = self._map(default_config)
+        cmap = ChannelMap(default_config.n_channels)
         cmap.pu_active[3] = True
-        rng = np.random.default_rng(2)
-        outcomes = [sense_channel(500.0, 3, cmap, default_config, rng) for _ in range(200)]
-        assert all(o.truth is ChannelState.OCCUPIED for o in outcomes)
-        detected = sum(o.decision is ChannelState.OCCUPIED for o in outcomes)
+        streams = StreamBundle(2)
+        blocks = [self._sense(default_config, cmap, 500.0, 3, streams) for _ in range(200)]
+        assert all(b.truth[0] for b in blocks)
+        detected = sum(bool(b.occupied[0]) for b in blocks)
         assert detected > 190  # strong median SNR; misses need deep fades
 
     def test_su_holder_in_range_is_occupied_truth(self, default_config):
-        cmap = self._map(default_config)
+        cmap = ChannelMap(default_config.n_channels)
         cmap.set_holder(7, vehicle_id=4, position=600.0)
-        rng = np.random.default_rng(3)
-        near = sense_channel(500.0, 7, cmap, default_config, rng)
-        assert near.truth is ChannelState.OCCUPIED
-        far = sense_channel(1500.0, 7, cmap, default_config, rng)
-        assert far.truth is ChannelState.VACANT
+        streams = StreamBundle(3)
+        near = self._sense(default_config, cmap, 500.0, 7, streams)
+        assert near.truth[0]
+        far = self._sense(default_config, cmap, 1500.0, 7, streams)
+        assert not far.truth[0]
 
     def test_decision_iff_statistic_crosses_threshold(self, default_config):
-        cmap = self._map(default_config)
-        rng = np.random.default_rng(4)
+        cmap = ChannelMap(default_config.n_channels)
+        streams = StreamBundle(4)
         for _ in range(50):
-            o = sense_channel(800.0, 11, cmap, default_config, rng)
-            assert (o.decision is ChannelState.OCCUPIED) == (o.statistic >= o.threshold)
+            b = self._sense(default_config, cmap, 800.0, 11, streams)
+            assert b.occupied[0] == (b.statistic[0] >= b.threshold)
+
+
+def test_threshold_for_is_cached_and_exact(default_config, monkeypatch):
+    sensor = ChannelSensor(default_config)
+    uncached = detection_threshold(DetectorParams(
+        n_samples=default_config.sensing_samples, noise_power=1.0,
+        target_pfa=block_pfa(default_config.target_pfa, 2),
+    ))
+    calls = []
+    isf = crvanet.sensing.norm.isf
+
+    class _CountingNorm:
+        @staticmethod
+        def isf(q):
+            calls.append(q)
+            return isf(q)
+
+    monkeypatch.setattr(crvanet.sensing, "norm", _CountingNorm)
+    assert sensor.threshold_for(2) == uncached
+    assert sensor.threshold_for(2) == uncached
+    assert len(calls) == 1
+    assert sensor.threshold_for(1) == sensor.detector.threshold
+    assert len(calls) == 1
 
 
 def test_two_block_sense_keeps_target_pfa(default_config):
@@ -193,6 +230,6 @@ def test_two_block_sense_keeps_target_pfa(default_config):
     hits = 0
     n = 4000
     for i in range(n):
-        (o,) = sensor.sense_block(0, 500.0, np.array([2]), cmap, 0.0, streams, blocks=2)
-        hits += o.decision is ChannelState.OCCUPIED
+        block = sensor.sense_block(0, 500.0, np.array([2]), cmap, 0.0, streams, blocks=2)
+        hits += bool(block.occupied[0])
     assert hits / n == pytest.approx(0.1, abs=0.02)
