@@ -41,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ScenarioConfig, Scheme
-from .mobility import neighbors_in_range
 from .scheduling import ChannelMap
 from .sensing import ChannelSensor, SenseBlock
 
@@ -120,15 +119,12 @@ def coordinated_sense(coord_set: CoordinatorSet, sensor: ChannelSensor,
     """AND-of-vacancy fusion: every distinct coordinator senses every
     channel at its own position; a channel is reported vacant only if all
     of them decide vacant. Returns a boolean vacancy array."""
-    n = channel_map.n_channels
-    all_channels = np.arange(n)
-    vacant = np.ones(n, dtype=bool)
-    for cid in coord_set.distinct_coordinators():
-        block = sensor.sense_block(
-            cid, float(positions[cid]), all_channels, channel_map, now, streams
-        )
-        vacant &= ~block.occupied
-    return vacant
+    coordinators = np.array(coord_set.distinct_coordinators())
+    block = sensor.sense_block(
+        coordinators, positions[coordinators], np.arange(channel_map.n_channels),
+        channel_map, now, streams,
+    )
+    return ~block.occupied.any(axis=0)
 
 
 class CoordinationState:
@@ -212,20 +208,17 @@ class CooperativeStrategy(Strategy):
         self.votes = np.full((config.n_vehicles, config.n_channels), VOTE_UNKNOWN, dtype=np.int8)
         self._epoch_index = 0
 
-    def _rotation(self, vehicle_id: int) -> np.ndarray:
+    def on_epoch(self, now, fleet, channel_map, streams):
+        """Every vehicle senses its rotating handful of channels, all in
+        one sensing call, and records the decisions as its votes."""
         n = self.config.n_channels
         count = min(VOTE_CHANNELS_PER_EPOCH, n)
-        start = (self._epoch_index * count + vehicle_id * 7) % n
-        return (start + np.arange(count)) % n
-
-    def on_epoch(self, now, fleet, channel_map, streams):
-        for vehicle_id in range(len(fleet)):
-            channels = self._rotation(vehicle_id)
-            block = self.sensor.sense_block(
-                vehicle_id, float(fleet.positions[vehicle_id]), channels,
-                channel_map, now, streams,
-            )
-            self.votes[vehicle_id, block.channel_ids] = block.occupied
+        vehicles = np.arange(len(fleet))
+        channels = (self._epoch_index * count + vehicles[:, None] * 7 + np.arange(count)) % n
+        block = self.sensor.sense_block(
+            vehicles, fleet.positions, channels, channel_map, now, streams,
+        )
+        self.votes[vehicles[:, None], channels] = block.occupied
         self._epoch_index += 1
 
     def shortlist(self, vehicle_id: int, positions: np.ndarray,
@@ -233,9 +226,8 @@ class CooperativeStrategy(Strategy):
         """Up to VERIFY_SHORTLIST candidates drawn from the best-ranked vote
         group: vacant-voted channels first, then unvoted, then
         occupied-voted. Draws spread concurrent requesters apart."""
-        group = neighbors_in_range(positions, vehicle_id, self.config.comm_range)
-        group.add(vehicle_id)
-        rows = self.votes[sorted(group)]
+        # the requester and every vehicle within comm range, either direction
+        rows = self.votes[np.abs(positions - positions[vehicle_id]) <= self.config.comm_range]
         any_vacant = np.any(rows == VOTE_VACANT, axis=0)
         any_vote = np.any(rows != VOTE_UNKNOWN, axis=0)
         rank = np.where(any_vacant, 0, np.where(~any_vote, 1, 2))

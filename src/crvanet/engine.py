@@ -16,7 +16,7 @@ import numpy as np
 from .config import ScenarioConfig, num_time_slices
 from .coordination import make_strategy
 from .mobility import Fleet
-from .report import MOVE, SU_PREEMPTED, SimulationReport, record_event
+from .report import MOVE, SimulationReport, record_event
 from .scheduling import (
     ChannelMap,
     PuTransmitter,
@@ -102,24 +102,20 @@ class SimulationEngine:
             # 2. PU state changes
             due_channels = np.nonzero(now >= self.pu_next - eps)[0]
             for c in due_channels:
-                events = step_pu(
+                preempted = step_pu(
                     self.pu_units[c], now, tick, self.channel_map,
                     config.pu_hold_mean, config.pu_gap_mean,
-                    self.streams.pu_stream(int(c)),
+                    self.streams.pu_stream(int(c)), report,
                     su_states=self.su_states,
                     su_gap_mean=config.su_gap_mean,
                     su_rngs=self.streams.su_stream,
                 )
-                for event in events:
-                    record_event(report, event.event, tick, now, event.channel_id,
-                                 event.actor_id)
-                    if event.event == SU_PREEMPTED and event.actor_id >= 0:
-                        self._refresh_su_next(event.actor_id)
+                if preempted is not None:
+                    self._refresh_su_next(preempted)
                 self._refresh_pu_next(int(c))
 
             # 3. coordination epoch, for schemes that use one
             if self.strategy.needs_epoch and len(self.fleet) > 0 and self.strategy.state.due(now):
-                self.fleet.sync_states()
                 self.strategy.on_epoch(now, self.fleet, self.channel_map, self.streams)
                 self.strategy.state.advance_epoch()
 

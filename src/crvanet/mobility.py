@@ -109,16 +109,6 @@ def update_vehicle(v: VehicleState, leader: Optional[VehicleState], dt: float,
     return v
 
 
-def neighbors_in_range(positions: np.ndarray, origin: int, comm_range: float) -> set[int]:
-    """Ids of all vehicles within along-road distance of the origin vehicle,
-    boundary inclusive, origin excluded. Both travel directions count."""
-    if comm_range <= 0:
-        raise ValueError("range must be positive")
-    deltas = np.abs(positions - positions[origin])
-    ids = np.nonzero(deltas <= comm_range)[0]
-    return set(int(i) for i in ids if i != origin)
-
-
 class Fleet:
     """All vehicles of a run: per-vehicle Gipps parameters plus authoritative
     position/speed arrays for the per-tick advance.
@@ -213,9 +203,3 @@ class Fleet:
         if len(self.vehicles) == 0:
             return
         self.positions = (self.positions + self.speeds * self.directions * dt) % self.config.road_length
-
-    def sync_states(self) -> None:
-        """Mirror the authoritative arrays back into the VehicleState objects."""
-        for i, v in enumerate(self.vehicles):
-            v.position = float(self.positions[i])
-            v.speed = float(self.speeds[i])

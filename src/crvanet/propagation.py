@@ -78,6 +78,38 @@ def _check(name: str, value: float, lo: float, hi: float, unit: str) -> None:
         )
 
 
+class HataModel:
+    """Hata median path loss at one carrier frequency and pair of antenna
+    heights.
+
+    The frequency and heights are validated, and the distance-independent
+    terms computed, once; a loss evaluation then checks only the distance.
+    The terms are combined in the closed form's left-to-right order, so
+    splitting the evaluation changes no bit of the result.
+    """
+
+    def __init__(self, f: float, hb: float, hm: float):
+        _check("frequency", f, *_F_RANGE, "MHz")
+        _check("baseStationHeight", hb, *_HB_RANGE, "m")
+        _check("mobileHeight", hm, *_HM_RANGE, "m")
+        log_f = math.log10(f)
+        log_hb = math.log10(hb)
+        a_hm = (1.1 * log_f - 0.7) * hm - (1.56 * log_f - 0.8)
+        self.intercept = 69.55 + 26.16 * log_f - 13.82 * log_hb - a_hm
+        self.slope = 44.9 - 6.55 * log_hb
+        self.suburban_correction = 2.0 * math.log10(f / 28.0) ** 2
+
+    def urban_loss(self, d: float) -> float:
+        """Median urban path loss in dB at link distance d, km (1..20)."""
+        _check("distance", d, *_D_RANGE, "km")
+        return self.intercept + self.slope * math.log10(d)
+
+    def suburban_loss(self, d: float) -> float:
+        """Median suburban path loss in dB: urban loss plus the suburban
+        correction."""
+        return self.urban_loss(d) - self.suburban_correction - 5.4
+
+
 def hata_urban_loss(f: float, hb: float, hm: float, d: float) -> float:
     """Median urban path loss in dB.
 
@@ -88,24 +120,12 @@ def hata_urban_loss(f: float, hb: float, hm: float, d: float) -> float:
     hm : mobile antenna height, m (1..10)
     d : link distance, km (1..20)
     """
-    _check("frequency", f, *_F_RANGE, "MHz")
-    _check("baseStationHeight", hb, *_HB_RANGE, "m")
-    _check("mobileHeight", hm, *_HM_RANGE, "m")
-    _check("distance", d, *_D_RANGE, "km")
-    log_f = math.log10(f)
-    a_hm = (1.1 * log_f - 0.7) * hm - (1.56 * log_f - 0.8)
-    return (
-        69.55
-        + 26.16 * log_f
-        - 13.82 * math.log10(hb)
-        - a_hm
-        + (44.9 - 6.55 * math.log10(hb)) * math.log10(d)
-    )
+    return HataModel(f, hb, hm).urban_loss(d)
 
 
 def hata_suburban_loss(f: float, hb: float, hm: float, d: float) -> float:
     """Median suburban path loss in dB: urban loss plus the suburban correction."""
-    return hata_urban_loss(f, hb, hm, d) - 2.0 * math.log10(f / 28.0) ** 2 - 5.4
+    return HataModel(f, hb, hm).suburban_loss(d)
 
 
 def rayleigh_gain(rng: np.random.Generator, size: int | None = None):

@@ -29,7 +29,6 @@ from .report import (
     SU_PREEMPTED,
     SU_VACATED,
     SimulationReport,
-    TraceEvent,
     record_event,
 )
 from .sensing import CLASSES, classify_block
@@ -96,22 +95,24 @@ class ChannelMap:
 
 def step_pu(pu: PuTransmitter, now: float, tick: int, channel_map: ChannelMap,
             pu_hold_mean: float, pu_gap_mean: float, rng: np.random.Generator,
+            report: SimulationReport,
             su_states: list[SuRadioState] | None = None,
             su_gap_mean: float = 0.05,
-            su_rngs=None) -> list[TraceEvent]:
-    """Advance one PU machine by one tick; returns emitted events in order.
+            su_rngs=None) -> int | None:
+    """Advance one PU machine by one tick, recording its events in order;
+    returns the id of the SU it preempted, or None.
 
     Occupation preempts any SU holding the channel: the SU is cleared and
     rescheduled (its next attempt drawn from its own gap process) before
     the pu-occupied event fires.
     """
-    events: list[TraceEvent] = []
+    holder = None
     if pu.occupying:
         if now >= pu.vacation_time - 1e-12:
             pu.occupying = False
             channel_map.pu_active[pu.channel_id] = False
             pu.occupation_time = now + schedule_next(pu_gap_mean, rng)
-            events.append(TraceEvent(tick, now, PU_VACATED, pu.channel_id, pu.tower_id))
+            record_event(report, PU_VACATED, tick, now, pu.channel_id, pu.tower_id)
     else:
         if now >= pu.occupation_time - 1e-12:
             holder = channel_map.holder_of(pu.channel_id)
@@ -123,12 +124,12 @@ def step_pu(pu: PuTransmitter, now: float, tick: int, channel_map: ChannelMap,
                     su.channel_id = None
                     gap_rng = su_rngs(holder) if su_rngs is not None else rng
                     su.occupation_time = now + schedule_next(su_gap_mean, gap_rng)
-                events.append(TraceEvent(tick, now, SU_PREEMPTED, pu.channel_id, holder))
+                record_event(report, SU_PREEMPTED, tick, now, pu.channel_id, holder)
             pu.occupying = True
             channel_map.pu_active[pu.channel_id] = True
             pu.vacation_time = now + schedule_next(pu_hold_mean, rng)
-            events.append(TraceEvent(tick, now, PU_OCCUPIED, pu.channel_id, pu.tower_id))
-    return events
+            record_event(report, PU_OCCUPIED, tick, now, pu.channel_id, pu.tower_id)
+    return holder
 
 
 def apply_backoff(su: SuRadioState, now: float) -> None:

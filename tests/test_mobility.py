@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from crvanet.config import ScenarioConfig
+from crvanet.config import ScenarioConfig, ScenarioValidationError
+from crvanet.coordination import VOTE_OCCUPIED, VOTE_VACANT, CooperativeStrategy
 from crvanet.mobility import (
     BACKWARD,
     FORWARD,
@@ -12,9 +14,9 @@ from crvanet.mobility import (
     VehicleState,
     gipps_free_speed,
     gipps_safe_speed,
-    neighbors_in_range,
     update_vehicle,
 )
+from crvanet.sensing import ChannelSensor
 from crvanet.streams import StreamBundle
 
 
@@ -107,22 +109,53 @@ class TestUpdateVehicle:
 
 
 class TestNeighbors:
+    """The comm-range neighbourhood as CooperativeStrategy.shortlist fuses
+    it: the requester's own votes plus those of every vehicle within
+    commRange, boundary inclusive, either travel direction."""
+
+    @staticmethod
+    def _strategy(n_vehicles):
+        config = replace(ScenarioConfig(), n_vehicles=n_vehicles, comm_range=240.0).validate()
+        return CooperativeStrategy(config, ChannelSensor(config))
+
+    def _hears(self, positions, origin, other):
+        """Whether origin's shortlist fuses other's votes: other alone votes
+        channels 40-42 vacant, origin votes every channel occupied."""
+        strategy = self._strategy(len(positions))
+        strategy.votes[origin] = VOTE_OCCUPIED
+        strategy.votes[other, 40:43] = VOTE_VACANT
+        short = strategy.shortlist(origin, positions, np.random.default_rng(0))
+        return short.tolist() == [40, 41, 42]
+
     def test_single_vehicle_has_no_neighbors(self):
-        assert neighbors_in_range(np.array([100.0]), 0, 240.0) == set()
+        strategy = self._strategy(1)
+        strategy.votes[0, 40:43] = VOTE_VACANT
+        short = strategy.shortlist(0, np.array([100.0]), np.random.default_rng(0))
+        assert short.tolist() == [40, 41, 42]
 
     def test_boundary_inclusive(self):
         positions = np.array([0.0, 240.0])
-        assert neighbors_in_range(positions, 0, 240.0) == {1}
-        assert neighbors_in_range(positions, 1, 240.0) == {0}
+        assert self._hears(positions, 0, 1)
+        assert self._hears(positions, 1, 0)
+        assert not self._hears(np.array([0.0, 240.5]), 0, 1)
 
     def test_uniform_fleet_interior_count(self):
-        # 80 m spacing, 240 m range: three on each side
+        # 80 m spacing, 240 m range: three on each side; vehicle j votes
+        # channel j vacant, so the vacant group is the neighbourhood
         positions = np.arange(0.0, 2000.0, 80.0)
-        assert len(neighbors_in_range(positions, 10, 240.0)) == 6
+        strategy = self._strategy(len(positions))
+        for j in range(len(positions)):
+            strategy.votes[j, j] = VOTE_VACANT
+        rng = np.random.default_rng(0)
+        heard = set()
+        for _ in range(50):
+            heard.update(strategy.shortlist(10, positions, rng).tolist())
+        assert heard == set(range(7, 14))
+        assert len(heard - {10}) == 6
 
     def test_rejects_bad_range(self):
-        with pytest.raises(ValueError):
-            neighbors_in_range(np.array([0.0, 1.0]), 0, 0.0)
+        with pytest.raises(ScenarioValidationError):
+            replace(ScenarioConfig(), comm_range=0.0).validate()
 
 
 class TestFleet:

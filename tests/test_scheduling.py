@@ -60,23 +60,30 @@ class TestStepPu:
         pu = PuTransmitter(tower_id=0, channel_id=2, occupying=False, occupation_time=1.0)
         return pu, cmap, np.random.default_rng(5)
 
+    @staticmethod
+    def _step(pu, now, tick, cmap, hold, gap, rng, **kwargs):
+        """step_pu into a fresh traced report; returns the recorded events."""
+        report = SimulationReport(trace=[])
+        step_pu(pu, now, tick, cmap, hold, gap, rng, report, **kwargs)
+        return report.trace
+
     def test_idle_before_schedule_is_noop(self):
         pu, cmap, rng = self._setup()
-        events = step_pu(pu, 0.5, 500, cmap, 0.1, 0.1, rng)
+        events = self._step(pu, 0.5, 500, cmap, 0.1, 0.1, rng)
         assert events == []
         assert not pu.occupying and not cmap.pu_active[2]
 
     def test_occupation_fires_and_draws_vacation(self):
         pu, cmap, rng = self._setup()
-        events = step_pu(pu, 1.0, 1000, cmap, 0.1, 0.1, rng)
+        events = self._step(pu, 1.0, 1000, cmap, 0.1, 0.1, rng)
         assert [e.event for e in events] == [PU_OCCUPIED]
         assert pu.occupying and cmap.pu_active[2]
         assert pu.vacation_time > 1.0
 
     def test_vacation_symmetric_branch(self):
         pu, cmap, rng = self._setup()
-        step_pu(pu, 1.0, 1000, cmap, 0.1, 0.1, rng)
-        events = step_pu(pu, pu.vacation_time, 2000, cmap, 0.1, 0.1, rng)
+        self._step(pu, 1.0, 1000, cmap, 0.1, 0.1, rng)
+        events = self._step(pu, pu.vacation_time, 2000, cmap, 0.1, 0.1, rng)
         assert [e.event for e in events] == [PU_VACATED]
         assert not pu.occupying and not cmap.pu_active[2]
         assert pu.occupation_time > pu.vacation_time
@@ -87,10 +94,14 @@ class TestStepPu:
         su_states[1].occupying = True
         su_states[1].channel_id = 2
         cmap.set_holder(2, vehicle_id=1, position=100.0)
-        events = step_pu(pu, 1.0, 1000, cmap, 0.1, 0.1, rng,
-                         su_states=su_states, su_gap_mean=0.05)
+        report = SimulationReport(trace=[])
+        preempted = step_pu(pu, 1.0, 1000, cmap, 0.1, 0.1, rng, report,
+                            su_states=su_states, su_gap_mean=0.05)
+        events = report.trace
         assert [e.event for e in events] == [SU_PREEMPTED, PU_OCCUPIED]
         assert events[0].channel_id == events[1].channel_id == 2
+        assert preempted == events[0].actor_id == 1
+        assert report.preemptions == 1
         assert cmap.holder_of(2) is None
         assert not su_states[1].occupying
         assert su_states[1].occupation_time > 1.0
@@ -102,7 +113,7 @@ class TestStepPu:
         t = 0.0
         for _ in range(200):
             t += 0.001
-            kinds += [e.event for e in step_pu(pu, t, 0, cmap, 0.002, 0.002, rng)]
+            kinds += [e.event for e in self._step(pu, t, 0, cmap, 0.002, 0.002, rng)]
         assert len(kinds) > 10
         for a, b in zip(kinds, kinds[1:]):
             assert a != b  # strict occupy/vacate alternation

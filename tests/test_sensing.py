@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import crvanet.sensing
+from crvanet.propagation import PropagationDomainError, TowerGeometry, hata_suburban_loss
 from crvanet.scheduling import ChannelMap
 from crvanet.sensing import (
     CLASSES,
@@ -233,3 +235,83 @@ def test_two_block_sense_keeps_target_pfa(default_config):
         block = sensor.sense_block(0, 500.0, np.array([2]), cmap, 0.0, streams, blocks=2)
         hits += bool(block.occupied[0])
     assert hits / n == pytest.approx(0.1, abs=0.02)
+
+
+class TestBatchedSenseBlock:
+    """One sense_block call over m observers is m single-observer calls."""
+
+    OBSERVERS = np.array([4, 0, 17, 9])
+    POSITIONS = np.array([120.0, 480.0, 1010.5, 1990.0])
+    # one row per observer; rows cross the tower boundary out of order
+    GRID = np.array([[49, 50, 3, 98, 0], [99, 0, 1, 2, 60],
+                     [10, 11, 12, 13, 14], [55, 54, 53, 52, 51]])
+
+    @staticmethod
+    def _channel_map(config):
+        cmap = ChannelMap(config.n_channels)
+        cmap.pu_active[:] = np.random.default_rng(11).random(config.n_channels) < 0.5
+        for channel, vehicle, position in ((3, 9, 450.0), (60, 2, 1700.0), (99, 5, 20.0)):
+            cmap.set_holder(channel, vehicle, position)
+        return cmap
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared-channels", "grid"])
+    def test_batch_equals_single_calls(self, default_config, blocks, shared):
+        sensor = ChannelSensor(default_config)
+        cmap = self._channel_map(default_config)
+        channels = np.arange(default_config.n_channels) if shared else self.GRID
+        batched, single = StreamBundle(5), StreamBundle(5)
+        block = sensor.sense_block(self.OBSERVERS, self.POSITIONS, channels, cmap, 0.25,
+                                   batched, blocks=blocks)
+        assert block.occupied.shape == (len(self.OBSERVERS), channels.shape[-1])
+        rows = [channels] * len(self.OBSERVERS) if shared else channels
+        for r, (observer, position, ids) in enumerate(
+                zip(self.OBSERVERS.tolist(), self.POSITIONS.tolist(), rows)):
+            alone = sensor.sense_block(observer, position, ids, cmap, 0.25, single,
+                                       blocks=blocks)
+            np.testing.assert_array_equal(block.occupied[r], alone.occupied)
+            np.testing.assert_array_equal(block.truth[r], alone.truth)
+            np.testing.assert_array_equal(block.statistic[r], alone.statistic)
+            assert block.threshold == alone.threshold
+        # every generator was left in the same state
+        for observer in self.OBSERVERS.tolist():
+            for tower in range(default_config.n_pu_towers):
+                assert (batched.fading_stream(tower, observer).random()
+                        == single.fading_stream(tower, observer).random())
+            assert (batched.sensing_stream(observer).random()
+                    == single.sensing_stream(observer).random())
+
+    def test_unknown_channel_rejected_in_grid(self, default_config):
+        sensor = ChannelSensor(default_config)
+        cmap = ChannelMap(default_config.n_channels)
+        for channel_id in (100, -1):
+            channels = np.array([[0, 1], [2, channel_id]])
+            with pytest.raises(ValueError):
+                sensor.sense_block(self.OBSERVERS[:2], self.POSITIONS[:2], channels, cmap,
+                                   0.0, StreamBundle(0))
+
+
+class TestMedianPuSnr:
+    def test_equals_hata_suburban_exactly(self, default_config):
+        cfg = default_config
+        sensor = ChannelSensor(cfg)
+        towers = sensor.towers + [TowerGeometry(2, along_road=0.0, offset=1500.0,
+                                                first_channel=0, n_channels=1)]
+        for tower in towers:
+            for position in np.linspace(0.0, cfg.road_length, 81).tolist():
+                loss = hata_suburban_loss(cfg.frequency, cfg.base_station_height,
+                                          cfg.mobile_height, tower.distance_to(position) / 1000.0)
+                expected = 10 ** ((cfg.tx_power_pu - loss - sensor.noise_dbw) / 10)
+                assert sensor.median_pu_snr(tower, position) == expected
+
+    def test_out_of_range_inputs_raise(self, default_config):
+        near = [TowerGeometry(t, along_road=1000.0, offset=100.0, first_channel=50 * t,
+                              n_channels=50) for t in range(2)]
+        sensor = ChannelSensor(default_config, towers=near)
+        with pytest.raises(PropagationDomainError):
+            sensor.median_pu_snr(near[0], 1000.0)   # 0.1 km
+        with pytest.raises(PropagationDomainError):
+            sensor.sense_block(0, 1000.0, np.arange(3), ChannelMap(default_config.n_channels),
+                               0.0, StreamBundle(0))
+        with pytest.raises(PropagationDomainError):
+            ChannelSensor(replace(default_config, frequency=2000.0))
