@@ -11,7 +11,7 @@ comments; unknown keys are rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 
@@ -55,7 +55,6 @@ class ScenarioConfig:
     sensing_range: float = 400.0        # m
     comm_range: float = 240.0           # m
     tx_power_pu: float = 30.0           # dBW
-    tx_power_su: float = 10.0           # dBW
     noise_temperature: float = 500.0    # K
     channel_bandwidth: float = 7e6      # Hz
     avg_speed: float = 100.0 / 3.6      # m/s (100 km/h)
@@ -130,7 +129,6 @@ _FIELDS: dict[str, tuple[str, str]] = {
     "sensingRange": ("sensing_range", "distance"),
     "commRange": ("comm_range", "distance"),
     "txPowerPu": ("tx_power_pu", "power_dbw"),
-    "txPowerSu": ("tx_power_su", "power_dbw"),
     "noiseTemperature": ("noise_temperature", "temperature"),
     "channelBandwidth": ("channel_bandwidth", "freq_hz"),
     "avgSpeed": ("avg_speed", "speed"),
@@ -254,13 +252,3 @@ def num_time_slices(running_time: float, time_step: float) -> int:
         raise ValueError("runningTime and timeStep must be positive")
     return int(math.floor(running_time / time_step + 1e-9))
 
-
-def config_summary(config: ScenarioConfig) -> str:
-    """One key = value line per field, in file-key form (debug aid)."""
-    lines = []
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, Scheme):
-            value = value.value
-        lines.append(f"{_KEY_OF[f.name]} = {value}")
-    return "\n".join(lines)

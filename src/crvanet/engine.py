@@ -17,14 +17,7 @@ from .config import ScenarioConfig, num_time_slices
 from .coordination import make_strategy
 from .mobility import Fleet
 from .report import MOVE, SimulationReport, record_event
-from .scheduling import (
-    ChannelMap,
-    PuTransmitter,
-    SuRadioState,
-    schedule_next,
-    step_pu,
-    step_su,
-)
+from .scheduling import ChannelMap, schedule_next, step_pu, step_su
 from .sensing import ChannelSensor
 from .streams import StreamBundle
 
@@ -38,47 +31,23 @@ class SimulationEngine:
         self.n_ticks = num_time_slices(config.running_time, config.time_step)
         self.fleet = Fleet(config, self.streams)
         self.sensor = ChannelSensor(config)
-        self.channel_map = ChannelMap(config.n_channels)
         self.strategy = make_strategy(config, self.sensor)
 
-        self.pu_units = []
-        for c in range(config.n_channels):
-            rng = self.streams.pu_stream(c)
-            pu = PuTransmitter(
-                tower_id=c // config.channels_per_tower,
-                channel_id=c,
-                occupying=False,
-                occupation_time=schedule_next(config.pu_gap_mean, rng),
-            )
-            self.pu_units.append(pu)
-
-        self.su_states = []
-        for v in range(config.n_vehicles):
-            rng = self.streams.su_stream(v)
-            su = SuRadioState(
-                back_off_time=config.back_off_time,
-                occupation_time=schedule_next(config.su_gap_mean, rng),
-            )
-            self.su_states.append(su)
-            self.fleet.vehicles[v].radio = su
-
-        # vectorized due checks: the next pending instant per channel / vehicle
-        self.pu_next = np.array([pu.occupation_time for pu in self.pu_units], dtype=float)
-        self.su_next = np.array([su.occupation_time for su in self.su_states], dtype=float)
+        # every machine's first pending instant: a PU's first occupation, an
+        # SU's first attempt, each drawn from its own stream
+        self.channel_map = ChannelMap(config.n_channels, config.n_vehicles)
+        self.channel_map.pu_next[:] = [schedule_next(config.pu_gap_mean, self.streams.pu_stream(c))
+                                       for c in range(config.n_channels)]
+        self.channel_map.su_next[:] = [schedule_next(config.su_gap_mean, self.streams.su_stream(v))
+                                       for v in range(config.n_vehicles)]
 
         dt = config.time_step
         self.decision_period = max(1, round(config.reaction_time / dt))
 
-    def _refresh_pu_next(self, channel_id: int) -> None:
-        pu = self.pu_units[channel_id]
-        self.pu_next[channel_id] = pu.vacation_time if pu.occupying else pu.occupation_time
-
-    def _refresh_su_next(self, vehicle_id: int) -> None:
-        su = self.su_states[vehicle_id]
-        self.su_next[vehicle_id] = su.vacation_time if su.occupying else su.occupation_time
-
     def run(self, collect_trace: bool = False, trace_mobility: bool = False) -> SimulationReport:
         config = self.config
+        channel_map = self.channel_map
+        tower_of = self.sensor.tower_of.tolist()
         report = SimulationReport(trace=[] if collect_trace else None)
         dt = config.time_step
         eps = 1e-12
@@ -100,34 +69,22 @@ class SimulationEngine:
                         )
 
             # 2. PU state changes
-            due_channels = np.nonzero(now >= self.pu_next - eps)[0]
-            for c in due_channels:
-                preempted = step_pu(
-                    self.pu_units[c], now, tick, self.channel_map,
-                    config.pu_hold_mean, config.pu_gap_mean,
-                    self.streams.pu_stream(int(c)), report,
-                    su_states=self.su_states,
-                    su_gap_mean=config.su_gap_mean,
-                    su_rngs=self.streams.su_stream,
-                )
-                if preempted is not None:
-                    self._refresh_su_next(preempted)
-                self._refresh_pu_next(int(c))
+            due_channels = np.nonzero(now >= channel_map.pu_next - eps)[0]
+            for c in due_channels.tolist():
+                step_pu(c, tower_of[c], now, tick, channel_map, self.streams,
+                        config.pu_hold_mean, config.pu_gap_mean, config.su_gap_mean, report)
 
             # 3. coordination epoch, for schemes that use one
             if self.strategy.needs_epoch and len(self.fleet) > 0 and self.strategy.state.due(now):
-                self.strategy.on_epoch(now, self.fleet, self.channel_map, self.streams)
+                self.strategy.on_epoch(now, self.fleet, channel_map, self.streams)
                 self.strategy.state.advance_epoch()
 
             # 4. SU sensing/occupation for vehicles with pending actions
-            due_vehicles = np.nonzero(now >= self.su_next - eps)[0]
+            due_vehicles = np.nonzero(now >= channel_map.su_next - eps)[0]
             for v in due_vehicles.tolist():
-                step_su(
-                    v, self.su_states[v], self.fleet.positions, now, tick,
-                    self.strategy, self.channel_map, report, self.streams,
-                    config.su_hold_mean, config.su_gap_mean,
-                )
-                self._refresh_su_next(v)
+                step_su(v, self.fleet.positions, now, tick, self.strategy, channel_map,
+                        report, self.streams, config.su_hold_mean, config.su_gap_mean,
+                        config.back_off_time)
 
         return report
 

@@ -19,16 +19,9 @@ reads  -b*tau + sqrt(b^2 tau^2 + b*(2*gap - v*tau + v_leader^2/b_hat)).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
-
 import numpy as np
 
 from .config import ScenarioConfig
-
-if TYPE_CHECKING:  # radio state is owned by the scheduling module
-    from .scheduling import SuRadioState
 
 DEFAULT_MAX_ACCEL = 1.7        # m/s^2
 DEFAULT_DECEL = 3.0            # m/s^2, comfortable braking, used for b and b_hat
@@ -38,168 +31,100 @@ FORWARD = 1
 BACKWARD = -1
 
 
-@dataclass
-class GippsParams:
-    max_accel: float            # a, m/s^2
-    desired_speed: float        # V, m/s, the vehicle's drawn average speed
-    reaction_time: float        # tau, s
-    decel: float                # b, m/s^2 (positive magnitude)
-    leader_decel_estimate: float  # b_hat, m/s^2 (positive magnitude)
-    effective_length: float     # s, m
-    human_error: float          # theta, dimensionless
-    v_min: float                # m/s
-    epsilon: float              # randomization width factor; eps = theta
-
-
-@dataclass
-class VehicleState:
-    vehicle_id: int
-    position: float             # m along road
-    direction: int              # FORWARD or BACKWARD
-    speed: float                # m/s
-    gipps: GippsParams
-    radio: Optional["SuRadioState"] = field(default=None, repr=False)
-
-
-def gipps_free_speed(v: VehicleState, dt: float) -> float:
+def gipps_free_speed(speed, desired_speed, max_accel, dt):
     """Acceleration-limited free-flow speed over one reaction interval,
-    never exceeding the desired speed."""
-    g = v.gipps
-    ratio = v.speed / g.desired_speed
-    free = v.speed + 2.5 * g.max_accel * dt * (1.0 - ratio) * math.sqrt(0.025 + ratio)
-    return min(free, g.desired_speed)
+    never exceeding the desired speed; numbers or arrays."""
+    ratio = speed / desired_speed
+    free = speed + 2.5 * max_accel * dt * (1.0 - ratio) * np.sqrt(0.025 + ratio)
+    return np.minimum(free, desired_speed)[()]
 
 
-def gipps_safe_speed(v: VehicleState, leader: Optional[VehicleState]) -> float:
-    """Speed at which the follower can still stop behind its leader.
+def gipps_safe_speed(speed, gap, leader_speed, v_min, decel, leader_decel, tau):
+    """Speed at which a follower can still stop `gap` metres behind its
+    leader; numbers or arrays.
 
-    Returns +inf with no leader so the free term dominates. A negative
-    discriminant means no safe speed exists (unavoidable-collision
-    regime); the follower then takes its floor speed and is treated as
-    overtaking.
+    A negative discriminant means no safe speed exists (unavoidable-
+    collision regime); the follower then takes its floor speed and is
+    treated as overtaking.
     """
-    if leader is None:
-        return math.inf
-    g = v.gipps
-    b, bhat, tau = g.decel, g.leader_decel_estimate, g.reaction_time
-    gap = leader.position - g.effective_length - v.position
-    disc = b * b * tau * tau + b * (2.0 * gap - v.speed * tau + leader.speed ** 2 / bhat)
-    if disc < 0.0:
-        return g.v_min
-    return -b * tau + math.sqrt(disc)
-
-
-def decide_speed(v: VehicleState, leader: Optional[VehicleState],
-                 rng: np.random.Generator) -> float:
-    """One Gipps decision: candidate speed, randomized draw, floor."""
-    g = v.gipps
-    v_des = min(gipps_free_speed(v, g.reaction_time), gipps_safe_speed(v, leader))
-    draw = rng.uniform(v_des - g.epsilon * g.max_accel, v_des)
-    return max(g.v_min, draw)
-
-
-def update_vehicle(v: VehicleState, leader: Optional[VehicleState], dt: float,
-                   rng: np.random.Generator,
-                   road_length: float | None = None) -> VehicleState:
-    """Refresh the Gipps decision and advance position by one step of dt."""
-    v.speed = decide_speed(v, leader, rng)
-    v.position += v.speed * dt * v.direction
-    if road_length is not None:
-        v.position %= road_length
-    return v
+    # x ** 2 of a Python float goes through libm pow; NumPy's array x ** 2
+    # is x * x, which differs from it in the last bit for some speeds
+    leader_sq = np.reshape([s ** 2 for s in np.ravel(leader_speed).tolist()],
+                           np.shape(leader_speed))
+    disc = decel * decel * tau * tau + decel * (2.0 * gap - speed * tau + leader_sq / leader_decel)
+    return np.where(disc < 0.0, v_min, -decel * tau + np.sqrt(np.maximum(disc, 0.0)))[()]
 
 
 class Fleet:
-    """All vehicles of a run: per-vehicle Gipps parameters plus authoritative
-    position/speed arrays for the per-tick advance.
+    """All vehicles of a run as arrays: position, speed and direction, plus
+    each vehicle's drawn desired speed, floor speed and human-error factor
+    (which is also its randomization width).
 
-    Decisions happen every reaction time from the previous tick's snapshot
-    (synchronous update); between decisions speeds stay fixed, so the
-    per-tick work is a single vectorized position update.
+    Decisions happen every reaction time from the previous decision's
+    snapshot (synchronous update); between decisions speeds stay fixed, so
+    the per-tick work is a single vectorized position update.
     """
 
     def __init__(self, config: ScenarioConfig, streams):
         self.config = config
+        self._streams = streams
         n = config.n_vehicles
-        self.vehicles: list[VehicleState] = []
+        spread = config.fleet_speed_spread
+        draws = np.array([
+            (rng.uniform(1.0 - spread, 1.0 + spread),
+             rng.uniform(config.human_error_min, config.human_error_max))
+            for rng in map(streams.init_stream, range(n))
+        ]).reshape(n, 2)
+        self.desired_speed = config.avg_speed * draws[:, 0]
+        self.human_error = draws[:, 1]
+        self.v_min = (1.0 - config.per_vehicle_speed_deviation) * self.desired_speed
         n_forward = (n + 1) // 2
         n_backward = n - n_forward
-        for i in range(n):
-            rng = streams.init_stream(i)
-            drawn_avg = config.avg_speed * rng.uniform(
-                1.0 - config.fleet_speed_spread, 1.0 + config.fleet_speed_spread
-            )
-            theta = rng.uniform(config.human_error_min, config.human_error_max)
-            gipps = GippsParams(
-                max_accel=DEFAULT_MAX_ACCEL,
-                desired_speed=drawn_avg,
-                reaction_time=config.reaction_time,
-                decel=DEFAULT_DECEL,
-                leader_decel_estimate=DEFAULT_DECEL,
-                effective_length=DEFAULT_EFFECTIVE_LENGTH,
-                human_error=theta,
-                v_min=(1.0 - config.per_vehicle_speed_deviation) * drawn_avg,
-                epsilon=theta,
-            )
-            if i < n_forward:
-                direction = FORWARD
-                position = config.road_length * i / max(n_forward, 1)
-            else:
-                direction = BACKWARD
-                k = i - n_forward
-                position = config.road_length * (k + 0.5) / max(n_backward, 1)
-            self.vehicles.append(VehicleState(
-                vehicle_id=i, position=position, direction=direction,
-                speed=drawn_avg, gipps=gipps,
-            ))
-        self.positions = np.array([v.position for v in self.vehicles], dtype=float)
-        self.speeds = np.array([v.speed for v in self.vehicles], dtype=float)
-        self.directions = np.array([v.direction for v in self.vehicles], dtype=int)
-        self._streams = streams
+        road = config.road_length
+        self.positions = np.concatenate([
+            road * np.arange(n_forward) / max(n_forward, 1),
+            road * (np.arange(n_backward) + 0.5) / max(n_backward, 1),
+        ])
+        self.speeds = self.desired_speed.copy()
+        self.directions = np.repeat([FORWARD, BACKWARD], [n_forward, n_backward])
 
     def __len__(self) -> int:
-        return len(self.vehicles)
+        return len(self.positions)
 
     def decide(self) -> None:
         """Run one synchronous Gipps decision for every vehicle."""
+        pos, speed, directions = self.positions, self.speeds, self.directions
         road = self.config.road_length
-        snapshot_pos = self.positions.copy()
-        snapshot_speed = self.speeds.copy()
+        tau = self.config.reaction_time
+        ids = np.arange(len(self))
+        # ring order along the travel direction; the leader of each vehicle
+        # is the next one ahead, a full lap ahead for the front vehicle
+        leader = ids.copy()
         for direction in (FORWARD, BACKWARD):
-            ids = [i for i in range(len(self.vehicles)) if self.directions[i] == direction]
-            if not ids:
-                continue
-            # ring order along the travel direction; leader of each vehicle is
-            # the next one ahead, a full lap ahead for the front vehicle
-            ids.sort(key=lambda i: snapshot_pos[i] * direction)
-            m = len(ids)
-            for k, i in enumerate(ids):
-                # probe/leader pair rebuilt in an unwrapped forward frame so
-                # the braking formula sees a plain positive gap
-                probe = VehicleState(
-                    vehicle_id=i, position=snapshot_pos[i], direction=direction,
-                    speed=snapshot_speed[i], gipps=self.vehicles[i].gipps,
-                )
-                leader = None
-                if m > 1:
-                    j = ids[(k + 1) % m]
-                    ahead = (snapshot_pos[j] - snapshot_pos[i]) * direction % road
-                    if ahead == 0.0:
-                        ahead = road
-                    leader = VehicleState(
-                        vehicle_id=j, position=snapshot_pos[i] + ahead,
-                        direction=direction, speed=snapshot_speed[j],
-                        gipps=self.vehicles[j].gipps,
-                    )
-                    # a follower forced down to its floor speed pulls out to
-                    # pass: the overtaken vehicle stops constraining it and
-                    # the overtake completes by position crossing
-                    if gipps_safe_speed(probe, leader) <= probe.gipps.v_min:
-                        leader = None
-                self.speeds[i] = decide_speed(probe, leader, self._streams.mobility_stream(i))
+            ring = ids[directions == direction]
+            ring = ring[np.argsort(pos[ring] * direction, kind="stable")]
+            leader[ring] = np.roll(ring, -1)
+        # the leader sits at pos + ahead in an unwrapped forward frame, so
+        # the braking formula sees a plain positive gap; the gap is formed
+        # from that position, whose rounding is part of the motion
+        ahead = (pos[leader] - pos) * directions % road
+        ahead[ahead == 0.0] = road
+        gap = pos + ahead - DEFAULT_EFFECTIVE_LENGTH - pos
+        safe = gipps_safe_speed(speed, gap, speed[leader], self.v_min,
+                                DEFAULT_DECEL, DEFAULT_DECEL, tau)
+        # a vehicle alone in its direction has no leader; a follower forced
+        # down to its floor speed pulls out to pass: the overtaken vehicle
+        # stops constraining it and the overtake completes by position
+        # crossing
+        safe[(leader == ids) | (safe <= self.v_min)] = np.inf
+        v_des = np.minimum(gipps_free_speed(speed, self.desired_speed, DEFAULT_MAX_ACCEL, tau),
+                           safe)
+        # one Uniform[low, v_des] draw per vehicle from its own stream,
+        # low + (v_des - low) * u exactly as Generator.uniform forms it
+        u = np.array([self._streams.mobility_stream(i).random() for i in ids.tolist()])
+        low = v_des - self.human_error * DEFAULT_MAX_ACCEL
+        self.speeds = np.maximum(self.v_min, low + (v_des - low) * u)
 
     def advance(self, dt: float) -> None:
         """Move every vehicle by one tick at its held speed, wrapping."""
-        if len(self.vehicles) == 0:
-            return
         self.positions = (self.positions + self.speeds * self.directions * dt) % self.config.road_length

@@ -3,10 +3,10 @@
 Large-scale loss between a tower and a road position uses the Hata
 suburban model (urban base form plus the suburban correction). Small-scale
 fading is Rayleigh: the power gain of each sensing window is an
-independent unit-mean exponential draw. The two compose into a received
-power in dBW:
+independent unit-mean exponential draw. The sensor composes the two, with
+the thermal noise floor, into a received SNR:
 
-    rx = tx - pathLoss + 10*log10(fadingGain)
+    snr = 10**((tx - pathLoss - noise) / 10) * fadingGain
 
 Inputs outside Hata's validity ranges are hard errors rather than
 extrapolations, so a misconfigured scenario fails loudly instead of
@@ -35,40 +35,26 @@ class PropagationDomainError(ValueError):
 
 @dataclass(frozen=True)
 class TowerGeometry:
-    """A PU tower: its projection point on the road, perpendicular offset,
-    and the contiguous block of channels it owns."""
+    """A PU tower: its projection point on the road and perpendicular
+    offset. Which channels it owns is ChannelSensor.tower_of."""
 
     tower_id: int
     along_road: float       # m, projection on the road axis
     offset: float           # m, perpendicular distance to the road
-    first_channel: int
-    n_channels: int
 
     def distance_to(self, position: float) -> float:
         """2-D distance (m) from the tower to a road position."""
         return math.hypot(position - self.along_road, self.offset)
 
-    def owns(self, channel_id: int) -> bool:
-        return self.first_channel <= channel_id < self.first_channel + self.n_channels
 
-
-def build_towers(n_towers: int, channels_per_tower: int, road_length: float,
-                 offset: float) -> list[TowerGeometry]:
+def build_towers(n_towers: int, road_length: float, offset: float) -> list[TowerGeometry]:
     """Lay out towers, all projecting onto the road midpoint.
 
     With the default 2 km road and 10 km offset this keeps tower-vehicle
     distances inside [10, 10.05] km, comfortably within Hata validity.
     """
-    return [
-        TowerGeometry(
-            tower_id=t,
-            along_road=road_length / 2.0,
-            offset=offset,
-            first_channel=t * channels_per_tower,
-            n_channels=channels_per_tower,
-        )
-        for t in range(n_towers)
-    ]
+    return [TowerGeometry(tower_id=t, along_road=road_length / 2.0, offset=offset)
+            for t in range(n_towers)]
 
 
 def _check(name: str, value: float, lo: float, hi: float, unit: str) -> None:
@@ -134,30 +120,9 @@ def rayleigh_gain(rng: np.random.Generator, size: int | None = None):
     return rng.exponential(1.0, size=size) if size is not None else rng.exponential(1.0)
 
 
-def received_power(tx_dbw: float, loss_db: float, gain: float) -> float:
-    """Compose a link budget: tx - loss + 10*log10(fading gain), in dBW."""
-    if gain <= 0:
-        raise ValueError("fading gain must be positive")
-    return tx_dbw - loss_db + 10.0 * math.log10(gain)
-
-
 def thermal_noise_power(temperature_k: float, bandwidth_hz: float) -> float:
     """Thermal noise power 10*log10(k*T*B) in dBW."""
     if temperature_k <= 0 or bandwidth_hz <= 0:
         raise ValueError("temperature and bandwidth must be positive")
     return 10.0 * math.log10(BOLTZMANN * temperature_k * bandwidth_hz)
 
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """A fully-resolved link: inputs and resulting received power."""
-
-    tx_power: float     # dBW
-    path_loss: float    # dB
-    fading_gain: float  # linear power factor, unit mean
-    rx_power: float     # dBW
-
-    @classmethod
-    def compute(cls, tx_power: float, path_loss: float, fading_gain: float) -> "LinkBudget":
-        return cls(tx_power, path_loss, fading_gain,
-                   received_power(tx_power, path_loss, fading_gain))

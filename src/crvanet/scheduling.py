@@ -15,8 +15,6 @@ time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .report import (
@@ -47,36 +45,20 @@ def schedule_next(mean: float, rng: np.random.Generator) -> float:
     return draw
 
 
-@dataclass
-class PuTransmitter:
-    """One licensed channel's occupy/vacate state machine."""
-
-    tower_id: int
-    channel_id: int
-    occupying: bool = False
-    occupation_time: float = 0.0   # next occupy instant when idle
-    vacation_time: float = 0.0     # next vacate instant when occupying
-
-
-@dataclass
-class SuRadioState:
-    """A vehicle's opportunistic-transmission state."""
-
-    occupying: bool = False
-    channel_id: int | None = None
-    occupation_time: float = 0.0   # next attempt instant when idle
-    vacation_time: float = 0.0     # scheduled end of the current hold
-    back_off_time: float = 0.010
-
-
 class ChannelMap:
-    """Per-channel ground truth shared by both state machines."""
+    """The shared run state of both state machines: per channel the PU
+    state and the SU holder (with its position when it took the channel),
+    per vehicle the channel it holds (-1 when idle), and per machine its
+    only clock, the pending instant of its next action."""
 
-    def __init__(self, n_channels: int):
+    def __init__(self, n_channels: int, n_vehicles: int):
         self.n_channels = n_channels
         self.pu_active = np.zeros(n_channels, dtype=bool)
         self.su_holder = np.full(n_channels, -1, dtype=int)
         self.su_holder_pos = np.zeros(n_channels, dtype=float)
+        self.su_channel = np.full(n_vehicles, -1, dtype=int)
+        self.pu_next = np.zeros(n_channels, dtype=float)
+        self.su_next = np.zeros(n_vehicles, dtype=float)
 
     def holder_of(self, channel_id: int) -> int | None:
         holder = int(self.su_holder[channel_id])
@@ -85,62 +67,52 @@ class ChannelMap:
     def set_holder(self, channel_id: int, vehicle_id: int, position: float) -> None:
         if self.su_holder[channel_id] >= 0:
             raise ValueError(f"channel {channel_id} already has an SU holder")
+        if self.su_channel[vehicle_id] >= 0:
+            raise ValueError(f"vehicle {vehicle_id} already holds a channel")
         self.su_holder[channel_id] = vehicle_id
         self.su_holder_pos[channel_id] = position
+        self.su_channel[vehicle_id] = channel_id
 
     def clear_holder(self, channel_id: int) -> None:
+        holder = self.su_holder[channel_id]
+        if holder >= 0:
+            self.su_channel[holder] = -1
         self.su_holder[channel_id] = -1
         self.su_holder_pos[channel_id] = 0.0
 
 
-def step_pu(pu: PuTransmitter, now: float, tick: int, channel_map: ChannelMap,
-            pu_hold_mean: float, pu_gap_mean: float, rng: np.random.Generator,
-            report: SimulationReport,
-            su_states: list[SuRadioState] | None = None,
-            su_gap_mean: float = 0.05,
-            su_rngs=None) -> int | None:
-    """Advance one PU machine by one tick, recording its events in order;
-    returns the id of the SU it preempted, or None.
+def step_pu(channel_id: int, tower_id: int, now: float, tick: int,
+            channel_map: ChannelMap, streams, pu_hold_mean: float, pu_gap_mean: float,
+            su_gap_mean: float, report: SimulationReport) -> int | None:
+    """Flip one due PU machine, recording its events in order; returns the
+    id of the SU it preempted, or None.
 
     Occupation preempts any SU holding the channel: the SU is cleared and
     rescheduled (its next attempt drawn from its own gap process) before
     the pu-occupied event fires.
     """
+    rng = streams.pu_stream(channel_id)
     holder = None
-    if pu.occupying:
-        if now >= pu.vacation_time - 1e-12:
-            pu.occupying = False
-            channel_map.pu_active[pu.channel_id] = False
-            pu.occupation_time = now + schedule_next(pu_gap_mean, rng)
-            record_event(report, PU_VACATED, tick, now, pu.channel_id, pu.tower_id)
+    if channel_map.pu_active[channel_id]:
+        channel_map.pu_active[channel_id] = False
+        channel_map.pu_next[channel_id] = now + schedule_next(pu_gap_mean, rng)
+        record_event(report, PU_VACATED, tick, now, channel_id, tower_id)
     else:
-        if now >= pu.occupation_time - 1e-12:
-            holder = channel_map.holder_of(pu.channel_id)
-            if holder is not None:
-                channel_map.clear_holder(pu.channel_id)
-                if su_states is not None:
-                    su = su_states[holder]
-                    su.occupying = False
-                    su.channel_id = None
-                    gap_rng = su_rngs(holder) if su_rngs is not None else rng
-                    su.occupation_time = now + schedule_next(su_gap_mean, gap_rng)
-                record_event(report, SU_PREEMPTED, tick, now, pu.channel_id, holder)
-            pu.occupying = True
-            channel_map.pu_active[pu.channel_id] = True
-            pu.vacation_time = now + schedule_next(pu_hold_mean, rng)
-            record_event(report, PU_OCCUPIED, tick, now, pu.channel_id, pu.tower_id)
+        holder = channel_map.holder_of(channel_id)
+        if holder is not None:
+            channel_map.clear_holder(channel_id)
+            channel_map.su_next[holder] = now + schedule_next(
+                su_gap_mean, streams.su_stream(holder))
+            record_event(report, SU_PREEMPTED, tick, now, channel_id, holder)
+        channel_map.pu_active[channel_id] = True
+        channel_map.pu_next[channel_id] = now + schedule_next(pu_hold_mean, rng)
+        record_event(report, PU_OCCUPIED, tick, now, channel_id, tower_id)
     return holder
 
 
-def apply_backoff(su: SuRadioState, now: float) -> None:
-    """Failed attempt: next attempt exactly one back-off later."""
-    su.occupation_time = now + su.back_off_time
-
-
-def step_su(vehicle_id: int, su: SuRadioState, positions: np.ndarray,
-            now: float, tick: int, coord_view, channel_map: ChannelMap,
-            report: SimulationReport, streams,
-            su_hold_mean: float, su_gap_mean: float) -> None:
+def step_su(vehicle_id: int, positions: np.ndarray, now: float, tick: int,
+            coord_view, channel_map: ChannelMap, report: SimulationReport, streams,
+            su_hold_mean: float, su_gap_mean: float, back_off_time: float) -> None:
     """Advance one due SU by one tick, recording its events.
 
     Transmitting and due: tear down, schedule the next attempt. Idle and
@@ -151,12 +123,10 @@ def step_su(vehicle_id: int, su: SuRadioState, positions: np.ndarray,
     transmission collides immediately, counted but never an allocation.
     """
     rng = streams.su_stream(vehicle_id)
-    if su.occupying:
-        channel = su.channel_id
+    channel = int(channel_map.su_channel[vehicle_id])
+    if channel >= 0:
         channel_map.clear_holder(channel)
-        su.occupying = False
-        su.channel_id = None
-        su.occupation_time = now + schedule_next(su_gap_mean, rng)
+        channel_map.su_next[vehicle_id] = now + schedule_next(su_gap_mean, rng)
         record_event(report, SU_VACATED, tick, now, channel, vehicle_id)
         return
 
@@ -166,20 +136,18 @@ def step_su(vehicle_id: int, su: SuRadioState, positions: np.ndarray,
         for channel, cls in zip(block.channel_ids.tolist(), classes):
             record_event(report, SENSE, tick, now, channel, vehicle_id, _SENSE_DETAIL[cls])
     if chosen is None:
-        apply_backoff(su, now)
+        channel_map.su_next[vehicle_id] = now + back_off_time
         record_event(report, SU_BACKOFF, tick, now, -1, vehicle_id)
         return
     if channel_map.holder_of(chosen) is not None:
-        apply_backoff(su, now)
+        channel_map.su_next[vehicle_id] = now + back_off_time
         record_event(report, SU_BACKOFF, tick, now, chosen, vehicle_id, "holder-conflict")
         return
     if channel_map.pu_active[chosen]:
         record_event(report, SU_INTERFERENCE, tick, now, chosen, vehicle_id)
-        apply_backoff(su, now)
+        channel_map.su_next[vehicle_id] = now + back_off_time
         record_event(report, SU_BACKOFF, tick, now, chosen, vehicle_id, "pu-collision")
         return
     channel_map.set_holder(chosen, vehicle_id, float(positions[vehicle_id]))
-    su.occupying = True
-    su.channel_id = chosen
-    su.vacation_time = now + schedule_next(su_hold_mean, rng)
+    channel_map.su_next[vehicle_id] = now + schedule_next(su_hold_mean, rng)
     record_event(report, SU_OCCUPIED, tick, now, chosen, vehicle_id)

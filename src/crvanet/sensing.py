@@ -153,9 +153,7 @@ class ChannelSensor:
     def __init__(self, config: ScenarioConfig, towers: list[TowerGeometry] | None = None):
         self.config = config
         self.towers = towers if towers is not None else build_towers(
-            config.n_pu_towers, config.channels_per_tower,
-            config.road_length, config.tower_offset,
-        )
+            config.n_pu_towers, config.road_length, config.tower_offset)
         self.noise_dbw = thermal_noise_power(config.noise_temperature, config.channel_bandwidth)
         self.hata = HataModel(config.frequency, config.base_station_height, config.mobile_height)
         self.detector = DetectorParams(
@@ -164,6 +162,7 @@ class ChannelSensor:
             target_pfa=config.target_pfa,
         ).calibrated()
         self.su_snr_linear = 10.0 ** (SU_SENSE_SNR_DB / 10.0)
+        # the tower owning each channel: contiguous blocks of channelsPerTower
         self.tower_of = np.repeat(np.arange(config.n_pu_towers), config.channels_per_tower)
         self._thresholds = {1: self.detector.threshold}
 

@@ -173,8 +173,8 @@ def test_criterion_7_mobility_properties():
     for tick in range(ticks):
         if tick % decision_period == 0:
             fleet.decide()
-            for i, v in enumerate(fleet.vehicles):
-                assert v.gipps.v_min - 1e-9 <= fleet.speeds[i] <= v.gipps.desired_speed + 1e-9
+            for i in range(len(fleet)):
+                assert fleet.v_min[i] - 1e-9 <= fleet.speeds[i] <= fleet.desired_speed[i] + 1e-9
         fleet.advance(dt)
         sums += fleet.speeds
     assert np.all(np.isfinite(fleet.positions)) and np.all(np.isfinite(fleet.speeds))
@@ -182,8 +182,8 @@ def test_criterion_7_mobility_properties():
     assert np.all((0.0 <= fleet.positions) & (fleet.positions <= config.road_length))
     means = sums / ticks
     worst = 0.0
-    for i, v in enumerate(fleet.vehicles):
-        rel = abs(means[i] - v.gipps.desired_speed) / v.gipps.desired_speed
+    for i in range(len(fleet)):
+        rel = abs(means[i] - fleet.desired_speed[i]) / fleet.desired_speed[i]
         worst = max(worst, rel)
         assert rel <= 0.10
     _report(7, f"60 s run: speeds within [vMin, V], worst time-mean deviation "

@@ -59,6 +59,18 @@ def test_unknown_key_rejected_with_line_number():
     assert "bogusKey" in str(err.value)
 
 
+def test_su_transmit_power_key_rejected():
+    # SUs are sensed at a flat SNR, so an SU transmit power would change nothing
+    with pytest.raises(ScenarioParseError) as err:
+        load_scenario("nVehicles = 10\n# SU power\ntxPowerSu = 10 dBW\n")
+    assert "line 3" in str(err.value)
+    assert "txPowerSu" in str(err.value)
+
+
+def test_decel_factor_accepted_and_recorded():
+    assert load_scenario("decelFactor = 1.5").decel_factor == 1.5
+
+
 def test_bad_number_rejected():
     with pytest.raises(ScenarioParseError) as err:
         load_scenario("nVehicles = lots")

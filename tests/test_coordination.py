@@ -98,7 +98,7 @@ class TestCoordinatedSense:
             channels_per_tower=n_channels // 2,
         ).validate()
         sensor = ChannelSensor(config)
-        cmap = ChannelMap(n_channels)
+        cmap = ChannelMap(n_channels, config.n_vehicles)
         positions = np.array([100.0, 500.0, 900.0, 1300.0])
         return config, sensor, cmap, positions
 

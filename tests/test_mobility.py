@@ -8,104 +8,111 @@ from crvanet.config import ScenarioConfig, ScenarioValidationError
 from crvanet.coordination import VOTE_OCCUPIED, VOTE_VACANT, CooperativeStrategy
 from crvanet.mobility import (
     BACKWARD,
+    DEFAULT_MAX_ACCEL,
     FORWARD,
     Fleet,
-    GippsParams,
-    VehicleState,
     gipps_free_speed,
     gipps_safe_speed,
-    update_vehicle,
 )
 from crvanet.sensing import ChannelSensor
 from crvanet.streams import StreamBundle
 
 
-def make_vehicle(speed=25.0, position=0.0, desired=27.78, v_min=0.0,
-                 epsilon=0.3, a=1.7, b=3.0, tau=1.0, s=5.0, vehicle_id=0):
-    gipps = GippsParams(
-        max_accel=a, desired_speed=desired, reaction_time=tau, decel=b,
-        leader_decel_estimate=b, effective_length=s, human_error=epsilon,
-        v_min=v_min, epsilon=epsilon,
-    )
-    return VehicleState(vehicle_id=vehicle_id, position=position,
-                        direction=FORWARD, speed=speed, gipps=gipps)
+def lone_pair(seed=0):
+    """Two vehicles, one per direction, so neither has a leader."""
+    config = replace(ScenarioConfig(), n_vehicles=2, seed=seed).validate()
+    return Fleet(config, StreamBundle(seed)), config
 
 
 class TestFreeSpeed:
     def test_no_acceleration_at_desired_speed(self):
-        v = make_vehicle(speed=27.78, desired=27.78)
-        assert gipps_free_speed(v, 1.0) == pytest.approx(27.78)
+        assert gipps_free_speed(27.78, 27.78, 1.7, 1.0) == pytest.approx(27.78)
 
     def test_standing_start(self):
         # 2.5 * 1.7 * 1 * 1 * sqrt(0.025) = 0.672, hand-evaluated
-        v = make_vehicle(speed=0.0, desired=27.78, a=1.7, tau=1.0)
-        assert gipps_free_speed(v, 1.0) == pytest.approx(0.6720, abs=1e-3)
+        assert gipps_free_speed(0.0, 27.78, 1.7, 1.0) == pytest.approx(0.6720, abs=1e-3)
 
     def test_never_exceeds_desired_speed(self):
-        for frac in np.linspace(0.0, 1.0, 21):
-            v = make_vehicle(speed=frac * 27.78, desired=27.78)
-            assert gipps_free_speed(v, 1.0) <= 27.78 + 1e-12
+        speeds = np.linspace(0.0, 1.0, 21) * 27.78
+        assert np.all(gipps_free_speed(speeds, 27.78, 1.7, 1.0) <= 27.78 + 1e-12)
 
 
 class TestSafeSpeed:
+    # gipps_safe_speed(speed, gap, leader_speed, v_min, b, b_hat, tau)
+
     def test_no_leader_is_unconstrained(self):
-        assert gipps_safe_speed(make_vehicle(), None) == math.inf
+        # a vehicle alone in its direction takes exactly the free-flow draw
+        fleet, config = lone_pair(seed=5)
+        before = fleet.speeds.copy()
+        fleet.decide()
+        free = gipps_free_speed(before, fleet.desired_speed, DEFAULT_MAX_ACCEL,
+                                config.reaction_time)
+        low = free - fleet.human_error * DEFAULT_MAX_ACCEL
+        u = [StreamBundle(5).mobility_stream(i).random() for i in range(2)]
+        np.testing.assert_array_equal(fleet.speeds,
+                                      np.maximum(fleet.v_min, low + (free - low) * u))
 
     def test_hand_computed_braking_value(self):
         # gap=50, v=25, leader 25 m/s, b=bhat=3, tau=1:
         # -3 + sqrt(9 + 3*(100 - 25 + 625/3)) = -3 + sqrt(859)
-        follower = make_vehicle(speed=25.0, position=0.0)
-        leader = make_vehicle(speed=25.0, position=55.0, vehicle_id=1)
         expected = -3.0 + math.sqrt(859.0)
-        assert gipps_safe_speed(follower, leader) == pytest.approx(expected, abs=1e-9)
+        assert gipps_safe_speed(25.0, 50.0, 25.0, 0.0, 3.0, 3.0, 1.0) == pytest.approx(
+            expected, abs=1e-9)
 
     def test_degenerate_stopped_pair_gives_zero(self):
         # gap=0 (leader at the effective length), both stopped
-        follower = make_vehicle(speed=0.0, position=0.0, v_min=0.0)
-        leader = make_vehicle(speed=0.0, position=5.0, vehicle_id=1)
-        assert gipps_safe_speed(follower, leader) == pytest.approx(0.0, abs=1e-12)
+        assert gipps_safe_speed(0.0, 0.0, 0.0, 0.0, 3.0, 3.0, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_negative_discriminant_returns_floor(self):
-        # follower far too fast, leader stopped right ahead
-        follower = make_vehicle(speed=60.0, position=0.0, v_min=12.0)
-        leader = make_vehicle(speed=0.0, position=6.0, vehicle_id=1)
-        assert gipps_safe_speed(follower, leader) == 12.0
+        # follower far too fast, leader stopped 1 m past the effective length
+        assert gipps_safe_speed(60.0, 1.0, 0.0, 12.0, 3.0, 3.0, 1.0) == 12.0
 
 
 class TestUpdateVehicle:
+    """One Gipps decision (Fleet.decide) and one tick (Fleet.advance) of
+    vehicles without a leader."""
+
     def test_speed_in_draw_interval_when_floor_inactive(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            v = make_vehicle(speed=25.0, desired=27.78, v_min=0.0)
-            update_vehicle(v, None, 0.001, rng)
-            v_des = min(gipps_free_speed(make_vehicle(speed=25.0), 1.0), math.inf)
-            assert v_des - v.gipps.epsilon * v.gipps.max_accel - 1e-9 <= v.speed <= v_des + 1e-9
+        fleet, config = lone_pair()
+        fleet.v_min[:] = 0.0
+        v_des = gipps_free_speed(25.0, fleet.desired_speed, DEFAULT_MAX_ACCEL,
+                                 config.reaction_time)
+        for _ in range(100):
+            fleet.speeds = np.full(2, 25.0)
+            fleet.decide()
+            width = fleet.human_error * DEFAULT_MAX_ACCEL
+            assert np.all(v_des - width - 1e-9 <= fleet.speeds)
+            assert np.all(fleet.speeds <= v_des + 1e-9)
 
     def test_floor_clamps_low_draws(self):
-        rng = np.random.default_rng(1)
+        fleet, _ = lone_pair(seed=1)
         # v_min just below v_des forces the max() branch often
+        fleet.desired_speed[:] = 25.2
+        fleet.v_min[:] = 25.1
         hits = 0
-        for _ in range(300):
-            v = make_vehicle(speed=25.0, desired=25.2, v_min=25.1)
-            update_vehicle(v, None, 0.001, rng)
-            assert v.speed >= 25.1 - 1e-12
-            hits += v.speed == 25.1
+        for _ in range(150):
+            fleet.speeds = np.full(2, 25.0)
+            fleet.decide()
+            assert np.all(fleet.speeds >= 25.1 - 1e-12)
+            hits += np.count_nonzero(fleet.speeds == 25.1)
         assert hits > 0
 
     def test_zero_epsilon_is_deterministic(self):
-        rng = np.random.default_rng(2)
+        fleet, _ = lone_pair(seed=2)
+        fleet.human_error[:] = 0.0
         speeds = set()
         for _ in range(10):
-            v = make_vehicle(speed=20.0, epsilon=0.0)
-            update_vehicle(v, None, 0.001, rng)
-            speeds.add(round(v.speed, 12))
+            fleet.speeds = np.full(2, 20.0)
+            fleet.decide()
+            speeds.add(round(float(fleet.speeds[0]), 12))
         assert len(speeds) == 1
 
     def test_position_advances_and_wraps(self):
-        rng = np.random.default_rng(3)
-        v = make_vehicle(speed=27.0, desired=27.0, position=1999.99, epsilon=0.0)
-        update_vehicle(v, None, 0.001, rng, road_length=2000.0)
-        assert 0.0 <= v.position < 2000.0
+        fleet, config = lone_pair(seed=3)
+        fleet.positions[0], fleet.speeds[0] = 1999.99, 27.0
+        assert fleet.directions[0] == FORWARD
+        fleet.advance(0.001)
+        assert 0.0 <= fleet.positions[0] < config.road_length
 
 
 class TestNeighbors:
@@ -166,16 +173,16 @@ class TestFleet:
 
     def test_split_across_directions(self):
         fleet, _ = self._fleet()
-        forward = sum(1 for v in fleet.vehicles if v.direction == FORWARD)
-        backward = sum(1 for v in fleet.vehicles if v.direction == BACKWARD)
+        forward = np.count_nonzero(fleet.directions == FORWARD)
+        backward = np.count_nonzero(fleet.directions == BACKWARD)
         assert forward == 25 and backward == 25
 
     def test_drawn_speeds_within_fleet_spread(self):
         fleet, config = self._fleet()
-        for v in fleet.vehicles:
-            assert config.avg_speed * 0.8 <= v.gipps.desired_speed <= config.avg_speed * 1.2
-            assert v.gipps.v_min == pytest.approx(0.9 * v.gipps.desired_speed)
-            assert 0.25 <= v.gipps.human_error <= 0.4
+        for i in range(len(fleet)):
+            assert config.avg_speed * 0.8 <= fleet.desired_speed[i] <= config.avg_speed * 1.2
+            assert fleet.v_min[i] == pytest.approx(0.9 * fleet.desired_speed[i])
+            assert 0.25 <= fleet.human_error[i] <= 0.4
 
     def test_long_run_respects_speed_band_and_mean(self):
         fleet, config = self._fleet(seed=3)
@@ -188,11 +195,11 @@ class TestFleet:
             fleet.advance(dt)
             sums += fleet.speeds
             if tick % 1000 == 0:
-                for i, v in enumerate(fleet.vehicles):
-                    assert v.gipps.v_min - 1e-9 <= fleet.speeds[i] <= v.gipps.desired_speed + 1e-9
+                for i in range(len(fleet)):
+                    assert fleet.v_min[i] - 1e-9 <= fleet.speeds[i] <= fleet.desired_speed[i] + 1e-9
         means = sums / ticks
-        for i, v in enumerate(fleet.vehicles):
-            assert abs(means[i] - v.gipps.desired_speed) <= 0.1 * v.gipps.desired_speed
+        for i in range(len(fleet)):
+            assert abs(means[i] - fleet.desired_speed[i]) <= 0.1 * fleet.desired_speed[i]
         assert np.all(np.isfinite(fleet.positions))
         assert np.all((0.0 <= fleet.positions) & (fleet.positions <= config.road_length))
 

@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from crvanet.config import ScenarioConfig
 from crvanet.propagation import (
-    LinkBudget,
     PropagationDomainError,
     build_towers,
     hata_suburban_loss,
     hata_urban_loss,
     rayleigh_gain,
-    received_power,
     thermal_noise_power,
 )
+from crvanet.sensing import ChannelSensor
 from crvanet.streams import FADING, MOBILITY, substream
 
 # hand-evaluated before implementation; defaults geometry f=150, hb=50,
@@ -97,23 +97,6 @@ class TestThermalNoise:
             thermal_noise_power(0, 1e6)
 
 
-class TestReceivedPower:
-    def test_unity_gain_is_tx_minus_loss(self):
-        assert received_power(20.0, 130.4, 1.0) == pytest.approx(-110.4)
-
-    def test_half_gain_is_3db_down(self):
-        down = received_power(20.0, 130.4, 0.5) - received_power(20.0, 130.4, 1.0)
-        assert down == pytest.approx(10 * math.log10(0.5), abs=1e-12)
-
-    def test_nonpositive_gain_rejected(self):
-        with pytest.raises(ValueError):
-            received_power(20.0, 130.4, 0.0)
-
-    def test_link_budget_consistency(self):
-        lb = LinkBudget.compute(20.0, 130.4, 0.25)
-        assert lb.rx_power == pytest.approx(lb.tx_power - lb.path_loss + 10 * math.log10(lb.fading_gain))
-
-
 class TestRayleighGain:
     def test_mean_is_unity(self):
         rng = np.random.default_rng(7)
@@ -147,13 +130,14 @@ def test_fading_stream_independent_of_mobility_draws():
 
 
 def test_tower_layout_matches_default_geometry():
-    towers = build_towers(2, 50, 2000.0, 10_000.0)
-    assert [t.first_channel for t in towers] == [0, 50]
+    towers = build_towers(2, 2000.0, 10_000.0)
+    assert [t.tower_id for t in towers] == [0, 1]
     assert all(t.along_road == 1000.0 for t in towers)
     # every road position keeps the link inside Hata validity
     d_min = towers[0].distance_to(1000.0) / 1000.0
     d_max = towers[0].distance_to(0.0) / 1000.0
     assert d_min == pytest.approx(10.0)
     assert 10.0 < d_max < 10.06
-    assert towers[0].owns(49) and not towers[0].owns(50)
-    assert towers[1].owns(50) and towers[1].owns(99)
+    # tower 0 owns channels 0-49, tower 1 owns 50-99
+    tower_of = ChannelSensor(ScenarioConfig()).tower_of
+    assert tower_of[[49, 50, 99]].tolist() == [0, 1, 1]

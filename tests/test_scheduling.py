@@ -18,16 +18,9 @@ from crvanet.report import (
     SU_VACATED,
     SimulationReport,
 )
-from crvanet.scheduling import (
-    ChannelMap,
-    PuTransmitter,
-    SuRadioState,
-    apply_backoff,
-    schedule_next,
-    step_pu,
-    step_su,
-)
+from crvanet.scheduling import ChannelMap, schedule_next, step_pu, step_su
 from crvanet.sensing import ChannelState, SenseBlock
+from crvanet.streams import StreamBundle
 
 
 class TestScheduleNext:
@@ -55,65 +48,70 @@ class TestScheduleNext:
 
 
 class TestStepPu:
+    """step_pu flips a due machine; the channel is 2 on tower 0, the PU's
+    next instant starts at 1.0."""
+
     def _setup(self):
-        cmap = ChannelMap(4)
-        pu = PuTransmitter(tower_id=0, channel_id=2, occupying=False, occupation_time=1.0)
-        return pu, cmap, np.random.default_rng(5)
+        cmap = ChannelMap(4, 3)
+        cmap.pu_next[2] = 1.0
+        return cmap, StreamBundle(5)
 
     @staticmethod
-    def _step(pu, now, tick, cmap, hold, gap, rng, **kwargs):
+    def _step(now, tick, cmap, streams, hold, gap):
         """step_pu into a fresh traced report; returns the recorded events."""
         report = SimulationReport(trace=[])
-        step_pu(pu, now, tick, cmap, hold, gap, rng, report, **kwargs)
+        step_pu(2, 0, now, tick, cmap, streams, hold, gap, 0.05, report)
         return report.trace
 
     def test_idle_before_schedule_is_noop(self):
-        pu, cmap, rng = self._setup()
-        events = self._step(pu, 0.5, 500, cmap, 0.1, 0.1, rng)
+        # the engine steps a PU only from its pending instant on
+        config = replace(ScenarioConfig(), running_time=0.005, n_vehicles=0).validate()
+        engine = SimulationEngine(config)
+        engine.channel_map.pu_next[2] = 5 * config.time_step
+        report = engine.run(collect_trace=True)
+        events = [e for e in report.trace if e.channel_id == 2]
         assert events == []
-        assert not pu.occupying and not cmap.pu_active[2]
+        assert not engine.channel_map.pu_active[2]
 
     def test_occupation_fires_and_draws_vacation(self):
-        pu, cmap, rng = self._setup()
-        events = self._step(pu, 1.0, 1000, cmap, 0.1, 0.1, rng)
+        cmap, streams = self._setup()
+        events = self._step(1.0, 1000, cmap, streams, 0.1, 0.1)
         assert [e.event for e in events] == [PU_OCCUPIED]
-        assert pu.occupying and cmap.pu_active[2]
-        assert pu.vacation_time > 1.0
+        assert cmap.pu_active[2]
+        assert cmap.pu_next[2] > 1.0
 
     def test_vacation_symmetric_branch(self):
-        pu, cmap, rng = self._setup()
-        self._step(pu, 1.0, 1000, cmap, 0.1, 0.1, rng)
-        events = self._step(pu, pu.vacation_time, 2000, cmap, 0.1, 0.1, rng)
+        cmap, streams = self._setup()
+        self._step(1.0, 1000, cmap, streams, 0.1, 0.1)
+        vacation = cmap.pu_next[2]
+        events = self._step(vacation, 2000, cmap, streams, 0.1, 0.1)
         assert [e.event for e in events] == [PU_VACATED]
-        assert not pu.occupying and not cmap.pu_active[2]
-        assert pu.occupation_time > pu.vacation_time
+        assert not cmap.pu_active[2]
+        assert cmap.pu_next[2] > vacation
 
     def test_preemption_order_and_teardown(self):
-        pu, cmap, rng = self._setup()
-        su_states = [SuRadioState() for _ in range(3)]
-        su_states[1].occupying = True
-        su_states[1].channel_id = 2
+        cmap, streams = self._setup()
         cmap.set_holder(2, vehicle_id=1, position=100.0)
         report = SimulationReport(trace=[])
-        preempted = step_pu(pu, 1.0, 1000, cmap, 0.1, 0.1, rng, report,
-                            su_states=su_states, su_gap_mean=0.05)
+        preempted = step_pu(2, 0, 1.0, 1000, cmap, streams, 0.1, 0.1, 0.05, report)
         events = report.trace
         assert [e.event for e in events] == [SU_PREEMPTED, PU_OCCUPIED]
         assert events[0].channel_id == events[1].channel_id == 2
         assert preempted == events[0].actor_id == 1
         assert report.preemptions == 1
         assert cmap.holder_of(2) is None
-        assert not su_states[1].occupying
-        assert su_states[1].occupation_time > 1.0
+        assert cmap.su_channel[1] == -1
+        assert cmap.su_next[1] > 1.0
 
     def test_alternation_over_many_transitions(self):
-        pu, cmap, rng = self._setup()
-        pu.occupation_time = 0.0
+        cmap, streams = self._setup()
+        cmap.pu_next[2] = 0.0
         kinds = []
         t = 0.0
         for _ in range(200):
             t += 0.001
-            kinds += [e.event for e in self._step(pu, t, 0, cmap, 0.002, 0.002, rng)]
+            if t >= cmap.pu_next[2] - 1e-12:   # the engine's due rule
+                kinds += [e.event for e in self._step(t, 0, cmap, streams, 0.002, 0.002)]
         assert len(kinds) > 10
         for a, b in zip(kinds, kinds[1:]):
             assert a != b  # strict occupy/vacate alternation
@@ -141,9 +139,11 @@ class _PinnedStrategy:
 
 
 class TestStepSu:
+    """step_su on vehicle 0 (and 1), due at 0.5; hold/gap means 40/80 ms,
+    back-off 10 ms."""
+
     def _setup(self, channel=3):
-        cmap = ChannelMap(8)
-        su = SuRadioState(back_off_time=0.010, occupation_time=0.0)
+        cmap = ChannelMap(8, 2)
         report = SimulationReport(trace=[])
         positions = np.array([100.0, 150.0])
 
@@ -151,56 +151,56 @@ class TestStepSu:
             def su_stream(self, vid, _rngs={}):
                 return _rngs.setdefault(vid, np.random.default_rng(100 + vid))
 
-        return su, cmap, report, positions, _Streams()
+        return cmap, report, positions, _Streams()
+
+    @staticmethod
+    def _step(vid, now, tick, strategy, cmap, report, positions, streams):
+        step_su(vid, positions, now, tick, strategy, cmap, report, streams, 0.04, 0.08, 0.010)
 
     def test_empty_candidates_back_off_exactly(self):
-        su, cmap, report, positions, streams = self._setup()
-        step_su(0, su, positions, 0.5, 500, _PinnedStrategy(None), cmap, report,
-                streams, 0.04, 0.08)
-        assert su.occupation_time == pytest.approx(0.510, abs=1e-12)
+        cmap, report, positions, streams = self._setup()
+        self._step(0, 0.5, 500, _PinnedStrategy(None), cmap, report, positions, streams)
+        assert cmap.su_next[0] == pytest.approx(0.510, abs=1e-12)
         assert [e.event for e in report.trace] == [SU_BACKOFF]
         assert report.allocations == 0
 
     def test_successful_occupation(self):
-        su, cmap, report, positions, streams = self._setup()
-        step_su(0, su, positions, 0.5, 500, _PinnedStrategy(3), cmap, report,
-                streams, 0.04, 0.08)
-        assert su.occupying and su.channel_id == 3
+        cmap, report, positions, streams = self._setup()
+        self._step(0, 0.5, 500, _PinnedStrategy(3), cmap, report, positions, streams)
+        assert cmap.su_channel[0] == 3
         assert cmap.holder_of(3) == 0
-        assert su.vacation_time > 0.5
+        assert cmap.su_next[0] > 0.5
         assert report.allocations == 1
         assert [e.event for e in report.trace] == [SENSE, SU_OCCUPIED]
 
     def test_occupied_decision_backs_off(self):
-        su, cmap, report, positions, streams = self._setup()
-        step_su(0, su, positions, 0.5, 500,
-                _PinnedStrategy(3, decision=ChannelState.OCCUPIED,
-                                truth=ChannelState.OCCUPIED),
-                cmap, report, streams, 0.04, 0.08)
-        assert not su.occupying
+        cmap, report, positions, streams = self._setup()
+        self._step(0, 0.5, 500,
+                   _PinnedStrategy(3, decision=ChannelState.OCCUPIED,
+                                   truth=ChannelState.OCCUPIED),
+                   cmap, report, positions, streams)
+        assert cmap.su_channel[0] == -1
         assert report.allocations == 0
         assert report.correct_detections == 1
 
     def test_same_tick_contention_first_id_wins(self):
-        su0, cmap, report, positions, streams = self._setup()
-        su1 = SuRadioState(back_off_time=0.010, occupation_time=0.0)
+        cmap, report, positions, streams = self._setup()
         strategy = _PinnedStrategy(3)
-        step_su(0, su0, positions, 0.5, 500, strategy, cmap, report, streams, 0.04, 0.08)
-        step_su(1, su1, positions, 0.5, 500, strategy, cmap, report, streams, 0.04, 0.08)
+        self._step(0, 0.5, 500, strategy, cmap, report, positions, streams)
+        self._step(1, 0.5, 500, strategy, cmap, report, positions, streams)
         assert cmap.holder_of(3) == 0
-        assert su0.occupying and not su1.occupying
-        assert su1.occupation_time == pytest.approx(0.510, abs=1e-12)
+        assert cmap.su_channel[0] == 3 and cmap.su_channel[1] == -1
+        assert cmap.su_next[1] == pytest.approx(0.510, abs=1e-12)
         assert report.allocations == 1
         backoffs = [e for e in report.trace if e.event == SU_BACKOFF]
         assert len(backoffs) == 1 and backoffs[0].actor_id == 1
 
     def test_pu_active_channel_is_harmful_not_allocation(self):
-        su, cmap, report, positions, streams = self._setup()
+        cmap, report, positions, streams = self._setup()
         cmap.pu_active[3] = True
-        step_su(0, su, positions, 0.5, 500,
-                _PinnedStrategy(3, truth=ChannelState.OCCUPIED), cmap, report,
-                streams, 0.04, 0.08)
-        assert not su.occupying
+        self._step(0, 0.5, 500, _PinnedStrategy(3, truth=ChannelState.OCCUPIED),
+                   cmap, report, positions, streams)
+        assert cmap.su_channel[0] == -1
         assert cmap.holder_of(3) is None
         assert report.allocations == 0
         assert report.harmful_occupations == 1
@@ -209,26 +209,24 @@ class TestStepSu:
         assert events == [SENSE, SU_INTERFERENCE, SU_BACKOFF]
 
     def test_vacate_path(self):
-        su, cmap, report, positions, streams = self._setup()
-        step_su(0, su, positions, 0.5, 500, _PinnedStrategy(3), cmap, report,
-                streams, 0.04, 0.08)
-        t_end = su.vacation_time
-        step_su(0, su, positions, t_end, 600, _PinnedStrategy(3), cmap, report,
-                streams, 0.04, 0.08)
-        assert not su.occupying and su.channel_id is None
+        cmap, report, positions, streams = self._setup()
+        self._step(0, 0.5, 500, _PinnedStrategy(3), cmap, report, positions, streams)
+        t_end = cmap.su_next[0]
+        self._step(0, t_end, 600, _PinnedStrategy(3), cmap, report, positions, streams)
+        assert cmap.su_channel[0] == -1
         assert cmap.holder_of(3) is None
-        assert su.occupation_time > t_end
+        assert cmap.su_next[0] > t_end
 
 
 class TestChannelMap:
     def test_single_holder_enforced(self):
-        cmap = ChannelMap(2)
+        cmap = ChannelMap(2, 3)
         cmap.set_holder(0, 1, 10.0)
         with pytest.raises(ValueError):
             cmap.set_holder(0, 2, 20.0)
 
     def test_clear_holder(self):
-        cmap = ChannelMap(2)
+        cmap = ChannelMap(2, 5)
         cmap.set_holder(1, 4, 10.0)
         cmap.clear_holder(1)
         assert cmap.holder_of(1) is None
@@ -241,20 +239,19 @@ def test_su_due_and_backoff():
     config = replace(ScenarioConfig(), running_time=0.012, n_vehicles=2, seed=3).validate()
     engine = SimulationEngine(config)
     dt = config.time_step
-    engine.su_states[0].occupation_time = 5 * dt
-    holder = engine.su_states[1]
-    holder.occupying, holder.channel_id, holder.vacation_time = True, 3, 7 * dt
-    engine.channel_map.set_holder(3, 1, float(engine.fleet.positions[1]))
-    engine.pu_units[3].occupation_time = 1.0  # no preemption within the run
-    engine._refresh_pu_next(3)
-    for v in (0, 1):
-        engine._refresh_su_next(v)
+    cmap = engine.channel_map
+    cmap.su_next[0] = 5 * dt
+    cmap.set_holder(3, 1, float(engine.fleet.positions[1]))
+    cmap.su_next[1] = 7 * dt
+    cmap.pu_next[3] = 1.0  # no preemption within the run
     report = engine.run(collect_trace=True)
     su_events = [e for e in report.trace if e.event not in (PU_OCCUPIED, PU_VACATED, MOVE)]
     assert min(e.tick for e in su_events if e.actor_id == 0) == 5
     vacated = [e for e in su_events if e.actor_id == 1]
     assert [(e.tick, e.event) for e in vacated[:1]] == [(7, SU_VACATED)]
 
-    su = SuRadioState(back_off_time=0.01, occupation_time=1.0)
-    apply_backoff(su, 1.0)
-    assert su.occupation_time == pytest.approx(1.010, abs=1e-12)
+    # a failed attempt at 1.0 retries exactly one back-off later
+    cmap = ChannelMap(8, 1)
+    step_su(0, np.array([100.0]), 1.0, 1000, _PinnedStrategy(None), cmap,
+            SimulationReport(), StreamBundle(0), 0.04, 0.08, 0.01)
+    assert cmap.su_next[0] == pytest.approx(1.010, abs=1e-12)

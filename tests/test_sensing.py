@@ -158,13 +158,13 @@ class TestSenseChannel:
         return block
 
     def test_unknown_channel_rejected(self, default_config):
-        cmap = ChannelMap(default_config.n_channels)
+        cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
         for channel_id in (100, -1):
             with pytest.raises(ValueError):
                 self._sense(default_config, cmap, 0.0, channel_id, StreamBundle(0))
 
     def test_vacant_channel_outcomes_mostly_correct(self, default_config):
-        cmap = ChannelMap(default_config.n_channels)
+        cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
         streams = StreamBundle(1)
         classes = []
         for _ in range(300):
@@ -175,7 +175,7 @@ class TestSenseChannel:
         assert 0 < fa < 80  # ~10% of 300
 
     def test_pu_active_channel_detected(self, default_config):
-        cmap = ChannelMap(default_config.n_channels)
+        cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
         cmap.pu_active[3] = True
         streams = StreamBundle(2)
         blocks = [self._sense(default_config, cmap, 500.0, 3, streams) for _ in range(200)]
@@ -184,7 +184,7 @@ class TestSenseChannel:
         assert detected > 190  # strong median SNR; misses need deep fades
 
     def test_su_holder_in_range_is_occupied_truth(self, default_config):
-        cmap = ChannelMap(default_config.n_channels)
+        cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
         cmap.set_holder(7, vehicle_id=4, position=600.0)
         streams = StreamBundle(3)
         near = self._sense(default_config, cmap, 500.0, 7, streams)
@@ -193,7 +193,7 @@ class TestSenseChannel:
         assert not far.truth[0]
 
     def test_decision_iff_statistic_crosses_threshold(self, default_config):
-        cmap = ChannelMap(default_config.n_channels)
+        cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
         streams = StreamBundle(4)
         for _ in range(50):
             b = self._sense(default_config, cmap, 800.0, 11, streams)
@@ -227,7 +227,7 @@ def test_two_block_sense_keeps_target_pfa(default_config):
     """Max-hold over two fading blocks with the compensated per-block
     threshold must still false-alarm at ~targetPfa on vacant channels."""
     sensor = ChannelSensor(default_config)
-    cmap = ChannelMap(default_config.n_channels)
+    cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
     streams = StreamBundle(99)
     hits = 0
     n = 4000
@@ -248,7 +248,7 @@ class TestBatchedSenseBlock:
 
     @staticmethod
     def _channel_map(config):
-        cmap = ChannelMap(config.n_channels)
+        cmap = ChannelMap(config.n_channels, config.n_vehicles)
         cmap.pu_active[:] = np.random.default_rng(11).random(config.n_channels) < 0.5
         for channel, vehicle, position in ((3, 9, 450.0), (60, 2, 1700.0), (99, 5, 20.0)):
             cmap.set_holder(channel, vehicle, position)
@@ -283,7 +283,7 @@ class TestBatchedSenseBlock:
 
     def test_unknown_channel_rejected_in_grid(self, default_config):
         sensor = ChannelSensor(default_config)
-        cmap = ChannelMap(default_config.n_channels)
+        cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
         for channel_id in (100, -1):
             channels = np.array([[0, 1], [2, channel_id]])
             with pytest.raises(ValueError):
@@ -295,8 +295,7 @@ class TestMedianPuSnr:
     def test_equals_hata_suburban_exactly(self, default_config):
         cfg = default_config
         sensor = ChannelSensor(cfg)
-        towers = sensor.towers + [TowerGeometry(2, along_road=0.0, offset=1500.0,
-                                                first_channel=0, n_channels=1)]
+        towers = sensor.towers + [TowerGeometry(2, along_road=0.0, offset=1500.0)]
         for tower in towers:
             for position in np.linspace(0.0, cfg.road_length, 81).tolist():
                 loss = hata_suburban_loss(cfg.frequency, cfg.base_station_height,
@@ -305,13 +304,12 @@ class TestMedianPuSnr:
                 assert sensor.median_pu_snr(tower, position) == expected
 
     def test_out_of_range_inputs_raise(self, default_config):
-        near = [TowerGeometry(t, along_road=1000.0, offset=100.0, first_channel=50 * t,
-                              n_channels=50) for t in range(2)]
+        near = [TowerGeometry(t, along_road=1000.0, offset=100.0) for t in range(2)]
         sensor = ChannelSensor(default_config, towers=near)
         with pytest.raises(PropagationDomainError):
             sensor.median_pu_snr(near[0], 1000.0)   # 0.1 km
         with pytest.raises(PropagationDomainError):
-            sensor.sense_block(0, 1000.0, np.arange(3), ChannelMap(default_config.n_channels),
+            sensor.sense_block(0, 1000.0, np.arange(3), ChannelMap(default_config.n_channels, default_config.n_vehicles),
                                0.0, StreamBundle(0))
         with pytest.raises(PropagationDomainError):
             ChannelSensor(replace(default_config, frequency=2000.0))
