@@ -19,7 +19,7 @@ from dataclasses import replace
 from .config import ScenarioConfig, Scheme, ScenarioError, load_scenario_file
 from .engine import run_simulation
 from .plots import render_plots
-from .report import SimulationReport
+from .report import COUNTERS, SimulationReport
 from .sweep import SweepSpec, run_sweep, write_csv
 
 
@@ -61,14 +61,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     print(f"scheme                {config.scheme.value}")
     print(f"seed                  {config.seed}")
-    print(f"allocations           {report.allocations}")
-    print(f"false alarms          {report.false_alarms}")
-    print(f"misdetections         {report.misdetections}")
-    print(f"correct detections    {report.correct_detections}")
-    print(f"sensing events        {report.sensing_events}")
-    print(f"harmful occupations   {report.harmful_occupations}")
-    print(f"preemptions           {report.preemptions}")
-    print(f"backoffs              {report.backoffs}")
+    for name, value in zip(COUNTERS, report.counters):
+        print(f"{name.replace('_', ' '):<22}{value}")
     return 0
 
 

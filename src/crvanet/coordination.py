@@ -65,15 +65,9 @@ class CoordinatorSet:
     main_id: int
     forward_id: int
     backward_id: int
-    members: tuple[int, ...]
-    elected_at: float
 
     def distinct_coordinators(self) -> tuple[int, ...]:
-        seen: list[int] = []
-        for cid in (self.main_id, self.forward_id, self.backward_id):
-            if cid not in seen:
-                seen.append(cid)
-        return tuple(seen)
+        return tuple(dict.fromkeys((self.main_id, self.forward_id, self.backward_id)))
 
 
 def form_clusters(positions: np.ndarray, directions: np.ndarray,
@@ -97,7 +91,7 @@ def form_clusters(positions: np.ndarray, directions: np.ndarray,
 
 
 def select_coordinators(cluster: list[int], positions: np.ndarray,
-                        direction: int, now: float) -> CoordinatorSet:
+                        direction: int) -> CoordinatorSet:
     """Forward = furthest along the travel direction, backward = rearmost,
     main = nearest the cluster centroid; all ties broken by lowest id."""
     if not cluster:
@@ -107,10 +101,7 @@ def select_coordinators(cluster: list[int], positions: np.ndarray,
     backward = min(members, key=lambda i: (positions[i] * direction, i))
     centroid = float(np.mean([positions[i] for i in members]))
     main = min(members, key=lambda i: (abs(positions[i] - centroid), i))
-    return CoordinatorSet(
-        main_id=main, forward_id=forward, backward_id=backward,
-        members=tuple(members), elected_at=now,
-    )
+    return CoordinatorSet(main_id=main, forward_id=forward, backward_id=backward)
 
 
 def coordinated_sense(coord_set: CoordinatorSet, sensor: ChannelSensor,
@@ -136,7 +127,7 @@ class CoordinationState:
         self.clusters: list[CoordinatorSet] = []
         self.cluster_of: dict[int, int] = {}
         self.reports: list[np.ndarray] = []       # per cluster: vacancy bools
-        self.report_times: list[float] = []
+        self.report_time = 0.0                    # when the reports were sensed
 
     def due(self, now: float) -> bool:
         return now >= self.next_coordination_time - 1e-12
@@ -148,7 +139,7 @@ class CoordinationState:
         idx = self.cluster_of.get(vehicle_id)
         if idx is None:
             return None
-        if now - self.report_times[idx] > self.interval + 1e-12:
+        if now - self.report_time > self.interval + 1e-12:
             return None
         return self.reports[idx]
 
@@ -164,7 +155,7 @@ class Strategy:
         self.state = CoordinationState(config.coordination_interval)
 
     def on_epoch(self, now: float, fleet, channel_map: ChannelMap, streams) -> None:
-        raise NotImplementedError
+        """Refresh shared state; the engine calls it only if needs_epoch."""
 
     def attempt(self, vehicle_id: int, positions: np.ndarray, now: float,
                 channel_map: ChannelMap, streams) -> tuple[SenseBlock | None, int | None]:
@@ -181,9 +172,6 @@ class StandaloneStrategy(Strategy):
     """Full-band self-scan: no shared state, no epochs."""
 
     needs_epoch = False
-
-    def on_epoch(self, now, fleet, channel_map, streams):  # pragma: no cover
-        pass
 
     def attempt(self, vehicle_id, positions, now, channel_map, streams):
         all_channels = np.arange(self.config.n_channels)
@@ -270,17 +258,16 @@ class ProposedStrategy(Strategy):
         state.clusters = []
         state.cluster_of = {}
         state.reports = []
-        state.report_times = []
+        state.report_time = now
         clusters = form_clusters(fleet.positions, fleet.directions, self.config.comm_range)
         for idx, members in enumerate(clusters):
             direction = int(fleet.directions[members[0]])
-            coord_set = select_coordinators(members, fleet.positions, direction, now)
+            coord_set = select_coordinators(members, fleet.positions, direction)
             vacant = coordinated_sense(
                 coord_set, self.sensor, channel_map, fleet.positions, now, streams
             )
             state.clusters.append(coord_set)
             state.reports.append(vacant)
-            state.report_times.append(now)
             for member in members:
                 state.cluster_of[member] = idx
 

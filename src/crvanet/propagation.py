@@ -1,10 +1,10 @@
-"""Radio propagation: Hata median path loss, Rayleigh fading, thermal noise.
+"""Radio propagation: Hata median path loss, tower geometry, thermal noise.
 
 Large-scale loss between a tower and a road position uses the Hata
-suburban model (urban base form plus the suburban correction). Small-scale
-fading is Rayleigh: the power gain of each sensing window is an
-independent unit-mean exponential draw. The sensor composes the two, with
-the thermal noise floor, into a received SNR:
+suburban model (urban base form plus the suburban correction). The sensor
+(sensing.ChannelSensor) composes it, with the thermal noise floor and a
+Rayleigh fading gain per sensing window (a unit-mean exponential draw
+from the tower's fading stream), into a received SNR:
 
     snr = 10**((tx - pathLoss - noise) / 10) * fadingGain
 
@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 BOLTZMANN = 1.380649e-23  # J/K
 
@@ -65,8 +63,8 @@ def _check(name: str, value: float, lo: float, hi: float, unit: str) -> None:
 
 
 class HataModel:
-    """Hata median path loss at one carrier frequency and pair of antenna
-    heights.
+    """Hata median path loss at one carrier frequency f (MHz) and pair of
+    antenna heights, base station hb and mobile hm (m).
 
     The frequency and heights are validated, and the distance-independent
     terms computed, once; a loss evaluation then checks only the distance.
@@ -96,28 +94,9 @@ class HataModel:
         return self.urban_loss(d) - self.suburban_correction - 5.4
 
 
-def hata_urban_loss(f: float, hb: float, hm: float, d: float) -> float:
-    """Median urban path loss in dB.
-
-    Parameters
-    ----------
-    f : carrier frequency, MHz (150..1500)
-    hb : base station antenna height, m (30..200)
-    hm : mobile antenna height, m (1..10)
-    d : link distance, km (1..20)
-    """
-    return HataModel(f, hb, hm).urban_loss(d)
-
-
 def hata_suburban_loss(f: float, hb: float, hm: float, d: float) -> float:
     """Median suburban path loss in dB: urban loss plus the suburban correction."""
     return HataModel(f, hb, hm).suburban_loss(d)
-
-
-def rayleigh_gain(rng: np.random.Generator, size: int | None = None):
-    """Unit-mean exponential power gain(s): the squared envelope of
-    unit-power Rayleigh fading. One independent draw per sensing window."""
-    return rng.exponential(1.0, size=size) if size is not None else rng.exponential(1.0)
 
 
 def thermal_noise_power(temperature_k: float, bandwidth_hz: float) -> float:

@@ -30,10 +30,9 @@ SU_INTERFERENCE = "su-interference"
 SENSE = "sense"
 MOVE = "move"
 
-EVENT_TYPES = (
-    PU_OCCUPIED, PU_VACATED, SU_OCCUPIED, SU_VACATED,
-    SU_PREEMPTED, SU_BACKOFF, SU_INTERFERENCE, SENSE, MOVE,
-)
+# the run counters, in the order every output lists them
+COUNTERS = ("allocations", "false_alarms", "misdetections", "correct_detections",
+            "sensing_events", "harmful_occupations", "preemptions", "backoffs")
 
 
 @dataclass(frozen=True)
@@ -60,9 +59,7 @@ class SimulationReport:
 
     @property
     def counters(self) -> tuple[int, ...]:
-        return (self.allocations, self.false_alarms, self.misdetections,
-                self.correct_detections, self.sensing_events,
-                self.harmful_occupations, self.preemptions, self.backoffs)
+        return tuple(getattr(self, name) for name in COUNTERS)
 
     def conservation_holds(self) -> bool:
         return (self.false_alarms + self.misdetections + self.correct_detections

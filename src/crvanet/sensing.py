@@ -1,23 +1,25 @@
-"""Energy detection of channel occupancy.
+"""Energy detection of channel occupancy: ChannelSensor.sense_block.
 
 The detector averages the energy of N complex baseband samples. Under a
 Gaussian-signal approximation the per-sample energy of noise-plus-signal
 with SNR s is exponential with mean sigma2*(1+s), so the N-sample mean
 statistic is Gamma(N, sigma2*(1+s)/N) exactly — which is what we draw,
 instead of simulating raw IQ samples that would change nothing at the
-decision level.
+decision level. The SNR s is the Hata median SNR times one Rayleigh
+fading gain, a unit-mean exponential draw per window.
 
-The threshold is calibrated from a target false-alarm probability with
-the usual Gaussian tail approximation:
+Statistics are normalised to the noise floor (sigma2 = 1). The threshold
+is calibrated from a target false-alarm probability with the usual
+Gaussian tail approximation (Urkowitz 1967):
 
-    lambda = sigma2 * (1 + Qinv(pfa) / sqrt(N))
+    lambda = 1 + Qinv(pfa) / sqrt(N)
 
 A sense block holds, per sensed (observer, channel) pair, the decision,
 the ground truth at the same instant and the statistic, plus the
-threshold they were decided against; classification against truth is a
-pure function of (decision, truth). One call senses a whole grid of
-observers and channels; each observer draws from its own streams exactly
-as it would sensing alone.
+threshold they were decided against; classify_block classifies decisions
+against truth. One call senses a whole grid of observers and channels;
+each observer draws from its own streams exactly as it would sensing
+alone.
 """
 
 from __future__ import annotations
@@ -43,33 +45,10 @@ from .propagation import (
 SU_SENSE_SNR_DB = 20.0
 
 
-class ChannelState(Enum):
-    VACANT = "vacant"
-    OCCUPIED = "occupied"
-
-
 class Classification(Enum):
     CORRECT_DETECTION = "correctDetection"
     FALSE_ALARM = "falseAlarm"
     MISDETECTION = "misdetection"
-
-
-@dataclass(frozen=True)
-class DetectorParams:
-    """Energy detector configuration for one sensing window."""
-
-    n_samples: int = 100
-    noise_power: float = 1.0       # linear watts (sigma^2)
-    target_pfa: float = 0.1
-    threshold: float = 0.0         # linear watts; fill via detection_threshold
-
-    def calibrated(self) -> "DetectorParams":
-        return DetectorParams(
-            n_samples=self.n_samples,
-            noise_power=self.noise_power,
-            target_pfa=self.target_pfa,
-            threshold=detection_threshold(self),
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,43 +63,15 @@ class SenseBlock:
     threshold: float          # linear power
 
 
-def detection_threshold(params: DetectorParams) -> float:
-    """Threshold achieving the target false-alarm probability on noise-only
-    windows, Gaussian approximation. Requires N >= 50 so the approximation
-    is well conditioned."""
-    if not (0.0 < params.target_pfa < 1.0):
+def detection_threshold(target_pfa: float, n_samples: int) -> float:
+    """Threshold, relative to the noise floor, achieving target_pfa on
+    noise-only windows of n_samples, Gaussian approximation. Requires
+    N >= 50 so the approximation is well conditioned."""
+    if not (0.0 < target_pfa < 1.0):
         raise ValueError("targetPfa must lie in (0, 1)")
-    if params.n_samples < 50:
+    if n_samples < 50:
         raise ValueError("need N >= 50 samples for the Gaussian threshold approximation")
-    q = norm.isf(params.target_pfa)
-    return params.noise_power * (1.0 + q / math.sqrt(params.n_samples))
-
-
-def energy_statistic(rx_snr_linear, params: DetectorParams, rng: np.random.Generator,
-                     size: int | None = None):
-    """Draw the N-sample mean-energy statistic for given received SNR(s).
-
-    rx_snr_linear may be a scalar or an array (one statistic per entry);
-    0 means the channel is truly vacant at this observer.
-    """
-    snr = np.asarray(rx_snr_linear, dtype=float)
-    if np.any(snr < 0):
-        raise ValueError("rx SNR must be >= 0")
-    power = params.noise_power * (1.0 + snr)
-    scale = power / params.n_samples
-    if size is not None:
-        return rng.gamma(params.n_samples, scale, size=size)
-    if scale.ndim == 0:
-        return float(rng.gamma(params.n_samples, float(scale)))
-    return rng.gamma(params.n_samples, scale)
-
-
-def classify_outcome(decision: ChannelState, truth: ChannelState) -> Classification:
-    if decision == truth:
-        return Classification.CORRECT_DETECTION
-    if decision == ChannelState.OCCUPIED:
-        return Classification.FALSE_ALARM
-    return Classification.MISDETECTION
+    return 1.0 + norm.isf(target_pfa) / math.sqrt(n_samples)
 
 
 # the classifications classify_block returns, by index
@@ -129,8 +80,10 @@ CLASSES = (Classification.CORRECT_DETECTION, Classification.FALSE_ALARM,
 
 
 def classify_block(occupied: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """classify_outcome over arrays of (decided occupied, truly occupied):
-    one index into CLASSES per entry."""
+    """Classify arrays of (decided occupied, truly occupied) against each
+    other: one index into CLASSES per entry. Agreement is a correct
+    detection, a wrong occupied decision a false alarm, a wrong vacant one
+    a misdetection."""
     return np.where(occupied == truth, 0, np.where(occupied, 1, 2))
 
 
@@ -156,15 +109,12 @@ class ChannelSensor:
             config.n_pu_towers, config.road_length, config.tower_offset)
         self.noise_dbw = thermal_noise_power(config.noise_temperature, config.channel_bandwidth)
         self.hata = HataModel(config.frequency, config.base_station_height, config.mobile_height)
-        self.detector = DetectorParams(
-            n_samples=config.sensing_samples,
-            noise_power=1.0,  # statistics normalized to the noise floor
-            target_pfa=config.target_pfa,
-        ).calibrated()
+        self.n_samples = config.sensing_samples
+        self.target_pfa = config.target_pfa
         self.su_snr_linear = 10.0 ** (SU_SENSE_SNR_DB / 10.0)
         # the tower owning each channel: contiguous blocks of channelsPerTower
         self.tower_of = np.repeat(np.arange(config.n_pu_towers), config.channels_per_tower)
-        self._thresholds = {1: self.detector.threshold}
+        self._thresholds = {1: detection_threshold(self.target_pfa, self.n_samples)}
 
     def median_pu_snr(self, tower: TowerGeometry, observer_pos: float) -> float:
         """Median (no fading) linear SNR of a tower's signal at a road position."""
@@ -176,11 +126,8 @@ class ChannelSensor:
         blocks, calibrated once per block count."""
         threshold = self._thresholds.get(blocks)
         if threshold is None:
-            threshold = self._thresholds[blocks] = detection_threshold(DetectorParams(
-                n_samples=self.detector.n_samples,
-                noise_power=self.detector.noise_power,
-                target_pfa=block_pfa(self.detector.target_pfa, blocks),
-            ))
+            threshold = self._thresholds[blocks] = detection_threshold(
+                block_pfa(self.target_pfa, blocks), self.n_samples)
         return threshold
 
     def sense_block(self, observer_ids, observer_pos, channel_ids: np.ndarray,
@@ -239,7 +186,7 @@ class ChannelSensor:
         # after block from one generator is the same sequence as one draw of
         # shape (blocks, count).
         snr_table, fading, stat_draws = [], [], []
-        n_samples = self.detector.n_samples
+        n_samples = self.n_samples
         for observer, position, row in zip(observers, positions, counts):
             snr_row = []
             for tower, count in zip(self.towers, row):
@@ -275,11 +222,11 @@ class ChannelSensor:
                       + np.where(su_in_range, self.su_snr_linear, 0.0))
 
         # One statistic per (block, observer, channel), drawn from its exact
-        # Gamma form (what energy_statistic computes): standard_gamma(N) *
-        # scale is the very draw gamma(N, scale) makes, bit for bit, without
-        # gamma's costly checks of an array scale. The decision is max-hold
-        # over blocks.
-        scale = self.detector.noise_power * (1.0 + snr_median * gains) / n_samples
+        # Gamma(N, (1 + snr * gain) / N) form: standard_gamma(N) * scale is
+        # the very draw gamma(N, scale) makes, bit for bit, without gamma's
+        # costly checks of an array scale. The decision is max-hold over
+        # blocks.
+        scale = (1.0 + snr_median * gains) / n_samples
         stat = stat_draw * scale
         if lead:
             stat = stat.max(axis=0)

@@ -17,13 +17,13 @@ from dataclasses import dataclass, replace
 
 from .config import ScenarioConfig, Scheme
 from .engine import run_simulation
+from .report import COUNTERS
 
 PARALLEL_ENV = "CRVANET_PARALLEL"
 
 AXES = ("vehicles", "channels", "speed")
 
-CSV_HEADER = ("axis_value,scheme,seed,allocations,false_alarms,misdetections,"
-              "sensing_events,harmful_occupations")
+CSV_HEADER = ",".join(("axis_value", "scheme", "seed") + COUNTERS)
 
 
 @dataclass(frozen=True)
@@ -55,14 +55,20 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One run of a sweep: one attribute per CSV column, the counters in
+    report.COUNTERS order."""
+
     axis_value: float
     scheme: Scheme
     seed: int
-    allocations: int
-    false_alarms: int
-    misdetections: int
-    sensing_events: int
+    allocations: int = 0
+    false_alarms: int = 0
+    misdetections: int = 0
+    correct_detections: int = 0
+    sensing_events: int = 0
     harmful_occupations: int = 0
+    preemptions: int = 0
+    backoffs: int = 0
 
 
 @dataclass(frozen=True)
@@ -89,16 +95,16 @@ def apply_axis(config: ScenarioConfig, axis: str, value: float,
 
 
 def _run_point(args: tuple) -> SweepRow:
-    config, axis_value, scheme, seed = args
-    report = run_simulation(config)
-    return SweepRow(
-        axis_value=axis_value, scheme=scheme, seed=seed,
-        allocations=report.allocations,
-        false_alarms=report.false_alarms,
-        misdetections=report.misdetections,
-        sensing_events=report.sensing_events,
-        harmful_occupations=report.harmful_occupations,
-    )
+    """One sweep run; a failure is raised as a RuntimeError naming its
+    (value, scheme, seed)."""
+    config, value, scheme, seed = args
+    try:
+        return SweepRow(value, scheme, seed, *run_simulation(config).counters)
+    except Exception as exc:
+        raise RuntimeError(
+            f"sweep run failed at (value={format_axis_value(value)}, "
+            f"scheme={scheme.value}, seed={seed}): {exc}"
+        ) from exc
 
 
 def resolve_workers(workers: int | None, n_jobs: int) -> int:
@@ -137,29 +143,12 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepTable:
                 jobs.append((config, value, scheme, seed))
 
     workers = resolve_workers(workers, len(jobs))
-
-    rows: list[SweepRow] = []
     if workers == 1:
-        for job in jobs:
-            try:
-                rows.append(_run_point(job))
-            except Exception as exc:
-                raise RuntimeError(
-                    f"sweep run failed at (value={job[1]}, scheme={job[2].value}, "
-                    f"seed={job[3]}): {exc}"
-                ) from exc
+        rows = tuple(map(_run_point, jobs))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(job, pool.submit(_run_point, job)) for job in jobs]
-            for job, future in futures:
-                try:
-                    rows.append(future.result())
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"sweep run failed at (value={job[1]}, scheme={job[2].value}, "
-                        f"seed={job[3]}): {exc}"
-                    ) from exc
-    return SweepTable(spec_axis=spec.axis, rows=tuple(rows))
+            rows = tuple(pool.map(_run_point, jobs))
+    return SweepTable(spec_axis=spec.axis, rows=rows)
 
 
 def format_axis_value(value: float) -> str:
@@ -170,11 +159,8 @@ def write_csv(table: SweepTable, path: str) -> None:
     """ASCII CSV with LF line endings, one row per table row."""
     lines = [CSV_HEADER]
     for r in table.rows:
-        lines.append(
-            f"{format_axis_value(r.axis_value)},{r.scheme.value},{r.seed},"
-            f"{r.allocations},{r.false_alarms},{r.misdetections},{r.sensing_events},"
-            f"{r.harmful_occupations}"
-        )
+        lines.append(",".join([format_axis_value(r.axis_value), r.scheme.value, str(r.seed)]
+                              + [str(getattr(r, name)) for name in COUNTERS]))
     data = "\n".join(lines) + "\n"
     try:
         with open(path, "w", encoding="ascii", newline="") as fh:
@@ -190,12 +176,9 @@ def read_csv(path: str) -> SweepTable:
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: missing or wrong header")
     rows = []
-    for line in lines[1:]:
-        value, scheme, seed, alloc, fa, md, senses, harmful = line.split(",")
-        rows.append(SweepRow(
-            axis_value=float(value), scheme=Scheme(scheme), seed=int(seed),
-            allocations=int(alloc), false_alarms=int(fa),
-            misdetections=int(md), sensing_events=int(senses),
-            harmful_occupations=int(harmful),
-        ))
+    for number, line in enumerate(lines[1:], start=2):
+        value, scheme, seed, *counters = line.split(",")
+        if len(counters) != len(COUNTERS):
+            raise ValueError(f"{path}: line {number} does not match the header")
+        rows.append(SweepRow(float(value), Scheme(scheme), int(seed), *map(int, counters)))
     return SweepTable(spec_axis="", rows=tuple(rows))

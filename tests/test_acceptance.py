@@ -16,12 +16,7 @@ import pytest
 from crvanet.config import ScenarioConfig, Scheme
 from crvanet.engine import run_simulation
 from crvanet.mobility import Fleet
-from crvanet.propagation import (
-    hata_suburban_loss,
-    hata_urban_loss,
-    rayleigh_gain,
-    thermal_noise_power,
-)
+from crvanet.propagation import HataModel, hata_suburban_loss, thermal_noise_power
 from crvanet.report import (
     PU_OCCUPIED,
     PU_VACATED,
@@ -31,7 +26,6 @@ from crvanet.report import (
     SU_PREEMPTED,
     SU_VACATED,
 )
-from crvanet.sensing import DetectorParams, energy_statistic
 from crvanet.streams import StreamBundle
 from crvanet.sweep import SweepSpec, run_sweep, write_csv
 
@@ -91,26 +85,26 @@ def test_criterion_2_hata_identity():
         hm = rng.uniform(1, 10)
         d = rng.uniform(1, 20)
         expected = -2.0 * math.log10(f / 28.0) ** 2 - 5.4
-        diff = hata_suburban_loss(f, hb, hm, d) - hata_urban_loss(f, hb, hm, d)
+        diff = hata_suburban_loss(f, hb, hm, d) - HataModel(f, hb, hm).urban_loss(d)
         worst = max(worst, abs(diff - expected))
         assert abs(diff - expected) <= 1e-9
     golden = hata_suburban_loss(150, 50, 1.5, 10)
     assert golden == pytest.approx(SUBURBAN_GOLDEN_DB, abs=0.1)
-    assert hata_urban_loss(150, 50, 1.5, 10) == pytest.approx(URBAN_GOLDEN_DB, abs=0.1)
+    assert HataModel(150, 50, 1.5).urban_loss(10) == pytest.approx(URBAN_GOLDEN_DB, abs=0.1)
     _report(2, f"suburban-urban identity holds to {worst:.1e} dB over 100 points; "
                f"golden suburban loss {golden:.4f} dB")
 
 
-def test_criterion_3_detector_calibration():
+def test_criterion_3_detector_calibration(sense_everywhere):
+    """The simulator's own detector: noise-only ChannelSensor.sense_block
+    windows (no PU or SU transmits), 40 calls x 50 vehicles x 100
+    channels."""
     config = ScenarioConfig().validate()
-    params = DetectorParams(
-        n_samples=config.sensing_samples, noise_power=1.0,
-        target_pfa=config.target_pfa,
-    ).calibrated()
-    rng = np.random.default_rng(31)
-    windows = 200_000
-    stats = energy_statistic(0.0, params, rng, size=windows)
-    empirical = float(np.mean(stats >= params.threshold))
+    _, _, blocks = sense_everywhere(config, 40, 31)
+    decisions = np.concatenate([b.occupied for b in blocks], axis=None)
+    windows = decisions.size
+    assert windows == 200_000
+    empirical = float(np.mean(decisions))
     assert empirical == pytest.approx(config.target_pfa, abs=0.01)
     _report(3, f"noise-only false-alarm rate {empirical:.4f} over {windows} windows "
                f"(target {config.target_pfa})")
@@ -257,9 +251,11 @@ def test_criterion_9_sweep_determinism(tmp_path):
                f"{n_jobs}-way parallel) produced byte-identical CSV")
 
 
-def test_criterion_10_rayleigh_statistics():
-    rng = np.random.default_rng(10)
-    gains = rayleigh_gain(rng, size=1_000_000)
+def test_criterion_10_rayleigh_statistics(applied_fading_gains):
+    """The fading gains ChannelSensor.sense_block applied, recovered from
+    its statistics on PU-active channels (see conftest)."""
+    gains = applied_fading_gains
+    assert gains.size == 1_000_000
     mean = float(gains.mean())
     cdf = float(np.mean(gains < 0.105))
     target_cdf = 1.0 - math.exp(-0.105)

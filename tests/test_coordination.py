@@ -55,32 +55,31 @@ class TestFormClusters:
 
 class TestSelectCoordinators:
     def test_singleton_takes_all_roles(self):
-        cs = select_coordinators([4], np.array([0, 0, 0, 0, 120.0]), 1, 1.5)
+        cs = select_coordinators([4], np.array([0, 0, 0, 0, 120.0]), 1)
         assert cs.main_id == cs.forward_id == cs.backward_id == 4
         assert cs.distinct_coordinators() == (4,)
-        assert cs.elected_at == 1.5
 
     def test_three_member_layout(self):
         positions = np.array([0.0, 100.0, 200.0])
-        cs = select_coordinators([0, 1, 2], positions, 1, 0.0)
+        cs = select_coordinators([0, 1, 2], positions, 1)
         assert cs.backward_id == 0 and cs.main_id == 1 and cs.forward_id == 2
 
     def test_centroid_tie_broken_by_lower_id(self):
         # members at 0, 90, 110, 200: centroid 100; ids 1 and 2 equidistant
         positions = np.array([0.0, 90.0, 110.0, 200.0])
-        cs = select_coordinators([0, 1, 2, 3], positions, 1, 0.0)
+        cs = select_coordinators([0, 1, 2, 3], positions, 1)
         assert cs.main_id == 1
 
     def test_direction_flips_forward_and_backward(self):
         positions = np.array([0.0, 100.0, 200.0])
-        cs = select_coordinators([0, 1, 2], positions, -1, 0.0)
+        cs = select_coordinators([0, 1, 2], positions, -1)
         assert cs.forward_id == 0 and cs.backward_id == 2
 
     def test_role_positions_ordered_along_travel(self):
         rng = np.random.default_rng(1)
         for direction in (1, -1):
             positions = rng.uniform(0, 2000, 12)
-            cs = select_coordinators(list(range(12)), positions, direction, 0.0)
+            cs = select_coordinators(list(range(12)), positions, direction)
             fwd = positions[cs.forward_id] * direction
             mid = positions[cs.main_id] * direction
             back = positions[cs.backward_id] * direction
@@ -88,7 +87,7 @@ class TestSelectCoordinators:
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):
-            select_coordinators([], np.array([]), 1, 0.0)
+            select_coordinators([], np.array([]), 1)
 
 
 class TestCoordinatedSense:
@@ -104,7 +103,7 @@ class TestCoordinatedSense:
 
     def test_all_vacant_reported_vacant(self):
         config, sensor, cmap, positions = self._setup()
-        cs = select_coordinators([0, 1, 2], positions, 1, 0.0)
+        cs = select_coordinators([0, 1, 2], positions, 1)
         vacant = coordinated_sense(cs, sensor, cmap, positions, 0.0, StreamBundle(3))
         # all channels truly vacant; AND-fusion keeps most vacant
         assert vacant.sum() >= 2
@@ -112,7 +111,7 @@ class TestCoordinatedSense:
     def test_pu_active_channel_reported_occupied(self):
         config, sensor, cmap, positions = self._setup()
         cmap.pu_active[1] = True
-        cs = select_coordinators([0, 1, 2], positions, 1, 0.0)
+        cs = select_coordinators([0, 1, 2], positions, 1)
         vacant = coordinated_sense(cs, sensor, cmap, positions, 0.0, StreamBundle(3))
         assert not vacant[1]
 
@@ -120,7 +119,7 @@ class TestCoordinatedSense:
         """One coordinator deciding occupied must mask the others' vacant
         decisions, whatever the ground truth."""
         config, sensor, cmap, positions = self._setup()
-        cs = select_coordinators([0, 1, 2], positions, 1, 0.0)
+        cs = select_coordinators([0, 1, 2], positions, 1)
         streams = StreamBundle(3)
         per_coord = []
         for cid in cs.distinct_coordinators():
@@ -179,9 +178,22 @@ class TestProposedStrategy:
     def test_every_vehicle_belongs_to_a_cluster_after_epoch(self):
         engine = self._engine()
         engine.strategy.on_epoch(0.0, engine.fleet, engine.channel_map, engine.streams)
-        assert set(engine.strategy.state.cluster_of) == set(range(50))
-        for cs in engine.strategy.state.clusters:
-            assert set(cs.distinct_coordinators()) <= set(cs.members)
+        state = engine.strategy.state
+        assert set(state.cluster_of) == set(range(50))
+        # every cluster's coordinators are its own members
+        for idx, cs in enumerate(state.clusters):
+            assert {state.cluster_of[c] for c in cs.distinct_coordinators()} == {idx}
+
+    def test_epoch_time_stamps_its_reports(self):
+        """The reports of an epoch are as old as the epoch: fresh for one
+        coordination interval after it, stale beyond."""
+        engine = self._engine()
+        engine.strategy.on_epoch(1.5, engine.fleet, engine.channel_map, engine.streams)
+        state = engine.strategy.state
+        assert state.report_time == 1.5
+        assert len(state.reports) == len(state.clusters) > 0
+        assert state.fresh_report(0, 1.5 + state.interval) is not None
+        assert state.fresh_report(0, 1.5 + state.interval + 1e-6) is None
 
 
 class TestCooperativeStrategy:

@@ -1,11 +1,12 @@
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from crvanet.config import ScenarioConfig, Scheme
 from crvanet.plots import PlotDataError, render_chart, render_plots
 from crvanet.report import (
+    COUNTERS,
     PU_VACATED,
     SENSE,
     SU_OCCUPIED,
@@ -112,6 +113,18 @@ class TestRunSweep:
         write_csv(parallel, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_engine_failure_names_value_scheme_and_seed(self, workers):
+        # 100 MHz passes validate() but is outside Hata's range, so every run
+        # fails when its engine is built; the first in sweep order is named
+        base = replace(small_base(), frequency=100.0).validate()
+        spec = SweepSpec("vehicles", (10.0, 20.0), (Scheme.STANDALONE,), (1,), base)
+        with pytest.raises(RuntimeError) as err:
+            run_sweep(spec, workers=workers)
+        message = str(err.value)
+        assert "value=10," in message and "scheme=standalone" in message
+        assert "seed=1)" in message and "frequency" in message
+
     def test_failure_names_the_triple(self):
         # running_time below time_step fails validation inside apply_axis
         bad = replace(small_base(), running_time=0.2)
@@ -159,15 +172,22 @@ class TestCsv:
         write_csv(SweepTable("vehicles", ()), str(path))
         assert path.read_text() == CSV_HEADER + "\n"
 
+    def test_header_lists_every_counter(self):
+        assert CSV_HEADER.split(",") == ["axis_value", "scheme", "seed", *COUNTERS]
+        assert [f.name for f in fields(SweepRow)] == CSV_HEADER.split(",")
+
     def test_single_row_format(self, tmp_path):
-        row = SweepRow(50, Scheme.PROPOSED, 7, 120, 3, 0, 800)
+        row = SweepRow(50, Scheme.PROPOSED, 7, allocations=120, false_alarms=3,
+                       misdetections=0, correct_detections=797, sensing_events=800,
+                       harmful_occupations=0, preemptions=2, backoffs=9)
         path = tmp_path / "one.csv"
         write_csv(SweepTable("vehicles", (row,)), str(path))
         lines = path.read_text().splitlines()
-        assert lines == [CSV_HEADER, "50,proposed,7,120,3,0,800,0"]
+        assert lines == [CSV_HEADER, "50,proposed,7,120,3,0,797,800,0,2,9"]
 
     def test_lf_line_endings_and_ascii(self, tmp_path):
-        row = SweepRow(50, Scheme.PROPOSED, 7, 120, 3, 0, 800)
+        row = SweepRow(50, Scheme.PROPOSED, 7, allocations=120, false_alarms=3,
+                       sensing_events=800)
         path = tmp_path / "lf.csv"
         write_csv(SweepTable("vehicles", (row,)), str(path))
         data = path.read_bytes()
@@ -175,22 +195,26 @@ class TestCsv:
         data.decode("ascii")
 
     def test_round_trip(self, tmp_path):
+        # every counter distinct, so a swapped column shows
         rows = (
-            SweepRow(10, Scheme.STANDALONE, 1, 5, 2, 1, 30, 4),
-            SweepRow(20, Scheme.PROPOSED, 2, 8, 0, 0, 12),
+            SweepRow(10, Scheme.STANDALONE, 1, *range(11, 19)),
+            SweepRow(20.5, Scheme.PROPOSED, 2, *range(21, 29)),
         )
         path = tmp_path / "rt.csv"
         write_csv(SweepTable("vehicles", rows), str(path))
         back = read_csv(str(path))
-        assert [
-            (r.axis_value, r.scheme, r.seed, r.allocations, r.false_alarms,
-             r.misdetections, r.sensing_events, r.harmful_occupations)
-            for r in back.rows
-        ] == [
-            (r.axis_value, r.scheme, r.seed, r.allocations, r.false_alarms,
-             r.misdetections, r.sensing_events, r.harmful_occupations)
-            for r in rows
+        assert [(r.axis_value, r.scheme, r.seed) + tuple(getattr(r, c) for c in COUNTERS)
+                for r in back.rows] == [
+            (10.0, Scheme.STANDALONE, 1, *range(11, 19)),
+            (20.5, Scheme.PROPOSED, 2, *range(21, 29)),
         ]
+        assert back.rows == rows
+
+    def test_short_line_rejected(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text(CSV_HEADER + "\n10,standalone,1,5,2,1,30\n")
+        with pytest.raises(ValueError, match="line 2"):
+            read_csv(str(path))
 
     def test_unwritable_path_surfaces(self):
         with pytest.raises(OSError) as err:
@@ -203,8 +227,8 @@ def _toy_table():
     for value in (10, 20, 30):
         for scheme, base in ((Scheme.STANDALONE, 40), (Scheme.PROPOSED, 30)):
             for seed in (1, 2):
-                rows.append(SweepRow(value, scheme, seed,
-                                     base + value + seed, 5 + seed, 0, 100))
+                rows.append(SweepRow(value, scheme, seed, allocations=base + value + seed,
+                                     false_alarms=5 + seed, sensing_events=100))
     return SweepTable("vehicles", tuple(rows))
 
 
@@ -228,7 +252,8 @@ class TestPlots:
         assert "standalone" in doc and "proposed" in doc
 
     def test_single_axis_value_is_an_error(self):
-        rows = (SweepRow(10, Scheme.PROPOSED, 1, 5, 1, 0, 10),)
+        rows = (SweepRow(10, Scheme.PROPOSED, 1, allocations=5, false_alarms=1,
+                         sensing_events=10),)
         with pytest.raises(PlotDataError) as err:
             render_chart(SweepTable("vehicles", rows), "allocations", "t")
         assert "2 axis values" in str(err.value)

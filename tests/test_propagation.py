@@ -5,11 +5,10 @@ import pytest
 
 from crvanet.config import ScenarioConfig
 from crvanet.propagation import (
+    HataModel,
     PropagationDomainError,
     build_towers,
     hata_suburban_loss,
-    hata_urban_loss,
-    rayleigh_gain,
     thermal_noise_power,
 )
 from crvanet.sensing import ChannelSensor
@@ -21,8 +20,13 @@ URBAN_GOLDEN = 136.8227
 SUBURBAN_CORRECTION_150 = -6.4627
 
 
+def urban_loss(f, hb, hm, d):
+    """Median urban Hata loss through HataModel."""
+    return HataModel(f, hb, hm).urban_loss(d)
+
+
 def test_urban_golden_value():
-    assert hata_urban_loss(150, 50, 1.5, 10) == pytest.approx(URBAN_GOLDEN, abs=0.05)
+    assert urban_loss(150, 50, 1.5, 10) == pytest.approx(URBAN_GOLDEN, abs=0.05)
 
 
 def test_suburban_golden_value():
@@ -32,7 +36,7 @@ def test_suburban_golden_value():
 
 def test_distance_slope_term():
     # d=1 -> d=10 adds exactly (44.9 - 6.55*log10 hb) dB
-    slope = hata_urban_loss(150, 50, 1.5, 10) - hata_urban_loss(150, 50, 1.5, 1)
+    slope = urban_loss(150, 50, 1.5, 10) - urban_loss(150, 50, 1.5, 1)
     assert slope == pytest.approx(44.9 - 6.55 * math.log10(50), abs=1e-9)
 
 
@@ -44,13 +48,13 @@ def test_suburban_correction_identity_on_grid():
         hm = rng.uniform(1, 10)
         d = rng.uniform(1, 20)
         expected = -2.0 * math.log10(f / 28.0) ** 2 - 5.4
-        diff = hata_suburban_loss(f, hb, hm, d) - hata_urban_loss(f, hb, hm, d)
+        diff = hata_suburban_loss(f, hb, hm, d) - urban_loss(f, hb, hm, d)
         assert diff == pytest.approx(expected, abs=1e-9)
 
 
 def test_suburban_below_urban_everywhere():
     for f in (150, 400, 900, 1500):
-        assert hata_suburban_loss(f, 50, 1.5, 10) < hata_urban_loss(f, 50, 1.5, 10)
+        assert hata_suburban_loss(f, 50, 1.5, 10) < urban_loss(f, 50, 1.5, 10)
 
 
 def test_correction_at_28mhz_would_be_minus_5_4():
@@ -69,15 +73,15 @@ def test_correction_at_28mhz_would_be_minus_5_4():
 ])
 def test_out_of_domain_inputs_are_errors(kwargs):
     with pytest.raises(PropagationDomainError):
-        hata_urban_loss(**kwargs)
+        urban_loss(**kwargs)
 
 
 def test_loss_monotone_in_distance_and_height():
     ds = np.linspace(1, 20, 25)
-    losses = [hata_urban_loss(150, 50, 1.5, d) for d in ds]
+    losses = [urban_loss(150, 50, 1.5, d) for d in ds]
     assert all(b > a for a, b in zip(losses, losses[1:]))
     hbs = np.linspace(30, 200, 25)
-    losses = [hata_urban_loss(150, hb, 1.5, 10) for hb in hbs]
+    losses = [urban_loss(150, hb, 1.5, 10) for hb in hbs]
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
 
@@ -98,25 +102,18 @@ class TestThermalNoise:
 
 
 class TestRayleighGain:
-    def test_mean_is_unity(self):
-        rng = np.random.default_rng(7)
-        gains = rayleigh_gain(rng, size=1_000_000)
-        assert gains.mean() == pytest.approx(1.0, abs=0.01)
+    """The 10^6 fading gains ChannelSensor.sense_block applied (conftest)."""
 
-    def test_cdf_matches_exponential(self):
-        rng = np.random.default_rng(8)
-        gains = rayleigh_gain(rng, size=1_000_000)
-        empirical = np.mean(gains < 0.105)
+    def test_mean_is_unity(self, applied_fading_gains):
+        assert applied_fading_gains.size == 1_000_000
+        assert applied_fading_gains.mean() == pytest.approx(1.0, abs=0.01)
+
+    def test_cdf_matches_exponential(self, applied_fading_gains):
+        empirical = np.mean(applied_fading_gains < 0.105)
         assert empirical == pytest.approx(1 - math.exp(-0.105), abs=0.003)
 
-    def test_all_draws_positive(self):
-        rng = np.random.default_rng(9)
-        assert np.all(rayleigh_gain(rng, size=100_000) > 0)
-
-    def test_scalar_draw(self):
-        rng = np.random.default_rng(10)
-        g = rayleigh_gain(rng)
-        assert isinstance(g, float) and g > 0
+    def test_all_draws_positive(self, applied_fading_gains):
+        assert np.all(applied_fading_gains > 0)
 
 
 def test_fading_stream_independent_of_mobility_draws():

@@ -19,7 +19,7 @@ from crvanet.report import (
     SimulationReport,
 )
 from crvanet.scheduling import ChannelMap, schedule_next, step_pu, step_su
-from crvanet.sensing import ChannelState, SenseBlock
+from crvanet.sensing import SenseBlock
 from crvanet.streams import StreamBundle
 
 
@@ -120,9 +120,9 @@ class TestStepPu:
 class _PinnedStrategy:
     """Test double: always proposes the given channel with a vacant decision."""
 
-    def __init__(self, channel_id, decision=ChannelState.VACANT, truth=ChannelState.VACANT):
+    def __init__(self, channel_id, occupied=False, truth=False):
         self.channel_id = channel_id
-        self.decision = decision
+        self.occupied = occupied
         self.truth = truth
 
     def attempt(self, vehicle_id, positions, now, channel_map, streams):
@@ -130,11 +130,11 @@ class _PinnedStrategy:
             return None, None
         block = SenseBlock(
             channel_ids=np.array([self.channel_id]),
-            occupied=np.array([self.decision is ChannelState.OCCUPIED]),
-            truth=np.array([self.truth is ChannelState.OCCUPIED]),
+            occupied=np.array([self.occupied]),
+            truth=np.array([self.truth]),
             statistic=np.zeros(1), threshold=1.0,
         )
-        chosen = self.channel_id if self.decision is ChannelState.VACANT else None
+        chosen = None if self.occupied else self.channel_id
         return block, chosen
 
 
@@ -176,8 +176,7 @@ class TestStepSu:
     def test_occupied_decision_backs_off(self):
         cmap, report, positions, streams = self._setup()
         self._step(0, 0.5, 500,
-                   _PinnedStrategy(3, decision=ChannelState.OCCUPIED,
-                                   truth=ChannelState.OCCUPIED),
+                   _PinnedStrategy(3, occupied=True, truth=True),
                    cmap, report, positions, streams)
         assert cmap.su_channel[0] == -1
         assert report.allocations == 0
@@ -198,7 +197,7 @@ class TestStepSu:
     def test_pu_active_channel_is_harmful_not_allocation(self):
         cmap, report, positions, streams = self._setup()
         cmap.pu_active[3] = True
-        self._step(0, 0.5, 500, _PinnedStrategy(3, truth=ChannelState.OCCUPIED),
+        self._step(0, 0.5, 500, _PinnedStrategy(3, truth=True),
                    cmap, report, positions, streams)
         assert cmap.su_channel[0] == -1
         assert cmap.holder_of(3) is None

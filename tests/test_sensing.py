@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.stats import gamma
 
 import crvanet.sensing
 from crvanet.propagation import PropagationDomainError, TowerGeometry, hata_suburban_loss
@@ -10,130 +12,155 @@ from crvanet.scheduling import ChannelMap
 from crvanet.sensing import (
     CLASSES,
     ChannelSensor,
-    ChannelState,
     Classification,
-    DetectorParams,
     block_pfa,
     classify_block,
-    classify_outcome,
     detection_threshold,
-    energy_statistic,
 )
 from crvanet.streams import StreamBundle
 
 
+def _statistics(blocks):
+    return np.concatenate([b.statistic for b in blocks], axis=None)
+
+
+def _config_at_snr(config, snr_db):
+    """config with the PU transmit power that gives a median SNR of
+    snr_db at the road midpoint, the point nearest every tower."""
+    sensor = ChannelSensor(config)
+    loss = sensor.hata.suburban_loss(config.tower_offset / 1000.0)
+    return replace(config, tx_power_pu=snr_db + loss + sensor.noise_dbw).validate()
+
+
+def _at_midpoint(sense_everywhere, config, calls, seed):
+    """PU-active sense_block statistics of every vehicle at the road
+    midpoint."""
+    midpoint = np.full(config.n_vehicles, config.road_length / 2.0)
+    return sense_everywhere(config, calls, seed, pu_active=True, positions=midpoint)
+
+
 class TestDetectionThreshold:
     def test_pfa_half_gives_noise_power(self):
-        params = DetectorParams(n_samples=100, noise_power=1.0, target_pfa=0.5)
-        assert detection_threshold(params) == pytest.approx(1.0, abs=1e-12)
+        assert detection_threshold(0.5, 100) == pytest.approx(1.0, abs=1e-12)
 
     def test_quantile_table_value(self):
         # Qinv(0.1) = 1.2816 -> lambda = 1 + 1.2816/10
-        params = DetectorParams(n_samples=100, noise_power=1.0, target_pfa=0.1)
-        assert detection_threshold(params) == pytest.approx(1.12816, abs=1e-4)
-
-    def test_scales_with_noise_power(self):
-        p1 = DetectorParams(n_samples=100, noise_power=1.0, target_pfa=0.1)
-        p2 = DetectorParams(n_samples=100, noise_power=3.0, target_pfa=0.1)
-        assert detection_threshold(p2) == pytest.approx(3 * detection_threshold(p1))
+        assert detection_threshold(0.1, 100) == pytest.approx(1.12816, abs=1e-4)
 
     def test_pfa_bounds(self):
         with pytest.raises(ValueError):
-            detection_threshold(DetectorParams(target_pfa=0.0))
+            detection_threshold(0.0, 100)
         with pytest.raises(ValueError):
-            detection_threshold(DetectorParams(target_pfa=1.0))
+            detection_threshold(1.0, 100)
 
     def test_small_window_rejected(self):
         with pytest.raises(ValueError):
-            detection_threshold(DetectorParams(n_samples=10, target_pfa=0.1))
+            detection_threshold(0.1, 10)
 
     def test_threshold_above_noise_for_small_pfa(self):
-        params = DetectorParams(n_samples=100, noise_power=2.0, target_pfa=0.05)
-        assert detection_threshold(params) > 2.0
+        # statistics are normalised to the noise floor, 1.0
+        assert detection_threshold(0.05, 100) > 1.0
 
-    def test_empirical_pfa_matches_target(self):
-        params = DetectorParams(n_samples=100, noise_power=1.0, target_pfa=0.1).calibrated()
-        rng = np.random.default_rng(5)
-        stats = energy_statistic(0.0, params, rng, size=100_000)
-        assert np.mean(stats >= params.threshold) == pytest.approx(0.1, abs=0.01)
+    def test_empirical_pfa_matches_target(self, default_config, sense_everywhere):
+        # 20 calls x 50 vehicles x 100 channels = 10^5 noise-only windows
+        sensor, _, blocks = sense_everywhere(default_config, 20, 5)
+        occupied = np.concatenate([b.occupied for b in blocks], axis=None)
+        assert occupied.size == 100_000
+        assert np.mean(occupied) == pytest.approx(0.1, abs=0.01)
+        assert all(b.threshold == sensor.threshold_for(1) for b in blocks)
 
 
 class TestEnergyStatistic:
-    def test_noise_only_mean(self):
-        params = DetectorParams(n_samples=100, noise_power=2.0, target_pfa=0.1)
-        rng = np.random.default_rng(1)
-        stats = energy_statistic(0.0, params, rng, size=200_000)
-        assert stats.mean() == pytest.approx(2.0, rel=0.01)
+    """The statistic ChannelSensor.sense_block draws."""
 
-    def test_zero_db_snr_doubles_mean(self):
-        params = DetectorParams(n_samples=100, noise_power=1.0, target_pfa=0.1)
-        rng = np.random.default_rng(2)
-        stats = energy_statistic(1.0, params, rng, size=200_000)
-        assert stats.mean() == pytest.approx(2.0, rel=0.01)
+    def test_noise_only_mean(self, default_config, sense_everywhere):
+        stats = _statistics(sense_everywhere(default_config, 40, 1)[2])
+        assert stats.size == 200_000
+        assert stats.mean() == pytest.approx(1.0, rel=0.01)
 
-    def test_variance_shrinks_as_1_over_n(self):
-        rng = np.random.default_rng(3)
-        v100 = energy_statistic(
-            0.0, DetectorParams(n_samples=100, noise_power=1.0), rng, size=100_000
-        ).var()
-        v400 = energy_statistic(
-            0.0, DetectorParams(n_samples=400, noise_power=1.0), rng, size=100_000
-        ).var()
+    def test_zero_db_snr_doubles_mean(self, default_config, sense_everywhere):
+        config = _config_at_snr(default_config, 0.0)
+        sensor, positions, blocks = _at_midpoint(sense_everywhere, config, 40, 2)
+        assert sensor.median_pu_snr(sensor.towers[0], positions[0]) == pytest.approx(1.0)
+        # unit-mean fading keeps the mean at 1 + median SNR
+        assert _statistics(blocks).mean() == pytest.approx(2.0, rel=0.01)
+
+    def test_variance_shrinks_as_1_over_n(self, default_config, sense_everywhere):
+        v100 = _statistics(sense_everywhere(default_config, 20, 3)[2]).var()
+        config = replace(default_config, sensing_samples=400).validate()
+        v400 = _statistics(sense_everywhere(config, 20, 3)[2]).var()
         assert v100 / v400 == pytest.approx(4.0, rel=0.1)
 
-    def test_vectorized_over_snrs(self):
-        params = DetectorParams(n_samples=100, noise_power=1.0)
-        rng = np.random.default_rng(4)
-        stats = energy_statistic(np.array([0.0, 1.0, 9.0]), params, rng)
-        assert stats.shape == (3,)
+    def test_vectorized_over_snrs(self, default_config):
+        # one statistic per channel: vacant, PU-active, SU-held in range
+        cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
+        cmap.pu_active[1] = True
+        cmap.set_holder(2, vehicle_id=4, position=600.0)
+        block = ChannelSensor(default_config).sense_block(
+            0, 500.0, np.array([0, 1, 2]), cmap, 0.0, StreamBundle(4))
+        assert block.statistic.shape == (3,)
+        assert block.truth.tolist() == [False, True, True]
 
-    def test_negative_snr_rejected(self):
-        with pytest.raises(ValueError):
-            energy_statistic(-0.5, DetectorParams(), np.random.default_rng(0))
-
-    def test_detection_probability_rises_with_snr(self):
-        params = DetectorParams(n_samples=100, noise_power=1.0, target_pfa=0.1).calibrated()
-        rng = np.random.default_rng(6)
+    def test_detection_probability_rises_with_snr(self, default_config, sense_everywhere):
+        threshold = ChannelSensor(default_config).threshold_for(1)
+        n = default_config.sensing_samples
         pds = []
         for snr_db in (-10.0, 0.0, 10.0):
-            stats = energy_statistic(10 ** (snr_db / 10), params, rng, size=20_000)
-            pds.append(np.mean(stats >= params.threshold))
-        # Pd saturates to 1 above 0 dB at this window length
+            config = _config_at_snr(default_config, snr_db)
+            _, _, blocks = _at_midpoint(sense_everywhere, config, 4, 6)
+            pd = float(np.mean(_statistics(blocks) >= threshold))
+            # Pd of the Gamma statistic averaged over unit-mean Rayleigh fading
+            snr = 10 ** (snr_db / 10)
+            expected = quad(lambda g: gamma.sf(threshold, n, scale=(1 + snr * g) / n)
+                            * math.exp(-g), 0.0, math.inf)[0]
+            assert pd == pytest.approx(expected, abs=0.015)
+            pds.append(pd)
         assert pds[0] < pds[1] <= pds[2]
-        assert pds[0] < 0.7 and pds[2] == 1.0
+        assert pds[0] < 0.7
 
 
 class TestClassification:
+    PAIRS = [(False, False), (True, True), (True, False), (False, True)]  # (occupied, truth)
+
     def test_truth_table(self):
-        V, O = ChannelState.VACANT, ChannelState.OCCUPIED
-        assert classify_outcome(V, V) is Classification.CORRECT_DETECTION
-        assert classify_outcome(O, O) is Classification.CORRECT_DETECTION
-        assert classify_outcome(O, V) is Classification.FALSE_ALARM
-        assert classify_outcome(V, O) is Classification.MISDETECTION
+        occupied, truth = np.array(self.PAIRS).T
+        assert [CLASSES[i] for i in classify_block(occupied, truth)] == [
+            Classification.CORRECT_DETECTION, Classification.CORRECT_DETECTION,
+            Classification.FALSE_ALARM, Classification.MISDETECTION]
 
     def test_every_pair_maps_to_exactly_one_class(self):
-        for decision in ChannelState:
-            for truth in ChannelState:
-                assert classify_outcome(decision, truth) in Classification
+        occupied, truth = np.array(self.PAIRS).T
+        indices = classify_block(occupied, truth)
+        assert indices.shape == (4,)
+        assert set(indices.tolist()) <= set(range(len(CLASSES)))
+        assert len(set(CLASSES)) == len(Classification)
 
-    def test_outcome_property_agrees(self):
-        """The vectorised block classification equals classify_outcome for
-        every (decision, truth) pair."""
-        pairs = [(d, t) for d in ChannelState for t in ChannelState]
-        occupied = np.array([d is ChannelState.OCCUPIED for d, _ in pairs])
-        truth = np.array([t is ChannelState.OCCUPIED for _, t in pairs])
-        got = [CLASSES[i] for i in classify_block(occupied, truth)]
-        assert got == [classify_outcome(d, t) for d, t in pairs]
+    def test_outcome_property_agrees(self, default_config):
+        """On a batched (vehicles, channels) sense_block grid, the block
+        classification is: correct iff the decision matches the truth,
+        otherwise a false alarm iff the decision says occupied."""
+        cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
+        cmap.pu_active[::3] = True
+        cmap.set_holder(7, vehicle_id=4, position=600.0)
+        weak = _config_at_snr(default_config, 0.0)   # weak PUs: misdetections occur
+        block = ChannelSensor(weak).sense_block(
+            np.arange(50), np.linspace(0.0, 2000.0, 50), np.arange(100), cmap, 0.0,
+            StreamBundle(12))
+        got = classify_block(block.occupied, block.truth)
+        assert got.shape == (50, 100)
+        expected = np.where(block.occupied == block.truth, 0,
+                            np.where(block.occupied & ~block.truth, 1, 2))
+        np.testing.assert_array_equal(got, expected)
+        assert set(got.ravel().tolist()) == {0, 1, 2}
         assert classify_block(np.array([False]), np.array([True]))[0] == \
             CLASSES.index(Classification.MISDETECTION)
 
 
-def test_raising_threshold_never_adds_false_alarms():
-    # fixed recorded statistic stream, swept threshold
-    rng = np.random.default_rng(11)
-    params = DetectorParams(n_samples=100, noise_power=1.0)
-    vacant_stats = energy_statistic(0.0, params, rng, size=20_000)
-    occupied_stats = energy_statistic(2.0, params, rng, size=20_000)
+def test_raising_threshold_never_adds_false_alarms(default_config, sense_everywhere):
+    # fixed recorded statistic streams, swept threshold
+    vacant_stats = _statistics(sense_everywhere(default_config, 4, 11)[2])
+    config = _config_at_snr(default_config, 10 * math.log10(2.0))
+    occupied_stats = _statistics(_at_midpoint(sense_everywhere, config, 4, 11)[2])
     thresholds = np.linspace(0.8, 1.6, 30)
     fas = [(vacant_stats >= t).sum() for t in thresholds]
     mds = [(occupied_stats < t).sum() for t in thresholds]
@@ -202,10 +229,9 @@ class TestSenseChannel:
 
 def test_threshold_for_is_cached_and_exact(default_config, monkeypatch):
     sensor = ChannelSensor(default_config)
-    uncached = detection_threshold(DetectorParams(
-        n_samples=default_config.sensing_samples, noise_power=1.0,
-        target_pfa=block_pfa(default_config.target_pfa, 2),
-    ))
+    n, pfa = default_config.sensing_samples, default_config.target_pfa
+    uncached = detection_threshold(block_pfa(pfa, 2), n)
+    single = detection_threshold(pfa, n)
     calls = []
     isf = crvanet.sensing.norm.isf
 
@@ -219,7 +245,7 @@ def test_threshold_for_is_cached_and_exact(default_config, monkeypatch):
     assert sensor.threshold_for(2) == uncached
     assert sensor.threshold_for(2) == uncached
     assert len(calls) == 1
-    assert sensor.threshold_for(1) == sensor.detector.threshold
+    assert sensor.threshold_for(1) == single
     assert len(calls) == 1
 
 
