@@ -108,8 +108,8 @@ class ScenarioConfig:
                 raise ScenarioValidationError(f"{_KEY_OF[name]} > 0 violated")
         if not (0.0 <= self.human_error_min <= self.human_error_max):
             raise ScenarioValidationError("0 <= humanErrorMin <= humanErrorMax violated")
-        if self.sensing_samples < 1:
-            raise ScenarioValidationError("sensingSamples >= 1 violated")
+        if self.sensing_samples < 50:
+            raise ScenarioValidationError("sensingSamples >= 50 violated")
         return self
 
 

@@ -14,6 +14,9 @@ Gaussian tail approximation (Urkowitz 1967):
 
     lambda = 1 + Qinv(pfa) / sqrt(N)
 
+Qinv(p) = -ndtri(p), where ndtri is a port of the Cephes inverse normal
+CDF (S. Moshier), bit-identical to SciPy's stats.norm.isf(p).
+
 A sense block holds, per sensed (observer, channel) pair, the decision,
 the ground truth at the same instant and the statistic, plus the
 threshold they were decided against; classify_block classifies decisions
@@ -29,7 +32,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.stats import norm
 
 from .config import ScenarioConfig
 from .propagation import (
@@ -63,6 +65,52 @@ class SenseBlock:
     threshold: float          # linear power
 
 
+# Cephes ndtri coefficients, highest power first: P0/Q0 for the centre, P1/Q1 and P2/Q2
+# for the tails in x = sqrt(-2 ln y) below and above 8. Each Q has an implied leading 1.
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+       1.39312609387279679503E1, -1.23916583867381258016E0)
+_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+       -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+       1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+       1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+       2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
+_EXP_M2, _S2PI = 0.13533528323661269189, 2.50662827463100050242E0   # exp(-2), sqrt(2 pi)
+
+
+def _horner(x: float, coefs: tuple, lead: float = 0.0) -> float:
+    """Cephes polevl (lead 0) or p1evl (lead 1: an implied leading 1)."""
+    for c in coefs:
+        lead = lead * x + c
+    return lead
+
+
+def ndtri(y: float) -> float:
+    """Inverse of the standard normal CDF for 0 < y < 1 (Cephes ndtri)."""
+    if not 0.0 < y < 1.0:
+        raise ValueError("ndtri needs 0 < y < 1")
+    upper = y > 1.0 - _EXP_M2
+    y = 1.0 - y if upper else y
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        return (y + y * (y2 * _horner(y2, _P0) / _horner(y2, _Q0, 1.0))) * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    p, q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
+    x = x - math.log(x) / x - z * _horner(z, p) / _horner(z, q, 1.0)
+    return x if upper else -x
+
+
 def detection_threshold(target_pfa: float, n_samples: int) -> float:
     """Threshold, relative to the noise floor, achieving target_pfa on
     noise-only windows of n_samples, Gaussian approximation. Requires
@@ -71,7 +119,7 @@ def detection_threshold(target_pfa: float, n_samples: int) -> float:
         raise ValueError("targetPfa must lie in (0, 1)")
     if n_samples < 50:
         raise ValueError("need N >= 50 samples for the Gaussian threshold approximation")
-    return 1.0 + norm.isf(target_pfa) / math.sqrt(n_samples)
+    return 1.0 - ndtri(target_pfa) / math.sqrt(n_samples)
 
 
 # the classifications classify_block returns, by index

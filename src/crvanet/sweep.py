@@ -12,7 +12,6 @@ in-process serial execution).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .config import ScenarioConfig, Scheme
@@ -146,6 +145,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepTable:
     if workers == 1:
         rows = tuple(map(_run_point, jobs))
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = tuple(pool.map(_run_point, jobs))
     return SweepTable(spec_axis=spec.axis, rows=rows)

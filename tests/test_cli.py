@@ -49,6 +49,15 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
     assert "scenario loading failed" in err
 
 
+def test_simulate_rejects_short_sensing_window(tmp_path, capsys):
+    short = tmp_path / "short.txt"
+    short.write_text(SMALL_SCENARIO + "sensingSamples = 20\n")
+    assert main(["simulate", "--config", str(short)]) == 2
+    err = capsys.readouterr().err
+    assert "scenario loading failed" in err
+    assert "sensingSamples >= 50" in err
+
+
 def test_sweep_writes_csv_and_charts(scenario_file, tmp_path, capsys):
     out = tmp_path / "results"
     code = main([

@@ -109,6 +109,13 @@ def test_timestep_invariants():
         load_scenario("runningTime = 0.0005\ntimeStep = 0.001")
 
 
+def test_short_sensing_window_rejected():
+    # the Gaussian threshold approximation needs N >= 50
+    with pytest.raises(ScenarioValidationError, match="sensingSamples >= 50 violated"):
+        load_scenario("sensingSamples = 20")
+    assert load_scenario("sensingSamples = 50").sensing_samples == 50
+
+
 def test_negative_mean_rejected():
     with pytest.raises(ScenarioValidationError):
         load_scenario("puHoldMean = -5 ms")

@@ -1,10 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import gamma
+from scipy.stats import gamma, norm
 
 import crvanet.sensing
 from crvanet.propagation import PropagationDomainError, TowerGeometry, hata_suburban_loss
@@ -16,6 +19,7 @@ from crvanet.sensing import (
     block_pfa,
     classify_block,
     detection_threshold,
+    ndtri,
 )
 from crvanet.streams import StreamBundle
 
@@ -68,6 +72,45 @@ class TestDetectionThreshold:
         assert occupied.size == 100_000
         assert np.mean(occupied) == pytest.approx(0.1, abs=0.01)
         assert all(b.threshold == sensor.threshold_for(1) for b in blocks)
+
+
+class TestNdtri:
+    # central branch, both tails in x = sqrt(-2 ln y) below and above 8,
+    # and the upper tail reached through 1 - y
+    GRID = (0.5, 0.1, block_pfa(0.1, 2), block_pfa(0.1, 3), 0.3, 0.14, 0.13, 1e-3,
+            1e-10, 1e-14, 1e-20, 1e-100, 1e-300, 5e-324, 0.7, 0.86, 0.87, 0.9,
+            1 - 1e-3, 1 - 1e-12, 1 - 2**-53)
+
+    def test_bit_identical_to_norm_isf(self):
+        for p in self.GRID:
+            assert -ndtri(p) == norm.isf(p), p
+
+    def test_threshold_is_gaussian_tail(self):
+        for p in (0.1, block_pfa(0.1, 2), 1e-3):
+            assert detection_threshold(p, 100) == 1.0 + norm.isf(p) / 10.0
+
+    def test_domain(self):
+        for p in (0.0, 1.0, -0.1, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                ndtri(p)
+
+
+def test_runtime_imports_no_scipy():
+    """A default run imports no scipy module: the runtime needs only numpy."""
+    script = (
+        "import sys\n"
+        "import crvanet\n"
+        "from crvanet.config import ScenarioConfig\n"
+        "from crvanet.engine import SimulationEngine\n"
+        "from dataclasses import replace\n"
+        "SimulationEngine(replace(ScenarioConfig(), running_time=0.1).validate()).run()\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 class TestEnergyStatistic:
@@ -233,15 +276,12 @@ def test_threshold_for_is_cached_and_exact(default_config, monkeypatch):
     uncached = detection_threshold(block_pfa(pfa, 2), n)
     single = detection_threshold(pfa, n)
     calls = []
-    isf = crvanet.sensing.norm.isf
 
-    class _CountingNorm:
-        @staticmethod
-        def isf(q):
-            calls.append(q)
-            return isf(q)
+    def counting_ndtri(q):
+        calls.append(q)
+        return ndtri(q)
 
-    monkeypatch.setattr(crvanet.sensing, "norm", _CountingNorm)
+    monkeypatch.setattr(crvanet.sensing, "ndtri", counting_ndtri)
     assert sensor.threshold_for(2) == uncached
     assert sensor.threshold_for(2) == uncached
     assert len(calls) == 1
