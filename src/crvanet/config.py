@@ -96,6 +96,8 @@ class ScenarioConfig:
             raise ScenarioValidationError("sensingRange >= commRange > 0 violated")
         if self.n_vehicles < 0:
             raise ScenarioValidationError("nVehicles >= 0 violated")
+        if self.seed < 0:
+            raise ScenarioValidationError("seed >= 0 violated")
         if self.n_pu_towers < 1 or self.channels_per_tower < 1:
             raise ScenarioValidationError("nPuTowers >= 1 and channelsPerTower >= 1 violated")
         for name in (

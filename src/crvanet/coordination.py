@@ -15,16 +15,18 @@ proposed     Each cluster elects a main, forward and backward
              channel is reported vacant only if all three agree
              (AND-of-vacancy). A requester takes a fresh vacant-reported
              channel and still re-senses it locally over two independent
-             fading blocks before occupying, with the per-block threshold
-             compensated so the overall false-alarm rate stays at the
-             target.
+             fading blocks before occupying, with the per-block
+             false-alarm target compensated for the max-hold over both.
 
-Shared state refreshes only at coordination epochs: between epochs a
-requester acts on reports up to one interval old, which is the entire
-cost of coordination in this model. Requesters pick uniformly among their
-qualifying candidates (drawn from their own stream) so concurrent
-attempts spread over the spectrum instead of serializing on the lowest
-channel id.
+The engine keeps the coordination clock and calls ``on_epoch`` every
+coordination interval from time 0, for the schemes with ``needs_epoch``.
+An epoch is one batched sensing call (every vehicle's votes, or every
+cluster's coordinators), and its results are held as arrays. Between
+epochs a requester acts on reports up to one interval old, which is the
+entire cost of coordination in this model. Requesters pick uniformly
+among their qualifying candidates (drawn from their own stream) so
+concurrent attempts spread over the spectrum instead of serializing on
+the lowest channel id.
 
 Only the sensing a vehicle performs while trying to acquire a channel is
 returned from ``attempt``, as one SenseBlock, and counted in the run
@@ -104,46 +106,6 @@ def select_coordinators(cluster: list[int], positions: np.ndarray,
     return CoordinatorSet(main_id=main, forward_id=forward, backward_id=backward)
 
 
-def coordinated_sense(coord_set: CoordinatorSet, sensor: ChannelSensor,
-                      channel_map: ChannelMap, positions: np.ndarray,
-                      now: float, streams) -> np.ndarray:
-    """AND-of-vacancy fusion: every distinct coordinator senses every
-    channel at its own position; a channel is reported vacant only if all
-    of them decide vacant. Returns a boolean vacancy array."""
-    coordinators = np.array(coord_set.distinct_coordinators())
-    block = sensor.sense_block(
-        coordinators, positions[coordinators], np.arange(channel_map.n_channels),
-        channel_map, now, streams,
-    )
-    return ~block.occupied.any(axis=0)
-
-
-class CoordinationState:
-    """Epoch bookkeeping shared by the epoch-driven schemes."""
-
-    def __init__(self, coordination_interval: float):
-        self.interval = coordination_interval
-        self.next_coordination_time = 0.0
-        self.clusters: list[CoordinatorSet] = []
-        self.cluster_of: dict[int, int] = {}
-        self.reports: list[np.ndarray] = []       # per cluster: vacancy bools
-        self.report_time = 0.0                    # when the reports were sensed
-
-    def due(self, now: float) -> bool:
-        return now >= self.next_coordination_time - 1e-12
-
-    def advance_epoch(self) -> None:
-        self.next_coordination_time += self.interval
-
-    def fresh_report(self, vehicle_id: int, now: float) -> np.ndarray | None:
-        idx = self.cluster_of.get(vehicle_id)
-        if idx is None:
-            return None
-        if now - self.report_time > self.interval + 1e-12:
-            return None
-        return self.reports[idx]
-
-
 class Strategy:
     """Scheme interface: epoch work plus per-attempt candidate sensing."""
 
@@ -152,10 +114,10 @@ class Strategy:
     def __init__(self, config: ScenarioConfig, sensor: ChannelSensor):
         self.config = config
         self.sensor = sensor
-        self.state = CoordinationState(config.coordination_interval)
 
     def on_epoch(self, now: float, fleet, channel_map: ChannelMap, streams) -> None:
-        """Refresh shared state; the engine calls it only if needs_epoch."""
+        """Refresh shared state; the engine calls it once per coordination
+        interval, and only if needs_epoch."""
 
     def attempt(self, vehicle_id: int, positions: np.ndarray, now: float,
                 channel_map: ChannelMap, streams) -> tuple[SenseBlock | None, int | None]:
@@ -170,8 +132,6 @@ class Strategy:
 
 class StandaloneStrategy(Strategy):
     """Full-band self-scan: no shared state, no epochs."""
-
-    needs_epoch = False
 
     def attempt(self, vehicle_id, positions, now, channel_map, streams):
         all_channels = np.arange(self.config.n_channels)
@@ -253,32 +213,43 @@ class ProposedStrategy(Strategy):
 
     needs_epoch = True
 
+    def __init__(self, config: ScenarioConfig, sensor: ChannelSensor):
+        super().__init__(config, sensor)
+        # each vehicle's cluster (-1 before the first epoch), each cluster's
+        # vacancy report, and the time the reports were sensed
+        self.cluster_of = np.full(config.n_vehicles, -1, dtype=int)
+        self.vacant = np.zeros((0, config.n_channels), dtype=bool)
+        self.report_time = 0.0
+
     def on_epoch(self, now, fleet, channel_map, streams):
-        state = self.state
-        state.clusters = []
-        state.cluster_of = {}
-        state.reports = []
-        state.report_time = now
-        clusters = form_clusters(fleet.positions, fleet.directions, self.config.comm_range)
-        for idx, members in enumerate(clusters):
-            direction = int(fleet.directions[members[0]])
-            coord_set = select_coordinators(members, fleet.positions, direction)
-            vacant = coordinated_sense(
-                coord_set, self.sensor, channel_map, fleet.positions, now, streams
-            )
-            state.clusters.append(coord_set)
-            state.reports.append(vacant)
-            for member in members:
-                state.cluster_of[member] = idx
+        """Form clusters and elect their coordinators, then sense every
+        channel at the distinct coordinators of all clusters in one call.
+        A cluster's report is vacant where all of its coordinators decide
+        vacant (AND-of-vacancy)."""
+        positions, directions = fleet.positions, fleet.directions
+        coordinators: list[int] = []
+        starts: list[int] = []           # each cluster's first row in the block
+        for idx, members in enumerate(form_clusters(positions, directions,
+                                                    self.config.comm_range)):
+            self.cluster_of[members] = idx
+            starts.append(len(coordinators))
+            coord_set = select_coordinators(members, positions, int(directions[members[0]]))
+            coordinators.extend(coord_set.distinct_coordinators())
+        block = self.sensor.sense_block(
+            np.array(coordinators), positions[coordinators],
+            np.arange(channel_map.n_channels), channel_map, now, streams,
+        )
+        self.vacant = ~np.logical_or.reduceat(block.occupied, starts, axis=0)
+        self.report_time = now
 
     def candidates(self, vehicle_id: int, now: float) -> np.ndarray:
         """Fresh vacant-reported channels for this vehicle's cluster,
         ascending id; empty when the vehicle has no cluster or the report
-        has gone stale."""
-        report = self.state.fresh_report(vehicle_id, now)
-        if report is None:
+        is more than one coordination interval old."""
+        cluster = self.cluster_of[vehicle_id]
+        if cluster < 0 or now - self.report_time > self.config.coordination_interval + 1e-12:
             return np.empty(0, dtype=int)
-        return np.nonzero(report)[0]
+        return np.nonzero(self.vacant[cluster])[0]
 
     def attempt(self, vehicle_id, positions, now, channel_map, streams):
         candidates = self.candidates(vehicle_id, now)

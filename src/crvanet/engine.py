@@ -51,6 +51,9 @@ class SimulationEngine:
         report = SimulationReport(trace=[] if collect_trace else None)
         dt = config.time_step
         eps = 1e-12
+        # the coordination clock: epochs fire every coordinationInterval from 0
+        has_epochs = self.strategy.needs_epoch and len(self.fleet) > 0
+        next_epoch = 0.0
 
         for tick in range(self.n_ticks):
             now = tick * dt
@@ -75,9 +78,9 @@ class SimulationEngine:
                         config.pu_hold_mean, config.pu_gap_mean, config.su_gap_mean, report)
 
             # 3. coordination epoch, for schemes that use one
-            if self.strategy.needs_epoch and len(self.fleet) > 0 and self.strategy.state.due(now):
+            if has_epochs and now >= next_epoch - eps:
                 self.strategy.on_epoch(now, self.fleet, channel_map, self.streams)
-                self.strategy.state.advance_epoch()
+                next_epoch += config.coordination_interval
 
             # 4. SU sensing/occupation for vehicles with pending actions
             due_vehicles = np.nonzero(now >= channel_map.su_next - eps)[0]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .sensing import Classification
+from .sensing import CLASSES
 
 # trace event types
 PU_OCCUPIED = "pu-occupied"
@@ -66,27 +66,23 @@ class SimulationReport:
                 == self.sensing_events)
 
 
-_CORRECT = Classification.CORRECT_DETECTION.value
-_FALSE_ALARM = Classification.FALSE_ALARM.value
-_MISDETECTION = Classification.MISDETECTION.value
-
-
 def record_event(report: SimulationReport, kind: str, tick: int, time: float,
                  channel_id: int = -1, actor_id: int = -1, detail: str = "") -> None:
     """Fold one event into the report counters, and into the trace when
     the report holds one; the TraceEvent is built only then.
 
-    su-occupied bumps allocations; a sense event, whose detail is its
-    Classification value, bumps exactly one of the three classification
+    su-occupied bumps allocations; a sense event, whose detail is one of
+    the sensing CLASSES, bumps exactly one of the three classification
     counters plus the sensing-event total; all other event types touch
     only their bookkeeping counter or the trace.
     """
     if kind == SENSE:
-        if detail == _CORRECT:
+        correct, false_alarm, misdetection = CLASSES
+        if detail == correct:
             report.correct_detections += 1
-        elif detail == _FALSE_ALARM:
+        elif detail == false_alarm:
             report.false_alarms += 1
-        elif detail == _MISDETECTION:
+        elif detail == misdetection:
             report.misdetections += 1
         else:
             raise ValueError(f"sense events need a classification, got detail {detail!r}")

@@ -31,9 +31,6 @@ from .report import (
 )
 from .sensing import CLASSES, classify_block
 
-# trace detail of a sense event, by classify_block index
-_SENSE_DETAIL = tuple(c.value for c in CLASSES)
-
 
 def schedule_next(mean: float, rng: np.random.Generator) -> float:
     """Exponential holding/gap draw, strictly positive."""
@@ -134,7 +131,7 @@ def step_su(vehicle_id: int, positions: np.ndarray, now: float, tick: int,
     if block is not None:
         classes = classify_block(block.occupied, block.truth).tolist()
         for channel, cls in zip(block.channel_ids.tolist(), classes):
-            record_event(report, SENSE, tick, now, channel, vehicle_id, _SENSE_DETAIL[cls])
+            record_event(report, SENSE, tick, now, channel, vehicle_id, CLASSES[cls])
     if chosen is None:
         channel_map.su_next[vehicle_id] = now + back_off_time
         record_event(report, SU_BACKOFF, tick, now, -1, vehicle_id)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -45,12 +44,6 @@ from .propagation import (
 # SUs sensed within sensingRange are modeled at a flat, strongly detectable
 # SNR instead of a full SU link budget.
 SU_SENSE_SNR_DB = 20.0
-
-
-class Classification(Enum):
-    CORRECT_DETECTION = "correctDetection"
-    FALSE_ALARM = "falseAlarm"
-    MISDETECTION = "misdetection"
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,9 +115,8 @@ def detection_threshold(target_pfa: float, n_samples: int) -> float:
     return 1.0 - ndtri(target_pfa) / math.sqrt(n_samples)
 
 
-# the classifications classify_block returns, by index
-CLASSES = (Classification.CORRECT_DETECTION, Classification.FALSE_ALARM,
-           Classification.MISDETECTION)
+# the classifications classify_block returns, by index; a sense event's trace detail
+CLASSES = ("correctDetection", "falseAlarm", "misdetection")
 
 
 def classify_block(occupied: np.ndarray, truth: np.ndarray) -> np.ndarray:

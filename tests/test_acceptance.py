@@ -27,13 +27,14 @@ from crvanet.report import (
     SU_VACATED,
 )
 from crvanet.streams import StreamBundle
-from crvanet.sweep import SweepSpec, run_sweep, write_csv
+from crvanet.sweep import SweepSpec, SweepTable, apply_axis, run_sweep, write_csv
 
 VEHICLE_GRID = (10, 20, 30, 40, 50)
 CHANNEL_GRID = (20, 40, 60, 80, 100)
 SPEED_GRID = (60, 80, 100, 120, 140)  # km/h
 SEEDS = (1, 2, 3, 4, 5)
 SCHEMES = (Scheme.STANDALONE, Scheme.COOPERATIVE, Scheme.PROPOSED)
+DEFAULT_POINT = {"vehicles": 50, "channels": 100, "speed": 100}  # the default config
 
 # hand-evaluated golden values (pre-build)
 URBAN_GOLDEN_DB = 136.8227
@@ -46,19 +47,36 @@ def _report(criterion: int, text: str) -> None:
 
 @pytest.fixture(scope="session")
 def study_tables():
-    """The shared comparative study for criteria 4-6."""
+    """The shared comparative study for criteria 4-6.
+
+    The default configuration lies on all three axes (50 vehicles, 100
+    channels, 100 km/h), so its runs are made once, on the vehicles axis,
+    and their rows are reused at that point of the other two axes."""
     base = ScenarioConfig().validate()
     assert base.running_time == 10.0
     workers = max(1, min(os.cpu_count() or 1, 8))
     tables = {}
+    default_rows = ()
     for axis, values in (
         ("vehicles", VEHICLE_GRID),
         ("channels", CHANNEL_GRID),
         ("speed", SPEED_GRID),
     ):
-        spec = SweepSpec(axis=axis, values=tuple(float(v) for v in values),
+        default = float(DEFAULT_POINT[axis])
+        for scheme in SCHEMES:
+            for seed in SEEDS:
+                assert apply_axis(base, axis, default, scheme, seed) == replace(
+                    base, scheme=scheme, seed=seed)
+        run_values = values if not default_rows else tuple(v for v in values if v != default)
+        spec = SweepSpec(axis=axis, values=tuple(float(v) for v in run_values),
                          schemes=SCHEMES, seeds=SEEDS, base_config=base)
-        tables[axis] = run_sweep(spec, workers=workers)
+        rows = run_sweep(spec, workers=workers).rows
+        if default_rows:
+            rows += tuple(replace(row, axis_value=default) for row in default_rows)
+        else:
+            default_rows = tuple(row for row in rows if row.axis_value == default)
+        tables[axis] = SweepTable(spec_axis=axis, rows=tuple(sorted(
+            rows, key=lambda r: (r.axis_value, SCHEMES.index(r.scheme), r.seed))))
     return tables
 
 

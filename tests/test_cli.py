@@ -58,6 +58,13 @@ def test_simulate_rejects_short_sensing_window(tmp_path, capsys):
     assert "sensingSamples >= 50" in err
 
 
+def test_simulate_rejects_negative_seed(scenario_file, capsys):
+    assert main(["simulate", "--config", scenario_file, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "scenario loading failed" in err
+    assert "seed >= 0" in err
+
+
 def test_sweep_writes_csv_and_charts(scenario_file, tmp_path, capsys):
     out = tmp_path / "results"
     code = main([

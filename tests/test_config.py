@@ -116,6 +116,13 @@ def test_short_sensing_window_rejected():
     assert load_scenario("sensingSamples = 50").sensing_samples == 50
 
 
+def test_negative_seed_rejected():
+    # the random streams are seeded from a SeedSequence, which needs seed >= 0
+    with pytest.raises(ScenarioValidationError, match="seed >= 0 violated"):
+        load_scenario("seed = -3")
+    assert load_scenario("seed = 0").seed == 0
+
+
 def test_negative_mean_rejected():
     with pytest.raises(ScenarioValidationError):
         load_scenario("puHoldMean = -5 ms")

@@ -9,7 +9,6 @@ from crvanet.coordination import (
     CoordinatorSet,
     ProposedStrategy,
     StandaloneStrategy,
-    coordinated_sense,
     form_clusters,
     make_strategy,
     select_coordinators,
@@ -91,44 +90,95 @@ class TestSelectCoordinators:
 
 
 class TestCoordinatedSense:
+    """One proposed epoch: each cluster's report is the AND-of-vacancy of
+    its coordinators, all sensed in one call."""
+
     def _setup(self, n_channels=4):
+        # vehicles 0-2 chain into one cluster, vehicle 3 is alone
         config = replace(
             ScenarioConfig(), n_vehicles=4, n_channels=n_channels,
-            channels_per_tower=n_channels // 2,
+            channels_per_tower=n_channels // 2, scheme=Scheme.PROPOSED,
         ).validate()
-        sensor = ChannelSensor(config)
-        cmap = ChannelMap(n_channels, config.n_vehicles)
-        positions = np.array([100.0, 500.0, 900.0, 1300.0])
-        return config, sensor, cmap, positions
+        engine = SimulationEngine(config)
+        engine.fleet.positions[:] = [100.0, 300.0, 500.0, 1300.0]
+        engine.fleet.directions[:] = 1
+        return engine
+
+    def _epoch(self, engine, streams):
+        """Run one epoch at t = 0; the first cluster's report and its
+        coordinators, recomputed here."""
+        fleet, strategy = engine.fleet, engine.strategy
+        strategy.on_epoch(0.0, fleet, engine.channel_map, streams)
+        clusters = form_clusters(fleet.positions, fleet.directions, engine.config.comm_range)
+        assert clusters == [[0, 1, 2], [3]]
+        cs = select_coordinators(clusters[0], fleet.positions, 1)
+        assert strategy.cluster_of.tolist() == [0, 0, 0, 1]
+        return strategy.vacant[0], cs
 
     def test_all_vacant_reported_vacant(self):
-        config, sensor, cmap, positions = self._setup()
-        cs = select_coordinators([0, 1, 2], positions, 1)
-        vacant = coordinated_sense(cs, sensor, cmap, positions, 0.0, StreamBundle(3))
+        engine = self._setup()
+        vacant, _ = self._epoch(engine, StreamBundle(3))
         # all channels truly vacant; AND-fusion keeps most vacant
         assert vacant.sum() >= 2
 
     def test_pu_active_channel_reported_occupied(self):
-        config, sensor, cmap, positions = self._setup()
-        cmap.pu_active[1] = True
-        cs = select_coordinators([0, 1, 2], positions, 1)
-        vacant = coordinated_sense(cs, sensor, cmap, positions, 0.0, StreamBundle(3))
+        engine = self._setup()
+        engine.channel_map.pu_active[1] = True
+        vacant, _ = self._epoch(engine, StreamBundle(3))
         assert not vacant[1]
 
     def test_fusion_is_and_of_vacancy(self):
         """One coordinator deciding occupied must mask the others' vacant
         decisions, whatever the ground truth."""
-        config, sensor, cmap, positions = self._setup()
-        cs = select_coordinators([0, 1, 2], positions, 1)
-        streams = StreamBundle(3)
+        engine = self._setup()
+        fleet = engine.fleet
+        fused, cs = self._epoch(engine, StreamBundle(3))
         per_coord = []
         for cid in cs.distinct_coordinators():
-            block = sensor.sense_block(cid, float(positions[cid]),
-                                       np.arange(4), cmap, 0.0, StreamBundle(3))
+            block = engine.sensor.sense_block(cid, float(fleet.positions[cid]), np.arange(4),
+                                              engine.channel_map, 0.0, StreamBundle(3))
             per_coord.append(~block.occupied)
-        fused = coordinated_sense(cs, sensor, cmap, positions, 0.0, StreamBundle(3))
         expected = np.logical_and.reduce(np.array(per_coord))
         np.testing.assert_array_equal(fused, expected)
+
+
+def _radio_states(streams, n_towers, n_vehicles):
+    """The state of every fading and sensing generator of a bundle."""
+    return ([streams.fading_stream(t, v).bit_generator.state
+             for t in range(n_towers) for v in range(n_vehicles)]
+            + [streams.sensing_stream(v).bit_generator.state for v in range(n_vehicles)])
+
+
+@pytest.mark.parametrize("n_vehicles", [50, 10])
+def test_epoch_equals_per_coordinator_sensing(n_vehicles):
+    """One epoch's single sensing call gives, bit for bit, the reports that
+    sensing each coordinator alone, cluster by cluster, gives; and it
+    leaves every fading and sensing generator in the same state."""
+    config = replace(ScenarioConfig(), running_time=0.1, seed=9, n_vehicles=n_vehicles,
+                     scheme=Scheme.PROPOSED).validate()
+    engine = SimulationEngine(config)
+    fleet, cmap, sensor = engine.fleet, engine.channel_map, engine.sensor
+    cmap.pu_active[::3] = True
+    cmap.set_holder(7, vehicle_id=0, position=float(fleet.positions[0]))
+    engine.strategy.on_epoch(0.25, fleet, cmap, engine.streams)
+
+    clusters = form_clusters(fleet.positions, fleet.directions, config.comm_range)
+    assert n_vehicles == 50 or len(clusters) > 2   # the sparse fleet splits up
+    reference = StreamBundle(config.seed)
+    expected = []
+    for members in clusters:
+        cs = select_coordinators(members, fleet.positions, int(fleet.directions[members[0]]))
+        vacant = np.ones(config.n_channels, dtype=bool)
+        for cid in cs.distinct_coordinators():
+            block = sensor.sense_block(cid, float(fleet.positions[cid]),
+                                       np.arange(config.n_channels), cmap, 0.25, reference)
+            vacant &= ~block.occupied
+        expected.append(vacant)
+    np.testing.assert_array_equal(engine.strategy.vacant, np.array(expected))
+    assert not engine.strategy.vacant.all() and engine.strategy.vacant.any()
+    n_towers = len(sensor.towers)
+    assert (_radio_states(engine.streams, n_towers, n_vehicles)
+            == _radio_states(reference, n_towers, n_vehicles))
 
 
 class TestProposedStrategy:
@@ -177,23 +227,30 @@ class TestProposedStrategy:
 
     def test_every_vehicle_belongs_to_a_cluster_after_epoch(self):
         engine = self._engine()
-        engine.strategy.on_epoch(0.0, engine.fleet, engine.channel_map, engine.streams)
-        state = engine.strategy.state
-        assert set(state.cluster_of) == set(range(50))
+        fleet, strategy = engine.fleet, engine.strategy
+        strategy.on_epoch(0.0, fleet, engine.channel_map, engine.streams)
+        assert set(strategy.cluster_of.tolist()) <= set(range(len(strategy.vacant)))
+        assert strategy.cluster_of.shape == (50,) and (strategy.cluster_of >= 0).all()
         # every cluster's coordinators are its own members
-        for idx, cs in enumerate(state.clusters):
-            assert {state.cluster_of[c] for c in cs.distinct_coordinators()} == {idx}
+        clusters = form_clusters(fleet.positions, fleet.directions, engine.config.comm_range)
+        for idx, members in enumerate(clusters):
+            cs = select_coordinators(members, fleet.positions, int(fleet.directions[members[0]]))
+            assert {int(strategy.cluster_of[c]) for c in cs.distinct_coordinators()} == {idx}
 
     def test_epoch_time_stamps_its_reports(self):
         """The reports of an epoch are as old as the epoch: fresh for one
         coordination interval after it, stale beyond."""
         engine = self._engine()
-        engine.strategy.on_epoch(1.5, engine.fleet, engine.channel_map, engine.streams)
-        state = engine.strategy.state
-        assert state.report_time == 1.5
-        assert len(state.reports) == len(state.clusters) > 0
-        assert state.fresh_report(0, 1.5 + state.interval) is not None
-        assert state.fresh_report(0, 1.5 + state.interval + 1e-6) is None
+        fleet, strategy = engine.fleet, engine.strategy
+        strategy.on_epoch(1.5, fleet, engine.channel_map, engine.streams)
+        assert strategy.report_time == 1.5
+        clusters = form_clusters(fleet.positions, fleet.directions, engine.config.comm_range)
+        assert len(strategy.vacant) == len(clusters) > 0
+        interval = engine.config.coordination_interval
+        own_report = np.nonzero(strategy.vacant[strategy.cluster_of[0]])[0]
+        assert own_report.size > 0
+        np.testing.assert_array_equal(strategy.candidates(0, 1.5 + interval), own_report)
+        assert strategy.candidates(0, 1.5 + interval + 1e-6).size == 0
 
 
 class TestCooperativeStrategy:

@@ -40,7 +40,7 @@ def test_traced_and_untraced_runs_count_alike(scheme):
     assert traced.counters == untraced.counters
     senses = [e.detail for e in traced.trace if e.event == SENSE]
     assert len(senses) == untraced.sensing_events > 0
-    assert [senses.count(c.value) for c in CLASSES] == [
+    assert [senses.count(c) for c in CLASSES] == [
         untraced.correct_detections, untraced.false_alarms, untraced.misdetections]
 
 

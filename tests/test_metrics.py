@@ -14,7 +14,6 @@ from crvanet.report import (
     TraceEvent,
     record_event,
 )
-from crvanet.sensing import Classification
 from crvanet.sweep import (
     CSV_HEADER,
     PARALLEL_ENV,
@@ -45,7 +44,7 @@ class TestRecordEvent:
 
     def test_sense_counts_exactly_one_class(self):
         report = SimulationReport()
-        record_event(report, SENSE, 0, 0.0, 3, 1, Classification.MISDETECTION.value)
+        record_event(report, SENSE, 0, 0.0, 3, 1, "misdetection")
         assert report.misdetections == 1
         assert report.sensing_events == 1
         assert report.false_alarms == 0 and report.correct_detections == 0

@@ -23,7 +23,6 @@ from crvanet.report import (
     SU_PREEMPTED,
     SU_VACATED,
 )
-from crvanet.sensing import Classification
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None,
                              suppress_health_check=[HealthCheck.too_slow])
@@ -96,9 +95,9 @@ def test_sense_classes_conserved(config):
         if e.event == SENSE:
             classes[e.detail] += 1
     assert sum(classes.values()) == report.sensing_events
-    assert classes[Classification.CORRECT_DETECTION.value] == report.correct_detections
-    assert classes[Classification.FALSE_ALARM.value] == report.false_alarms
-    assert classes[Classification.MISDETECTION.value] == report.misdetections
+    assert classes["correctDetection"] == report.correct_detections
+    assert classes["falseAlarm"] == report.false_alarms
+    assert classes["misdetection"] == report.misdetections
     assert run_simulation(config).counters == report.counters
 
 

@@ -15,7 +15,6 @@ from crvanet.scheduling import ChannelMap
 from crvanet.sensing import (
     CLASSES,
     ChannelSensor,
-    Classification,
     block_pfa,
     classify_block,
     detection_threshold,
@@ -168,15 +167,14 @@ class TestClassification:
     def test_truth_table(self):
         occupied, truth = np.array(self.PAIRS).T
         assert [CLASSES[i] for i in classify_block(occupied, truth)] == [
-            Classification.CORRECT_DETECTION, Classification.CORRECT_DETECTION,
-            Classification.FALSE_ALARM, Classification.MISDETECTION]
+            "correctDetection", "correctDetection", "falseAlarm", "misdetection"]
 
     def test_every_pair_maps_to_exactly_one_class(self):
         occupied, truth = np.array(self.PAIRS).T
         indices = classify_block(occupied, truth)
         assert indices.shape == (4,)
         assert set(indices.tolist()) <= set(range(len(CLASSES)))
-        assert len(set(CLASSES)) == len(Classification)
+        assert len(set(CLASSES)) == len(CLASSES) == 3
 
     def test_outcome_property_agrees(self, default_config):
         """On a batched (vehicles, channels) sense_block grid, the block
@@ -196,7 +194,7 @@ class TestClassification:
         np.testing.assert_array_equal(got, expected)
         assert set(got.ravel().tolist()) == {0, 1, 2}
         assert classify_block(np.array([False]), np.array([True]))[0] == \
-            CLASSES.index(Classification.MISDETECTION)
+            CLASSES.index("misdetection")
 
 
 def test_raising_threshold_never_adds_false_alarms(default_config, sense_everywhere):
@@ -240,8 +238,8 @@ class TestSenseChannel:
         for _ in range(300):
             block = self._sense(default_config, cmap, 500.0, 3, streams)
             classes.append(CLASSES[classify_block(block.occupied, block.truth)[0]])
-        fa = sum(c is Classification.FALSE_ALARM for c in classes)
-        assert all(c is not Classification.MISDETECTION for c in classes)
+        fa = sum(c == "falseAlarm" for c in classes)
+        assert all(c != "misdetection" for c in classes)
         assert 0 < fa < 80  # ~10% of 300
 
     def test_pu_active_channel_detected(self, default_config):
