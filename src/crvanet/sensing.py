@@ -128,8 +128,10 @@ def classify_block(occupied: np.ndarray, truth: np.ndarray) -> np.ndarray:
 
 
 def block_pfa(target_pfa: float, blocks: int) -> float:
-    """Per-block false-alarm target so that a max-hold decision over
-    `blocks` independent fading blocks has overall Pfa = target_pfa."""
+    """Per-block false-alarm target compensated for a max-hold decision
+    over `blocks` independent fading blocks: an exact per-block rate gives
+    overall Pfa = target_pfa. The Gaussian-tail threshold hits the
+    per-block rate only approximately (ROADMAP item 1)."""
     if blocks < 1:
         raise ValueError("blocks must be >= 1")
     return 1.0 - (1.0 - target_pfa) ** (1.0 / blocks)
@@ -183,8 +185,10 @@ class ChannelSensor:
 
         With blocks > 1 each channel is observed over that many independent
         fading blocks and decided occupied if any block's statistic crosses
-        the per-block threshold (max-hold time diversity); the threshold is
-        recalibrated so the overall false-alarm rate stays at targetPfa.
+        the per-block threshold (max-hold time diversity); the per-block
+        false-alarm target is compensated for the max-hold, so the overall
+        rate is targetPfa only as far as the Gaussian-tail threshold is
+        exact (ROADMAP item 1).
         """
         channel_ids = np.asarray(channel_ids, dtype=int)
         if channel_ids.size and not (0 <= channel_ids.min()
