@@ -27,7 +27,8 @@ class SimulationEngine:
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        self.streams = StreamBundle(config.seed)
+        self.streams = StreamBundle(config.seed, config.n_vehicles, config.n_channels,
+                                    config.n_pu_towers)
         self.n_ticks = num_time_slices(config.running_time, config.time_step)
         self.fleet = Fleet(config, self.streams)
         self.sensor = ChannelSensor(config)
@@ -36,10 +37,10 @@ class SimulationEngine:
         # every machine's first pending instant: a PU's first occupation, an
         # SU's first attempt, each drawn from its own stream
         self.channel_map = ChannelMap(config.n_channels, config.n_vehicles)
-        self.channel_map.pu_next[:] = [schedule_next(config.pu_gap_mean, self.streams.pu_stream(c))
-                                       for c in range(config.n_channels)]
-        self.channel_map.su_next[:] = [schedule_next(config.su_gap_mean, self.streams.su_stream(v))
-                                       for v in range(config.n_vehicles)]
+        self.channel_map.pu_next[:] = [schedule_next(config.pu_gap_mean, rng)
+                                       for rng in self.streams.pu]
+        self.channel_map.su_next[:] = [schedule_next(config.su_gap_mean, rng)
+                                       for rng in self.streams.su]
 
         dt = config.time_step
         self.decision_period = max(1, round(config.reaction_time / dt))

@@ -67,8 +67,8 @@ class Fleet:
 
     def __init__(self, config: ScenarioConfig, streams):
         self.config = config
-        self._streams = streams
         n = config.n_vehicles
+        self._mobility = [streams.mobility_stream(i) for i in range(n)]
         spread = config.fleet_speed_spread
         draws = np.array([
             (rng.uniform(1.0 - spread, 1.0 + spread),
@@ -121,7 +121,7 @@ class Fleet:
                            safe)
         # one Uniform[low, v_des] draw per vehicle from its own stream,
         # low + (v_des - low) * u exactly as Generator.uniform forms it
-        u = np.array([self._streams.mobility_stream(i).random() for i in ids.tolist()])
+        u = np.array([rng.random() for rng in self._mobility])
         low = v_des - self.human_error * DEFAULT_MAX_ACCEL
         self.speeds = np.maximum(self.v_min, low + (v_des - low) * u)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
-from .config import ScenarioConfig, Scheme
+from .config import ScenarioConfig, ScenarioError, Scheme
 from .engine import run_simulation
 from .report import COUNTERS
 
@@ -42,13 +42,14 @@ class SweepSpec:
             raise ValueError("values must be strictly increasing")
         if not self.schemes or not self.seeds:
             raise ValueError("schemes and seeds must be nonempty")
-        if self.axis == "channels":
-            for v in self.values:
-                if int(v) % self.base_config.n_pu_towers != 0:
-                    raise ValueError(
-                        f"channel count {v} not divisible by nPuTowers "
-                        f"({self.base_config.n_pu_towers})"
-                    )
+        # every point's config is checked here, so a bad value fails before any run
+        for value in self.values:
+            if self.axis != "speed" and not float(value).is_integer():
+                raise ValueError(f"{self.axis} value {value} is not a whole count")
+            try:
+                apply_axis(self.base_config, self.axis, value, self.schemes[0], self.seeds[0])
+            except ScenarioError as exc:
+                raise ValueError(f"{self.axis} value {format_axis_value(value)}: {exc}") from exc
         return self
 
 

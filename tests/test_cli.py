@@ -91,3 +91,20 @@ def test_sweep_rejects_bad_axis_values(scenario_file, tmp_path, capsys):
     ])
     assert code == 2
     assert "sweep specification invalid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis, values, named", [
+    ("speed", "-10,20", "speed value -10"),
+    ("channels", "0,20", "channels value 0"),
+    ("vehicles", "10.2,10.7", "vehicles value 10.2"),
+])
+def test_sweep_rejects_every_bad_point_before_running(scenario_file, tmp_path, capsys,
+                                                      axis, values, named):
+    code = main([
+        "sweep", "--config", scenario_file, "--axis", axis, f"--values={values}",
+        "--seeds", "1", "--out", str(tmp_path / "x"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "sweep specification invalid" in err and named in err
+    assert not (tmp_path / "x").exists()

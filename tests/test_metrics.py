@@ -14,6 +14,7 @@ from crvanet.report import (
     TraceEvent,
     record_event,
 )
+import crvanet.sweep as sweep_module
 from crvanet.sweep import (
     CSV_HEADER,
     PARALLEL_ENV,
@@ -76,6 +77,24 @@ class TestSweepSpec:
     def test_channel_values_must_divide(self):
         with pytest.raises(ValueError):
             SweepSpec("channels", (9,), (Scheme.PROPOSED,), (1,), small_base()).validate()
+
+    @pytest.mark.parametrize("axis, values, named", [
+        ("speed", (-10.0, 20.0), "speed value -10: avgSpeed > 0 violated"),
+        ("channels", (0.0, 20.0), "channels value 0: nPuTowers >= 1"),
+        ("vehicles", (4.0, 10.2), "vehicles value 10.2 is not a whole count"),
+        ("channels", (10.0, 12.5), "channels value 12.5 is not a whole count"),
+    ])
+    def test_every_point_is_checked_before_any_run(self, monkeypatch, axis, values, named):
+        def no_run(config):
+            raise AssertionError("a sweep point ran before its spec was rejected")
+
+        monkeypatch.setattr(sweep_module, "run_simulation", no_run)
+        spec = SweepSpec(axis, values, (Scheme.PROPOSED,), (1,), small_base())
+        with pytest.raises(ValueError, match=named):
+            run_sweep(spec, workers=1)
+
+    def test_fractional_speed_is_valid(self):
+        SweepSpec("speed", (50.5, 80.25), (Scheme.PROPOSED,), (1,), small_base()).validate()
 
 
 class TestApplyAxis:

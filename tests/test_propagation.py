@@ -12,7 +12,7 @@ from crvanet.propagation import (
     thermal_noise_power,
 )
 from crvanet.sensing import ChannelSensor
-from crvanet.streams import FADING, MOBILITY, substream
+from crvanet.streams import FADING, StreamBundle
 
 # hand-evaluated before implementation; defaults geometry f=150, hb=50,
 # hm=1.5, d=10
@@ -119,11 +119,11 @@ class TestRayleighGain:
 def test_fading_stream_independent_of_mobility_draws():
     # draining the mobility stream must not shift the fading sequence
     seed = 123
-    reference = substream(seed, FADING, 0, 5).exponential(1.0, size=50)
-    mob = substream(seed, MOBILITY, 0)
-    mob.uniform(size=10_000)
-    again = substream(seed, FADING, 0, 5).exponential(1.0, size=50)
-    np.testing.assert_array_equal(reference, again)
+    reference = np.random.default_rng(np.random.SeedSequence((seed, FADING, 0, 5)))
+    streams = StreamBundle(seed, n_vehicles=6, n_towers=2)
+    streams.mobility_stream(5).uniform(size=10_000)
+    np.testing.assert_array_equal(streams.fading_stream(0, 5).exponential(1.0, size=50),
+                                  reference.exponential(1.0, size=50))
 
 
 def test_tower_layout_matches_default_geometry():
