@@ -127,7 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = (parser := build_parser()).parse_args(argv)
+    if args.command == "simulate" and args.trace_mobility and args.trace is None:
+        parser.error("--trace-mobility needs --trace")
     return args.func(args)
 
 

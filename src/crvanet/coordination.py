@@ -53,10 +53,11 @@ VERIFY_SHORTLIST = 3          # top-group candidates a requester verifies itself
 # proposed scheme: re-check spans this many independent fading blocks
 RECHECK_BLOCKS = 2
 
-# votes store a sensed `occupied` decision as its integer value
-VOTE_UNKNOWN = -1
+# votes store a sensed `occupied` decision as its integer value and no vote as
+# 2, so a channel's minimum over voters ranks it: 0 any vacant, 1 occupied only
 VOTE_VACANT = 0
 VOTE_OCCUPIED = 1
+VOTE_UNKNOWN = 2
 
 
 @dataclass(frozen=True)
@@ -176,20 +177,16 @@ class CooperativeStrategy(Strategy):
         occupied-voted. Draws spread concurrent requesters apart."""
         # the requester and every vehicle within comm range, either direction
         rows = self.votes[np.abs(positions - positions[vehicle_id]) <= self.config.comm_range]
-        any_vacant = np.any(rows == VOTE_VACANT, axis=0)
-        any_vote = np.any(rows != VOTE_UNKNOWN, axis=0)
-        rank = np.where(any_vacant, 0, np.where(~any_vote, 1, 2))
+        rank = rows.min(axis=0)
         picked: list[int] = []
-        for level in (0, 1, 2):
-            pool = np.nonzero(rank == level)[0]
+        for level in (VOTE_VACANT, VOTE_UNKNOWN, VOTE_OCCUPIED):
             want = VERIFY_SHORTLIST - len(picked)
             if want <= 0:
                 break
-            if pool.size:
-                take = pool if pool.size <= want else np.sort(
-                    rng.choice(pool, size=want, replace=False)
-                )
-                picked.extend(int(c) for c in take)
+            pool = np.nonzero(rank == level)[0]
+            if pool.size > want:
+                pool = np.sort(rng.choice(pool, size=want, replace=False))
+            picked.extend(pool.tolist())
         return np.array(picked, dtype=int)
 
     def attempt(self, vehicle_id, positions, now, channel_map, streams):

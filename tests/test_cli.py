@@ -41,6 +41,13 @@ def test_simulate_writes_trace(scenario_file, tmp_path, capsys):
     assert len(lines) > 10
 
 
+def test_trace_mobility_needs_trace(scenario_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", scenario_file, "--trace-mobility"])
+    assert exc.value.code == 2
+    assert "--trace-mobility needs --trace" in capsys.readouterr().err
+
+
 def test_simulate_rejects_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("nChannels = 99\n")

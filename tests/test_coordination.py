@@ -5,6 +5,9 @@ import pytest
 
 from crvanet.config import ScenarioConfig, Scheme
 from crvanet.coordination import (
+    VOTE_OCCUPIED,
+    VOTE_UNKNOWN,
+    VOTE_VACANT,
     CooperativeStrategy,
     CoordinatorSet,
     ProposedStrategy,
@@ -262,9 +265,9 @@ class TestCooperativeStrategy:
     def test_epoch_fills_votes(self):
         engine = self._engine()
         strategy = engine.strategy
-        assert (strategy.votes == -1).all()
+        assert (strategy.votes == VOTE_UNKNOWN).all()
         strategy.on_epoch(0.0, engine.fleet, engine.channel_map, engine.streams)
-        per_vehicle = (strategy.votes != -1).sum(axis=1)
+        per_vehicle = (strategy.votes != VOTE_UNKNOWN).sum(axis=1)
         assert (per_vehicle == 5).all()
 
     def test_shortlist_prefers_vacant_votes(self):
@@ -276,6 +279,24 @@ class TestCooperativeStrategy:
         for _ in range(10):
             short = strategy.shortlist(0, positions, rng)
             assert 40 in short
+
+    def test_shortlist_rank_order(self):
+        """One vacant vote from anyone in range ranks a channel first, even
+        against the requester's own occupied vote; an unvoted channel ranks
+        above one that only a neighbour voted occupied; votes from beyond
+        comm range count for nothing."""
+        engine = self._engine()
+        strategy, positions = engine.strategy, engine.fleet.positions
+        in_range = np.abs(positions - positions[0]) <= engine.config.comm_range
+        neighbour = int(np.nonzero(in_range)[0][1])   # [0] is the requester itself
+        far = int(np.nonzero(~in_range)[0][0])
+        strategy.votes[:] = VOTE_OCCUPIED
+        strategy.votes[:, [10, 11, 20]] = VOTE_UNKNOWN
+        strategy.votes[neighbour, 20] = VOTE_OCCUPIED   # occupied, by a neighbour only
+        strategy.votes[neighbour, 30] = VOTE_VACANT     # the requester votes it occupied
+        strategy.votes[far, 40] = VOTE_VACANT           # out of range
+        short = strategy.shortlist(0, positions, np.random.default_rng(0))
+        assert short.tolist() == [30, 10, 11]
 
     def test_shortlist_size_capped(self):
         engine = self._engine()

@@ -14,6 +14,7 @@ from crvanet.propagation import PropagationDomainError, TowerGeometry, hata_subu
 from crvanet.scheduling import ChannelMap
 from crvanet.sensing import (
     CLASSES,
+    SMALL_CALL,
     ChannelSensor,
     block_pfa,
     classify_block,
@@ -344,6 +345,63 @@ class TestBatchedSenseBlock:
                         == single.fading_stream(tower, observer).random())
             assert (batched.sensing_stream(observer).random()
                     == single.sensing_stream(observer).random())
+
+    @staticmethod
+    def _short_grid(width):
+        """One row of `width` distinct channels per observer. The rows lead
+        with channels 3 (held in sensingRange of observer 4), 60 and 99
+        (held out of range of observers 0 and 17) and 50; from width 2 on
+        each crosses the tower boundary."""
+        rng = np.random.default_rng(7)
+        rows = [np.concatenate([head, rng.permutation(np.setdiff1d(np.arange(100), head))])
+                for head in ([3, 50], [60, 49], [99, 0], [50, 3])]
+        return np.array(rows)[:, :width]
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    @pytest.mark.parametrize("width", [1, SMALL_CALL, SMALL_CALL + 1])
+    def test_short_calls_equal_batched_rows(self, default_config, monkeypatch, width, blocks):
+        """Single-observer calls of at most SMALL_CALL channels take the
+        Python-float path; each equals its row of the batched array path
+        bit for bit, and leaves every generator in the same state."""
+        sensor = ChannelSensor(default_config)
+        cmap = self._channel_map(default_config)
+        grid = self._short_grid(width)
+        holders = cmap.su_holder[grid] >= 0
+        distance = np.abs(cmap.su_holder_pos[grid] - self.POSITIONS[:, None])
+        in_range = distance <= default_config.sensing_range
+        assert (holders & in_range).any() and (holders & ~in_range).any()
+        short_calls, short = [], ChannelSensor._sense_short
+
+        def counted(*args):
+            short_calls.append(args)
+            return short(*args)
+
+        monkeypatch.setattr(ChannelSensor, "_sense_short", counted)
+        batched, single = StreamBundle(5), StreamBundle(5)
+        block = sensor.sense_block(self.OBSERVERS, self.POSITIONS, grid, cmap, 0.25,
+                                   batched, blocks=blocks)
+        for r, (observer, position) in enumerate(
+                zip(self.OBSERVERS.tolist(), self.POSITIONS.tolist())):
+            alone = sensor.sense_block(observer, position, grid[r], cmap, 0.25, single,
+                                       blocks=blocks)
+            for field in ("occupied", "truth", "statistic"):
+                expected, got = getattr(block, field)[r], getattr(alone, field)
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+            assert alone.threshold == block.threshold
+        assert len(short_calls) == (len(self.OBSERVERS) if width <= SMALL_CALL else 0)
+        for observer in self.OBSERVERS.tolist():
+            for tower in range(default_config.n_pu_towers):
+                assert (batched.fading_stream(tower, observer).bit_generator.state
+                        == single.fading_stream(tower, observer).bit_generator.state)
+            assert (batched.sensing_stream(observer).bit_generator.state
+                    == single.sensing_stream(observer).bit_generator.state)
+
+    @pytest.mark.parametrize("channel_id", [100, -1])
+    def test_unknown_channel_rejected_in_short_call(self, default_config, channel_id):
+        sensor = ChannelSensor(default_config)
+        cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
+        with pytest.raises(ValueError, match="unknown channel"):
+            sensor.sense_block(0, 500.0, np.array([2, channel_id]), cmap, 0.0, StreamBundle(0))
 
     def test_unknown_channel_rejected_in_grid(self, default_config):
         sensor = ChannelSensor(default_config)
