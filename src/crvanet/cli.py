@@ -12,6 +12,7 @@ nonzero with a message naming the failed stage.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import replace
@@ -19,7 +20,7 @@ from dataclasses import replace
 from .config import ScenarioConfig, Scheme, ScenarioError, load_scenario_file
 from .engine import run_simulation
 from .plots import render_plots
-from .report import COUNTERS, SimulationReport
+from .report import COUNTERS, TraceEvent
 from .sweep import SweepSpec, run_sweep, write_csv
 
 
@@ -29,11 +30,20 @@ def _load_config(path: str | None) -> ScenarioConfig:
     return load_scenario_file(path)
 
 
-def _write_trace(report: SimulationReport, path: str) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("tick,time,event,channel,actor,detail\n")
-        for e in report.trace or ():
-            fh.write(f"{e.tick},{e.time:.6f},{e.event},{e.channel_id},{e.actor_id},{e.detail}\n")
+class _TraceWriter:
+    """The --trace sink: writes each event as a CSV row as it arrives; len() counts rows."""
+
+    def __init__(self, path: str):
+        self.file = open(path, "w", encoding="ascii", newline="")
+        self.write, self.rows = self.file.write, 0
+        self.write("tick,time,event,channel,actor,detail\n")
+
+    def append(self, event: TraceEvent) -> None:
+        self.write("%d,%.6f,%s,%d,%d,%s\n" % event)
+        self.rows += 1
+
+    def __len__(self) -> int:
+        return self.rows
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -45,19 +55,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"error: scenario loading failed: {exc}", file=sys.stderr)
         return 2
 
+    trace = None
     try:
-        report = run_simulation(config, collect_trace=args.trace is not None,
-                                trace_mobility=args.trace_mobility)
+        if args.trace is not None:
+            trace = _TraceWriter(args.trace)
+        with contextlib.nullcontext() if trace is None else trace.file:
+            report = run_simulation(config, trace=trace, trace_mobility=args.trace_mobility)
     except Exception as exc:
-        print(f"error: simulation failed: {exc}", file=sys.stderr)
+        stage = "trace writing" if isinstance(exc, OSError) else "simulation"   # run does no I/O
+        with contextlib.suppress(OSError):   # leave no partial trace; never a device or link
+            if trace is not None and os.path.isfile(args.trace) and not os.path.islink(args.trace):
+                os.remove(args.trace)
+        print(f"error: {stage} failed: {exc}", file=sys.stderr)
         return 1
-
-    if args.trace is not None:
-        try:
-            _write_trace(report, args.trace)
-        except OSError as exc:
-            print(f"error: trace writing failed: {exc}", file=sys.stderr)
-            return 1
 
     print(f"scheme                {config.scheme.value}")
     print(f"seed                  {config.seed}")

@@ -45,11 +45,11 @@ class SimulationEngine:
         dt = config.time_step
         self.decision_period = max(1, round(config.reaction_time / dt))
 
-    def run(self, collect_trace: bool = False, trace_mobility: bool = False) -> SimulationReport:
+    def run(self, trace=None, trace_mobility: bool = False) -> SimulationReport:
         config = self.config
         channel_map = self.channel_map
         tower_of = self.sensor.tower_of.tolist()
-        report = SimulationReport(trace=[] if collect_trace else None)
+        report = SimulationReport(trace=trace)
         dt = config.time_step
         eps = 1e-12
         # the coordination clock: epochs fire every coordinationInterval from 0
@@ -65,12 +65,10 @@ class SimulationEngine:
                 if tick % self.decision_period == 0:
                     self.fleet.decide()
                 self.fleet.advance(dt)
-                if trace_mobility and report.trace is not None:
-                    for i in range(len(self.fleet)):
-                        record_event(
-                            report, MOVE, tick, now, -1, i,
-                            f"{self.fleet.positions[i]:.3f},{self.fleet.speeds[i]:.3f}",
-                        )
+                if trace_mobility and trace is not None:
+                    for i, (x, v) in enumerate(zip(self.fleet.positions.tolist(),
+                                                   self.fleet.speeds.tolist())):
+                        record_event(report, MOVE, tick, now, -1, i, f"{x:.3f},{v:.3f}")
 
             # 2. PU state changes
             due_channels = np.nonzero(now >= channel_map.pu_next - eps)[0]
@@ -93,8 +91,7 @@ class SimulationEngine:
         return report
 
 
-def run_simulation(config: ScenarioConfig, collect_trace: bool = False,
+def run_simulation(config: ScenarioConfig, trace=None,
                    trace_mobility: bool = False) -> SimulationReport:
     """Execute one full run; identical (config, seed) gives an identical report."""
-    return SimulationEngine(config).run(collect_trace=collect_trace,
-                                        trace_mobility=trace_mobility)
+    return SimulationEngine(config).run(trace=trace, trace_mobility=trace_mobility)

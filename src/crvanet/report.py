@@ -16,6 +16,7 @@ collides immediately and the vehicle backs off.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .sensing import CLASSES
 
@@ -35,8 +36,7 @@ COUNTERS = ("allocations", "false_alarms", "misdetections", "correct_detections"
             "sensing_events", "harmful_occupations", "preemptions", "backoffs")
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     tick: int
     time: float
     event: str
@@ -55,7 +55,7 @@ class SimulationReport:
     harmful_occupations: int = 0
     preemptions: int = 0
     backoffs: int = 0
-    trace: list[TraceEvent] | None = None
+    trace: list[TraceEvent] | None = None   # or any sink with append(event)
 
     @property
     def counters(self) -> tuple[int, ...]:
@@ -68,8 +68,8 @@ class SimulationReport:
 
 def record_event(report: SimulationReport, kind: str, tick: int, time: float,
                  channel_id: int = -1, actor_id: int = -1, detail: str = "") -> None:
-    """Fold one event into the report counters, and into the trace when
-    the report holds one; the TraceEvent is built only then.
+    """Fold one event into the report counters, and append it to the trace
+    sink when the report holds one; the TraceEvent is built only then.
 
     su-occupied bumps allocations; a sense event, whose detail is one of
     the sensing CLASSES, bumps exactly one of the three classification

@@ -201,6 +201,8 @@ class ChannelSensor:
         """
         channel_ids = np.asarray(channel_ids, dtype=int)
         single = isinstance(observer_ids, (int, np.integer))
+        if single and channel_ids.ndim != 1:
+            raise ValueError(f"one observer needs 1-D channel_ids, got shape {channel_ids.shape}")
         if single and channel_ids.size <= SMALL_CALL:
             return self._sense_short(int(observer_ids), float(observer_pos), channel_ids,
                                      channel_map, streams, blocks)

@@ -204,7 +204,7 @@ def test_criterion_7_mobility_properties():
 
 def test_criterion_8_state_machine_properties():
     config = ScenarioConfig().validate()  # 10 s default, proposed
-    report = run_simulation(config, collect_trace=True)
+    report = run_simulation(config, trace=[])
     trace = report.trace
 
     # PU occupy/vacate alternation per channel

@@ -25,7 +25,7 @@ _ORDER = {MOVE: 0, PU_OCCUPIED: 1, PU_VACATED: 1, SU_OCCUPIED: 2, SU_VACATED: 2,
 def test_clock_is_exact_product():
     config = replace(ScenarioConfig(), running_time=7.92, n_vehicles=1, n_channels=2,
                      channels_per_tower=1).validate()
-    report = run_simulation(config, collect_trace=True, trace_mobility=True)
+    report = run_simulation(config, trace=[], trace_mobility=True)
     moves = [e for e in report.trace if e.event == MOVE]
     assert len(moves) == 7920
     assert moves[7919].tick == 7919 and moves[7919].time == 7919 * 0.001
@@ -35,7 +35,7 @@ def test_clock_is_exact_product():
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_traced_and_untraced_runs_count_alike(scheme):
     config = replace(ScenarioConfig(), running_time=0.2, seed=11, scheme=scheme).validate()
-    traced = run_simulation(config, collect_trace=True)
+    traced = run_simulation(config, trace=[])
     untraced = run_simulation(config)
     assert traced.counters == untraced.counters
     senses = [e.detail for e in traced.trace if e.event == SENSE]
@@ -54,8 +54,8 @@ def test_empty_fleet_yields_zero_counters():
 
 
 def test_identical_config_and_seed_reproduce_report(short_config):
-    r1 = run_simulation(short_config, collect_trace=True)
-    r2 = run_simulation(short_config, collect_trace=True)
+    r1 = run_simulation(short_config, trace=[])
+    r2 = run_simulation(short_config, trace=[])
     assert r1 == r2
 
 
@@ -66,7 +66,7 @@ def test_different_seeds_differ(short_config):
 
 
 def test_trace_timestamps_are_tick_products(short_config):
-    report = run_simulation(short_config, collect_trace=True)
+    report = run_simulation(short_config, trace=[])
     dt = short_config.time_step
     for event in report.trace:
         assert event.time == event.tick * dt
@@ -74,7 +74,7 @@ def test_trace_timestamps_are_tick_products(short_config):
 
 def test_tick_order_mobility_pu_su(short_config):
     config = replace(short_config, running_time=0.2).validate()
-    report = run_simulation(config, collect_trace=True, trace_mobility=True)
+    report = run_simulation(config, trace=[], trace_mobility=True)
     by_tick = defaultdict(list)
     for e in report.trace:
         by_tick[e.tick].append(_ORDER[e.event])
@@ -83,7 +83,7 @@ def test_tick_order_mobility_pu_su(short_config):
 
 
 def test_conservation_at_every_prefix(short_config):
-    report = run_simulation(short_config, collect_trace=True)
+    report = run_simulation(short_config, trace=[])
     fa = md = cd = senses = 0
     for e in report.trace:
         if e.event == SENSE:
@@ -101,7 +101,7 @@ def test_conservation_at_every_prefix(short_config):
 
 
 def test_allocations_equal_su_occupied_events(short_config):
-    report = run_simulation(short_config, collect_trace=True)
+    report = run_simulation(short_config, trace=[])
     occupied = sum(1 for e in report.trace if e.event == SU_OCCUPIED)
     assert occupied == report.allocations > 0
 
@@ -110,7 +110,7 @@ def test_mobility_and_pu_traces_identical_across_schemes():
     def filtered(scheme):
         config = replace(ScenarioConfig(), running_time=0.3, seed=17,
                          scheme=scheme).validate()
-        rep = run_simulation(config, collect_trace=True, trace_mobility=True)
+        rep = run_simulation(config, trace=[], trace_mobility=True)
         return [e for e in rep.trace if e.event in (MOVE, PU_OCCUPIED, PU_VACATED)]
 
     standalone = filtered(Scheme.STANDALONE)
@@ -131,7 +131,7 @@ def test_proposed_default_run_has_zero_misdetections():
 
 
 def test_pu_alternation_per_channel(short_config):
-    report = run_simulation(short_config, collect_trace=True)
+    report = run_simulation(short_config, trace=[])
     per_channel = defaultdict(list)
     for e in report.trace:
         if e.event in (PU_OCCUPIED, PU_VACATED):
@@ -144,7 +144,7 @@ def test_pu_alternation_per_channel(short_config):
 
 
 def test_preemption_always_paired_with_same_tick_occupation(short_config):
-    report = run_simulation(short_config, collect_trace=True)
+    report = run_simulation(short_config, trace=[])
     trace = report.trace
     preemptions = [i for i, e in enumerate(trace) if e.event == SU_PREEMPTED]
     assert preemptions, "expected some preemptions at default traffic"
@@ -156,7 +156,7 @@ def test_preemption_always_paired_with_same_tick_occupation(short_config):
 
 
 def test_single_holder_per_channel_throughout(short_config):
-    report = run_simulation(short_config, collect_trace=True)
+    report = run_simulation(short_config, trace=[])
     holder = {}
     for e in report.trace:
         if e.event == SU_OCCUPIED:
@@ -167,7 +167,7 @@ def test_single_holder_per_channel_throughout(short_config):
 
 
 def test_backoff_advances_next_attempt_exactly(short_config):
-    report = run_simulation(short_config, collect_trace=True)
+    report = run_simulation(short_config, trace=[])
     engine_backoff = short_config.back_off_time
     # every backoff for a vehicle is followed by its next action no earlier
     # than backOffTime later, and the first retry lands exactly on it

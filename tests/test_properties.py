@@ -54,7 +54,7 @@ def small_configs(draw, scheme=None):
 @given(small_configs())
 def test_single_holder_and_consistent_holder_maps(config):
     engine = SimulationEngine(config)
-    report = engine.run(collect_trace=True)
+    report = engine.run(trace=[])
     holder, held = {}, {}   # channel -> vehicle, vehicle -> channel
     for e in report.trace:
         if e.event == SU_OCCUPIED:
@@ -73,7 +73,7 @@ def test_single_holder_and_consistent_holder_maps(config):
 @given(small_configs())
 def test_pu_occupy_vacate_alternate(config):
     engine = SimulationEngine(config)
-    report = engine.run(collect_trace=True)
+    report = engine.run(trace=[])
     per_channel = defaultdict(list)
     for e in report.trace:
         if e.event in (PU_OCCUPIED, PU_VACATED):
@@ -88,7 +88,7 @@ def test_pu_occupy_vacate_alternate(config):
 @PROPERTY_SETTINGS
 @given(small_configs())
 def test_sense_classes_conserved(config):
-    report = run_simulation(config, collect_trace=True)
+    report = run_simulation(config, trace=[])
     assert report.conservation_holds()
     classes = defaultdict(int)
     for e in report.trace:
@@ -105,7 +105,7 @@ def test_sense_classes_conserved(config):
 @given(small_configs(scheme=Scheme.PROPOSED))
 def test_mobility_and_pu_rows_identical_across_schemes(config):
     def rows(scheme):
-        report = run_simulation(replace(config, scheme=scheme), collect_trace=True,
+        report = run_simulation(replace(config, scheme=scheme), trace=[],
                                 trace_mobility=True)
         return [e for e in report.trace if e.event in (MOVE, PU_OCCUPIED, PU_VACATED)]
 

@@ -68,7 +68,7 @@ class TestStepPu:
         config = replace(ScenarioConfig(), running_time=0.005, n_vehicles=0).validate()
         engine = SimulationEngine(config)
         engine.channel_map.pu_next[2] = 5 * config.time_step
-        report = engine.run(collect_trace=True)
+        report = engine.run(trace=[])
         events = [e for e in report.trace if e.channel_id == 2]
         assert events == []
         assert not engine.channel_map.pu_active[2]
@@ -243,7 +243,7 @@ def test_su_due_and_backoff():
     cmap.set_holder(3, 1, float(engine.fleet.positions[1]))
     cmap.su_next[1] = 7 * dt
     cmap.pu_next[3] = 1.0  # no preemption within the run
-    report = engine.run(collect_trace=True)
+    report = engine.run(trace=[])
     su_events = [e for e in report.trace if e.event not in (PU_OCCUPIED, PU_VACATED, MOVE)]
     assert min(e.tick for e in su_events if e.actor_id == 0) == 5
     vacated = [e for e in su_events if e.actor_id == 1]

@@ -412,6 +412,17 @@ class TestBatchedSenseBlock:
                 sensor.sense_block(self.OBSERVERS[:2], self.POSITIONS[:2], channels, cmap,
                                    0.0, StreamBundle(0))
 
+    @pytest.mark.parametrize("shape", [(), (2, 2), (1, SMALL_CALL), (2, SMALL_CALL),
+                                       (SMALL_CALL + 1, 1)])
+    def test_one_observer_needs_1d_channels(self, default_config, shape):
+        """A scalar observer given a grid (or a bare id) is rejected by name, on
+        the short path (at most SMALL_CALL entries) and on the array path."""
+        sensor = ChannelSensor(default_config)
+        cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
+        channels = np.arange(math.prod(shape)).reshape(shape)
+        with pytest.raises(ValueError, match="one observer needs 1-D channel_ids"):
+            sensor.sense_block(0, 500.0, channels, cmap, 0.0, StreamBundle(0))
+
 
 class TestMedianPuSnr:
     def test_equals_hata_suburban_exactly(self, default_config):
