@@ -61,7 +61,6 @@ class ScenarioConfig:
     fleet_speed_spread: float = 0.2
     per_vehicle_speed_deviation: float = 0.1
     reaction_time: float = 1.0          # s
-    decel_factor: float = 2.12          # recorded, not wired into braking (see README)
     human_error_min: float = 0.25
     human_error_max: float = 0.4
     back_off_time: float = 0.010        # s
@@ -137,7 +136,6 @@ _FIELDS: dict[str, tuple[str, str]] = {
     "fleetSpeedSpread": ("fleet_speed_spread", "scalar"),
     "perVehicleSpeedDeviation": ("per_vehicle_speed_deviation", "scalar"),
     "reactionTime": ("reaction_time", "time"),
-    "decelFactor": ("decel_factor", "scalar"),
     "humanErrorMin": ("human_error_min", "scalar"),
     "humanErrorMax": ("human_error_max", "scalar"),
     "backOffTime": ("back_off_time", "time"),

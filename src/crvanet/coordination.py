@@ -10,7 +10,8 @@ cooperative  Vehicles sense a rotating handful of channels every epoch
              candidates itself before transmitting — shared votes carry
              no freshness guarantee, so they are hints, not permissions.
 
-proposed     Each cluster elects a main, forward and backward
+proposed     Each cluster, a maximal chain of same-direction vehicles
+             within comm range, elects a main, forward and backward
              coordinator every epoch. All three sense every channel; a
              channel is reported vacant only if all three agree
              (AND-of-vacancy). A requester takes a fresh vacant-reported
@@ -38,8 +39,6 @@ way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import ScenarioConfig, Scheme
@@ -60,51 +59,30 @@ VOTE_OCCUPIED = 1
 VOTE_UNKNOWN = 2
 
 
-@dataclass(frozen=True)
-class CoordinatorSet:
-    """The three coordination roles of one cluster; roles may coincide in
-    small clusters."""
-
-    main_id: int
-    forward_id: int
-    backward_id: int
-
-    def distinct_coordinators(self) -> tuple[int, ...]:
-        return tuple(dict.fromkeys((self.main_id, self.forward_id, self.backward_id)))
-
-
-def form_clusters(positions: np.ndarray, directions: np.ndarray,
-                  comm_range: float) -> list[list[int]]:
-    """Partition same-direction vehicles into maximal chains whose
-    consecutive members sit within comm range. Deterministic in positions;
-    clusters ordered by direction then leading position."""
-    clusters: list[list[int]] = []
-    for direction in (1, -1):
-        ids = [i for i in range(len(positions)) if directions[i] == direction]
-        ids.sort(key=lambda i: (positions[i], i))
-        chain: list[int] = []
-        for i in ids:
-            if chain and positions[i] - positions[chain[-1]] > comm_range:
-                clusters.append(chain)
-                chain = []
-            chain.append(i)
-        if chain:
-            clusters.append(chain)
-    return clusters
-
-
-def select_coordinators(cluster: list[int], positions: np.ndarray,
-                        direction: int) -> CoordinatorSet:
-    """Forward = furthest along the travel direction, backward = rearmost,
-    main = nearest the cluster centroid; all ties broken by lowest id."""
-    if not cluster:
-        raise ValueError("cluster must be nonempty")
-    members = sorted(cluster)
-    forward = max(members, key=lambda i: (positions[i] * direction, -i))
-    backward = min(members, key=lambda i: (positions[i] * direction, i))
-    centroid = float(np.mean([positions[i] for i in members]))
-    main = min(members, key=lambda i: (abs(positions[i] - centroid), i))
-    return CoordinatorSet(main_id=main, forward_id=forward, backward_id=backward)
+def elect_coordinators(positions: np.ndarray, directions: np.ndarray,
+                       comm_range: float) -> tuple[np.ndarray, np.ndarray]:
+    """Split the fleet into clusters, maximal chains of same-direction
+    vehicles whose consecutive members sit within comm range, and elect
+    each cluster's coordinators. Returns each vehicle's cluster, clusters
+    ordered by direction (+1 first) then leading position, and one (main,
+    forward, backward) row per cluster: forward is furthest along the
+    travel direction, backward the rearmost, main the nearest the cluster
+    centroid; all ties go to the lowest id, and roles may coincide."""
+    order = np.lexsort((positions, -directions))   # stable: ties keep id order
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (np.diff(directions[order]) != 0) | (np.diff(positions[order]) > comm_range)
+    cluster_of = np.empty(order.size, dtype=int)
+    cluster_of[order] = np.cumsum(first) - 1
+    roles = []
+    for members in np.split(order, np.flatnonzero(first)[1:]):
+        # argmax/argmin return the first hit, so id order breaks the ties
+        members = np.sort(members)
+        at = positions[members]
+        along = at * directions[members[0]]
+        # np.mean sums pairwise in id order; a reduceat sum can differ in the last bit
+        main = np.abs(at - np.mean(at)).argmin()
+        roles.append(members[[main, along.argmax(), along.argmin()]])
+    return cluster_of, np.array(roles)
 
 
 class Strategy:
@@ -223,17 +201,15 @@ class ProposedStrategy(Strategy):
         channel at the distinct coordinators of all clusters in one call.
         A cluster's report is vacant where all of its coordinators decide
         vacant (AND-of-vacancy)."""
-        positions, directions = fleet.positions, fleet.directions
+        self.cluster_of, roles = elect_coordinators(fleet.positions, fleet.directions,
+                                                     self.config.comm_range)
         coordinators: list[int] = []
         starts: list[int] = []           # each cluster's first row in the block
-        for idx, members in enumerate(form_clusters(positions, directions,
-                                                    self.config.comm_range)):
-            self.cluster_of[members] = idx
+        for role in roles.tolist():
             starts.append(len(coordinators))
-            coord_set = select_coordinators(members, positions, int(directions[members[0]]))
-            coordinators.extend(coord_set.distinct_coordinators())
+            coordinators.extend(dict.fromkeys(role))
         block = self.sensor.sense_block(
-            np.array(coordinators), positions[coordinators],
+            np.array(coordinators), fleet.positions[coordinators],
             np.arange(channel_map.n_channels), channel_map, now, streams,
         )
         self.vacant = ~np.logical_or.reduceat(block.occupied, starts, axis=0)

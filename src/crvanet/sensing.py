@@ -152,10 +152,9 @@ class ChannelSensor:
     sensing stream, so subsystems stay independent.
     """
 
-    def __init__(self, config: ScenarioConfig, towers: list[TowerGeometry] | None = None):
+    def __init__(self, config: ScenarioConfig):
         self.config = config
-        self.towers = towers if towers is not None else build_towers(
-            config.n_pu_towers, config.road_length, config.tower_offset)
+        self.towers = build_towers(config.n_pu_towers, config.road_length, config.tower_offset)
         self.noise_dbw = thermal_noise_power(config.noise_temperature, config.channel_bandwidth)
         self.hata = HataModel(config.frequency, config.base_station_height, config.mobile_height)
         self.n_samples = config.sensing_samples

@@ -67,8 +67,12 @@ def test_su_transmit_power_key_rejected():
     assert "txPowerSu" in str(err.value)
 
 
-def test_decel_factor_accepted_and_recorded():
-    assert load_scenario("decelFactor = 1.5").decel_factor == 1.5
+def test_decel_factor_key_rejected():
+    # braking uses a fixed comfortable deceleration, so a factor would change nothing
+    with pytest.raises(ScenarioParseError) as err:
+        load_scenario("nVehicles = 10\ndecelFactor = 1.5\n")
+    assert "line 2" in str(err.value)
+    assert "decelFactor" in str(err.value)
 
 
 def test_bad_number_rejected():

@@ -9,12 +9,10 @@ from crvanet.coordination import (
     VOTE_UNKNOWN,
     VOTE_VACANT,
     CooperativeStrategy,
-    CoordinatorSet,
     ProposedStrategy,
     StandaloneStrategy,
-    form_clusters,
+    elect_coordinators,
     make_strategy,
-    select_coordinators,
 )
 from crvanet.engine import SimulationEngine
 from crvanet.scheduling import ChannelMap
@@ -23,73 +21,81 @@ from crvanet.streams import StreamBundle
 
 
 class TestFormClusters:
+    """The clusters that elect_coordinators forms."""
+
     def test_chain_within_comm_range(self):
         positions = np.array([0.0, 200.0, 380.0])
         directions = np.array([1, 1, 1])
-        assert form_clusters(positions, directions, 240.0) == [[0, 1, 2]]
+        cluster_of, _ = elect_coordinators(positions, directions, 240.0)
+        assert cluster_of.tolist() == [0, 0, 0]
 
     def test_gap_splits_clusters(self):
         positions = np.array([0.0, 500.0])
         directions = np.array([1, 1])
-        assert form_clusters(positions, directions, 240.0) == [[0], [1]]
+        cluster_of, _ = elect_coordinators(positions, directions, 240.0)
+        assert cluster_of.tolist() == [0, 1]
 
     def test_directions_never_mix(self):
         positions = np.array([0.0, 50.0, 100.0, 150.0])
         directions = np.array([1, -1, 1, -1])
-        clusters = form_clusters(positions, directions, 240.0)
-        assert sorted(map(sorted, clusters)) == [[0, 2], [1, 3]]
+        cluster_of, _ = elect_coordinators(positions, directions, 240.0)
+        assert cluster_of.tolist() == [0, 1, 0, 1]
 
     def test_uniform_25_vehicles_one_cluster(self):
         # 25 vehicles over 2000 m is ~83 m spacing, all chained
         positions = np.linspace(0.0, 2000.0, 25)
         directions = np.ones(25, dtype=int)
-        clusters = form_clusters(positions, directions, 240.0)
-        assert len(clusters) == 1 and len(clusters[0]) == 25
+        cluster_of, roles = elect_coordinators(positions, directions, 240.0)
+        assert len(roles) == 1 and (cluster_of == 0).all()
 
     def test_deterministic_in_positions(self):
         rng = np.random.default_rng(0)
         positions = rng.uniform(0, 2000, 30)
         directions = np.where(np.arange(30) % 2 == 0, 1, -1)
-        a = form_clusters(positions, directions, 240.0)
-        b = form_clusters(positions.copy(), directions.copy(), 240.0)
-        assert a == b
+        a = elect_coordinators(positions, directions, 240.0)
+        b = elect_coordinators(positions.copy(), directions.copy(), 240.0)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
 
 class TestSelectCoordinators:
+    """The roles that elect_coordinators selects; each row is (main,
+    forward, backward)."""
+
     def test_singleton_takes_all_roles(self):
-        cs = select_coordinators([4], np.array([0, 0, 0, 0, 120.0]), 1)
-        assert cs.main_id == cs.forward_id == cs.backward_id == 4
-        assert cs.distinct_coordinators() == (4,)
+        _, roles = elect_coordinators(np.array([120.0]), np.array([1]), 240.0)
+        assert roles.tolist() == [[0, 0, 0]]
 
     def test_three_member_layout(self):
         positions = np.array([0.0, 100.0, 200.0])
-        cs = select_coordinators([0, 1, 2], positions, 1)
-        assert cs.backward_id == 0 and cs.main_id == 1 and cs.forward_id == 2
+        _, roles = elect_coordinators(positions, np.array([1, 1, 1]), 240.0)
+        main, forward, backward = roles[0]
+        assert backward == 0 and main == 1 and forward == 2
 
     def test_centroid_tie_broken_by_lower_id(self):
         # members at 0, 90, 110, 200: centroid 100; ids 1 and 2 equidistant
         positions = np.array([0.0, 90.0, 110.0, 200.0])
-        cs = select_coordinators([0, 1, 2, 3], positions, 1)
-        assert cs.main_id == 1
+        _, roles = elect_coordinators(positions, np.ones(4, dtype=int), 240.0)
+        assert roles[0][0] == 1
 
     def test_direction_flips_forward_and_backward(self):
         positions = np.array([0.0, 100.0, 200.0])
-        cs = select_coordinators([0, 1, 2], positions, -1)
-        assert cs.forward_id == 0 and cs.backward_id == 2
+        _, roles = elect_coordinators(positions, np.array([-1, -1, -1]), 240.0)
+        _, forward, backward = roles[0]
+        assert forward == 0 and backward == 2
 
     def test_role_positions_ordered_along_travel(self):
         rng = np.random.default_rng(1)
         for direction in (1, -1):
             positions = rng.uniform(0, 2000, 12)
-            cs = select_coordinators(list(range(12)), positions, direction)
-            fwd = positions[cs.forward_id] * direction
-            mid = positions[cs.main_id] * direction
-            back = positions[cs.backward_id] * direction
+            # a comm range spanning the road keeps all 12 in one cluster
+            _, roles = elect_coordinators(positions, np.full(12, direction), 2000.0)
+            assert len(roles) == 1
+            main, forward, backward = roles[0]
+            fwd = positions[forward] * direction
+            mid = positions[main] * direction
+            back = positions[backward] * direction
             assert fwd >= mid >= back
-
-    def test_empty_cluster_rejected(self):
-        with pytest.raises(ValueError):
-            select_coordinators([], np.array([]), 1)
 
 
 class TestCoordinatedSense:
@@ -112,11 +118,11 @@ class TestCoordinatedSense:
         coordinators, recomputed here."""
         fleet, strategy = engine.fleet, engine.strategy
         strategy.on_epoch(0.0, fleet, engine.channel_map, streams)
-        clusters = form_clusters(fleet.positions, fleet.directions, engine.config.comm_range)
-        assert clusters == [[0, 1, 2], [3]]
-        cs = select_coordinators(clusters[0], fleet.positions, 1)
+        cluster_of, roles = elect_coordinators(fleet.positions, fleet.directions,
+                                               engine.config.comm_range)
+        assert cluster_of.tolist() == [0, 0, 0, 1]
         assert strategy.cluster_of.tolist() == [0, 0, 0, 1]
-        return strategy.vacant[0], cs
+        return strategy.vacant[0], roles[0].tolist()
 
     def test_all_vacant_reported_vacant(self):
         engine = self._setup()
@@ -135,9 +141,9 @@ class TestCoordinatedSense:
         decisions, whatever the ground truth."""
         engine = self._setup()
         fleet = engine.fleet
-        fused, cs = self._epoch(engine, StreamBundle(3))
+        fused, role = self._epoch(engine, StreamBundle(3))
         per_coord = []
-        for cid in cs.distinct_coordinators():
+        for cid in dict.fromkeys(role):
             block = engine.sensor.sense_block(cid, float(fleet.positions[cid]), np.arange(4),
                                               engine.channel_map, 0.0, StreamBundle(3))
             per_coord.append(~block.occupied)
@@ -165,14 +171,13 @@ def test_epoch_equals_per_coordinator_sensing(n_vehicles):
     cmap.set_holder(7, vehicle_id=0, position=float(fleet.positions[0]))
     engine.strategy.on_epoch(0.25, fleet, cmap, engine.streams)
 
-    clusters = form_clusters(fleet.positions, fleet.directions, config.comm_range)
-    assert n_vehicles == 50 or len(clusters) > 2   # the sparse fleet splits up
+    _, roles = elect_coordinators(fleet.positions, fleet.directions, config.comm_range)
+    assert n_vehicles == 50 or len(roles) > 2   # the sparse fleet splits up
     reference = StreamBundle(config.seed)
     expected = []
-    for members in clusters:
-        cs = select_coordinators(members, fleet.positions, int(fleet.directions[members[0]]))
+    for role in roles.tolist():
         vacant = np.ones(config.n_channels, dtype=bool)
-        for cid in cs.distinct_coordinators():
+        for cid in dict.fromkeys(role):
             block = sensor.sense_block(cid, float(fleet.positions[cid]),
                                        np.arange(config.n_channels), cmap, 0.25, reference)
             vacant &= ~block.occupied
@@ -235,10 +240,9 @@ class TestProposedStrategy:
         assert set(strategy.cluster_of.tolist()) <= set(range(len(strategy.vacant)))
         assert strategy.cluster_of.shape == (50,) and (strategy.cluster_of >= 0).all()
         # every cluster's coordinators are its own members
-        clusters = form_clusters(fleet.positions, fleet.directions, engine.config.comm_range)
-        for idx, members in enumerate(clusters):
-            cs = select_coordinators(members, fleet.positions, int(fleet.directions[members[0]]))
-            assert {int(strategy.cluster_of[c]) for c in cs.distinct_coordinators()} == {idx}
+        _, roles = elect_coordinators(fleet.positions, fleet.directions, engine.config.comm_range)
+        for idx, role in enumerate(roles.tolist()):
+            assert {int(strategy.cluster_of[c]) for c in role} == {idx}
 
     def test_epoch_time_stamps_its_reports(self):
         """The reports of an epoch are as old as the epoch: fresh for one
@@ -247,8 +251,8 @@ class TestProposedStrategy:
         fleet, strategy = engine.fleet, engine.strategy
         strategy.on_epoch(1.5, fleet, engine.channel_map, engine.streams)
         assert strategy.report_time == 1.5
-        clusters = form_clusters(fleet.positions, fleet.directions, engine.config.comm_range)
-        assert len(strategy.vacant) == len(clusters) > 0
+        _, roles = elect_coordinators(fleet.positions, fleet.directions, engine.config.comm_range)
+        assert len(strategy.vacant) == len(roles) > 0
         interval = engine.config.coordination_interval
         own_report = np.nonzero(strategy.vacant[strategy.cluster_of[0]])[0]
         assert own_report.size > 0

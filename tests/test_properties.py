@@ -2,17 +2,20 @@
 
 Every example is a short run (at most 0.2 s) of 0-12 vehicles on 1-2
 towers with 1-5 channels each, with hold and gap means short enough that
-PUs and SUs change state many times. Examples are derandomized, so the
+PUs and SUs change state many times. The coordinator election is checked
+on its own, over fleets of 1-40 vehicles. Examples are derandomized, so the
 suite sees the same scenarios on every run.
 """
 
 from collections import defaultdict
 from dataclasses import replace
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from crvanet.config import ScenarioConfig, Scheme
+from crvanet.coordination import elect_coordinators
 from crvanet.engine import SimulationEngine, run_simulation
 from crvanet.report import (
     MOVE,
@@ -110,3 +113,44 @@ def test_mobility_and_pu_rows_identical_across_schemes(config):
         return [e for e in report.trace if e.event in (MOVE, PU_OCCUPIED, PU_VACATED)]
 
     assert rows(Scheme.STANDALONE) == rows(Scheme.COOPERATIVE) == rows(Scheme.PROPOSED)
+
+
+@st.composite
+def fleets(draw):
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        positions = draw(st.lists(st.floats(0.0, 2000.0), min_size=n, max_size=n))
+    else:
+        # a coarse grid: equal positions, and gaps of exactly the comm range
+        positions = [60.0 * k for k in draw(st.lists(st.integers(0, 33), min_size=n, max_size=n))]
+    directions = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    return np.array(positions), np.array(directions)
+
+
+@PROPERTY_SETTINGS
+@given(fleets())
+def test_election_follows_the_rule(fleet):
+    """Clusters are maximal single-direction chains whose sorted gaps are
+    within comm range, ordered by direction (+1 first) then leading
+    position. Forward is furthest along travel, backward the rearmost, main
+    the nearest the centroid; each tie goes to the lowest id."""
+    positions, directions = fleet
+    comm_range = 240.0
+    cluster_of, roles = elect_coordinators(positions, directions, comm_range)
+    clusters = [np.flatnonzero(cluster_of == c) for c in range(len(roles))]
+    assert sum(members.size for members in clusters) == len(positions)
+    leads = []
+    for members, (main, forward, backward) in zip(clusters, roles.tolist()):
+        direction = directions[members[0]]
+        assert (directions[members] == direction).all()
+        assert (np.diff(np.sort(positions[members])) <= comm_range).all()
+        leads.append((-direction, positions[members].min()))
+        along = positions[members] * direction
+        assert forward == members[along == along.max()].min()
+        assert backward == members[along == along.min()].min()
+        offset = np.abs(positions[members] - np.mean(positions[members]))
+        assert main == members[offset == offset.min()].min()
+    assert leads == sorted(leads)
+    for lower, upper in zip(clusters, clusters[1:]):
+        if directions[lower[0]] == directions[upper[0]]:
+            assert positions[upper].min() - positions[lower].max() > comm_range

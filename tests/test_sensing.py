@@ -437,10 +437,10 @@ class TestMedianPuSnr:
                 assert sensor.median_pu_snr(tower, position) == expected
 
     def test_out_of_range_inputs_raise(self, default_config):
-        near = [TowerGeometry(t, along_road=1000.0, offset=100.0) for t in range(2)]
-        sensor = ChannelSensor(default_config, towers=near)
+        # both towers 100 m off the road at its 1000 m midpoint
+        sensor = ChannelSensor(replace(default_config, tower_offset=100.0))
         with pytest.raises(PropagationDomainError):
-            sensor.median_pu_snr(near[0], 1000.0)   # 0.1 km
+            sensor.median_pu_snr(sensor.towers[0], 1000.0)   # 0.1 km
         with pytest.raises(PropagationDomainError):
             sensor.sense_block(0, 1000.0, np.arange(3), ChannelMap(default_config.n_channels, default_config.n_vehicles),
                                0.0, StreamBundle(0))
