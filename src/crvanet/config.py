@@ -76,6 +76,9 @@ class ScenarioConfig:
 
     def validate(self) -> "ScenarioConfig":
         """Check every invariant; raise ScenarioValidationError naming the first violation."""
+        for key, (name, kind) in _FIELDS.items():
+            if kind != "scheme" and not math.isfinite(getattr(self, name)):
+                raise ScenarioValidationError(f"{key} is not finite")
         if self.time_step <= 0:
             raise ScenarioValidationError("timeStep > 0 violated")
         if self.running_time < self.time_step:
@@ -192,6 +195,8 @@ def _parse_value(kind: str, raw: str, line_no: int):
     if unit not in table:
         raise ScenarioParseError(line_no, f"unit {unit!r} not valid here (expected one of {sorted(u for u in table if u)})")
     value *= table[unit]
+    if not math.isfinite(value):
+        raise ScenarioParseError(line_no, f"{raw!r} is not a finite number")
     if kind == "count":
         if value != int(value):
             raise ScenarioParseError(line_no, f"expected an integer, got {raw!r}")

@@ -1,12 +1,13 @@
 """The time-sliced simulation engine.
 
 A run divides its horizon into nTimeSlices fixed steps and executes, in
-every tick and in this order: vehicle movement, PU state changes,
+every tick and in this order: vehicle movement, the tick's PU flips,
 coordination when the epoch clock fires and the scheme uses one, then
-sensing/occupation for every SU with a pending action. Timestamps are
-always tickIndex * timeStep, computed fresh so no float error
-accumulates. All randomness flows through per-subsystem streams derived
-from the scenario seed, making a run a pure function of (config, seed).
+sensing/occupation for every SU with a pending action. The PU flips come
+from the run's PU timeline, which alone reads the PU streams, in bulk.
+Timestamps are always tickIndex * timeStep, computed fresh so no float
+error accumulates. All randomness flows through per-subsystem streams
+derived from the scenario seed, making a run a pure function of (config, seed).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .config import ScenarioConfig, num_time_slices
 from .coordination import make_strategy
 from .mobility import Fleet
 from .report import MOVE, SimulationReport, record_event
-from .scheduling import ChannelMap, schedule_next, step_pu, step_su
+from .scheduling import ChannelMap, pu_timeline, schedule_next, step_pu, step_su
 from .sensing import ChannelSensor
 from .streams import StreamBundle
 
@@ -34,11 +35,8 @@ class SimulationEngine:
         self.sensor = ChannelSensor(config)
         self.strategy = make_strategy(config, self.sensor)
 
-        # every machine's first pending instant: a PU's first occupation, an
-        # SU's first attempt, each drawn from its own stream
+        # every SU's first attempt, each drawn from its own stream
         self.channel_map = ChannelMap(config.n_channels, config.n_vehicles)
-        self.channel_map.pu_next[:] = [schedule_next(config.pu_gap_mean, rng)
-                                       for rng in self.streams.pu]
         self.channel_map.su_next[:] = [schedule_next(config.su_gap_mean, rng)
                                        for rng in self.streams.su]
 
@@ -55,8 +53,10 @@ class SimulationEngine:
         # the coordination clock: epochs fire every coordinationInterval from 0
         has_epochs = self.strategy.needs_epoch and len(self.fleet) > 0
         next_epoch = 0.0
+        timeline = pu_timeline(self.streams.pu, self.n_ticks, dt, config.pu_hold_mean,
+                               config.pu_gap_mean)
 
-        for tick in range(self.n_ticks):
+        for tick, pu_flips in enumerate(timeline):
             now = tick * dt
 
             # 1. mobility: refresh Gipps decisions on the reaction-time
@@ -70,11 +70,10 @@ class SimulationEngine:
                                                    self.fleet.speeds.tolist())):
                         record_event(report, MOVE, tick, now, -1, i, f"{x:.3f},{v:.3f}")
 
-            # 2. PU state changes
-            due_channels = np.nonzero(now >= channel_map.pu_next - eps)[0]
-            for c in due_channels.tolist():
+            # 2. the tick's PU flips
+            for c in pu_flips:
                 step_pu(c, tower_of[c], now, tick, channel_map, self.streams,
-                        config.pu_hold_mean, config.pu_gap_mean, config.su_gap_mean, report)
+                        config.su_gap_mean, report)
 
             # 3. coordination epoch, for schemes that use one
             if has_epochs and now >= next_epoch - eps:

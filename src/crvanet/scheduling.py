@@ -1,19 +1,21 @@
 """PU and SU transmission lifecycles and the shared channel state.
 
-Each licensed channel runs an occupy/vacate state machine: when its clock
-passes the next scheduled event the PU flips state and draws the next
-event time from the scheduling distribution (exponential hold and gap
-times). A PU occupying a channel held by an SU tears the SU down first —
-the abstract control-channel notification — before it starts
+Each licensed channel runs an occupy/vacate state machine with
+exponential hold and gap times. Its flips never depend on the SUs, so
+``pu_timeline`` draws them in bulk, a block of ticks ahead of the tick
+loop, and ``step_pu`` applies one. A PU occupying a channel held by an SU tears the SU down
+first — the abstract control-channel notification — before it starts
 transmitting, so occupy events strictly alternate with vacate events and
 at most one SU ever holds a channel.
 
-SUs mirror the same pattern with an extra failure path: a failed
-acquisition attempt pushes the next attempt out by exactly the back-off
-time.
+SUs keep a pending instant each, drawn as they go, with an extra failure
+path: a failed acquisition attempt pushes the next attempt out by exactly
+the back-off time.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -45,8 +47,8 @@ def schedule_next(mean: float, rng: np.random.Generator) -> float:
 class ChannelMap:
     """The shared run state of both state machines: per channel the PU
     state and the SU holder (with its position when it took the channel),
-    per vehicle the channel it holds (-1 when idle), and per machine its
-    only clock, the pending instant of its next action."""
+    per vehicle the channel it holds (-1 when idle) and the pending
+    instant of its next action."""
 
     def __init__(self, n_channels: int, n_vehicles: int):
         self.n_channels = n_channels
@@ -54,7 +56,6 @@ class ChannelMap:
         self.su_holder = np.full(n_channels, -1, dtype=int)
         self.su_holder_pos = np.zeros(n_channels, dtype=float)
         self.su_channel = np.full(n_vehicles, -1, dtype=int)
-        self.pu_next = np.zeros(n_channels, dtype=float)
         self.su_next = np.zeros(n_vehicles, dtype=float)
 
     def holder_of(self, channel_id: int) -> int | None:
@@ -78,21 +79,96 @@ class ChannelMap:
         self.su_holder_pos[channel_id] = 0.0
 
 
-def step_pu(channel_id: int, tower_id: int, now: float, tick: int,
-            channel_map: ChannelMap, streams, pu_hold_mean: float, pu_gap_mean: float,
-            su_gap_mean: float, report: SimulationReport) -> int | None:
-    """Flip one due PU machine, recording its events in order; returns the
-    id of the SU it preempted, or None.
+WINDOW = 512  # ticks per block of the PU timeline, whose memory is O(channels x WINDOW)
+
+
+def pu_timeline(rngs, n_ticks: int, dt: float, hold_mean: float, gap_mean: float):
+    """Yield, for each of n_ticks ticks, the ids of the channels whose PU
+    flips there, ascending. Channel c's flip j (an occupation for even j)
+    is due one draw from rngs[c] after flip j-1, or after 0.0: standard
+    exponential times the gap mean for even j, the hold mean for odd j, a
+    draw <= 0 skipped. It fires at the first tick k after flip j-1 (from
+    tick 0) with k * dt >= due - 1e-12. Per block of ticks, steps taken
+    from each draw alone are summed, all flips are checked against that
+    rule at once, and only a channel that fails is redone flip by flip."""
+    n, span = len(rngs), min(WINDOW, n_ticks)
+    width = int(min(span, 4 * span * dt / (gap_mean + hold_mean) + 16))  # draws per block
+    # per channel: a block of draws, how many the last block used, time and parity of the last flip
+    state = rngs, np.empty((n, width)), np.full(n, width), np.zeros(n), np.zeros(n, dtype=bool)
+    for start in range(0, n_ticks, WINDOW):
+        yield from _pu_block(*state, start, min(start + WINDOW, n_ticks), dt, (gap_mean, hold_mean))
+
+
+@np.errstate(over="ignore")  # a draw past float range is due never
+def _pu_block(rngs, x, used, base, odd, start: int, end: int, dt: float, means: tuple):
+    """The flips of ticks [start, end), one list per tick; updates the state."""
+    eps, (n, width) = 1e-12, x.shape
+    rows, columns, alternating = np.arange(n), np.arange(width), np.resize(means, width + 1)
+    x[columns < width - used[:, None]] = x[columns >= used[:, None]]  # the draws left unused
+    for rng, row, u in zip(rngs, x, used.tolist()):
+        rng.standard_exponential(out=row[width - u:])
+    s = x * np.where(odd[:, None], alternating[1:], alternating[:-1])
+    steps = np.ceil((s - eps) / dt)  # from each draw alone; the first from the last flip
+    steps[:, 0] = np.ceil((base + s[:, 0] - eps) / dt) - start + 1
+    steps = np.clip(steps, 1, end - start + 1).astype(np.int64)
+    t = steps.cumsum(axis=1) + start - 1
+    prev, k = t - steps, np.minimum(t, end)  # the flip before each; end for past the block
+    target = prev * dt + s - eps
+    target[:, 0] = base + s[:, 0] - eps
+    exact = ((k == end) | (k * dt >= target)) & ((k == prev + 1) | ((k - 1) * dt < target))
+    good = ((exact & (s > 0)) | (prev >= end - 1)).all(axis=1) & (t[:, -1] >= end - 1)
+    fired = (t < end) & good[:, None]
+    used[:] = fired.sum(axis=1)
+    base[:] = np.where(used > 0, t[rows, used - 1] * dt, base)
+    odd ^= used % 2 == 1
+    occ = np.zeros((end - start + 1, n), dtype=bool)  # (tick, channel); a last row for the rest
+    occ[np.where(fired, t - start, end - start), rows[:, None]] = True
+    for c in np.flatnonzero(~good).tolist():
+        ticks = _flip_ticks(c, rngs[c], x, used, base, odd, start, end, dt, means)
+        occ[np.array(ticks, dtype=np.int64) - start, c] = True
+    flips = np.flatnonzero(occ[:-1])  # tick-major, so ascending channels within a tick
+    channels = (flips % n).tolist()
+    bounds = np.searchsorted(flips, np.arange(end - start + 1) * n).tolist()
+    return (channels[a:b] for a, b in zip(bounds, bounds[1:]))
+
+
+def _flip_ticks(c: int, rng, x, used, base, odd, start: int, end: int, dt: float,
+                means: tuple) -> list:
+    """Channel c's flip ticks in [start, end), found flip by flip from its
+    block of draws x[c]; updates its state."""
+    draws, ticks, lo = x[c].tolist(), [], start
+    now, parity = float(base[c]), bool(odd[c])
+    while lo < end:
+        raw = draws.pop(0) if draws else rng.standard_exponential()
+        draw = raw * means[parity]
+        if draw <= 0.0:
+            continue
+        target = now + draw - 1e-12
+        if target > (end - 1) * dt:
+            draws.insert(0, raw)
+            break
+        lo = max(lo, math.ceil(target / dt) - 2)
+        while lo * dt < target:
+            lo += 1
+        ticks.append(lo)
+        now, parity, lo = lo * dt, not parity, lo + 1
+    used[c], base[c], odd[c] = x.shape[1] - len(draws), now, parity
+    x[c, used[c]:] = draws
+    return ticks
+
+
+def step_pu(channel_id: int, tower_id: int, now: float, tick: int, channel_map: ChannelMap,
+            streams, su_gap_mean: float, report: SimulationReport) -> int | None:
+    """Apply one PU flip from the run's timeline, recording its events in
+    order; returns the id of the SU it preempted, or None.
 
     Occupation preempts any SU holding the channel: the SU is cleared and
     rescheduled (its next attempt drawn from its own gap process) before
     the pu-occupied event fires.
     """
-    rng = streams.pu_stream(channel_id)
     holder = None
     if channel_map.pu_active[channel_id]:
         channel_map.pu_active[channel_id] = False
-        channel_map.pu_next[channel_id] = now + schedule_next(pu_gap_mean, rng)
         record_event(report, PU_VACATED, tick, now, channel_id, tower_id)
     else:
         holder = channel_map.holder_of(channel_id)
@@ -102,7 +178,6 @@ def step_pu(channel_id: int, tower_id: int, now: float, tick: int,
                 su_gap_mean, streams.su_stream(holder))
             record_event(report, SU_PREEMPTED, tick, now, channel_id, holder)
         channel_map.pu_active[channel_id] = True
-        channel_map.pu_next[channel_id] = now + schedule_next(pu_hold_mean, rng)
         record_event(report, PU_OCCUPIED, tick, now, channel_id, tower_id)
     return holder
 

@@ -10,7 +10,8 @@ domain's generators up front, in one vectorised pass (``derive``).
 Domains:
     INIT      per-vehicle parameter draws (desired speed, human error)
     MOBILITY  per-vehicle driving randomization (the speed-choice draw)
-    PU        per-channel PU hold/gap schedule
+    PU        per-channel PU hold/gap schedule, drawn in bulk and only by the
+              run's PU timeline (scheduling.pu_timeline)
     SU        per-vehicle SU hold/gap schedule and attempt timing, and also
               each scheme's pick among its candidate channels, so a
               vehicle's later SU draws differ between schemes
@@ -82,8 +83,8 @@ def derive(seed: int, domain: int, entities: range, *prefix: int) -> list[np.ran
 
 class StreamBundle:
     """One run's generators, a list per domain (per tower for FADING), built
-    up front from the run's sizes; an id past a list's end, as in a bundle
-    made without sizes, derives the list's missing tail on first use."""
+    up front from the run's sizes; outside PU, an id past a list's end, as
+    in a bundle made without sizes, derives the list's missing tail on first use."""
 
     def __init__(self, seed: int, n_vehicles: int = 0, n_channels: int = 0, n_towers: int = 0):
         self.seed = seed
@@ -103,9 +104,6 @@ class StreamBundle:
 
     def mobility_stream(self, vehicle_id: int) -> np.random.Generator:
         return self._at(self.mobility, MOBILITY, vehicle_id)
-
-    def pu_stream(self, channel_id: int) -> np.random.Generator:
-        return self._at(self.pu, PU, channel_id)
 
     def su_stream(self, vehicle_id: int) -> np.random.Generator:
         return self._at(self.su, SU, vehicle_id)

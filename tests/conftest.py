@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -41,6 +42,32 @@ def _sense_everywhere(config, calls, seed, pu_active=False, positions=None):
 @pytest.fixture
 def sense_everywhere():
     return _sense_everywhere
+
+
+class _DrawStub:
+    """Stands in for a numpy Generator whose standard exponential draws are
+    the given iterable's values in turn; exponential(scale) is scale times
+    the next one, as numpy computes it."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def standard_exponential(self, size=None, out=None):
+        if size is None and out is None:
+            return next(self.draws)
+        out = np.empty(size) if out is None else out
+        for i in range(out.size):
+            out[i] = next(self.draws)
+        return out
+
+    def exponential(self, scale=1.0):
+        return scale * next(self.draws)
+
+
+@pytest.fixture(scope="session")
+def draw_stub():
+    """The generator stand-in: draw_stub(values), then 1.0 forever."""
+    return lambda values: _DrawStub(itertools.chain(values, itertools.repeat(1.0)))
 
 
 @pytest.fixture(scope="session")

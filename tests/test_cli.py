@@ -197,6 +197,15 @@ def test_simulate_rejects_negative_seed(scenario_file, capsys):
     assert "seed >= 0" in err
 
 
+def test_simulate_rejects_non_finite_seed(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(SMALL_SCENARIO.replace("seed = 3", "seed = inf"))
+    assert main(["simulate", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "scenario loading failed" in err
+    assert "line 6: 'inf' is not a finite number" in err
+
+
 def test_sweep_writes_csv_and_charts(scenario_file, tmp_path, capsys):
     out = tmp_path / "results"
     code = main([

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -130,6 +131,27 @@ def test_negative_seed_rejected():
 def test_negative_mean_rejected():
     with pytest.raises(ScenarioValidationError):
         load_scenario("puHoldMean = -5 ms")
+
+
+@pytest.mark.parametrize("text, line", [
+    ("seed = inf", 1),                        # int(inf) overflowed before
+    ("nVehicles = 10\npuHoldMean = nan", 2),  # nan <= 0 is false, so it ran
+    ("runningTime = inf", 1),                 # loaded, then failed as a run
+    ("runningTime = -inf s", 1),
+    ("runningTime = 1e307 min", 1),           # finite text, infinite in seconds
+])
+def test_non_finite_number_rejected_with_line_number(text, line):
+    with pytest.raises(ScenarioParseError, match=f"^line {line}: .* is not a finite number"):
+        load_scenario(text)
+
+
+@pytest.mark.parametrize("field, key", [("seed", "seed"), ("pu_hold_mean", "puHoldMean"),
+                                        ("running_time", "runningTime"),
+                                        ("time_step", "timeStep"), ("tx_power_pu", "txPowerPu")])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_field_rejected_naming_key(field, key, value):
+    with pytest.raises(ScenarioValidationError, match=f"^{key} is not finite$"):
+        replace(ScenarioConfig(), **{field: value}).validate()
 
 
 class TestNumTimeSlices:

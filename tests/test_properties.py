@@ -26,6 +26,8 @@ from crvanet.report import (
     SU_PREEMPTED,
     SU_VACATED,
 )
+from crvanet.scheduling import WINDOW, pu_timeline, schedule_next
+from crvanet.streams import StreamBundle
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None,
                              suppress_health_check=[HealthCheck.too_slow])
@@ -154,3 +156,47 @@ def test_election_follows_the_rule(fleet):
     for lower, upper in zip(clusters, clusters[1:]):
         if directions[lower[0]] == directions[upper[0]]:
             assert positions[upper].min() - positions[lower].max() > comm_range
+
+
+def reference_timeline(rngs, n_ticks, dt, hold_mean, gap_mean):
+    """The per-tick rule the PU timeline replaces: a pending instant per
+    channel, due at tick * dt >= pending - 1e-12, the next one drawn by
+    schedule_next from the tick it fired at; a channel flips at most once a
+    tick."""
+    pending = [schedule_next(gap_mean, rng) for rng in rngs]
+    active = [False] * len(rngs)
+    for tick in range(n_ticks):
+        now = tick * dt
+        due = [c for c, instant in enumerate(pending) if now >= instant - 1e-12]
+        for c in due:
+            active[c] = not active[c]
+            pending[c] = now + schedule_next(hold_mean if active[c] else gap_mean, rngs[c])
+        yield due
+
+
+# means in time steps: far below, just below, and exact multiples of one
+MEAN_STEPS = st.sampled_from([1e-3, 0.3, 0.999, 1.0, 2.0, 5.0, 25.0])
+
+
+@PROPERTY_SETTINGS
+@given(n_channels=st.integers(1, 10), dt=st.sampled_from([1e-3, 7e-4, 1e-4]),
+       hold_steps=MEAN_STEPS, gap_steps=MEAN_STEPS,
+       n_ticks=st.integers(1, 3000) | st.sampled_from([WINDOW, WINDOW + 1, 2 * WINDOW + 3]),
+       seed=st.integers(0, 2**32 - 1),
+       fixed=st.none() | st.lists(st.sampled_from([0.0, 1e-12, 0.5, 1.0, 2.0, 3.0]), max_size=30))
+def test_pu_timeline_follows_the_scalar_rule(n_channels, dt, hold_steps, gap_steps, n_ticks,
+                                             seed, fixed, draw_stub):
+    """Real generators, or fixed draws that turn to 1.0 once used up: zeros
+    (skipped), gaps below 1e-12 s (which only the one-flip-a-tick bound
+    holds back) and due instants on exact multiples of dt (which exercise
+    the flip-by-flip path)."""
+    def generators():
+        if fixed is None:
+            return StreamBundle(seed, 0, n_channels).pu
+        return [draw_stub(fixed[c:] + fixed[:c]) for c in range(n_channels)]
+
+    means = (hold_steps * dt, gap_steps * dt)
+    expected = list(reference_timeline(generators(), n_ticks, dt, *means))
+    timeline = list(pu_timeline(generators(), n_ticks, dt, *means))
+    assert timeline == expected
+    assert {type(c) for channels in timeline for c in channels} <= {int}

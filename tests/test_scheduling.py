@@ -1,3 +1,6 @@
+import itertools
+import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +21,7 @@ from crvanet.report import (
     SU_VACATED,
     SimulationReport,
 )
-from crvanet.scheduling import ChannelMap, schedule_next, step_pu, step_su
+from crvanet.scheduling import ChannelMap, pu_timeline, schedule_next, step_pu, step_su
 from crvanet.sensing import SenseBlock
 from crvanet.streams import StreamBundle
 
@@ -48,52 +51,63 @@ class TestScheduleNext:
 
 
 class TestStepPu:
-    """step_pu flips a due machine; the channel is 2 on tower 0, the PU's
-    next instant starts at 1.0."""
+    """step_pu applies one flip of the run's PU timeline; the channel is 2
+    on tower 0, and its flips come from pu_timeline at a 1 ms step."""
 
     def _setup(self):
-        cmap = ChannelMap(4, 3)
-        cmap.pu_next[2] = 1.0
-        return cmap, StreamBundle(5)
+        return ChannelMap(4, 3), StreamBundle(5, 0, 4)
 
     @staticmethod
-    def _step(now, tick, cmap, streams, hold, gap):
-        """step_pu into a fresh traced report; returns the recorded events."""
+    def _step(tick, cmap, streams):
+        """step_pu at the tick into a fresh traced report; returns the recorded events."""
         report = SimulationReport(trace=[])
-        step_pu(2, 0, now, tick, cmap, streams, hold, gap, 0.05, report)
+        step_pu(2, 0, tick * 0.001, tick, cmap, streams, 0.05, report)
         return report.trace
 
-    def test_idle_before_schedule_is_noop(self):
-        # the engine steps a PU only from its pending instant on
+    @staticmethod
+    def _flips(streams, n_ticks, hold, gap):
+        """The ticks at which channel 2 flips."""
+        timeline = pu_timeline(streams.pu, n_ticks, 0.001, hold, gap)
+        return [tick for tick, channels in enumerate(timeline) if 2 in channels]
+
+    def test_idle_before_schedule_is_noop(self, draw_stub):
+        # the engine flips a PU only from its pending instant on: channel 2's
+        # first gap is 5 ticks, and the run has 5
         config = replace(ScenarioConfig(), running_time=0.005, n_vehicles=0).validate()
         engine = SimulationEngine(config)
-        engine.channel_map.pu_next[2] = 5 * config.time_step
+        engine.streams.pu[2] = draw_stub([5 * config.time_step / config.pu_gap_mean])
         report = engine.run(trace=[])
         events = [e for e in report.trace if e.channel_id == 2]
         assert events == []
         assert not engine.channel_map.pu_active[2]
+        # one tick more, and the occupation fires at that tick
+        longer = SimulationEngine(replace(config, running_time=0.006))
+        longer.streams.pu[2] = draw_stub([5 * config.time_step / config.pu_gap_mean])
+        events = [(e.tick, e.event) for e in longer.run(trace=[]).trace if e.channel_id == 2]
+        assert events == [(5, PU_OCCUPIED)]
 
     def test_occupation_fires_and_draws_vacation(self):
         cmap, streams = self._setup()
-        events = self._step(1.0, 1000, cmap, streams, 0.1, 0.1)
+        occupation, vacation = self._flips(streams, 3000, 0.1, 0.1)[:2]
+        events = self._step(occupation, cmap, streams)
         assert [e.event for e in events] == [PU_OCCUPIED]
         assert cmap.pu_active[2]
-        assert cmap.pu_next[2] > 1.0
+        assert vacation > occupation
 
     def test_vacation_symmetric_branch(self):
         cmap, streams = self._setup()
-        self._step(1.0, 1000, cmap, streams, 0.1, 0.1)
-        vacation = cmap.pu_next[2]
-        events = self._step(vacation, 2000, cmap, streams, 0.1, 0.1)
+        occupation, vacation, next_occupation = self._flips(streams, 3000, 0.1, 0.1)[:3]
+        self._step(occupation, cmap, streams)
+        events = self._step(vacation, cmap, streams)
         assert [e.event for e in events] == [PU_VACATED]
         assert not cmap.pu_active[2]
-        assert cmap.pu_next[2] > vacation
+        assert next_occupation > vacation
 
     def test_preemption_order_and_teardown(self):
         cmap, streams = self._setup()
         cmap.set_holder(2, vehicle_id=1, position=100.0)
         report = SimulationReport(trace=[])
-        preempted = step_pu(2, 0, 1.0, 1000, cmap, streams, 0.1, 0.1, 0.05, report)
+        preempted = step_pu(2, 0, 1.0, 1000, cmap, streams, 0.05, report)
         events = report.trace
         assert [e.event for e in events] == [SU_PREEMPTED, PU_OCCUPIED]
         assert events[0].channel_id == events[1].channel_id == 2
@@ -105,16 +119,64 @@ class TestStepPu:
 
     def test_alternation_over_many_transitions(self):
         cmap, streams = self._setup()
-        cmap.pu_next[2] = 0.0
         kinds = []
-        t = 0.0
-        for _ in range(200):
-            t += 0.001
-            if t >= cmap.pu_next[2] - 1e-12:   # the engine's due rule
-                kinds += [e.event for e in self._step(t, 0, cmap, streams, 0.002, 0.002)]
+        for tick in self._flips(streams, 200, 0.002, 0.002):
+            kinds += [e.event for e in self._step(tick, cmap, streams)]
         assert len(kinds) > 10
         for a, b in zip(kinds, kinds[1:]):
             assert a != b  # strict occupy/vacate alternation
+
+
+class TestPuTimeline:
+    """pu_timeline against fixed draws at a 1 ms step; tests/test_properties.py
+    checks it against the scalar rule it replaces."""
+
+    def test_zero_draw_is_skipped(self, draw_stub):
+        # gap 0 (skipped) then 3 ms; hold 0, 0 (skipped) then 2 ms; gap 6 ms;
+        # hold 2 ms, past the 12 ticks
+        stub = draw_stub([0.0, 1.0, 0.0, 0.0, 1.0, 2.0, 1.0])
+        timeline = list(pu_timeline([stub], 12, 0.001, 0.002, 0.003))
+        assert [tick for tick, channels in enumerate(timeline) if channels == [0]] == [3, 5, 11]
+        assert sum(map(len, timeline)) == 3
+
+    def test_a_channel_flips_at_most_once_a_tick(self, draw_stub):
+        # draws of 1e-12 make gaps of a few fs, due at once, yet each flip
+        # waits for the next tick; channel 0's zero draw sends its block down
+        # the flip-by-flip path, and channel 1 has the same draws without it
+        tiny = [1e-12] * 3
+        stubs = [draw_stub([0.0] + tiny), draw_stub(tiny)]
+        timeline = list(pu_timeline(stubs, 30, 0.001, 0.002, 0.003))
+        assert all(channels in ([], [0, 1]) for channels in timeline)
+        # then 1.0 draws: holds of 2 ticks, gaps of 3
+        assert [tick for tick, channels in enumerate(timeline) if channels] == [
+            0, 1, 2, 4, 7, 9, 12, 14, 17, 19, 22, 24, 27, 29]
+
+    def test_flips_come_in_ascending_channel_order(self):
+        timeline = list(pu_timeline(StreamBundle(2, 0, 10).pu, 100, 0.001, 0.0001, 0.0001))
+        assert timeline[0] == []  # a draw below 1e-12 would be needed at tick 0
+        assert all(channels == list(range(10)) for channels in timeline[1:])
+
+    def test_means_past_float_range_never_flip(self):
+        # half the draws times 1e308 overflow to inf: due never, and no warning
+        timeline = pu_timeline(StreamBundle(3, 0, 20).pu, 100, 0.001, 1e308, 1e308)
+        assert all(channels == [] for channels in timeline)
+
+    def test_memory_is_bounded_by_the_window(self):
+        # 10^9 ticks at 1 us means: every channel flips on every tick after
+        # the first; the blocks come WINDOW ticks at a time
+        streams = StreamBundle(5, 0, 100)
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            timeline = pu_timeline(streams.pu, 10**9, 0.001, 1e-6, 1e-6)
+            flips = sum(map(len, itertools.islice(timeline, 10_000)))
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert flips == 100 * 9_999
+        assert elapsed < 1.0
+        assert peak < 5e6
 
 
 class _PinnedStrategy:
@@ -231,7 +293,7 @@ class TestChannelMap:
         assert cmap.holder_of(1) is None
 
 
-def test_su_due_and_backoff():
+def test_su_due_and_backoff(draw_stub):
     """The engine steps an SU on the first tick at its pending instant and
     never before: an idle SU at its next attempt, a transmitting SU at its
     scheduled vacation."""
@@ -242,7 +304,8 @@ def test_su_due_and_backoff():
     cmap.su_next[0] = 5 * dt
     cmap.set_holder(3, 1, float(engine.fleet.positions[1]))
     cmap.su_next[1] = 7 * dt
-    cmap.pu_next[3] = 1.0  # no preemption within the run
+    # channel 3's first occupation is 1 s in: no preemption within the run
+    engine.streams.pu[3] = draw_stub([1.0 / config.pu_gap_mean])
     report = engine.run(trace=[])
     su_events = [e for e in report.trace if e.event not in (PU_OCCUPIED, PU_VACATED, MOVE)]
     assert min(e.tick for e in su_events if e.actor_id == 0) == 5

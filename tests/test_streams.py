@@ -19,7 +19,7 @@ KEYS = (
     + [(FADING, (t, v)) for t in range(N_TOWERS) for v in (0, N_VEHICLES - 1)]
 )
 ACCESSOR = {INIT: "init_stream", MOBILITY: "mobility_stream", SU: "su_stream",
-            SENSING: "sensing_stream", PU: "pu_stream", FADING: "fading_stream"}
+            SENSING: "sensing_stream", FADING: "fading_stream"}
 
 
 def _assert_same(rng, oracle):
@@ -32,12 +32,18 @@ def _assert_same(rng, oracle):
 def test_every_stream_equals_the_seed_sequence_oracle(seed, sized):
     """Built up front from the run's sizes, or derived on first use by a
     bundle without sizes (each key extends its list past the last one), a
-    generator is the one SeedSequence gives."""
+    generator is the one SeedSequence gives. PU generators are read only in
+    bulk, by the PU timeline, so only a sized bundle holds them."""
     streams = (StreamBundle(seed, N_VEHICLES, N_CHANNELS, N_TOWERS) if sized
                else StreamBundle(seed))
+    assert len(streams.pu) == (N_CHANNELS if sized else 0)
     for domain, key in KEYS:
         oracle = np.random.default_rng(np.random.SeedSequence((seed, domain) + key))
-        _assert_same(getattr(streams, ACCESSOR[domain])(*key), oracle)
+        if domain == PU:
+            if sized:
+                _assert_same(streams.pu[key[0]], oracle)
+        else:
+            _assert_same(getattr(streams, ACCESSOR[domain])(*key), oracle)
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
