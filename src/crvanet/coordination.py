@@ -120,7 +120,7 @@ class StandaloneStrategy(Strategy):
         vacant = block.channel_ids[~block.occupied]
         if vacant.size == 0:
             return block, None
-        pick = int(streams.su_stream(vehicle_id).integers(vacant.size))
+        pick = int(streams.su[vehicle_id].integers(vacant.size))
         return block, int(vacant[pick])
 
 
@@ -168,7 +168,7 @@ class CooperativeStrategy(Strategy):
         return np.array(picked, dtype=int)
 
     def attempt(self, vehicle_id, positions, now, channel_map, streams):
-        rng = streams.su_stream(vehicle_id)
+        rng = streams.su[vehicle_id]
         shortlist = self.shortlist(vehicle_id, positions, rng)
         block = self.sensor.sense_block(
             vehicle_id, float(positions[vehicle_id]), shortlist, channel_map, now, streams
@@ -228,7 +228,7 @@ class ProposedStrategy(Strategy):
         candidates = self.candidates(vehicle_id, now)
         if candidates.size == 0:
             return None, None
-        pick = int(candidates[int(streams.su_stream(vehicle_id).integers(candidates.size))])
+        pick = int(candidates[int(streams.su[vehicle_id].integers(candidates.size))])
         block = self.sensor.sense_block(
             vehicle_id, float(positions[vehicle_id]), np.array([pick]), channel_map,
             now, streams, blocks=RECHECK_BLOCKS,

@@ -68,12 +68,12 @@ class Fleet:
     def __init__(self, config: ScenarioConfig, streams):
         self.config = config
         n = config.n_vehicles
-        self._mobility = [streams.mobility_stream(i) for i in range(n)]
+        self._mobility = streams.mobility
         spread = config.fleet_speed_spread
         draws = np.array([
             (rng.uniform(1.0 - spread, 1.0 + spread),
              rng.uniform(config.human_error_min, config.human_error_max))
-            for rng in map(streams.init_stream, range(n))
+            for rng in streams.init
         ]).reshape(n, 2)
         self.desired_speed = config.avg_speed * draws[:, 0]
         self.human_error = draws[:, 1]

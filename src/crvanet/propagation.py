@@ -1,4 +1,4 @@
-"""Radio propagation: Hata median path loss, tower geometry, thermal noise.
+"""Radio propagation: Hata median path loss and thermal noise.
 
 Large-scale loss between a tower and a road position uses the Hata
 suburban model (urban base form plus the suburban correction). The sensor
@@ -16,7 +16,6 @@ silently skewing a comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 BOLTZMANN = 1.380649e-23  # J/K
 
@@ -29,30 +28,6 @@ _D_RANGE = (1.0, 20.0)       # km
 
 class PropagationDomainError(ValueError):
     """An input lies outside the Hata model's validity range."""
-
-
-@dataclass(frozen=True)
-class TowerGeometry:
-    """A PU tower: its projection point on the road and perpendicular
-    offset. Which channels it owns is ChannelSensor.tower_of."""
-
-    tower_id: int
-    along_road: float       # m, projection on the road axis
-    offset: float           # m, perpendicular distance to the road
-
-    def distance_to(self, position: float) -> float:
-        """2-D distance (m) from the tower to a road position."""
-        return math.hypot(position - self.along_road, self.offset)
-
-
-def build_towers(n_towers: int, road_length: float, offset: float) -> list[TowerGeometry]:
-    """Lay out towers, all projecting onto the road midpoint.
-
-    With the default 2 km road and 10 km offset this keeps tower-vehicle
-    distances inside [10, 10.05] km, comfortably within Hata validity.
-    """
-    return [TowerGeometry(tower_id=t, along_road=road_length / 2.0, offset=offset)
-            for t in range(n_towers)]
 
 
 def _check(name: str, value: float, lo: float, hi: float, unit: str) -> None:

@@ -175,7 +175,7 @@ def step_pu(channel_id: int, tower_id: int, now: float, tick: int, channel_map: 
         if holder is not None:
             channel_map.clear_holder(channel_id)
             channel_map.su_next[holder] = now + schedule_next(
-                su_gap_mean, streams.su_stream(holder))
+                su_gap_mean, streams.su[holder])
             record_event(report, SU_PREEMPTED, tick, now, channel_id, holder)
         channel_map.pu_active[channel_id] = True
         record_event(report, PU_OCCUPIED, tick, now, channel_id, tower_id)
@@ -194,7 +194,7 @@ def step_su(vehicle_id: int, positions: np.ndarray, now: float, tick: int,
     landing on a PU-active channel is harmful interference — the
     transmission collides immediately, counted but never an allocation.
     """
-    rng = streams.su_stream(vehicle_id)
+    rng = streams.su[vehicle_id]
     channel = int(channel_map.su_channel[vehicle_id])
     if channel >= 0:
         channel_map.clear_holder(channel)

@@ -37,8 +37,6 @@ import numpy as np
 from .config import ScenarioConfig
 from .propagation import (
     HataModel,
-    TowerGeometry,
-    build_towers,
     hata_suburban_loss,  # noqa: F401  unused here; perfbench/selftest.py expects this lookup site
     thermal_noise_power,
 )
@@ -154,7 +152,6 @@ class ChannelSensor:
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        self.towers = build_towers(config.n_pu_towers, config.road_length, config.tower_offset)
         self.noise_dbw = thermal_noise_power(config.noise_temperature, config.channel_bandwidth)
         self.hata = HataModel(config.frequency, config.base_station_height, config.mobile_height)
         self.n_samples = config.sensing_samples
@@ -164,9 +161,13 @@ class ChannelSensor:
         self.tower_of = np.repeat(np.arange(config.n_pu_towers), config.channels_per_tower)
         self._thresholds = {1: detection_threshold(self.target_pfa, self.n_samples)}
 
-    def median_pu_snr(self, tower: TowerGeometry, observer_pos: float) -> float:
-        """Median (no fading) linear SNR of a tower's signal at a road position."""
-        loss = self.hata.suburban_loss(tower.distance_to(observer_pos) / 1000.0)
+    def median_pu_snr(self, observer_pos: float) -> float:
+        """Median (no fading) linear SNR of every PU tower's signal at a road
+        position: each tower stands towerOffset from the road midpoint (with
+        the default 2 km road and 10 km offset, 10 to 10.05 km away)."""
+        distance = math.hypot(observer_pos - self.config.road_length / 2.0,
+                              self.config.tower_offset)
+        loss = self.hata.suburban_loss(distance / 1000.0)
         return 10.0 ** ((self.config.tx_power_pu - loss - self.noise_dbw) / 10.0)
 
     def threshold_for(self, blocks: int) -> float:
@@ -209,18 +210,19 @@ class ChannelSensor:
                                      and channel_ids.max() < self.config.n_channels):
             raise ValueError(f"unknown channel in {channel_ids.tolist()}")
         threshold = self.threshold_for(blocks)
-        n_towers = len(self.towers)
+        n_towers = self.config.n_pu_towers
         towers_here = self.tower_of[channel_ids]
+        # one median PU SNR per observer: every tower is as far from it
         if single:
-            observers, positions = [int(observer_ids)], [float(observer_pos)]
-            pos = positions[0]
+            observers, pos = [int(observer_ids)], float(observer_pos)
+            snr_pu = self.median_pu_snr(pos)
             counts = [np.bincount(towers_here, minlength=n_towers).tolist()]
         else:
             observers = np.asarray(observer_ids, dtype=int).tolist()
             if not observers:
                 raise ValueError("sense_block needs at least one observer")
             pos = np.asarray(observer_pos, dtype=float)[:, None]
-            positions = pos[:, 0].tolist()
+            snr_pu = np.array([self.median_pu_snr(p) for p in pos[:, 0].tolist()])[:, None]
             rows = np.arange(len(observers))[:, None]
             counts = np.bincount((rows * n_towers + towers_here).ravel(),
                                  minlength=len(observers) * n_towers
@@ -242,23 +244,17 @@ class ChannelSensor:
         # statistic per block and channel from its sensing stream. Block
         # after block from one generator is the same sequence as one draw of
         # shape (blocks, count).
-        snr_table, fading, stat_draws = [], [], []
+        fading, stat_draws = [], []
         n_samples = self.n_samples
-        for observer, position, row in zip(observers, positions, counts):
-            snr_row = []
-            for tower, count in zip(self.towers, row):
+        for observer, row in zip(observers, counts):
+            for tower, count in enumerate(row):
                 if count:
-                    snr_row.append(self.median_pu_snr(tower, position))
-                    fading.append((tower.tower_id, streams.fading_stream(
-                        tower.tower_id, observer).exponential(1.0, size=lead + (count,))))
-                else:
-                    snr_row.append(0.0)
-            snr_table.append(snr_row)
-            stat_draws.append(streams.sensing_stream(observer).standard_gamma(
+                    fading.append((tower, streams.fading[tower][observer].exponential(
+                        1.0, size=lead + (count,))))
+            stat_draws.append(streams.sensing[observer].standard_gamma(
                 n_samples, size=lead + (k,)))
 
         if single:
-            snr_pu = np.array(snr_table[0])[towers_here]
             stat_draw = stat_draws[0]
             gains = np.empty(lead + (k,))
             past_blocks = (slice(None),) * len(lead)   # index the channel axis
@@ -267,7 +263,6 @@ class ChannelSensor:
         else:
             # draws concatenate by observer, then tower, then position; the
             # stable tower order of each row puts them back in place
-            snr_pu = np.array(snr_table)[rows, towers_here]
             stat_draw = np.stack(stat_draws, axis=1)
             gains = np.empty((blocks, len(observers), k))
             gains[:, rows, np.argsort(towers_here, axis=-1, kind="stable")] = np.concatenate(
@@ -294,22 +289,19 @@ class ChannelSensor:
             raise ValueError(f"unknown channel in {ids}")
         threshold = self.threshold_for(blocks)
         towers_here = [c // self.config.channels_per_tower for c in ids]
-        snr, gains = {}, {}   # per sensed tower: median SNR, fading gains block-major
-        for t, tower in enumerate(self.towers):
-            count = towers_here.count(t)
-            if count:
-                snr[t] = self.median_pu_snr(tower, pos)
-                gains[t] = iter(streams.fading_stream(tower.tower_id, observer)
-                                .standard_exponential(blocks * count).tolist())
-        draws = iter(streams.sensing_stream(observer).standard_gamma(
+        gains = {t: iter(streams.fading[t][observer]   # per sensed tower, block-major
+                         .standard_exponential(blocks * towers_here.count(t)).tolist())
+                 for t in set(towers_here)}
+        draws = iter(streams.sensing[observer].standard_gamma(
             self.n_samples, blocks * len(ids)).tolist())
+        snr = self.median_pu_snr(pos)
         meds, truth, sensing_range, su_snr = [], [], self.config.sensing_range, self.su_snr_linear
         for t, pu, holder, holder_pos in zip(
                 towers_here, channel_map.pu_active[channel_ids].tolist(),
                 channel_map.su_holder[channel_ids].tolist(),
                 channel_map.su_holder_pos[channel_ids].tolist()):
             su = holder >= 0 and abs(holder_pos - pos) <= sensing_range
-            meds.append((snr[t] if pu else 0.0) + (su_snr if su else 0.0))
+            meds.append((snr if pu else 0.0) + (su_snr if su else 0.0))
             truth.append(pu or su)
         stats, n_samples = [0.0] * len(ids), self.n_samples   # max-hold of positive statistics
         for _ in range(blocks):   # block after block, each channel takes its next draws

@@ -4,8 +4,9 @@ A root seed fans out into independent generators, one per (domain,
 entity) key, each the one ``default_rng(SeedSequence((seed, domain,
 *entity)))`` gives. Changing how many draws one subsystem makes never
 perturbs another, so mobility, PU schedules and vehicle parameters are
-bit-identical for a seed whichever sensing scheme runs. A run builds each
-domain's generators up front, in one vectorised pass (``derive``).
+bit-identical for a seed whichever sensing scheme runs. A run's bundle is
+always built at full size: every domain's generators up front, in one
+vectorised pass (``derive``), and nothing is derived later.
 
 Domains:
     INIT      per-vehicle parameter draws (desired speed, human error)
@@ -21,7 +22,6 @@ Domains:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from itertools import permutations
 
 import numpy as np
@@ -82,34 +82,12 @@ def derive(seed: int, domain: int, entities: range, *prefix: int) -> list[np.ran
 
 
 class StreamBundle:
-    """One run's generators, a list per domain (per tower for FADING), built
-    up front from the run's sizes; outside PU, an id past a list's end, as
-    in a bundle made without sizes, derives the list's missing tail on first use."""
+    """One run's generators, all built up front from the run's sizes: a list
+    per domain, indexed by entity id (``su[v]``, ``pu[c]``), and for FADING
+    a list per tower, indexed by observer (``fading[t][o]``)."""
 
-    def __init__(self, seed: int, n_vehicles: int = 0, n_channels: int = 0, n_towers: int = 0):
-        self.seed = seed
+    def __init__(self, seed: int, n_vehicles: int, n_channels: int, n_towers: int):
         self.init, self.mobility, self.su, self.sensing = (
             derive(seed, domain, range(n_vehicles)) for domain in (INIT, MOBILITY, SU, SENSING))
         self.pu = derive(seed, PU, range(n_channels))
-        self.fading = defaultdict(list, {t: derive(seed, FADING, range(n_vehicles), t)
-                                         for t in range(n_towers)})
-
-    def _at(self, streams: list, domain: int, entity: int, *prefix: int) -> np.random.Generator:
-        if entity >= len(streams):
-            streams += derive(self.seed, domain, range(len(streams), entity + 1), *prefix)
-        return streams[entity]
-
-    def init_stream(self, vehicle_id: int) -> np.random.Generator:
-        return self._at(self.init, INIT, vehicle_id)
-
-    def mobility_stream(self, vehicle_id: int) -> np.random.Generator:
-        return self._at(self.mobility, MOBILITY, vehicle_id)
-
-    def su_stream(self, vehicle_id: int) -> np.random.Generator:
-        return self._at(self.su, SU, vehicle_id)
-
-    def fading_stream(self, tower_id: int, observer_id: int) -> np.random.Generator:
-        return self._at(self.fading[tower_id], FADING, observer_id, tower_id)
-
-    def sensing_stream(self, observer_id: int) -> np.random.Generator:
-        return self._at(self.sensing, SENSING, observer_id)
+        self.fading = [derive(seed, FADING, range(n_vehicles), t) for t in range(n_towers)]

@@ -42,6 +42,11 @@ class SweepSpec:
             raise ValueError("values must be strictly increasing")
         if not self.schemes or not self.seeds:
             raise ValueError("schemes and seeds must be nonempty")
+        # a repeat would run every one of its points twice and write each row twice
+        for kind, entries in (("scheme", [s.value for s in self.schemes]), ("seed", self.seeds)):
+            repeated = [entry for i, entry in enumerate(entries) if entry in entries[:i]]
+            if repeated:
+                raise ValueError(f"{kind} {repeated[0]} is repeated")
         # every point's config is checked here, so a bad value fails before any run
         for value in self.values:
             if self.axis != "speed" and not float(value).is_integer():
@@ -168,18 +173,3 @@ def write_csv(table: SweepTable, path: str) -> None:
             fh.write(data)
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
-
-
-def read_csv(path: str) -> SweepTable:
-    """Parse a file produced by write_csv back into a table."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"{path}: missing or wrong header")
-    rows = []
-    for number, line in enumerate(lines[1:], start=2):
-        value, scheme, seed, *counters = line.split(",")
-        if len(counters) != len(COUNTERS):
-            raise ValueError(f"{path}: line {number} does not match the header")
-        rows.append(SweepRow(float(value), Scheme(scheme), int(seed), *map(int, counters)))
-    return SweepTable(spec_axis="", rows=tuple(rows))

@@ -33,7 +33,7 @@ def _sense_everywhere(config, calls, seed, pu_active=False, positions=None):
     if positions is None:
         positions = np.linspace(0.0, config.road_length, config.n_vehicles)
     observers, channels = np.arange(config.n_vehicles), np.arange(config.n_channels)
-    streams = StreamBundle(seed)
+    streams = StreamBundle(seed, config.n_vehicles, config.n_channels, config.n_pu_towers)
     blocks = [sensor.sense_block(observers, positions, channels, cmap, 0.0, streams)
               for _ in range(calls)]
     return sensor, positions, blocks
@@ -81,12 +81,12 @@ def applied_fading_gains():
     """
     config = ScenarioConfig().validate()
     sensor, positions, blocks = _sense_everywhere(config, 200, 10, pu_active=True)
-    snr = np.array([[sensor.median_pu_snr(tower, p) for tower in sensor.towers]
-                    for p in positions.tolist()])[:, sensor.tower_of]
-    replay, n = StreamBundle(10), sensor.n_samples
+    snr = np.array([sensor.median_pu_snr(p) for p in positions.tolist()])[:, None]
+    replay = StreamBundle(10, config.n_vehicles, config.n_channels, config.n_pu_towers)
+    n = sensor.n_samples
     gains = []
     for block in blocks:
-        g = np.array([replay.sensing_stream(v).standard_gamma(n, size=config.n_channels)
+        g = np.array([replay.sensing[v].standard_gamma(n, size=config.n_channels)
                       for v in range(config.n_vehicles)])
         gains.append((block.statistic * n / g - 1.0) / snr)
     return np.concatenate(gains, axis=None)

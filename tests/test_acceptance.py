@@ -177,7 +177,7 @@ def test_criterion_6_allocation_ordering(study_tables):
 
 def test_criterion_7_mobility_properties():
     config = replace(ScenarioConfig(), running_time=60.0, seed=1).validate()
-    fleet = Fleet(config, StreamBundle(config.seed))
+    fleet = Fleet(config, StreamBundle(config.seed, config.n_vehicles, 0, 0))
     dt = config.time_step
     ticks = 60_000
     decision_period = max(1, round(config.reaction_time / dt))

@@ -234,6 +234,17 @@ def test_sweep_rejects_bad_axis_values(scenario_file, tmp_path, capsys):
     assert "sweep specification invalid" in capsys.readouterr().err
 
 
+def test_sweep_rejects_repeated_scheme(scenario_file, tmp_path, capsys):
+    code = main([
+        "sweep", "--config", scenario_file, "--axis", "vehicles", "--values", "2,4",
+        "--schemes", "standalone,standalone", "--seeds", "1", "--out", str(tmp_path / "x"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "sweep specification invalid" in err and "scheme standalone is repeated" in err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("axis, values, named", [
     ("speed", "-10,20", "speed value -10"),
     ("channels", "0,20", "channels value 0"),

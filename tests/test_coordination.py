@@ -126,14 +126,14 @@ class TestCoordinatedSense:
 
     def test_all_vacant_reported_vacant(self):
         engine = self._setup()
-        vacant, _ = self._epoch(engine, StreamBundle(3))
+        vacant, _ = self._epoch(engine, _streams(engine.config, 3))
         # all channels truly vacant; AND-fusion keeps most vacant
         assert vacant.sum() >= 2
 
     def test_pu_active_channel_reported_occupied(self):
         engine = self._setup()
         engine.channel_map.pu_active[1] = True
-        vacant, _ = self._epoch(engine, StreamBundle(3))
+        vacant, _ = self._epoch(engine, _streams(engine.config, 3))
         assert not vacant[1]
 
     def test_fusion_is_and_of_vacancy(self):
@@ -141,21 +141,26 @@ class TestCoordinatedSense:
         decisions, whatever the ground truth."""
         engine = self._setup()
         fleet = engine.fleet
-        fused, role = self._epoch(engine, StreamBundle(3))
+        fused, role = self._epoch(engine, _streams(engine.config, 3))
         per_coord = []
         for cid in dict.fromkeys(role):
             block = engine.sensor.sense_block(cid, float(fleet.positions[cid]), np.arange(4),
-                                              engine.channel_map, 0.0, StreamBundle(3))
+                                              engine.channel_map, 0.0,
+                                              _streams(engine.config, 3))
             per_coord.append(~block.occupied)
         expected = np.logical_and.reduce(np.array(per_coord))
         np.testing.assert_array_equal(fused, expected)
 
 
-def _radio_states(streams, n_towers, n_vehicles):
+def _streams(config, seed):
+    """A bundle of the scenario's sizes."""
+    return StreamBundle(seed, config.n_vehicles, config.n_channels, config.n_pu_towers)
+
+
+def _radio_states(streams):
     """The state of every fading and sensing generator of a bundle."""
-    return ([streams.fading_stream(t, v).bit_generator.state
-             for t in range(n_towers) for v in range(n_vehicles)]
-            + [streams.sensing_stream(v).bit_generator.state for v in range(n_vehicles)])
+    return [rng.bit_generator.state for rngs in streams.fading + [streams.sensing]
+            for rng in rngs]
 
 
 @pytest.mark.parametrize("n_vehicles", [50, 10])
@@ -173,7 +178,7 @@ def test_epoch_equals_per_coordinator_sensing(n_vehicles):
 
     _, roles = elect_coordinators(fleet.positions, fleet.directions, config.comm_range)
     assert n_vehicles == 50 or len(roles) > 2   # the sparse fleet splits up
-    reference = StreamBundle(config.seed)
+    reference = _streams(config, config.seed)
     expected = []
     for role in roles.tolist():
         vacant = np.ones(config.n_channels, dtype=bool)
@@ -184,9 +189,7 @@ def test_epoch_equals_per_coordinator_sensing(n_vehicles):
         expected.append(vacant)
     np.testing.assert_array_equal(engine.strategy.vacant, np.array(expected))
     assert not engine.strategy.vacant.all() and engine.strategy.vacant.any()
-    n_towers = len(sensor.towers)
-    assert (_radio_states(engine.streams, n_towers, n_vehicles)
-            == _radio_states(reference, n_towers, n_vehicles))
+    assert _radio_states(engine.streams) == _radio_states(reference)
 
 
 class TestProposedStrategy:

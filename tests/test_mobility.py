@@ -21,7 +21,7 @@ from crvanet.streams import StreamBundle
 def lone_pair(seed=0):
     """Two vehicles, one per direction, so neither has a leader."""
     config = replace(ScenarioConfig(), n_vehicles=2, seed=seed).validate()
-    return Fleet(config, StreamBundle(seed)), config
+    return Fleet(config, StreamBundle(seed, 2, 0, 0)), config
 
 
 class TestFreeSpeed:
@@ -48,7 +48,7 @@ class TestSafeSpeed:
         free = gipps_free_speed(before, fleet.desired_speed, DEFAULT_MAX_ACCEL,
                                 config.reaction_time)
         low = free - fleet.human_error * DEFAULT_MAX_ACCEL
-        u = [StreamBundle(5).mobility_stream(i).random() for i in range(2)]
+        u = [rng.random() for rng in StreamBundle(5, 2, 0, 0).mobility]
         np.testing.assert_array_equal(fleet.speeds,
                                       np.maximum(fleet.v_min, low + (free - low) * u))
 
@@ -169,7 +169,7 @@ class TestFleet:
     def _fleet(self, seed=1, **overrides):
         from dataclasses import replace
         config = replace(ScenarioConfig(), seed=seed, **overrides).validate()
-        return Fleet(config, StreamBundle(config.seed)), config
+        return Fleet(config, StreamBundle(config.seed, config.n_vehicles, 0, 0)), config
 
     def test_split_across_directions(self):
         fleet, _ = self._fleet()

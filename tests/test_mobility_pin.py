@@ -44,7 +44,7 @@ CASES = [(n, 2000.0) for n in (0, 1, 2, 3, 50, 400)] + [(120, 500.0)]
 def motion_digest(n_vehicles: int, road_length: float, seed: int) -> str:
     config = replace(ScenarioConfig(), n_vehicles=n_vehicles, road_length=road_length,
                      seed=seed).validate()
-    fleet = Fleet(config, StreamBundle(seed))
+    fleet = Fleet(config, StreamBundle(seed, n_vehicles, 0, 0))
     dt = config.time_step
     period = max(1, round(config.reaction_time / dt))
     digest = hashlib.sha256()

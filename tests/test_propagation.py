@@ -7,7 +7,6 @@ from crvanet.config import ScenarioConfig
 from crvanet.propagation import (
     HataModel,
     PropagationDomainError,
-    build_towers,
     hata_suburban_loss,
     thermal_noise_power,
 )
@@ -120,21 +119,23 @@ def test_fading_stream_independent_of_mobility_draws():
     # draining the mobility stream must not shift the fading sequence
     seed = 123
     reference = np.random.default_rng(np.random.SeedSequence((seed, FADING, 0, 5)))
-    streams = StreamBundle(seed, n_vehicles=6, n_towers=2)
-    streams.mobility_stream(5).uniform(size=10_000)
-    np.testing.assert_array_equal(streams.fading_stream(0, 5).exponential(1.0, size=50),
+    streams = StreamBundle(seed, n_vehicles=6, n_channels=0, n_towers=2)
+    streams.mobility[5].uniform(size=10_000)
+    np.testing.assert_array_equal(streams.fading[0][5].exponential(1.0, size=50),
                                   reference.exponential(1.0, size=50))
 
 
 def test_tower_layout_matches_default_geometry():
-    towers = build_towers(2, 2000.0, 10_000.0)
-    assert [t.tower_id for t in towers] == [0, 1]
-    assert all(t.along_road == 1000.0 for t in towers)
-    # every road position keeps the link inside Hata validity
-    d_min = towers[0].distance_to(1000.0) / 1000.0
-    d_max = towers[0].distance_to(0.0) / 1000.0
-    assert d_min == pytest.approx(10.0)
-    assert 10.0 < d_max < 10.06
+    # every tower stands 10 km off the midpoint of the 2 km road: the link
+    # is 10 km there and 10.05 km at either end, inside Hata validity
+    sensor = ChannelSensor(ScenarioConfig())
+
+    def snr_at(d_km):
+        loss = sensor.hata.suburban_loss(d_km)
+        return 10.0 ** ((sensor.config.tx_power_pu - loss - sensor.noise_dbw) / 10.0)
+
+    assert sensor.median_pu_snr(1000.0) == snr_at(10.0)
+    for end in (0.0, 2000.0):
+        assert sensor.median_pu_snr(end) == pytest.approx(snr_at(math.hypot(1.0, 10.0)))
     # tower 0 owns channels 0-49, tower 1 owns 50-99
-    tower_of = ChannelSensor(ScenarioConfig()).tower_of
-    assert tower_of[[49, 50, 99]].tolist() == [0, 1, 1]
+    assert sensor.tower_of[[49, 50, 99]].tolist() == [0, 1, 1]

@@ -192,7 +192,7 @@ def test_pu_timeline_follows_the_scalar_rule(n_channels, dt, hold_steps, gap_ste
     the flip-by-flip path)."""
     def generators():
         if fixed is None:
-            return StreamBundle(seed, 0, n_channels).pu
+            return StreamBundle(seed, 0, n_channels, 0).pu
         return [draw_stub(fixed[c:] + fixed[:c]) for c in range(n_channels)]
 
     means = (hold_steps * dt, gap_steps * dt)

@@ -55,7 +55,7 @@ class TestStepPu:
     on tower 0, and its flips come from pu_timeline at a 1 ms step."""
 
     def _setup(self):
-        return ChannelMap(4, 3), StreamBundle(5, 0, 4)
+        return ChannelMap(4, 3), StreamBundle(5, 3, 4, 1)
 
     @staticmethod
     def _step(tick, cmap, streams):
@@ -152,19 +152,19 @@ class TestPuTimeline:
             0, 1, 2, 4, 7, 9, 12, 14, 17, 19, 22, 24, 27, 29]
 
     def test_flips_come_in_ascending_channel_order(self):
-        timeline = list(pu_timeline(StreamBundle(2, 0, 10).pu, 100, 0.001, 0.0001, 0.0001))
+        timeline = list(pu_timeline(StreamBundle(2, 0, 10, 0).pu, 100, 0.001, 0.0001, 0.0001))
         assert timeline[0] == []  # a draw below 1e-12 would be needed at tick 0
         assert all(channels == list(range(10)) for channels in timeline[1:])
 
     def test_means_past_float_range_never_flip(self):
         # half the draws times 1e308 overflow to inf: due never, and no warning
-        timeline = pu_timeline(StreamBundle(3, 0, 20).pu, 100, 0.001, 1e308, 1e308)
+        timeline = pu_timeline(StreamBundle(3, 0, 20, 0).pu, 100, 0.001, 1e308, 1e308)
         assert all(channels == [] for channels in timeline)
 
     def test_memory_is_bounded_by_the_window(self):
         # 10^9 ticks at 1 us means: every channel flips on every tick after
         # the first; the blocks come WINDOW ticks at a time
-        streams = StreamBundle(5, 0, 100)
+        streams = StreamBundle(5, 0, 100, 0)
         tracemalloc.start()
         try:
             t0 = time.perf_counter()
@@ -210,8 +210,7 @@ class TestStepSu:
         positions = np.array([100.0, 150.0])
 
         class _Streams:
-            def su_stream(self, vid, _rngs={}):
-                return _rngs.setdefault(vid, np.random.default_rng(100 + vid))
+            su = [np.random.default_rng(100 + vid) for vid in range(2)]
 
         return cmap, report, positions, _Streams()
 
@@ -315,5 +314,5 @@ def test_su_due_and_backoff(draw_stub):
     # a failed attempt at 1.0 retries exactly one back-off later
     cmap = ChannelMap(8, 1)
     step_su(0, np.array([100.0]), 1.0, 1000, _PinnedStrategy(None), cmap,
-            SimulationReport(), StreamBundle(0), 0.04, 0.08, 0.01)
+            SimulationReport(), StreamBundle(0, 1, 8, 1), 0.04, 0.08, 0.01)
     assert cmap.su_next[0] == pytest.approx(1.010, abs=1e-12)

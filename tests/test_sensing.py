@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.stats import gamma, norm
 
 import crvanet.sensing
-from crvanet.propagation import PropagationDomainError, TowerGeometry, hata_suburban_loss
+from crvanet.propagation import PropagationDomainError, hata_suburban_loss
 from crvanet.scheduling import ChannelMap
 from crvanet.sensing import (
     CLASSES,
@@ -22,6 +22,11 @@ from crvanet.sensing import (
     ndtri,
 )
 from crvanet.streams import StreamBundle
+
+
+def _streams(config, seed):
+    """A bundle of the scenario's sizes."""
+    return StreamBundle(seed, config.n_vehicles, config.n_channels, config.n_pu_towers)
 
 
 def _statistics(blocks):
@@ -124,7 +129,7 @@ class TestEnergyStatistic:
     def test_zero_db_snr_doubles_mean(self, default_config, sense_everywhere):
         config = _config_at_snr(default_config, 0.0)
         sensor, positions, blocks = _at_midpoint(sense_everywhere, config, 40, 2)
-        assert sensor.median_pu_snr(sensor.towers[0], positions[0]) == pytest.approx(1.0)
+        assert sensor.median_pu_snr(positions[0]) == pytest.approx(1.0)
         # unit-mean fading keeps the mean at 1 + median SNR
         assert _statistics(blocks).mean() == pytest.approx(2.0, rel=0.01)
 
@@ -140,7 +145,7 @@ class TestEnergyStatistic:
         cmap.pu_active[1] = True
         cmap.set_holder(2, vehicle_id=4, position=600.0)
         block = ChannelSensor(default_config).sense_block(
-            0, 500.0, np.array([0, 1, 2]), cmap, 0.0, StreamBundle(4))
+            0, 500.0, np.array([0, 1, 2]), cmap, 0.0, _streams(default_config, 4))
         assert block.statistic.shape == (3,)
         assert block.truth.tolist() == [False, True, True]
 
@@ -187,7 +192,7 @@ class TestClassification:
         weak = _config_at_snr(default_config, 0.0)   # weak PUs: misdetections occur
         block = ChannelSensor(weak).sense_block(
             np.arange(50), np.linspace(0.0, 2000.0, 50), np.arange(100), cmap, 0.0,
-            StreamBundle(12))
+            _streams(default_config, 12))
         got = classify_block(block.occupied, block.truth)
         assert got.shape == (50, 100)
         expected = np.where(block.occupied == block.truth, 0,
@@ -230,11 +235,11 @@ class TestSenseChannel:
         cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
         for channel_id in (100, -1):
             with pytest.raises(ValueError):
-                self._sense(default_config, cmap, 0.0, channel_id, StreamBundle(0))
+                self._sense(default_config, cmap, 0.0, channel_id, _streams(default_config, 0))
 
     def test_vacant_channel_outcomes_mostly_correct(self, default_config):
         cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
-        streams = StreamBundle(1)
+        streams = _streams(default_config, 1)
         classes = []
         for _ in range(300):
             block = self._sense(default_config, cmap, 500.0, 3, streams)
@@ -246,7 +251,7 @@ class TestSenseChannel:
     def test_pu_active_channel_detected(self, default_config):
         cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
         cmap.pu_active[3] = True
-        streams = StreamBundle(2)
+        streams = _streams(default_config, 2)
         blocks = [self._sense(default_config, cmap, 500.0, 3, streams) for _ in range(200)]
         assert all(b.truth[0] for b in blocks)
         detected = sum(bool(b.occupied[0]) for b in blocks)
@@ -255,7 +260,7 @@ class TestSenseChannel:
     def test_su_holder_in_range_is_occupied_truth(self, default_config):
         cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
         cmap.set_holder(7, vehicle_id=4, position=600.0)
-        streams = StreamBundle(3)
+        streams = _streams(default_config, 3)
         near = self._sense(default_config, cmap, 500.0, 7, streams)
         assert near.truth[0]
         far = self._sense(default_config, cmap, 1500.0, 7, streams)
@@ -263,7 +268,7 @@ class TestSenseChannel:
 
     def test_decision_iff_statistic_crosses_threshold(self, default_config):
         cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
-        streams = StreamBundle(4)
+        streams = _streams(default_config, 4)
         for _ in range(50):
             b = self._sense(default_config, cmap, 800.0, 11, streams)
             assert b.occupied[0] == (b.statistic[0] >= b.threshold)
@@ -293,7 +298,7 @@ def test_two_block_sense_keeps_target_pfa(default_config):
     threshold must still false-alarm at ~targetPfa on vacant channels."""
     sensor = ChannelSensor(default_config)
     cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
-    streams = StreamBundle(99)
+    streams = _streams(default_config, 99)
     hits = 0
     n = 4000
     for i in range(n):
@@ -325,7 +330,7 @@ class TestBatchedSenseBlock:
         sensor = ChannelSensor(default_config)
         cmap = self._channel_map(default_config)
         channels = np.arange(default_config.n_channels) if shared else self.GRID
-        batched, single = StreamBundle(5), StreamBundle(5)
+        batched, single = _streams(default_config, 5), _streams(default_config, 5)
         block = sensor.sense_block(self.OBSERVERS, self.POSITIONS, channels, cmap, 0.25,
                                    batched, blocks=blocks)
         assert block.occupied.shape == (len(self.OBSERVERS), channels.shape[-1])
@@ -341,10 +346,9 @@ class TestBatchedSenseBlock:
         # every generator was left in the same state
         for observer in self.OBSERVERS.tolist():
             for tower in range(default_config.n_pu_towers):
-                assert (batched.fading_stream(tower, observer).random()
-                        == single.fading_stream(tower, observer).random())
-            assert (batched.sensing_stream(observer).random()
-                    == single.sensing_stream(observer).random())
+                assert (batched.fading[tower][observer].random()
+                        == single.fading[tower][observer].random())
+            assert batched.sensing[observer].random() == single.sensing[observer].random()
 
     @staticmethod
     def _short_grid(width):
@@ -362,14 +366,9 @@ class TestBatchedSenseBlock:
     def test_short_calls_equal_batched_rows(self, default_config, monkeypatch, width, blocks):
         """Single-observer calls of at most SMALL_CALL channels take the
         Python-float path; each equals its row of the batched array path
-        bit for bit, and leaves every generator in the same state."""
-        sensor = ChannelSensor(default_config)
-        cmap = self._channel_map(default_config)
-        grid = self._short_grid(width)
-        holders = cmap.su_holder[grid] >= 0
-        distance = np.abs(cmap.su_holder_pos[grid] - self.POSITIONS[:, None])
-        in_range = distance <= default_config.sensing_range
-        assert (holders & in_range).any() and (holders & ~in_range).any()
+        bit for bit, and leaves every generator in the same state. Under
+        the default two towers and under four, where each row spans more
+        than two towers' fading streams."""
         short_calls, short = [], ChannelSensor._sense_short
 
         def counted(*args):
@@ -377,7 +376,21 @@ class TestBatchedSenseBlock:
             return short(*args)
 
         monkeypatch.setattr(ChannelSensor, "_sense_short", counted)
-        batched, single = StreamBundle(5), StreamBundle(5)
+        four_towers = replace(default_config, n_pu_towers=4, channels_per_tower=25).validate()
+        for config in (default_config, four_towers):
+            short_calls.clear()
+            self._check_short_calls(config, width, blocks)
+            assert len(short_calls) == (len(self.OBSERVERS) if width <= SMALL_CALL else 0)
+
+    def _check_short_calls(self, config, width, blocks):
+        sensor = ChannelSensor(config)
+        cmap = self._channel_map(config)
+        grid = self._short_grid(width)
+        holders = cmap.su_holder[grid] >= 0
+        distance = np.abs(cmap.su_holder_pos[grid] - self.POSITIONS[:, None])
+        in_range = distance <= config.sensing_range
+        assert (holders & in_range).any() and (holders & ~in_range).any()
+        batched, single = _streams(config, 5), _streams(config, 5)
         block = sensor.sense_block(self.OBSERVERS, self.POSITIONS, grid, cmap, 0.25,
                                    batched, blocks=blocks)
         for r, (observer, position) in enumerate(
@@ -388,20 +401,20 @@ class TestBatchedSenseBlock:
                 expected, got = getattr(block, field)[r], getattr(alone, field)
                 assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
             assert alone.threshold == block.threshold
-        assert len(short_calls) == (len(self.OBSERVERS) if width <= SMALL_CALL else 0)
         for observer in self.OBSERVERS.tolist():
-            for tower in range(default_config.n_pu_towers):
-                assert (batched.fading_stream(tower, observer).bit_generator.state
-                        == single.fading_stream(tower, observer).bit_generator.state)
-            assert (batched.sensing_stream(observer).bit_generator.state
-                    == single.sensing_stream(observer).bit_generator.state)
+            for tower in range(config.n_pu_towers):
+                assert (batched.fading[tower][observer].bit_generator.state
+                        == single.fading[tower][observer].bit_generator.state)
+            assert (batched.sensing[observer].bit_generator.state
+                    == single.sensing[observer].bit_generator.state)
 
     @pytest.mark.parametrize("channel_id", [100, -1])
     def test_unknown_channel_rejected_in_short_call(self, default_config, channel_id):
         sensor = ChannelSensor(default_config)
         cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
         with pytest.raises(ValueError, match="unknown channel"):
-            sensor.sense_block(0, 500.0, np.array([2, channel_id]), cmap, 0.0, StreamBundle(0))
+            sensor.sense_block(0, 500.0, np.array([2, channel_id]), cmap, 0.0,
+                               _streams(default_config, 0))
 
     def test_unknown_channel_rejected_in_grid(self, default_config):
         sensor = ChannelSensor(default_config)
@@ -410,7 +423,7 @@ class TestBatchedSenseBlock:
             channels = np.array([[0, 1], [2, channel_id]])
             with pytest.raises(ValueError):
                 sensor.sense_block(self.OBSERVERS[:2], self.POSITIONS[:2], channels, cmap,
-                                   0.0, StreamBundle(0))
+                                   0.0, _streams(default_config, 0))
 
     @pytest.mark.parametrize("shape", [(), (2, 2), (1, SMALL_CALL), (2, SMALL_CALL),
                                        (SMALL_CALL + 1, 1)])
@@ -421,28 +434,30 @@ class TestBatchedSenseBlock:
         cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
         channels = np.arange(math.prod(shape)).reshape(shape)
         with pytest.raises(ValueError, match="one observer needs 1-D channel_ids"):
-            sensor.sense_block(0, 500.0, channels, cmap, 0.0, StreamBundle(0))
+            sensor.sense_block(0, 500.0, channels, cmap, 0.0, _streams(default_config, 0))
 
 
 class TestMedianPuSnr:
     def test_equals_hata_suburban_exactly(self, default_config):
+        """Every tower stands towerOffset from the road midpoint, so the
+        median SNR at a position is the Hata loss at that one distance."""
         cfg = default_config
         sensor = ChannelSensor(cfg)
-        towers = sensor.towers + [TowerGeometry(2, along_road=0.0, offset=1500.0)]
-        for tower in towers:
-            for position in np.linspace(0.0, cfg.road_length, 81).tolist():
-                loss = hata_suburban_loss(cfg.frequency, cfg.base_station_height,
-                                          cfg.mobile_height, tower.distance_to(position) / 1000.0)
-                expected = 10 ** ((cfg.tx_power_pu - loss - sensor.noise_dbw) / 10)
-                assert sensor.median_pu_snr(tower, position) == expected
+        for position in np.linspace(0.0, cfg.road_length, 81).tolist():
+            distance = math.hypot(position - cfg.road_length / 2.0, cfg.tower_offset)
+            loss = hata_suburban_loss(cfg.frequency, cfg.base_station_height,
+                                      cfg.mobile_height, distance / 1000.0)
+            expected = 10 ** ((cfg.tx_power_pu - loss - sensor.noise_dbw) / 10)
+            assert sensor.median_pu_snr(position) == expected
 
     def test_out_of_range_inputs_raise(self, default_config):
         # both towers 100 m off the road at its 1000 m midpoint
         sensor = ChannelSensor(replace(default_config, tower_offset=100.0))
         with pytest.raises(PropagationDomainError):
-            sensor.median_pu_snr(sensor.towers[0], 1000.0)   # 0.1 km
-        with pytest.raises(PropagationDomainError):
-            sensor.sense_block(0, 1000.0, np.arange(3), ChannelMap(default_config.n_channels, default_config.n_vehicles),
-                               0.0, StreamBundle(0))
+            sensor.median_pu_snr(1000.0)   # 0.1 km
+        cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
+        for channels in (np.arange(3), np.arange(SMALL_CALL + 1)):   # short and array path
+            with pytest.raises(PropagationDomainError):
+                sensor.sense_block(0, 1000.0, channels, cmap, 0.0, _streams(default_config, 0))
         with pytest.raises(PropagationDomainError):
             ChannelSensor(replace(default_config, frequency=2000.0))

@@ -10,16 +10,6 @@ from crvanet.engine import SimulationEngine
 from crvanet.streams import FADING, INIT, MOBILITY, PU, SENSING, SU, StreamBundle
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**40 + 7)
-N_VEHICLES, N_CHANNELS, N_TOWERS = 50, 100, 2
-
-# (domain, key): entity 0 and the largest id of each domain, on every tower for FADING
-KEYS = (
-    [(domain, (v,)) for domain in (INIT, MOBILITY, SU, SENSING) for v in (0, N_VEHICLES - 1)]
-    + [(PU, (c,)) for c in (0, N_CHANNELS - 1)]
-    + [(FADING, (t, v)) for t in range(N_TOWERS) for v in (0, N_VEHICLES - 1)]
-)
-ACCESSOR = {INIT: "init_stream", MOBILITY: "mobility_stream", SU: "su_stream",
-            SENSING: "sensing_stream", FADING: "fading_stream"}
 
 
 def _assert_same(rng, oracle):
@@ -28,22 +18,26 @@ def _assert_same(rng, oracle):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("sized", [True, False])
-def test_every_stream_equals_the_seed_sequence_oracle(seed, sized):
-    """Built up front from the run's sizes, or derived on first use by a
-    bundle without sizes (each key extends its list past the last one), a
-    generator is the one SeedSequence gives. PU generators are read only in
-    bulk, by the PU timeline, so only a sized bundle holds them."""
-    streams = (StreamBundle(seed, N_VEHICLES, N_CHANNELS, N_TOWERS) if sized
-               else StreamBundle(seed))
-    assert len(streams.pu) == (N_CHANNELS if sized else 0)
-    for domain, key in KEYS:
-        oracle = np.random.default_rng(np.random.SeedSequence((seed, domain) + key))
-        if domain == PU:
-            if sized:
-                _assert_same(streams.pu[key[0]], oracle)
-        else:
-            _assert_same(getattr(streams, ACCESSOR[domain])(*key), oracle)
+@pytest.mark.parametrize("many_towers", [True, False])
+def test_every_stream_equals_the_seed_sequence_oracle(seed, many_towers):
+    """A bundle holds one generator per entity of each domain (per tower and
+    observer for FADING), each the one SeedSequence gives for its key; the
+    default run's sizes, and a smaller fleet under four towers."""
+    n_vehicles, n_channels, n_towers = (10, 100, 4) if many_towers else (50, 100, 2)
+    streams = StreamBundle(seed, n_vehicles, n_channels, n_towers)
+    lists = {INIT: streams.init, MOBILITY: streams.mobility, SU: streams.su,
+             SENSING: streams.sensing, PU: streams.pu}
+    assert [len(entities) for entities in lists.values()] == [n_vehicles] * 4 + [n_channels]
+    assert [len(row) for row in streams.fading] == [n_vehicles] * n_towers
+    # entity 0 and the largest id of each domain, on every tower for FADING
+    for domain, entities in lists.items():
+        for e in (0, len(entities) - 1):
+            oracle = np.random.default_rng(np.random.SeedSequence((seed, domain, e)))
+            _assert_same(entities[e], oracle)
+    for t in range(n_towers):
+        for v in (0, n_vehicles - 1):
+            oracle = np.random.default_rng(np.random.SeedSequence((seed, FADING, t, v)))
+            _assert_same(streams.fading[t][v], oracle)
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
