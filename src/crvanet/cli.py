@@ -21,7 +21,7 @@ from .config import ScenarioConfig, Scheme, ScenarioError, load_scenario_file
 from .engine import run_simulation
 from .plots import render_plots
 from .report import COUNTERS, TraceEvent
-from .sweep import SweepSpec, run_sweep, write_csv
+from .sweep import AXES, SweepSpec, run_sweep, write_csv
 
 
 def _load_config(path: str | None) -> ScenarioConfig:
@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     swp = sub.add_parser("sweep", help="run a parameter sweep and write CSV + charts")
     swp.add_argument("--config", help="base scenario file; defaults if omitted")
-    swp.add_argument("--axis", required=True, choices=("vehicles", "channels", "speed"))
+    swp.add_argument("--axis", required=True, choices=AXES)
     swp.add_argument("--values", required=True, help="comma-separated axis values "
                      "(speed values in km/h)")
     swp.add_argument("--schemes", default="standalone,cooperative,proposed")

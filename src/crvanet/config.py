@@ -1,11 +1,15 @@
 """Scenario configuration: parsing, unit normalization and validation.
 
-Scenario files are flat UTF-8 ``key = value`` text. Values may carry a
-unit suffix ("100 km/h", "10 ms", "7 MHz"); everything is normalized to
-SI on load (speeds to m/s, distances to m, times to s, bandwidth to Hz).
-Transmit powers stay in dBW and the carrier frequency stays in MHz, the
-units the propagation model works in. Lines starting with ``#`` are
-comments; unknown keys are rejected.
+Scenario files are flat UTF-8 ``key = value`` text; ``#`` starts a comment
+and unknown keys are rejected. Each key is a ScenarioConfig field name in
+camelCase (``n_pu_towers`` -> ``nPuTowers``); the field's type is its unit
+kind. A value may carry a suffix of its kind, case-insensitive, spaced or
+glued ("100 km/h", "10ms"): time s/ms/us/min, distance m/km/cm, speed
+m/s/mps/km/h/kmh, carrier frequency MHz/GHz/kHz, bandwidth Hz/kHz/MHz/GHz,
+power dBW, temperature K; counts and scalars take none. Values are stored
+in SI (m/s, m, s, Hz), except that powers stay in dBW and the carrier
+frequency in MHz, the units the propagation model works in. Every physical
+quantity but a dBW level must be > 0.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Annotated, get_type_hints
 
 
 class ScenarioError(Exception):
@@ -37,40 +42,54 @@ class Scheme(Enum):
     PROPOSED = "proposed"
 
 
+# Unit kinds. A field's kind picks the unit suffixes its value accepts
+# (_UNIT_TABLE); a plain int field is a count, a plain float a unitless scalar.
+Seconds = Annotated[float, "time"]
+Metres = Annotated[float, "distance"]
+MetresPerSecond = Annotated[float, "speed"]
+MHz = Annotated[float, "freq_mhz"]
+Hz = Annotated[float, "freq_hz"]
+DBW = Annotated[float, "power_dbw"]
+Kelvin = Annotated[float, "temperature"]
+
+# A physical quantity must be > 0, except a level in dBW, which may be zero or negative.
+_POSITIVE_KINDS = ("time", "distance", "speed", "freq_mhz", "freq_hz", "temperature")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """All simulation parameters, SI-normalized and validated."""
 
-    running_time: float = 10.0          # s
-    time_step: float = 0.001            # s
-    road_length: float = 2000.0         # m
+    running_time: Seconds = 10.0
+    time_step: Seconds = 0.001
+    road_length: Metres = 2000.0
     n_vehicles: int = 50
     n_channels: int = 100
     n_pu_towers: int = 2
-    tower_offset: float = 10_000.0      # m, perpendicular distance to road
+    tower_offset: Metres = 10_000.0     # perpendicular distance to road
     channels_per_tower: int = 50
-    frequency: float = 150.0            # MHz
-    base_station_height: float = 50.0   # m
-    mobile_height: float = 1.5          # m
-    sensing_range: float = 400.0        # m
-    comm_range: float = 240.0           # m
-    tx_power_pu: float = 30.0           # dBW
-    noise_temperature: float = 500.0    # K
-    channel_bandwidth: float = 7e6      # Hz
-    avg_speed: float = 100.0 / 3.6      # m/s (100 km/h)
+    frequency: MHz = 150.0
+    base_station_height: Metres = 50.0
+    mobile_height: Metres = 1.5
+    sensing_range: Metres = 400.0
+    comm_range: Metres = 240.0
+    tx_power_pu: DBW = 30.0
+    noise_temperature: Kelvin = 500.0
+    channel_bandwidth: Hz = 7e6
+    avg_speed: MetresPerSecond = 100.0 / 3.6   # 100 km/h
     fleet_speed_spread: float = 0.2
     per_vehicle_speed_deviation: float = 0.1
-    reaction_time: float = 1.0          # s
+    reaction_time: Seconds = 1.0
     human_error_min: float = 0.25
     human_error_max: float = 0.4
-    back_off_time: float = 0.010        # s
-    coordination_interval: float = 0.020  # s
+    back_off_time: Seconds = 0.010
+    coordination_interval: Seconds = 0.020
     target_pfa: float = 0.1
     scheme: Scheme = Scheme.PROPOSED
-    pu_hold_mean: float = 0.025         # s
-    pu_gap_mean: float = 0.025          # s
-    su_hold_mean: float = 0.040         # s
-    su_gap_mean: float = 0.080          # s
+    pu_hold_mean: Seconds = 0.025
+    pu_gap_mean: Seconds = 0.025
+    su_hold_mean: Seconds = 0.040
+    su_gap_mean: Seconds = 0.080
     sensing_samples: int = 100          # detector window length N
     seed: int = 1
 
@@ -79,10 +98,11 @@ class ScenarioConfig:
         for key, (name, kind) in _FIELDS.items():
             if kind != "scheme" and not math.isfinite(getattr(self, name)):
                 raise ScenarioValidationError(f"{key} is not finite")
-        if self.time_step <= 0:
-            raise ScenarioValidationError("timeStep > 0 violated")
         if self.running_time < self.time_step:
             raise ScenarioValidationError("runningTime >= timeStep violated")
+        for key, (name, kind) in _FIELDS.items():
+            if kind in _POSITIVE_KINDS and getattr(self, name) <= 0:
+                raise ScenarioValidationError(f"{key} > 0 violated")
         if self.n_channels != self.n_pu_towers * self.channels_per_tower:
             raise ScenarioValidationError(
                 "nChannels = nPuTowers * channelsPerTower violated "
@@ -94,7 +114,7 @@ class ScenarioConfig:
             raise ScenarioValidationError("0 <= fleetSpeedSpread < 1 violated")
         if not (0.0 <= self.per_vehicle_speed_deviation < 1.0):
             raise ScenarioValidationError("0 <= perVehicleSpeedDeviation < 1 violated")
-        if not (self.sensing_range >= self.comm_range > 0.0):
+        if self.sensing_range < self.comm_range:
             raise ScenarioValidationError("sensingRange >= commRange > 0 violated")
         if self.n_vehicles < 0:
             raise ScenarioValidationError("nVehicles >= 0 violated")
@@ -102,14 +122,6 @@ class ScenarioConfig:
             raise ScenarioValidationError("seed >= 0 violated")
         if self.n_pu_towers < 1 or self.channels_per_tower < 1:
             raise ScenarioValidationError("nPuTowers >= 1 and channelsPerTower >= 1 violated")
-        for name in (
-            "road_length", "tower_offset", "frequency", "base_station_height",
-            "mobile_height", "noise_temperature", "channel_bandwidth", "avg_speed",
-            "reaction_time", "back_off_time", "coordination_interval",
-            "pu_hold_mean", "pu_gap_mean", "su_hold_mean", "su_gap_mean",
-        ):
-            if getattr(self, name) <= 0:
-                raise ScenarioValidationError(f"{_KEY_OF[name]} > 0 violated")
         if not (0.0 <= self.human_error_min <= self.human_error_max):
             raise ScenarioValidationError("0 <= humanErrorMin <= humanErrorMax violated")
         if self.sensing_samples < 50:
@@ -117,43 +129,18 @@ class ScenarioConfig:
         return self
 
 
-# File key -> (dataclass field, unit kind). Kinds drive unit normalization.
-_FIELDS: dict[str, tuple[str, str]] = {
-    "runningTime": ("running_time", "time"),
-    "timeStep": ("time_step", "time"),
-    "roadLength": ("road_length", "distance"),
-    "nVehicles": ("n_vehicles", "count"),
-    "nChannels": ("n_channels", "count"),
-    "nPuTowers": ("n_pu_towers", "count"),
-    "towerOffset": ("tower_offset", "distance"),
-    "channelsPerTower": ("channels_per_tower", "count"),
-    "frequency": ("frequency", "freq_mhz"),
-    "baseStationHeight": ("base_station_height", "distance"),
-    "mobileHeight": ("mobile_height", "distance"),
-    "sensingRange": ("sensing_range", "distance"),
-    "commRange": ("comm_range", "distance"),
-    "txPowerPu": ("tx_power_pu", "power_dbw"),
-    "noiseTemperature": ("noise_temperature", "temperature"),
-    "channelBandwidth": ("channel_bandwidth", "freq_hz"),
-    "avgSpeed": ("avg_speed", "speed"),
-    "fleetSpeedSpread": ("fleet_speed_spread", "scalar"),
-    "perVehicleSpeedDeviation": ("per_vehicle_speed_deviation", "scalar"),
-    "reactionTime": ("reaction_time", "time"),
-    "humanErrorMin": ("human_error_min", "scalar"),
-    "humanErrorMax": ("human_error_max", "scalar"),
-    "backOffTime": ("back_off_time", "time"),
-    "coordinationInterval": ("coordination_interval", "time"),
-    "targetPfa": ("target_pfa", "scalar"),
-    "scheme": ("scheme", "scheme"),
-    "puHoldMean": ("pu_hold_mean", "time"),
-    "puGapMean": ("pu_gap_mean", "time"),
-    "suHoldMean": ("su_hold_mean", "time"),
-    "suGapMean": ("su_gap_mean", "time"),
-    "sensingSamples": ("sensing_samples", "count"),
-    "seed": ("seed", "count"),
-}
+def _file_key(name: str) -> str:
+    """A field's scenario-file key: its name in camelCase (n_pu_towers -> nPuTowers)."""
+    first, *rest = name.split("_")
+    return first + "".join(word.capitalize() for word in rest)
 
-_KEY_OF = {field: key for key, (field, _) in _FIELDS.items()}
+
+# File key -> (dataclass field, unit kind), in field order. Kinds drive unit normalization.
+_FIELDS: dict[str, tuple[str, str]] = {
+    _file_key(name): (name, hint.__metadata__[0] if hasattr(hint, "__metadata__")
+                      else {int: "count", float: "scalar", Scheme: "scheme"}[hint])
+    for name, hint in get_type_hints(ScenarioConfig, include_extras=True).items()
+}
 
 # Multipliers to the stored unit, per kind.
 _UNIT_TABLE: dict[str, dict[str, float]] = {

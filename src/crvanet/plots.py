@@ -50,14 +50,10 @@ def _series(table: SweepTable, metric: str):
     series: dict[Scheme, list[tuple[float, float, float, float]]] = defaultdict(list)
     for (scheme, value), counts in sorted(buckets.items(), key=lambda kv: (kv[0][0].value, kv[0][1])):
         series[scheme].append((value, sum(counts) / len(counts), min(counts), max(counts)))
-    for points in series.values():
-        points.sort(key=lambda p: p[0])
     return series
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count)]
 

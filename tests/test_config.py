@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -152,6 +152,87 @@ def test_non_finite_number_rejected_with_line_number(text, line):
 def test_non_finite_field_rejected_naming_key(field, key, value):
     with pytest.raises(ScenarioValidationError, match=f"^{key} is not finite$"):
         replace(ScenarioConfig(), **{field: value}).validate()
+
+
+ALL_KEYS_TEXT = """
+runningTime = 2000 ms
+timeStep = 500 us
+roadLength = 3 km
+nVehicles = 20
+nChannels = 60
+nPuTowers = 3
+towerOffset = 8 km
+channelsPerTower = 20
+frequency = 0.2 GHz
+baseStationHeight = 4000 cm
+mobileHeight = 2 m
+sensingRange = 0.5 km
+commRange = 300 m
+txPowerPu = 20 dBW
+noiseTemperature = 300 K
+channelBandwidth = 5 MHz
+avgSpeed = 90 km/h
+fleetSpeedSpread = 0.3
+perVehicleSpeedDeviation = 0.05
+reactionTime = 0.025 min
+humanErrorMin = 0.2
+humanErrorMax = 0.5
+backOffTime = 20 ms
+coordinationInterval = 40 ms
+targetPfa = 0.05
+scheme = cooperative
+puHoldMean = 30 ms
+puGapMean = 40 ms
+suHoldMean = 50 ms
+suGapMean = 0.1 s
+sensingSamples = 200
+seed = 7
+"""
+
+
+def test_every_key_loads_into_its_field():
+    # names each field, so renaming one (and with it its file key) fails here
+    expected = ScenarioConfig(
+        running_time=2.0, time_step=0.0005, road_length=3000.0, n_vehicles=20, n_channels=60,
+        n_pu_towers=3, tower_offset=8000.0, channels_per_tower=20, frequency=200.0,
+        base_station_height=40.0, mobile_height=2.0, sensing_range=500.0, comm_range=300.0,
+        tx_power_pu=20.0, noise_temperature=300.0, channel_bandwidth=5e6, avg_speed=25.0,
+        fleet_speed_spread=0.3, per_vehicle_speed_deviation=0.05, reaction_time=1.5,
+        human_error_min=0.2, human_error_max=0.5, back_off_time=0.02,
+        coordination_interval=0.04, target_pfa=0.05, scheme=Scheme.COOPERATIVE,
+        pu_hold_mean=0.03, pu_gap_mean=0.04, su_hold_mean=0.05, su_gap_mean=0.1,
+        sensing_samples=200, seed=7,
+    )
+    assert len(ALL_KEYS_TEXT.split("=")) - 1 == len(fields(ScenarioConfig)) == 32
+    assert all(getattr(expected, f.name) != f.default for f in fields(ScenarioConfig))
+    assert load_scenario(ALL_KEYS_TEXT) == expected
+
+
+@pytest.mark.parametrize("text, fields_set", [
+    ("fleetSpeedSpread = 0", {"fleet_speed_spread": 0.0}),
+    ("perVehicleSpeedDeviation = 0", {"per_vehicle_speed_deviation": 0.0}),
+    ("humanErrorMin = 0\nhumanErrorMax = 0", {"human_error_min": 0.0, "human_error_max": 0.0}),
+    ("txPowerPu = -10 dBW", {"tx_power_pu": -10.0}),
+    ("txPowerPu = 0 dBW", {"tx_power_pu": 0.0}),
+    ("nVehicles = 0", {"n_vehicles": 0}),
+    ("seed = 0", {"seed": 0}),
+])
+def test_zero_and_negative_boundary_values_load(text, fields_set):
+    # scalars, counts and dBW levels need not be positive
+    assert load_scenario(text) == replace(ScenarioConfig(), **fields_set)
+
+
+@pytest.mark.parametrize("key", [
+    "runningTime", "timeStep", "roadLength", "towerOffset", "frequency", "baseStationHeight",
+    "mobileHeight", "sensingRange", "commRange", "noiseTemperature", "channelBandwidth",
+    "avgSpeed", "reactionTime", "backOffTime", "coordinationInterval", "puHoldMean",
+    "puGapMean", "suHoldMean", "suGapMean",
+])
+def test_physical_quantity_must_be_positive(key):
+    # a zero running time is shorter than the time step, which is checked first
+    message = "runningTime >= timeStep" if key == "runningTime" else f"{key} > 0"
+    with pytest.raises(ScenarioValidationError, match=f"^{message} violated$"):
+        load_scenario(f"{key} = 0")
 
 
 class TestNumTimeSlices:

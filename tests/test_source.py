@@ -1,5 +1,6 @@
 """Every name a crvanet module imports is used in that module, unless its
-import line says noqa; __init__.py, which re-exports, is exempt."""
+import line says noqa; __init__.py, which re-exports, is exempt. Every
+private top-level name a module defines is read in that module."""
 
 import ast
 from pathlib import Path
@@ -25,6 +26,38 @@ def unused_imports(source: str) -> list[str]:
                     imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def unread_private_names(source: str) -> list[str]:
+    """The private (one leading underscore) names `source` defines at top
+    level, as a function, class or assignment target, and never reads."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.setdefault(node.name, node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined.setdefault(name.id, node.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"line {line}: {name}" for name, line in defined.items()
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_name_is_read(path):
+    assert unread_private_names(path.read_text()) == []
+
+
+def test_unread_private_names_are_found():
+    source = ("import math\n__all__ = ['f']\n_KEY_OF = {}\n_A, (_B, c) = 1, (2, 3)\n"
+              "_T: int = 0\n_T = 1\n\n\ndef _helper():\n    _local = _B\n    return _local\n\n\n"
+              "class _Unused:\n    _attr = 1\n\n\ndef f():\n    return _A\n")
+    assert unread_private_names(source) == ["line 3: _KEY_OF", "line 5: _T", "line 9: _helper",
+                                            "line 14: _Unused"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
