@@ -31,15 +31,21 @@ def _load_config(path: str | None) -> ScenarioConfig:
 
 
 class _TraceWriter:
-    """The --trace sink: writes each event as a CSV row as it arrives; len() counts rows."""
+    """The --trace sink: writes each event as the CSV row "%d,%.6f,%s,%d,%d,%s\n" % event
+    as it arrives; len() counts rows. Events come grouped by tick, so the
+    "tick,time," prefix is formatted once per (tick, time) pair."""
 
     def __init__(self, path: str):
         self.file = open(path, "w", encoding="ascii", newline="")
         self.write, self.rows = self.file.write, 0
+        self.tick = self.time = self.prefix = None
         self.write("tick,time,event,channel,actor,detail\n")
 
     def append(self, event: TraceEvent) -> None:
-        self.write("%d,%.6f,%s,%d,%d,%s\n" % event)
+        tick, time, kind, channel, actor, detail = event
+        if tick != self.tick or time != self.time:
+            self.tick, self.time, self.prefix = tick, time, "%d,%.6f," % (tick, time)
+        self.write("%s%s,%d,%d,%s\n" % (self.prefix, kind, channel, actor, detail))
         self.rows += 1
 
     def __len__(self) -> int:

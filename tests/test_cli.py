@@ -7,7 +7,8 @@ import pytest
 
 import crvanet.cli
 import crvanet.engine
-from crvanet.cli import main
+from crvanet.cli import _TraceWriter, main
+from crvanet.report import MOVE, PU_VACATED, SENSE, SU_BACKOFF, SU_OCCUPIED, TraceEvent
 
 SMALL_SCENARIO = """\
 # scaled-down scenario for CLI checks
@@ -53,6 +54,29 @@ def test_simulate_writes_trace(scenario_file, tmp_path, capsys, monkeypatch):
     assert len(lines) > 10
     # the report's trace is the writer, and len() counts the rows it wrote
     assert len(reports[0].trace) == len(lines) - 1
+
+
+def test_trace_writer_rows_match_the_reference_format(tmp_path):
+    """The writer reuses each (tick, time) prefix; every row must still read
+    as the one-format row: one tick at two times, a tick that returns after
+    another, -1 ids, a move detail with a comma and an empty detail."""
+    events = [
+        TraceEvent(3, 0.003, PU_VACATED, 7, 2),
+        TraceEvent(3, 0.003, SENSE, 7, 11, "falseAlarm"),
+        TraceEvent(3, 0.0035, SU_BACKOFF, -1, 11),
+        TraceEvent(4, 0.004, MOVE, -1, 0, "12.345,27.778"),
+        TraceEvent(3, 0.003, SU_OCCUPIED, 7, 11),
+        TraceEvent(4, 0.003, SU_OCCUPIED, 8, 12),
+        TraceEvent(4, 0.003, SENSE, 8, -1, "misdetection"),
+    ]
+    path = tmp_path / "trace.csv"
+    writer = _TraceWriter(str(path))
+    with writer.file:
+        for event in events:
+            writer.append(event)
+    assert path.read_text(encoding="ascii") == "tick,time,event,channel,actor,detail\n" + "".join(
+        "%d,%.6f,%s,%d,%d,%s\n" % event for event in events)
+    assert len(writer) == len(events)
 
 
 # sha256 of `crvanet simulate --trace` output for each scheme at a 0.3 s

@@ -63,6 +63,21 @@ class TestRecordEvent:
         record_event(report, SU_OCCUPIED, 0, 0.0, 3, 1)
         assert report.trace == [TraceEvent(0, 0.0, SU_OCCUPIED, 3, 1)]
 
+    def test_list_sink_receives_trace_events(self):
+        report = SimulationReport(trace=[])
+        record_event(report, PU_VACATED, 4, 0.004, 3, 0)
+        record_event(report, SENSE, 5, 0.005, 3, 1, "falseAlarm")
+        assert [type(e) for e in report.trace] == [TraceEvent, TraceEvent]
+        assert report.trace == [
+            TraceEvent(tick=4, time=0.004, event=PU_VACATED, channel_id=3, actor_id=0),
+            TraceEvent(tick=5, time=0.005, event=SENSE, channel_id=3, actor_id=1,
+                       detail="falseAlarm"),
+        ]
+        vacated, sensed = report.trace
+        assert (vacated.tick, vacated.time, vacated.event) == (4, 0.004, PU_VACATED)
+        assert (vacated.channel_id, vacated.actor_id, vacated.detail) == (3, 0, "")
+        assert (sensed.event, sensed.actor_id, sensed.detail) == (SENSE, 1, "falseAlarm")
+
 
 class TestSweepSpec:
     def test_values_must_increase(self):

@@ -3,18 +3,26 @@
 Every example is a short run (at most 0.2 s) of 0-12 vehicles on 1-2
 towers with 1-5 channels each, with hold and gap means short enough that
 PUs and SUs change state many times. The coordinator election is checked
-on its own, over fleets of 1-40 vehicles. Examples are derandomized, so the
-suite sees the same scenarios on every run.
+on its own, over fleets of 1-40 vehicles. The CLI's streamed trace is
+checked against the list sink on the default scenario, at horizons of at
+most 0.15 s. Examples are derandomized, so the suite sees the same
+scenarios on every run.
 """
 
-from collections import defaultdict
+import contextlib
+import io
+import os
+import tempfile
+from collections import Counter, defaultdict
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from crvanet.config import ScenarioConfig, Scheme
+from crvanet.cli import main
+from crvanet.config import ScenarioConfig, Scheme, load_scenario_file
 from crvanet.coordination import elect_coordinators
 from crvanet.engine import SimulationEngine, run_simulation
 from crvanet.report import (
@@ -22,11 +30,14 @@ from crvanet.report import (
     PU_OCCUPIED,
     PU_VACATED,
     SENSE,
+    SU_BACKOFF,
+    SU_INTERFERENCE,
     SU_OCCUPIED,
     SU_PREEMPTED,
     SU_VACATED,
 )
 from crvanet.scheduling import WINDOW, pu_timeline, schedule_next
+from crvanet.sensing import CLASSES
 from crvanet.streams import StreamBundle
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None,
@@ -115,6 +126,48 @@ def test_mobility_and_pu_rows_identical_across_schemes(config):
         return [e for e in report.trace if e.event in (MOVE, PU_OCCUPIED, PU_VACATED)]
 
     assert rows(Scheme.STANDALONE) == rows(Scheme.COOPERATIVE) == rows(Scheme.PROPOSED)
+
+
+# the counter each trace row type or sense class bumps
+COUNTED_EVENTS = {SU_OCCUPIED: "allocations", SU_INTERFERENCE: "harmful_occupations",
+                  SU_PREEMPTED: "preemptions", SU_BACKOFF: "backoffs", SENSE: "sensing_events"}
+COUNTED_CLASSES = dict(zip(CLASSES, ("correct_detections", "false_alarms", "misdetections")))
+
+
+@pytest.mark.parametrize("mobility", [False, True], ids=["plain", "mobility"])
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(horizon_ms=st.sampled_from([1, 40, 150]), seed=st.integers(0, 2**20))
+def test_cli_trace_is_the_list_trace_and_counts_the_counters(scheme, mobility, horizon_ms,
+                                                             seed):
+    """`simulate --trace` writes, row for row, the events a trace=[] run of
+    the same config collects, each in the one-format row; and its rows per
+    event type and sense class equal the counters it prints."""
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario, trace = os.path.join(tmp, "scenario.txt"), os.path.join(tmp, "trace.csv")
+        with open(scenario, "w") as fh:
+            fh.write(f"scheme = {scheme.value}\nrunningTime = {horizon_ms} ms\n")
+        argv = ["simulate", "--config", scenario, "--seed", str(seed), "--trace", trace]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv + ["--trace-mobility"] * mobility) == 0
+        with open(trace, encoding="ascii", newline="") as fh:
+            written = fh.read()
+        config = replace(load_scenario_file(scenario), seed=seed)
+    events = run_simulation(config, trace=[], trace_mobility=mobility).trace
+    assert written == "tick,time,event,channel,actor,detail\n" + "".join(
+        "%d,%.6f,%s,%d,%d,%s\n" % e for e in events)
+
+    printed = {}
+    for line in out.getvalue().splitlines():
+        label, _, value = line.rpartition(" ")
+        printed[label.strip().replace(" ", "_")] = value
+    rows = [line.split(",") for line in written.splitlines()[1:]]
+    by_event = Counter(row[2] for row in rows)
+    by_class = Counter(row[5] for row in rows if row[2] == SENSE)
+    for event, name in COUNTED_EVENTS.items():
+        assert str(by_event[event]) == printed[name], name
+    for detail, name in COUNTED_CLASSES.items():
+        assert str(by_class[detail]) == printed[name], name
 
 
 @st.composite
