@@ -62,7 +62,7 @@ class Fleet:
 
     Decisions happen every reaction time from the previous decision's
     snapshot (synchronous update); between decisions speeds stay fixed, so
-    the per-tick work is a single vectorized position update.
+    the positions of many ticks come from one vectorized pass (``advance``).
     """
 
     def __init__(self, config: ScenarioConfig, streams):
@@ -125,6 +125,20 @@ class Fleet:
         low = v_des - self.human_error * DEFAULT_MAX_ACCEL
         self.speeds = np.maximum(self.v_min, low + (v_des - low) * u)
 
-    def advance(self, dt: float) -> None:
-        """Move every vehicle by one tick at its held speed, wrapping."""
-        self.positions = (self.positions + self.speeds * self.directions * dt) % self.config.road_length
+    def advance(self, dt: float, ticks: int = 1) -> np.ndarray:
+        """Move every vehicle `ticks` ticks at its held speed, wrapping at the
+        road ends; returns the positions after each tick, one row per tick,
+        each (previous row + step) % road bit for bit: cumsum adds left to
+        right and x % road is x on [0, road), so only an entry that leaves
+        the road is reduced, and its column's sum restarts from there."""
+        road, step = self.config.road_length, self.speeds * self.directions * dt
+        rows = np.vstack([self.positions, np.tile(step, (ticks, 1))]).cumsum(axis=0)[1:]
+        off = np.signbit(rows) | (rows >= road)  # -0.0 % road is 0.0
+        while (cols := np.flatnonzero(off.any(axis=0))).size:
+            t, first = np.arange(ticks)[:, None], off[:, cols].argmax(axis=0)
+            sub = np.where(t < first, 0.0, step[cols])  # 0.0 + x is x
+            sub[first, range(cols.size)] = rows[first, cols] % road
+            rows[:, cols] = sub = np.where(t < first, rows[:, cols], sub.cumsum(axis=0))
+            off[:, cols] = (np.signbit(sub) | (sub >= road)) & (t > first)  # -tiny % road is road
+        self.positions = rows[-1]
+        return rows

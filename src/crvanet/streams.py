@@ -5,8 +5,8 @@ entity) key, each the one ``default_rng(SeedSequence((seed, domain,
 *entity)))`` gives. Changing how many draws one subsystem makes never
 perturbs another, so mobility, PU schedules and vehicle parameters are
 bit-identical for a seed whichever sensing scheme runs. A run's bundle is
-always built at full size: every domain's generators up front, in one
-vectorised pass (``derive``), and nothing is derived later.
+built at full size up front, in two vectorised passes (``derive``): every
+(domain, entity) key, then every (FADING, tower, observer) key.
 
 Domains:
     INIT      per-vehicle parameter draws (desired speed, human error)
@@ -22,7 +22,7 @@ Domains:
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import islice, permutations
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -49,15 +49,16 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-def derive(seed: int, domain: int, entities: range, *prefix: int) -> list[np.random.Generator]:
-    """The generators of keys (domain, *prefix, e) for every entity e < 2**32,
-    in order: SeedSequence's pool mixing and generate_state(4, uint64) run
-    on uint32 arrays over e (which wrap on overflow, as the C code does),
-    and each row of seed words reaches PCG64 through ISeedSequence."""
-    ids = np.asarray(entities, dtype=np.uint32)
-    # every key part as SeedSequence reads an int: little-endian uint32 words
-    entropy = [np.full_like(ids, n >> shift & _MASK) for n in (seed, domain, *prefix)
-               for shift in range(0, max(n.bit_length(), 1), 32)] + [ids]
+def derive(seed: int, *parts) -> list[np.random.Generator]:
+    """The generators of keys (seed, *parts), one per position of the parts
+    (ints or arrays of ids < 2**32, broadcast together), in order:
+    SeedSequence's pool mixing and generate_state(4, uint64) run on uint32
+    arrays over the keys (which wrap on overflow, as the C code does), and
+    each row of seed words reaches PCG64 through ISeedSequence."""
+    parts = [*np.broadcast_arrays(*(np.asarray(p, dtype=np.uint32) for p in parts))]
+    # the seed as SeedSequence reads an int: little-endian uint32 words
+    entropy = [np.full_like(parts[0], seed >> shift & _MASK)
+               for shift in range(0, max(seed.bit_length(), 1), 32)] + parts
     h = _INIT_A
 
     def hashmix(value):
@@ -69,7 +70,7 @@ def derive(seed: int, domain: int, entities: range, *prefix: int) -> list[np.ran
         r = pool[dst] * 0xCA01F9DD - hashmix(value) * 0x4973F715
         pool[dst] = r ^ r >> 16
 
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0 * ids) for i in range(4)]
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0 * parts[0]) for i in range(4)]
     for src, dst in permutations(range(4), 2):
         mix_into(dst, pool[src])
     for word in entropy[4:]:
@@ -87,7 +88,11 @@ class StreamBundle:
     a list per tower, indexed by observer (``fading[t][o]``)."""
 
     def __init__(self, seed: int, n_vehicles: int, n_channels: int, n_towers: int):
-        self.init, self.mobility, self.su, self.sensing = (
-            derive(seed, domain, range(n_vehicles)) for domain in (INIT, MOBILITY, SU, SENSING))
-        self.pu = derive(seed, PU, range(n_channels))
-        self.fading = [derive(seed, FADING, range(n_vehicles), t) for t in range(n_towers)]
+        n, sizes = n_vehicles, (n_vehicles,) * 4 + (n_channels,)
+        keys = iter(derive(seed, np.repeat([INIT, MOBILITY, SU, SENSING, PU], sizes),
+                           np.concatenate([np.arange(size) for size in sizes])))
+        self.init, self.mobility, self.su, self.sensing, self.pu = (
+            [*islice(keys, size)] for size in sizes)
+        keys = iter(derive(seed, FADING, np.arange(n_towers).repeat(n),
+                           np.tile(np.arange(n), n_towers)))
+        self.fading = [[*islice(keys, n)] for _ in range(n_towers)]

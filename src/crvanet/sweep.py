@@ -5,8 +5,8 @@ over a value grid, runs every (value, scheme, seed) combination, and
 collects the per-run counters into a table ordered by (value, scheme,
 seed) regardless of execution order. Runs share nothing, so sweep points
 may execute in parallel; the CRVANET_PARALLEL environment variable sets
-the worker count (default: one worker per usable core, 1 forces
-in-process serial execution).
+the worker count (default and ceiling: one worker per usable core, 1
+forces in-process serial execution).
 """
 
 from __future__ import annotations
@@ -115,22 +115,20 @@ def _run_point(args: tuple) -> SweepRow:
 def resolve_workers(workers: int | None, n_jobs: int) -> int:
     """Worker processes for n_jobs sweep runs: `workers` if given, else
     CRVANET_PARALLEL if set, else one per usable core; at most one per
-    run and at least one."""
+    usable core and one per run, and at least one."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cores = os.cpu_count() or 1
     if workers is None:
         env = os.environ.get(PARALLEL_ENV, "").strip()
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                workers = 0
-            if workers < 1:
-                raise ValueError(f"{PARALLEL_ENV} must be an integer >= 1, got {env!r}")
-        else:
-            try:
-                workers = len(os.sched_getaffinity(0))
-            except AttributeError:  # platforms without CPU affinity
-                workers = os.cpu_count() or 1
-    return max(1, min(workers, n_jobs))
+        try:
+            workers = int(env) if env else cores
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ValueError(f"{PARALLEL_ENV} must be an integer >= 1, got {env!r}")
+    return max(1, min(workers, cores, n_jobs))
 
 
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepTable:

@@ -27,7 +27,7 @@ from crvanet.report import (
     SU_VACATED,
 )
 from crvanet.streams import StreamBundle
-from crvanet.sweep import SweepSpec, SweepTable, apply_axis, run_sweep, write_csv
+from crvanet.sweep import SweepSpec, SweepTable, apply_axis, resolve_workers, run_sweep, write_csv
 
 VEHICLE_GRID = (10, 20, 30, 40, 50)
 CHANNEL_GRID = (20, 40, 60, 80, 100)
@@ -259,14 +259,15 @@ def test_criterion_9_sweep_determinism(tmp_path):
                      seeds=(1, 2), base_config=base)
     n_jobs = len(spec.values) * len(spec.schemes) * len(spec.seeds)
     serial = run_sweep(spec, workers=1)
-    parallel = run_sweep(spec, workers=n_jobs)  # maximum parallelism
+    # maximum parallelism: n_jobs workers asked for, one per usable core given
+    parallel = run_sweep(spec, workers=n_jobs)
     path_a = tmp_path / "serial.csv"
     path_b = tmp_path / "parallel.csv"
     write_csv(serial, str(path_a))
     write_csv(parallel, str(path_b))
     assert path_a.read_bytes() == path_b.read_bytes()
     _report(9, f"two full sweep invocations ({n_jobs} runs each, serial vs "
-               f"{n_jobs}-way parallel) produced byte-identical CSV")
+               f"{resolve_workers(n_jobs, n_jobs)}-way parallel) produced byte-identical CSV")
 
 
 def test_criterion_10_rayleigh_statistics(applied_fading_gains):

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import defaultdict
 from dataclasses import replace
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from crvanet.config import ScenarioConfig, Scheme
-from crvanet.engine import SimulationEngine, run_simulation
+from crvanet.engine import BLOCK, SimulationEngine, run_simulation
 from crvanet.report import (
     MOVE,
     PU_OCCUPIED,
@@ -190,3 +191,22 @@ def test_engine_reuse_is_rejected_by_fresh_runs():
     first = run_simulation(config)
     second = run_simulation(config)
     assert first == second
+
+
+def test_motion_memory_is_bounded_by_the_block():
+    """A 2,000-vehicle fleet moves in blocks of at most BLOCK ticks, not
+    whole decision periods: a 1 s run (one 1,000-tick period) peaks at a
+    few blocks of vehicles x BLOCK positions, far below one period's."""
+    n = 2000
+    config = replace(ScenarioConfig(), running_time=1.0, n_vehicles=n, n_channels=2,
+                     channels_per_tower=1, su_gap_mean=1e6, scheme=Scheme.STANDALONE).validate()
+    engine = SimulationEngine(config)
+    assert engine.decision_period == 1000 and BLOCK <= 200
+    block_bytes = n * BLOCK * 8
+    tracemalloc.start()
+    try:
+        engine.run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * block_bytes < n * engine.decision_period * 8

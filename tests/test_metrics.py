@@ -178,22 +178,49 @@ class TestRunSweep:
 
 
 class TestResolveWorkers:
-    def test_default_is_one_per_usable_core(self, monkeypatch):
-        monkeypatch.delenv(PARALLEL_ENV, raising=False)
-        cores = len(os.sched_getaffinity(0))
-        assert resolve_workers(None, 75) == min(cores, 75)
-        assert resolve_workers(None, 1) == 1
+    """A pure function of the argument, the environment and the usable
+    cores, which are monkeypatched here; no pool is started."""
 
-    def test_env_sets_the_count_capped_at_jobs(self, monkeypatch):
+    @pytest.fixture
+    def cores(self, monkeypatch):
+        def set_cores(n):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                                raising=False)
+        set_cores(4)
+        return set_cores
+
+    def test_default_is_one_per_usable_core(self, monkeypatch, cores):
+        monkeypatch.delenv(PARALLEL_ENV, raising=False)
+        assert resolve_workers(None, 75) == 4
+        assert resolve_workers(None, 3) == 3
+        assert resolve_workers(None, 1) == 1
+        cores(1)
+        assert resolve_workers(None, 75) == 1
+
+    def test_env_sets_the_count_capped_at_jobs(self, monkeypatch, cores):
         monkeypatch.setenv(PARALLEL_ENV, "3")
         assert resolve_workers(None, 10) == 3
         assert resolve_workers(None, 2) == 2
         monkeypatch.setenv(PARALLEL_ENV, " 1 ")
         assert resolve_workers(None, 10) == 1
 
-    def test_explicit_count_wins_over_env(self, monkeypatch):
+    def test_explicit_count_wins_over_env(self, monkeypatch, cores):
         monkeypatch.setenv(PARALLEL_ENV, "junk")
         assert resolve_workers(2, 10) == 2
+
+    @pytest.mark.parametrize("source", ["argument", "env"])
+    def test_every_count_is_capped_at_the_usable_cores(self, monkeypatch, cores, source):
+        # a 4,500-run sweep asking for 5,000 workers gets one per core
+        if source == "env":
+            monkeypatch.setenv(PARALLEL_ENV, "5000")
+            workers = None
+        else:
+            monkeypatch.setenv(PARALLEL_ENV, "junk")  # never read
+            workers = 5000
+        assert resolve_workers(workers, 4500) == 4
+        cores(2)
+        assert resolve_workers(workers, 4500) == 2
+        assert resolve_workers(workers, 1) == 1
 
     @pytest.mark.parametrize("value", ["two", "1.5", "0", "-3"])
     def test_bad_env_value_names_variable_and_value(self, monkeypatch, value):

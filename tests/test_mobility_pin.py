@@ -1,9 +1,10 @@
 """Bit-identity pin of the fleet's motion over 20 Gipps decisions.
 
 The counter golden runs half a second, one decision. This pin drives the
-fleet as the engine does (decide on the reaction-time cadence, advance
-every tick) through 20 decisions and hashes positions and speeds right
-after each decision. The dense cases (400 vehicles on the default road,
+fleet as the engine does (decide on the reaction-time cadence, then
+advance in blocks of at most engine.BLOCK ticks up to the next decision)
+through 20 decisions and hashes positions and speeds right after each
+decision. The dense cases (400 vehicles on the default road,
 120 on a 500 m road) exercise the overtaking branch thousands of times.
 The digests were recorded before the fleet moved from per-vehicle objects
 to arrays; any change in the last bit of any position or speed fails.
@@ -15,6 +16,7 @@ from dataclasses import replace
 import pytest
 
 from crvanet.config import ScenarioConfig
+from crvanet.engine import BLOCK
 from crvanet.mobility import Fleet
 from crvanet.streams import StreamBundle
 
@@ -48,12 +50,12 @@ def motion_digest(n_vehicles: int, road_length: float, seed: int) -> str:
     dt = config.time_step
     period = max(1, round(config.reaction_time / dt))
     digest = hashlib.sha256()
-    for tick in range(DECISIONS * period):
-        if tick % period == 0:
-            fleet.decide()
-            digest.update(fleet.positions.tobytes())
-            digest.update(fleet.speeds.tobytes())
-        fleet.advance(dt)
+    for decision in range(0, DECISIONS * period, period):
+        fleet.decide()
+        digest.update(fleet.positions.tobytes())
+        digest.update(fleet.speeds.tobytes())
+        for tick in range(decision, decision + period, BLOCK):
+            fleet.advance(dt, min(BLOCK, decision + period - tick))
     return digest.hexdigest()[:32]
 
 

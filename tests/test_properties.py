@@ -5,8 +5,9 @@ towers with 1-5 channels each, with hold and gap means short enough that
 PUs and SUs change state many times. The coordinator election is checked
 on its own, over fleets of 1-40 vehicles. The CLI's streamed trace is
 checked against the list sink on the default scenario, at horizons of at
-most 0.15 s. Examples are derandomized, so the suite sees the same
-scenarios on every run.
+most 0.15 s. Fleet motion in blocks is checked against one tick at a
+time over fleets of 0-6 vehicles. Examples are derandomized, so the suite
+sees the same scenarios on every run.
 """
 
 import contextlib
@@ -18,13 +19,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from crvanet.cli import main
 from crvanet.config import ScenarioConfig, Scheme, load_scenario_file
 from crvanet.coordination import elect_coordinators
 from crvanet.engine import SimulationEngine, run_simulation
+from crvanet.mobility import Fleet
 from crvanet.report import (
     MOVE,
     PU_OCCUPIED,
@@ -253,3 +255,58 @@ def test_pu_timeline_follows_the_scalar_rule(n_channels, dt, hold_steps, gap_ste
     timeline = list(pu_timeline(generators(), n_ticks, dt, *means))
     assert timeline == expected
     assert {type(c) for channels in timeline for c in channels} <= {int}
+
+
+@st.composite
+def drawn_motions(draw):
+    """0-6 vehicles on roads of 0.5 m (many wraps a tick in one column) to
+    2 km, at drawn positions (-0.0 among them) and speeds (0.0 among them),
+    with a decision period and block lengths to drive them by."""
+    n = draw(st.integers(0, 6))
+    road = draw(st.sampled_from([0.5, 3.0, 47.0, 2000.0]))
+    config = replace(ScenarioConfig(), n_vehicles=n, road_length=road,
+                     seed=draw(st.integers(0, 2**20))).validate()
+    position = st.just(-0.0) | st.floats(0.0, road, exclude_max=True)
+    speed = st.just(0.0) | st.floats(0.0, 60.0)
+    return (config, draw(st.lists(position, min_size=n, max_size=n)),
+            draw(st.lists(speed, min_size=n, max_size=n)), draw(st.sampled_from([1e-3, 0.05, 0.1])),
+            draw(st.integers(1, 40)), draw(st.lists(st.integers(1, 50), min_size=1, max_size=8)))
+
+
+PAIR = replace(ScenarioConfig(), n_vehicles=2).validate()  # one vehicle per direction
+
+
+@PROPERTY_SETTINGS
+@given(drawn_motions())
+# a backward vehicle standing at -0.0, whose % road is 0.0
+@example((PAIR, [0.0, -0.0], [0.0, 0.0], 1e-3, 40, [3]))
+# a backward step to -1e-17, whose % road is the road length, and back
+@example((PAIR, [0.0, 1e-17], [0.0, 2e-14], 1e-3, 40, [5, 90]))
+def test_advance_in_blocks_is_one_tick_at_a_time(motion):
+    """Fleet.advance(dt, k) returns the positions of k one-tick advances,
+    bit for bit, the sign bit included, and each one-tick advance is
+    (position + speed * direction * dt) % road. A drawn block that
+    straddles a decision is cut there, as the engine cuts its blocks, and
+    both fleets decide from the same positions."""
+    config, positions, speeds, dt, period, blocks = motion
+    single, blocked = (Fleet(config, StreamBundle(config.seed, config.n_vehicles, 0, 0))
+                       for _ in range(2))
+    for fleet in (single, blocked):
+        fleet.positions, fleet.speeds = np.array(positions, dtype=float), np.array(speeds)
+    tick = 0
+    for k in blocks:
+        while k > 0:
+            if tick > 0 and tick % period == 0:
+                single.decide()
+                blocked.decide()
+            ticks = min(k, period - tick % period)
+            rows = blocked.advance(dt, ticks)
+            expected = []
+            for _ in range(ticks):
+                step = (single.positions + single.speeds * single.directions * dt) % config.road_length
+                expected.append(single.advance(dt))
+                assert expected[-1].shape == (1, len(single))
+                assert expected[-1].tobytes() == step.tobytes()
+            assert rows.tobytes() == np.concatenate(expected).tobytes()
+            assert blocked.positions.tobytes() == single.positions.tobytes() == rows[-1].tobytes()
+            k, tick = k - ticks, tick + ticks

@@ -182,6 +182,8 @@ class TestPuTimeline:
 class _PinnedStrategy:
     """Test double: always proposes the given channel with a vacant decision."""
 
+    needs_epoch = False
+
     def __init__(self, channel_id, occupied=False, truth=False):
         self.channel_id = channel_id
         self.occupied = occupied
@@ -316,3 +318,54 @@ def test_su_due_and_backoff(draw_stub):
     step_su(0, np.array([100.0]), 1.0, 1000, _PinnedStrategy(None), cmap,
             SimulationReport(), StreamBundle(0, 1, 8, 1), 0.04, 0.08, 0.01)
     assert cmap.su_next[0] == pytest.approx(1.010, abs=1e-12)
+
+
+SU_EVENTS = {SENSE, SU_BACKOFF, SU_OCCUPIED, SU_VACATED, SU_INTERFERENCE}
+
+
+def _first_su_tick(report, vehicle_id):
+    return min(e.tick for e in report.trace if e.event in SU_EVENTS and e.actor_id == vehicle_id)
+
+
+def _scan_tick(instant, dt):
+    """The tick a full scan of every SU's pending instant picks."""
+    return next(t for t in itertools.count() if t * dt >= instant - 1e-12)
+
+
+@pytest.mark.parametrize("k", [3, 7, 10])
+@pytest.mark.parametrize("offset", [-1e-12, 1e-12, 2e-12])
+@pytest.mark.parametrize("ulps", [-1, 0, 1])
+def test_due_bound_steps_on_the_scan_tick(k, offset, ulps):
+    """The engine skips the SU phase until the earliest pending instant is
+    due; an instant at k * dt + offset, or one ulp to either side of it, is
+    stepped on the tick the scan of every SU picks, while the other SU
+    waits past the run."""
+    config = replace(ScenarioConfig(), running_time=0.015, n_vehicles=2, seed=3).validate()
+    engine = SimulationEngine(config)
+    dt = config.time_step
+    instant = k * dt + offset
+    instant = np.nextafter(instant, np.inf * ulps) if ulps else instant
+    engine.channel_map.su_next[:] = [instant, 1.0]
+    report = engine.run(trace=[])
+    assert _first_su_tick(report, 0) == _scan_tick(instant, dt)
+    assert all(e.actor_id != 1 for e in report.trace if e.event in SU_EVENTS)
+
+
+def test_due_bound_refreshes_after_a_preemption(draw_stub):
+    """A preempted SU rescheduled before every other SU's pending instant
+    is stepped on time: vehicle 0 holds channel 3 until 1 s, vehicle 1 is
+    due at 0.5 s, and channel 3's PU preempts vehicle 0 at tick 3, which
+    then draws a 2-tick gap."""
+    config = replace(ScenarioConfig(), running_time=0.012, n_vehicles=2, seed=3).validate()
+    engine = SimulationEngine(config)
+    engine.strategy = _PinnedStrategy(None)  # attempts back off, drawing nothing
+    dt = config.time_step
+    cmap = engine.channel_map
+    cmap.set_holder(3, 0, float(engine.fleet.positions[0]))
+    cmap.su_next[:] = [1.0, 0.5]
+    engine.streams.pu[3] = draw_stub([3 * dt / config.pu_gap_mean])
+    engine.streams.su[0] = draw_stub([2 * dt / config.su_gap_mean])
+    report = engine.run(trace=[])
+    preempted = [e.tick for e in report.trace if e.event == SU_PREEMPTED]
+    assert preempted == [3]
+    assert _first_su_tick(report, 0) == _scan_tick(3 * dt + 2 * dt, dt) == 5
