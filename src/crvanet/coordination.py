@@ -155,15 +155,17 @@ class CooperativeStrategy(Strategy):
         occupied-voted. Draws spread concurrent requesters apart."""
         # the requester and every vehicle within comm range, either direction
         rows = self.votes[np.abs(positions - positions[vehicle_id]) <= self.config.comm_range]
-        rank = rows.min(axis=0)
+        rank = np.minimum.reduce(rows, axis=0)
         picked: list[int] = []
         for level in (VOTE_VACANT, VOTE_UNKNOWN, VOTE_OCCUPIED):
             want = VERIFY_SHORTLIST - len(picked)
             if want <= 0:
                 break
-            pool = np.nonzero(rank == level)[0]
+            pool = (rank == level).nonzero()[0]
             if pool.size > want:
-                pool = np.sort(rng.choice(pool, size=want, replace=False))
+                # drawing indices takes the draws rng.choice(pool, ...) takes
+                pool = pool[rng.choice(pool.size, want, replace=False)]
+                pool.sort()
             picked.extend(pool.tolist())
         return np.array(picked, dtype=int)
 

@@ -60,7 +60,9 @@ class HataModel:
 
     def urban_loss(self, d: float) -> float:
         """Median urban path loss in dB at link distance d, km (1..20)."""
-        _check("distance", d, *_D_RANGE, "km")
+        lo, hi = _D_RANGE
+        if not lo <= d <= hi:   # checked inline: the common in-range call skips _check
+            _check("distance", d, lo, hi, "km")
         return self.intercept + self.slope * math.log10(d)
 
     def suburban_loss(self, d: float) -> float:

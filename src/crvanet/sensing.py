@@ -22,9 +22,13 @@ the ground truth at the same instant and the statistic, plus the
 threshold they were decided against; classify_block classifies decisions
 against truth. One call senses a whole grid of observers and channels;
 each observer draws from its own streams exactly as it would sensing
-alone. One observer's call for at most SMALL_CALL channels (cooperative
-shortlists, proposed re-checks) runs the same arithmetic bit for bit in
-Python floats, as numpy's fixed cost per operation would dominate it.
+alone. The draws land in place: each observer's statistic draws fill its
+rows of one (observers, blocks, channels) grid, and its fading draws fill
+the same slots of a gain grid, one draw per run of consecutive channels
+of one tower, found once per call. One observer's call for at most
+SMALL_CALL channels (cooperative shortlists, proposed re-checks) runs the
+same arithmetic bit for bit in Python floats, as numpy's fixed cost per
+operation would dominate it.
 """
 
 from __future__ import annotations
@@ -128,8 +132,8 @@ def classify_block(occupied: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """Classify arrays of (decided occupied, truly occupied) against each
     other: one index into CLASSES per entry. Agreement is a correct
     detection, a wrong occupied decision a false alarm, a wrong vacant one
-    a misdetection."""
-    return np.where(occupied == truth, 0, np.where(occupied, 1, 2))
+    a misdetection: a disagreement times 1 if occupied, 2 if vacant."""
+    return (occupied != truth) * (2 - occupied)
 
 
 def block_pfa(target_pfa: float, blocks: int) -> float:
@@ -170,6 +174,10 @@ class ChannelSensor:
         loss = self.hata.suburban_loss(distance / 1000.0)
         return 10.0 ** ((self.config.tx_power_pu - loss - self.noise_dbw) / 10.0)
 
+    def median_pu_snrs(self, positions: list[float]) -> list[float]:
+        """median_pu_snr at each road position, in one pass of Python floats."""
+        return list(map(self.median_pu_snr, positions))
+
     def threshold_for(self, blocks: int) -> float:
         """Per-block threshold for a max-hold decision over `blocks`
         blocks, calibrated once per block count."""
@@ -185,12 +193,14 @@ class ChannelSensor:
         ground truth at the sensing instant `now`.
 
         One observer (scalar id and position) senses the 1-D channel_ids
-        and gets 1-D result arrays. m observers (1-D ids and positions)
-        sense either the same 1-D channel_ids or one row each of an (m, k)
-        channel_ids grid, and get (m, k) result arrays. Every generator is
-        drawn exactly as if each observer sensed alone, in turn. One
-        observer's call for at most SMALL_CALL channels takes _sense_short,
-        the same computation in Python floats, bit for bit.
+        and gets 1-D result arrays. m distinct observers (1-D ids and
+        positions) sense either the same 1-D channel_ids or one row each of
+        an (m, k) channel_ids grid, and get (m, k) result arrays. Every
+        generator is drawn exactly as if each observer sensed alone, in
+        turn, straight into preallocated (m, blocks, k) grids: no draw is
+        copied into place afterwards. One observer's call for at most
+        SMALL_CALL channels takes _sense_short, the same computation in
+        Python floats, bit for bit.
 
         With blocks > 1 each channel is observed over that many independent
         fading blocks and decided occupied if any block's statistic crosses
@@ -206,31 +216,22 @@ class ChannelSensor:
         if single and channel_ids.size <= SMALL_CALL:
             return self._sense_short(int(observer_ids), float(observer_pos), channel_ids,
                                      channel_map, streams, blocks)
-        if channel_ids.size and not (0 <= channel_ids.min()
-                                     and channel_ids.max() < self.config.n_channels):
+        # as unsigned, a negative id is larger than every valid one
+        if channel_ids.size and not (np.maximum.reduce(channel_ids.view(np.uint64), axis=None)
+                                     < self.config.n_channels):
             raise ValueError(f"unknown channel in {channel_ids.tolist()}")
         threshold = self.threshold_for(blocks)
-        n_towers = self.config.n_pu_towers
-        towers_here = self.tower_of[channel_ids]
         # one median PU SNR per observer: every tower is as far from it
         if single:
             observers, pos = [int(observer_ids)], float(observer_pos)
             snr_pu = self.median_pu_snr(pos)
-            counts = [np.bincount(towers_here, minlength=n_towers).tolist()]
         else:
             observers = np.asarray(observer_ids, dtype=int).tolist()
-            if not observers:
-                raise ValueError("sense_block needs at least one observer")
+            if not observers or len(set(observers)) < len(observers):
+                raise ValueError(f"sense_block needs distinct observers, got {observers}")
             pos = np.asarray(observer_pos, dtype=float)[:, None]
-            snr_pu = np.array([self.median_pu_snr(p) for p in pos[:, 0].tolist()])[:, None]
-            rows = np.arange(len(observers))[:, None]
-            counts = np.bincount((rows * n_towers + towers_here).ravel(),
-                                 minlength=len(observers) * n_towers
-                                 ).reshape(-1, n_towers).tolist()
-        k = channel_ids.shape[-1]
-        # draws carry a leading block axis, except for one observer's single
-        # block, where 1-D arrays keep the common call cheap
-        lead = () if single and blocks == 1 else (blocks,)
+            snr_pu = np.array(self.median_pu_snrs(pos[:, 0].tolist()))[:, None]
+        m, k = len(observers), channel_ids.shape[-1]
 
         # Ground truth at each observer.
         pu_active = channel_map.pu_active[channel_ids]
@@ -239,47 +240,49 @@ class ChannelSensor:
         su_in_range = (holders >= 0) & (np.abs(holder_pos - pos) <= self.config.sensing_range)
         truth_occupied = pu_active | su_in_range
 
-        # counts[o][t] channels of tower t at observer o: the observer draws
-        # that many gains per block from the (t, o) fading stream, then one
-        # statistic per block and channel from its sensing stream. Block
-        # after block from one generator is the same sequence as one draw of
-        # shape (blocks, count).
-        fading, stat_draws = [], []
-        n_samples = self.n_samples
-        for observer, row in zip(observers, counts):
-            for tower, count in enumerate(row):
-                if count:
-                    fading.append((tower, streams.fading[tower][observer].exponential(
-                        1.0, size=lead + (count,))))
-            stat_draws.append(streams.sensing[observer].standard_gamma(
-                n_samples, size=lead + (k,)))
+        # Each observer's row of channels splits into runs of consecutive
+        # channels of one tower. A run's gains come from the observer's
+        # stream for that tower, in position order and block after block, so
+        # drawing every run straight into its slots of the gain grid gives
+        # each stream the sequence of one draw of shape (blocks, count). The
+        # statistic draws fill the observer's (blocks, k) rows of its grid.
+        towers = self.tower_of[channel_ids].reshape(-1, k)   # one row shared, or one each
+        run_start = np.empty(towers.shape, dtype=bool)
+        run_start[:, 0] = True
+        np.not_equal(towers[:, 1:], towers[:, :-1], out=run_start[:, 1:])
+        starts, run_towers = run_start.ravel().nonzero()[0].tolist(), towers[run_start].tolist()
+        if len(towers) < m:
+            starts = [o * k + start for o in range(m) for start in starts]
+            run_towers *= m
+        runs = list(zip(run_towers, starts, starts[1:] + [m * k]))
+        gains = np.empty((m, blocks, k))
+        stat = np.empty((m, blocks, k))
+        fading, n_samples = streams.fading, self.n_samples
+        for b in range(blocks):
+            for tower, start, end in runs:
+                o, lo = divmod(start, k)
+                fading[tower][observers[o]].standard_exponential(
+                    out=gains[o, b, lo:lo + end - start])
+        for o, observer in enumerate(observers):
+            streams.sensing[observer].standard_gamma(n_samples, out=stat[o])
+        snr_median = pu_active * snr_pu + su_in_range * self.su_snr_linear
 
-        if single:
-            stat_draw = stat_draws[0]
-            gains = np.empty(lead + (k,))
-            past_blocks = (slice(None),) * len(lead)   # index the channel axis
-            for tower_id, draw in fading:
-                gains[past_blocks + (towers_here == tower_id,)] = draw
-        else:
-            # draws concatenate by observer, then tower, then position; the
-            # stable tower order of each row puts them back in place
-            stat_draw = np.stack(stat_draws, axis=1)
-            gains = np.empty((blocks, len(observers), k))
-            gains[:, rows, np.argsort(towers_here, axis=-1, kind="stable")] = np.concatenate(
-                [draw for _, draw in fading], axis=1).reshape(blocks, -1, k)
-        snr_median = (np.where(pu_active, snr_pu, 0.0)
-                      + np.where(su_in_range, self.su_snr_linear, 0.0))
-
-        # One statistic per (block, observer, channel), drawn from its exact
+        # One statistic per (observer, block, channel), drawn from its exact
         # Gamma(N, (1 + snr * gain) / N) form: standard_gamma(N) * scale is
         # the very draw gamma(N, scale) makes, bit for bit, without gamma's
         # costly checks of an array scale. The decision is max-hold over
         # blocks.
-        scale = (1.0 + snr_median * gains) / n_samples
-        stat = stat_draw * scale
-        if lead:
-            stat = stat.max(axis=0)
-        return SenseBlock(channel_ids, stat >= threshold, truth_occupied, stat, threshold)
+        gains *= snr_median[..., None, :]
+        gains += 1.0
+        gains /= n_samples
+        stat *= gains
+        statistic = stat[:, 0]
+        for b in range(1, blocks):
+            np.maximum(statistic, stat[:, b], out=statistic)
+        if single:
+            statistic = statistic[0]
+        return SenseBlock(channel_ids, statistic >= threshold, truth_occupied, statistic,
+                          threshold)
 
     def _sense_short(self, observer, pos, channel_ids, channel_map, streams, blocks):
         """sense_block for one observer and at most SMALL_CALL channels: the

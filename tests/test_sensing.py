@@ -6,10 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import gamma, norm
 
 import crvanet.sensing
+from crvanet.config import ScenarioConfig
 from crvanet.propagation import PropagationDomainError, hata_suburban_loss
 from crvanet.scheduling import ChannelMap
 from crvanet.sensing import (
@@ -408,6 +411,56 @@ class TestBatchedSenseBlock:
             assert (batched.sensing[observer].bit_generator.state
                     == single.sensing[observer].bit_generator.state)
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_batch_equals_single_calls_on_drawn_inputs(self, data):
+        """1-6 distinct observers sense a shared row or a grid of 1-25
+        channels, from 1-4 towers, over 1-3 blocks, under a drawn PU and SU
+        map: each row equals the observer's own call byte for byte, and
+        every fading and sensing generator ends in the same state."""
+        towers = data.draw(st.integers(1, 4), label="towers")
+        per_tower = data.draw(st.integers(1, 25), label="channelsPerTower")
+        config = replace(ScenarioConfig(), n_vehicles=8, n_pu_towers=towers,
+                         channels_per_tower=per_tower, n_channels=towers * per_tower).validate()
+        n = config.n_channels
+        m = data.draw(st.integers(1, 6), label="observers")
+        k = data.draw(st.integers(1, 25), label="channels")
+        blocks = data.draw(st.integers(1, 3), label="blocks")
+        shared = data.draw(st.booleans(), label="shared")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        draw = np.random.default_rng(seed)
+        observers = draw.permutation(config.n_vehicles)[:m]
+        positions = draw.uniform(0.0, config.road_length, m)
+        channels = draw.integers(0, n, k if shared else (m, k))
+        cmap = ChannelMap(n, config.n_vehicles)
+        cmap.pu_active[:] = draw.random(n) < draw.random()
+        for channel, vehicle in zip(draw.permutation(n), draw.permutation(config.n_vehicles)):
+            if draw.random() < 0.5:
+                cmap.set_holder(int(channel), int(vehicle), draw.uniform(0.0, config.road_length))
+
+        sensor = ChannelSensor(config)
+        batched, single = _streams(config, seed), _streams(config, seed)
+        block = sensor.sense_block(observers, positions, channels, cmap, 0.0, batched,
+                                   blocks=blocks)
+        rows = [channels] * m if shared else channels
+        for r, (observer, position, ids) in enumerate(
+                zip(observers.tolist(), positions.tolist(), rows)):
+            alone = sensor.sense_block(observer, position, ids, cmap, 0.0, single,
+                                       blocks=blocks)
+            for field in ("occupied", "truth", "statistic"):
+                expected, got = getattr(block, field)[r], getattr(alone, field)
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+            assert alone.threshold == block.threshold
+        for a, b in zip(batched.fading + [batched.sensing], single.fading + [single.sensing]):
+            assert [g.bit_generator.state for g in a] == [g.bit_generator.state for g in b]
+
+    def test_repeated_observer_rejected(self, default_config):
+        sensor = ChannelSensor(default_config)
+        cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
+        with pytest.raises(ValueError, match="distinct observers"):
+            sensor.sense_block(np.array([3, 5, 3]), np.array([0.0, 1.0, 2.0]), np.arange(4),
+                               cmap, 0.0, _streams(default_config, 0))
+
     @pytest.mark.parametrize("channel_id", [100, -1])
     def test_unknown_channel_rejected_in_short_call(self, default_config, channel_id):
         sensor = ChannelSensor(default_config)
@@ -440,15 +493,20 @@ class TestBatchedSenseBlock:
 class TestMedianPuSnr:
     def test_equals_hata_suburban_exactly(self, default_config):
         """Every tower stands towerOffset from the road midpoint, so the
-        median SNR at a position is the Hata loss at that one distance."""
+        median SNR at a position is the Hata loss at that one distance, one
+        position at a time and in the batch sense_block takes over its
+        observers."""
         cfg = default_config
         sensor = ChannelSensor(cfg)
-        for position in np.linspace(0.0, cfg.road_length, 81).tolist():
+        positions = np.linspace(0.0, cfg.road_length, 81).tolist()
+        expected = []
+        for position in positions:
             distance = math.hypot(position - cfg.road_length / 2.0, cfg.tower_offset)
             loss = hata_suburban_loss(cfg.frequency, cfg.base_station_height,
                                       cfg.mobile_height, distance / 1000.0)
-            expected = 10 ** ((cfg.tx_power_pu - loss - sensor.noise_dbw) / 10)
-            assert sensor.median_pu_snr(position) == expected
+            expected.append(10 ** ((cfg.tx_power_pu - loss - sensor.noise_dbw) / 10))
+            assert sensor.median_pu_snr(position) == expected[-1]
+        assert sensor.median_pu_snrs(positions) == expected
 
     def test_out_of_range_inputs_raise(self, default_config):
         # both towers 100 m off the road at its 1000 m midpoint
@@ -459,5 +517,11 @@ class TestMedianPuSnr:
         for channels in (np.arange(3), np.arange(SMALL_CALL + 1)):   # short and array path
             with pytest.raises(PropagationDomainError):
                 sensor.sense_block(0, 1000.0, channels, cmap, 0.0, _streams(default_config, 0))
+            # an observer array, with the out-of-range observer second
+            with pytest.raises(PropagationDomainError):
+                sensor.sense_block(np.array([0, 1]), np.array([0.0, 1000.0]), channels, cmap,
+                                   0.0, _streams(default_config, 0))
+        with pytest.raises(PropagationDomainError):
+            sensor.median_pu_snrs([0.0, 1000.0])
         with pytest.raises(PropagationDomainError):
             ChannelSensor(replace(default_config, frequency=2000.0))
