@@ -86,6 +86,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         config = _load_config(args.config)
         values = tuple(float(v) for v in args.values.split(","))
+        if len(values) < 2:   # every chart needs two; caught here, before any point runs
+            raise ValueError(f"the charts need at least 2 axis values, got {len(values)}")
         schemes = tuple(Scheme(s.strip().lower()) for s in args.schemes.split(","))
         seeds = tuple(range(1, args.seeds + 1))
         spec = SweepSpec(axis=args.axis, values=values, schemes=schemes,

@@ -113,9 +113,8 @@ class StandaloneStrategy(Strategy):
     """Full-band self-scan: no shared state, no epochs."""
 
     def attempt(self, vehicle_id, positions, now, channel_map, streams):
-        all_channels = np.arange(self.config.n_channels)
         block = self.sensor.sense_block(
-            vehicle_id, float(positions[vehicle_id]), all_channels, channel_map, now, streams
+            vehicle_id, float(positions[vehicle_id]), self.sensor.band, channel_map, now, streams
         )
         vacant = block.channel_ids[~block.occupied]
         if vacant.size == 0:
@@ -212,7 +211,7 @@ class ProposedStrategy(Strategy):
             coordinators.extend(dict.fromkeys(role))
         block = self.sensor.sense_block(
             np.array(coordinators), fleet.positions[coordinators],
-            np.arange(channel_map.n_channels), channel_map, now, streams,
+            self.sensor.band, channel_map, now, streams,
         )
         self.vacant = ~np.logical_or.reduceat(block.occupied, starts, axis=0)
         self.report_time = now

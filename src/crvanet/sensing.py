@@ -25,7 +25,10 @@ each observer draws from its own streams exactly as it would sensing
 alone. The draws land in place: each observer's statistic draws fill its
 rows of one (observers, blocks, channels) grid, and its fading draws fill
 the same slots of a gain grid, one draw per run of consecutive channels
-of one tower, found once per call. One observer's call for at most
+of one tower, found once per call. A call over the sensor's read-only
+`band` (every channel, as standalone attempts and proposed epochs sense)
+skips the id check and the search: it reads the channel map whole and
+takes the band's tower runs, stored once. One observer's call for at most
 SMALL_CALL channels (cooperative shortlists, proposed re-checks) runs the
 same arithmetic bit for bit in Python floats, as numpy's fixed cost per
 operation would dominate it.
@@ -60,7 +63,7 @@ class SenseBlock:
     """Sensing of a set of channels: one entry per channel for one
     observer, one row per observer for several."""
 
-    channel_ids: np.ndarray   # int, as passed: 1-D when shared by every observer
+    channel_ids: np.ndarray   # int, as passed (maybe the read-only band): 1-D when shared
     occupied: np.ndarray      # bool decision: statistic >= threshold
     truth: np.ndarray         # bool: truly occupied at the observer
     statistic: np.ndarray     # linear power
@@ -163,6 +166,12 @@ class ChannelSensor:
         self.su_snr_linear = 10.0 ** (SU_SENSE_SNR_DB / 10.0)
         # the tower owning each channel: contiguous blocks of channelsPerTower
         self.tower_of = np.repeat(np.arange(config.n_pu_towers), config.channels_per_tower)
+        # the whole band, read-only, and its tower runs: tower t covers
+        # channels [t * channelsPerTower, (t + 1) * channelsPerTower)
+        self.band = np.arange(config.n_channels)
+        self.band.flags.writeable = False
+        self._band_towers = list(range(config.n_pu_towers))
+        self._band_starts = [t * config.channels_per_tower for t in self._band_towers]
         self._thresholds = {1: detection_threshold(self.target_pfa, self.n_samples)}
 
     def median_pu_snr(self, observer_pos: float) -> float:
@@ -202,6 +211,13 @@ class ChannelSensor:
         SMALL_CALL channels takes _sense_short, the same computation in
         Python floats, bit for bit.
 
+        Passing the sensor's `band` itself as channel_ids takes the band
+        path: no id check, the map's arrays read whole rather than gathered
+        (channel_map must hold exactly the band's channels), and the stored
+        tower runs repeated per observer. Results are the same bit for bit
+        and are new arrays; the SenseBlock's channel_ids is the read-only
+        band.
+
         With blocks > 1 each channel is observed over that many independent
         fading blocks and decided occupied if any block's statistic crosses
         the per-block threshold (max-hold time diversity); the per-block
@@ -209,17 +225,44 @@ class ChannelSensor:
         rate is targetPfa only as far as the Gaussian-tail threshold is
         exact (ROADMAP item 1).
         """
-        channel_ids = np.asarray(channel_ids, dtype=int)
+        band = channel_ids is self.band
+        if not band:
+            channel_ids = np.asarray(channel_ids, dtype=int)
         single = isinstance(observer_ids, (int, np.integer))
         if single and channel_ids.ndim != 1:
             raise ValueError(f"one observer needs 1-D channel_ids, got shape {channel_ids.shape}")
         if single and channel_ids.size <= SMALL_CALL:
             return self._sense_short(int(observer_ids), float(observer_pos), channel_ids,
                                      channel_map, streams, blocks)
-        # as unsigned, a negative id is larger than every valid one
-        if channel_ids.size and not (np.maximum.reduce(channel_ids.view(np.uint64), axis=None)
-                                     < self.config.n_channels):
-            raise ValueError(f"unknown channel in {channel_ids.tolist()}")
+        k = channel_ids.shape[-1]
+        # Each observer's row of channels splits into runs of consecutive
+        # channels of one tower. A run's gains come from the observer's
+        # stream for that tower, in position order and block after block, so
+        # drawing every run straight into its slots of the gain grid gives
+        # each stream the sequence of one draw of shape (blocks, count). The
+        # statistic draws fill the observer's (blocks, k) rows of its grid.
+        if band:   # valid ids, the map read whole, the towers' runs stored once
+            if channel_map.n_channels != k:
+                raise ValueError(f"channel map of {channel_map.n_channels} channels "
+                                 f"for a band of {k}")
+            pu_active, holders, holder_pos = (channel_map.pu_active, channel_map.su_holder,
+                                              channel_map.su_holder_pos)
+            starts, run_towers, rows = self._band_starts, self._band_towers, 1
+        else:
+            # as unsigned, a negative id is larger than every valid one
+            if channel_ids.size and not (np.maximum.reduce(channel_ids.view(np.uint64),
+                                                           axis=None) < self.config.n_channels):
+                raise ValueError(f"unknown channel in {channel_ids.tolist()}")
+            pu_active = channel_map.pu_active[channel_ids]
+            holders = channel_map.su_holder[channel_ids]
+            holder_pos = channel_map.su_holder_pos[channel_ids]
+            towers = self.tower_of[channel_ids].reshape(-1, k)   # one row shared, or one each
+            run_start = np.empty(towers.shape, dtype=bool)
+            run_start[:, 0] = True
+            np.not_equal(towers[:, 1:], towers[:, :-1], out=run_start[:, 1:])
+            starts = run_start.ravel().nonzero()[0].tolist()
+            run_towers, rows = towers[run_start].tolist(), len(towers)
+
         threshold = self.threshold_for(blocks)
         # one median PU SNR per observer: every tower is as far from it
         if single:
@@ -231,29 +274,13 @@ class ChannelSensor:
                 raise ValueError(f"sense_block needs distinct observers, got {observers}")
             pos = np.asarray(observer_pos, dtype=float)[:, None]
             snr_pu = np.array(self.median_pu_snrs(pos[:, 0].tolist()))[:, None]
-        m, k = len(observers), channel_ids.shape[-1]
-
-        # Ground truth at each observer.
-        pu_active = channel_map.pu_active[channel_ids]
-        holders = channel_map.su_holder[channel_ids]
-        holder_pos = channel_map.su_holder_pos[channel_ids]
+        m = len(observers)
+        # ground truth at each observer
         su_in_range = (holders >= 0) & (np.abs(holder_pos - pos) <= self.config.sensing_range)
         truth_occupied = pu_active | su_in_range
-
-        # Each observer's row of channels splits into runs of consecutive
-        # channels of one tower. A run's gains come from the observer's
-        # stream for that tower, in position order and block after block, so
-        # drawing every run straight into its slots of the gain grid gives
-        # each stream the sequence of one draw of shape (blocks, count). The
-        # statistic draws fill the observer's (blocks, k) rows of its grid.
-        towers = self.tower_of[channel_ids].reshape(-1, k)   # one row shared, or one each
-        run_start = np.empty(towers.shape, dtype=bool)
-        run_start[:, 0] = True
-        np.not_equal(towers[:, 1:], towers[:, :-1], out=run_start[:, 1:])
-        starts, run_towers = run_start.ravel().nonzero()[0].tolist(), towers[run_start].tolist()
-        if len(towers) < m:
+        if rows < m:
             starts = [o * k + start for o in range(m) for start in starts]
-            run_towers *= m
+            run_towers = run_towers * m   # a new list: the band's runs are stored
         runs = list(zip(run_towers, starts, starts[1:] + [m * k]))
         gains = np.empty((m, blocks, k))
         stat = np.empty((m, blocks, k))

@@ -269,6 +269,23 @@ def test_sweep_rejects_repeated_scheme(scenario_file, tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_sweep_rejects_a_single_value(scenario_file, tmp_path, monkeypatch, capsys):
+    """One axis value cannot be charted: the sweep is refused before any
+    point runs and writes nothing."""
+    def no_run(spec):
+        raise AssertionError("a one-value sweep ran")
+
+    monkeypatch.setattr(crvanet.cli, "run_sweep", no_run)
+    code = main([
+        "sweep", "--config", scenario_file, "--axis", "vehicles", "--values", "10",
+        "--seeds", "1", "--out", str(tmp_path / "x"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "sweep specification invalid" in err and "at least 2 axis values, got 1" in err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("axis, values, named", [
     ("speed", "-10,20", "speed value -10"),
     ("channels", "0,20", "channels value 0"),

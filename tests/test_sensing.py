@@ -51,6 +51,18 @@ def _at_midpoint(sense_everywhere, config, calls, seed):
     return sense_everywhere(config, calls, seed, pu_active=True, positions=midpoint)
 
 
+def _drawn_map(config, draw):
+    """A ChannelMap with a drawn share of PU-active channels and SU holders
+    on about half of the channels, at drawn positions."""
+    n = config.n_channels
+    cmap = ChannelMap(n, config.n_vehicles)
+    cmap.pu_active[:] = draw.random(n) < draw.random()
+    for channel, vehicle in zip(draw.permutation(n), draw.permutation(config.n_vehicles)):
+        if draw.random() < 0.5:
+            cmap.set_holder(int(channel), int(vehicle), draw.uniform(0.0, config.road_length))
+    return cmap
+
+
 class TestDetectionThreshold:
     def test_pfa_half_gives_noise_power(self):
         assert detection_threshold(0.5, 100) == pytest.approx(1.0, abs=1e-12)
@@ -432,11 +444,7 @@ class TestBatchedSenseBlock:
         observers = draw.permutation(config.n_vehicles)[:m]
         positions = draw.uniform(0.0, config.road_length, m)
         channels = draw.integers(0, n, k if shared else (m, k))
-        cmap = ChannelMap(n, config.n_vehicles)
-        cmap.pu_active[:] = draw.random(n) < draw.random()
-        for channel, vehicle in zip(draw.permutation(n), draw.permutation(config.n_vehicles)):
-            if draw.random() < 0.5:
-                cmap.set_holder(int(channel), int(vehicle), draw.uniform(0.0, config.road_length))
+        cmap = _drawn_map(config, draw)
 
         sensor = ChannelSensor(config)
         batched, single = _streams(config, seed), _streams(config, seed)
@@ -488,6 +496,94 @@ class TestBatchedSenseBlock:
         channels = np.arange(math.prod(shape)).reshape(shape)
         with pytest.raises(ValueError, match="one observer needs 1-D channel_ids"):
             sensor.sense_block(0, 500.0, channels, cmap, 0.0, _streams(default_config, 0))
+
+
+class TestBandPath:
+    """sense_block over the sensor's read-only band takes the map whole and
+    the stored tower runs, and equals the same call over np.arange(n)."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_band_equals_general_path_on_drawn_inputs(self, data):
+        """1-4 towers of 1-30 channels (bands on both sides of SMALL_CALL),
+        a scalar observer or 1-6 distinct ones, 1-3 blocks, a drawn PU and
+        SU map: byte for byte the same results, every fading and sensing
+        generator in the same state, the map untouched, and a one-observer
+        band of at most SMALL_CALL channels still on the short path."""
+        towers = data.draw(st.integers(1, 4), label="towers")
+        per_tower = data.draw(st.integers(1, 30), label="channelsPerTower")
+        config = replace(ScenarioConfig(), n_vehicles=8, n_pu_towers=towers,
+                         channels_per_tower=per_tower, n_channels=towers * per_tower).validate()
+        n = config.n_channels
+        m = data.draw(st.one_of(st.none(), st.integers(1, 6)), label="observers")
+        blocks = data.draw(st.integers(1, 3), label="blocks")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        draw = np.random.default_rng(seed)
+        if m is None:   # a scalar observer
+            observers = int(draw.integers(config.n_vehicles))
+            positions = float(draw.uniform(0.0, config.road_length))
+        else:
+            observers = draw.permutation(config.n_vehicles)[:m]
+            positions = draw.uniform(0.0, config.road_length, m)
+        cmap = _drawn_map(config, draw)
+        before = [a.copy() for a in (cmap.pu_active, cmap.su_holder, cmap.su_holder_pos)]
+
+        sensor = ChannelSensor(config)
+        short_calls, short = [], sensor._sense_short
+
+        def counted(*args):
+            short_calls.append(args)
+            return short(*args)
+
+        sensor._sense_short = counted
+        on_band, general = _streams(config, seed), _streams(config, seed)
+        got = sensor.sense_block(observers, positions, sensor.band, cmap, 0.0, on_band,
+                                 blocks=blocks)
+        assert len(short_calls) == (m is None and n <= SMALL_CALL)
+        for a, b in zip(before, (cmap.pu_active, cmap.su_holder, cmap.su_holder_pos)):
+            np.testing.assert_array_equal(a, b)
+        expected = sensor.sense_block(observers, positions, np.arange(n), cmap, 0.0, general,
+                                      blocks=blocks)
+        assert got.channel_ids is sensor.band and got.threshold == expected.threshold
+        for field in ("occupied", "truth", "statistic"):
+            e, g = getattr(expected, field), getattr(got, field)
+            assert g.dtype == e.dtype and g.shape == e.shape and g.tobytes() == e.tobytes()
+        for a, b in zip(on_band.fading + [on_band.sensing], general.fading + [general.sensing]):
+            assert [g.bit_generator.state for g in a] == [g.bit_generator.state for g in b]
+
+    @pytest.mark.parametrize("observers, positions", [
+        (3, 700.0), (np.array([3, 0, 9]), np.array([700.0, 10.0, 1500.0]))],
+        ids=["one-observer", "three-observers"])
+    def test_results_never_alias_the_map(self, default_config, observers, positions):
+        sensor = ChannelSensor(default_config)
+        assert sensor.band.size > SMALL_CALL   # the array path
+        cmap = TestBatchedSenseBlock._channel_map(default_config)
+        cmap.set_holder(10, 3, 690.0)   # an SU in range of observer 3
+        block = sensor.sense_block(observers, positions, sensor.band, cmap, 0.0,
+                                   _streams(default_config, 2))
+        results = [block.occupied, block.truth, block.statistic]
+        for result in results:
+            for state in (cmap.pu_active, cmap.su_holder, cmap.su_holder_pos):
+                assert not np.shares_memory(result, state)
+        kept = [result.copy() for result in results]
+        cmap.pu_active ^= True
+        cmap.clear_holder(10)
+        cmap.set_holder(11, 4, 700.0)
+        for result, copy in zip(results, kept):
+            np.testing.assert_array_equal(result, copy)
+
+    def test_band_is_read_only(self, default_config):
+        sensor = ChannelSensor(default_config)
+        with pytest.raises(ValueError):
+            sensor.band[0] = 5
+        np.testing.assert_array_equal(sensor.band, np.arange(default_config.n_channels))
+
+    def test_map_of_another_size_rejected(self, default_config):
+        sensor = ChannelSensor(default_config)
+        n = default_config.n_channels
+        cmap = ChannelMap(n + 20, default_config.n_vehicles)
+        with pytest.raises(ValueError, match=rf"{n + 20} channels .* band of {n}\b"):
+            sensor.sense_block(0, 500.0, sensor.band, cmap, 0.0, _streams(default_config, 0))
 
 
 class TestMedianPuSnr:
