@@ -20,7 +20,8 @@ from dataclasses import replace
 from .config import ScenarioConfig, Scheme, ScenarioError, load_scenario_file
 from .engine import run_simulation
 from .plots import render_plots
-from .report import COUNTERS, TraceEvent
+from .report import COUNTERS, SENSE, SenseRows, TraceEvent
+from .sensing import CLASSES
 from .sweep import AXES, SweepSpec, run_sweep, write_csv
 
 
@@ -30,14 +31,21 @@ def _load_config(path: str | None) -> ScenarioConfig:
     return load_scenario_file(path)
 
 
+class _ChannelText(dict):   # channel id -> its decimal text, made on first use
+    def __missing__(self, channel: int) -> str:
+        text = self[channel] = "%d" % channel
+        return text
+
+
 class _TraceWriter:
     """The --trace sink: writes each event as the CSV row "%d,%.6f,%s,%d,%d,%s\n" % event
-    as it arrives; len() counts rows. Events come grouped by tick, so the
-    "tick,time," prefix is formatted once per (tick, time) pair."""
+    as it arrives, a single event through append() and a sensing block
+    through extend() in one write; len() counts rows. Events come grouped
+    by tick, so append() formats the "tick,time," prefix once per pair."""
 
     def __init__(self, path: str):
         self.file = open(path, "w", encoding="ascii", newline="")
-        self.write, self.rows = self.file.write, 0
+        self.write, self.rows, self.channels = self.file.write, 0, _ChannelText()
         self.tick = self.time = self.prefix = None
         self.write("tick,time,event,channel,actor,detail\n")
 
@@ -47,6 +55,15 @@ class _TraceWriter:
             self.tick, self.time, self.prefix = tick, time, "%d,%.6f," % (tick, time)
         self.write("%s%s,%d,%d,%s\n" % (self.prefix, kind, channel, actor, detail))
         self.rows += 1
+
+    def extend(self, rows: SenseRows) -> None:
+        """One SenseRows block: "tick,time,sense," and the actor's class tails
+        are formatted once, each row joins its channel's text and its tail."""
+        head, channels = "%d,%.6f,%s," % (rows.tick, rows.time, SENSE), self.channels
+        tails = [",%d,%s\n" % (rows.actor_id, detail) for detail in CLASSES]
+        self.write("".join([head + channels[c] + tails[k]
+                            for c, k in zip(rows.channel_ids, rows.classes)]))
+        self.rows += len(rows.classes)
 
     def __len__(self) -> int:
         return self.rows

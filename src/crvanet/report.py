@@ -60,7 +60,9 @@ class SimulationReport:
     harmful_occupations: int = 0
     preemptions: int = 0
     backoffs: int = 0
-    trace: list[TraceEvent] | None = None   # or any sink with append(event)
+    # or any sink with a list's append(event) and extend(events); each sensing
+    # block comes through extend() as one SenseRows, every other event alone
+    trace: list[TraceEvent] | None = None
 
     @property
     def counters(self) -> tuple[int, ...]:
@@ -103,3 +105,35 @@ def record_event(report: SimulationReport, kind: str, tick: int, time: float,
     if report.trace is not None:
         report.trace.append(_tuple_new(TraceEvent, (tick, time, kind, channel_id, actor_id,
                                                     detail)))
+
+
+class SenseRows:
+    """One actor's sense events at one (tick, time), by column; `classes`
+    index CLASSES. Iterates as the TraceEvents record_event would build."""
+
+    def __init__(self, tick: int, time: float, channel_ids: list[int], actor_id: int,
+                 classes: list[int]):
+        self.tick, self.time, self.channel_ids = tick, time, channel_ids
+        self.actor_id, self.classes = actor_id, classes
+
+    def __iter__(self):
+        head = (self.tick, self.time, SENSE)
+        for channel, cls in zip(self.channel_ids, self.classes):
+            yield _tuple_new(TraceEvent, head + (channel, self.actor_id, CLASSES[cls]))
+
+
+def record_senses(report: SimulationReport, tick: int, time: float, channel_ids: list[int],
+                  actor_id: int, classes: list[int]) -> None:
+    """Record one sensing block as one sense record_event per channel would.
+    Untraced it makes those calls through this module's global name, which
+    perfbench patches to count them; traced it folds the counters in one
+    step and extends the sink by one SenseRows."""
+    if report.trace is None:
+        for channel, cls in zip(channel_ids, classes):
+            record_event(report, SENSE, tick, time, channel, actor_id, CLASSES[cls])
+        return
+    report.correct_detections += classes.count(0)   # in the CLASSES order
+    report.false_alarms += classes.count(1)
+    report.misdetections += classes.count(2)
+    report.sensing_events += len(classes)
+    report.trace.extend(SenseRows(tick, time, channel_ids, actor_id, classes))

@@ -22,7 +22,6 @@ import numpy as np
 from .report import (
     PU_OCCUPIED,
     PU_VACATED,
-    SENSE,
     SU_BACKOFF,
     SU_INTERFERENCE,
     SU_OCCUPIED,
@@ -30,8 +29,9 @@ from .report import (
     SU_VACATED,
     SimulationReport,
     record_event,
+    record_senses,
 )
-from .sensing import CLASSES, classify_block
+from .sensing import classify_block
 
 
 def schedule_next(mean: float, rng: np.random.Generator) -> float:
@@ -188,11 +188,12 @@ def step_su(vehicle_id: int, positions: np.ndarray, now: float, tick: int,
     """Advance one due SU by one tick, recording its events.
 
     Transmitting and due: tear down, schedule the next attempt. Idle and
-    due: obtain and sense candidates through the active scheme, then
-    occupy on success or back off on failure. Landing on a channel whose
-    SU holder is set is a failure (collision avoided at the map level);
-    landing on a PU-active channel is harmful interference — the
-    transmission collides immediately, counted but never an allocation.
+    due: obtain and sense candidates through the active scheme, recording
+    the attempt's sensing as one block (record_senses), then occupy on
+    success or back off on failure. Landing on a channel whose SU holder
+    is set is a failure (collision avoided at the map level); landing on a
+    PU-active channel is harmful interference — the transmission collides
+    immediately, counted but never an allocation.
     """
     rng = streams.su[vehicle_id]
     channel = int(channel_map.su_channel[vehicle_id])
@@ -204,9 +205,8 @@ def step_su(vehicle_id: int, positions: np.ndarray, now: float, tick: int,
 
     block, chosen = coord_view.attempt(vehicle_id, positions, now, channel_map, streams)
     if block is not None:
-        classes = classify_block(block.occupied, block.truth).tolist()
-        for channel, cls in zip(block.channel_ids.tolist(), classes):
-            record_event(report, SENSE, tick, now, channel, vehicle_id, CLASSES[cls])
+        record_senses(report, tick, now, block.channel_ids.tolist(), vehicle_id,
+                      classify_block(block.occupied, block.truth).tolist())
     if chosen is None:
         channel_map.su_next[vehicle_id] = now + back_off_time
         record_event(report, SU_BACKOFF, tick, now, -1, vehicle_id)

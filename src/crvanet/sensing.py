@@ -228,6 +228,9 @@ class ChannelSensor:
         band = channel_ids is self.band
         if not band:
             channel_ids = np.asarray(channel_ids, dtype=int)
+        elif channel_map.n_channels != channel_ids.size:   # before the short path, too
+            raise ValueError(f"channel map of {channel_map.n_channels} channels "
+                             f"for a band of {channel_ids.size}")
         single = isinstance(observer_ids, (int, np.integer))
         if single and channel_ids.ndim != 1:
             raise ValueError(f"one observer needs 1-D channel_ids, got shape {channel_ids.shape}")
@@ -242,9 +245,6 @@ class ChannelSensor:
         # each stream the sequence of one draw of shape (blocks, count). The
         # statistic draws fill the observer's (blocks, k) rows of its grid.
         if band:   # valid ids, the map read whole, the towers' runs stored once
-            if channel_map.n_channels != k:
-                raise ValueError(f"channel map of {channel_map.n_channels} channels "
-                                 f"for a band of {k}")
             pu_active, holders, holder_pos = (channel_map.pu_active, channel_map.su_holder,
                                               channel_map.su_holder_pos)
             starts, run_towers, rows = self._band_starts, self._band_towers, 1

@@ -8,7 +8,16 @@ import pytest
 import crvanet.cli
 import crvanet.engine
 from crvanet.cli import _TraceWriter, main
-from crvanet.report import MOVE, PU_VACATED, SENSE, SU_BACKOFF, SU_OCCUPIED, TraceEvent
+from crvanet.report import (
+    MOVE,
+    PU_OCCUPIED,
+    PU_VACATED,
+    SENSE,
+    SU_BACKOFF,
+    SU_OCCUPIED,
+    SenseRows,
+    TraceEvent,
+)
 
 SMALL_SCENARIO = """\
 # scaled-down scenario for CLI checks
@@ -57,10 +66,13 @@ def test_simulate_writes_trace(scenario_file, tmp_path, capsys, monkeypatch):
 
 
 def test_trace_writer_rows_match_the_reference_format(tmp_path):
-    """The writer reuses each (tick, time) prefix; every row must still read
-    as the one-format row: one tick at two times, a tick that returns after
-    another, -1 ids, a move detail with a comma and an empty detail."""
-    events = [
+    """The writer reuses each (tick, time) prefix and writes a sensing block
+    in one go; every row must still read as the one-format row of its event:
+    one tick at two times, a tick that returns after another, -1 ids, a move
+    detail with a comma, an empty detail, a block at a new tick, a block
+    after an append at the same (tick, time) and an append after it, channel
+    ids the writer has not seen and seen ones, and an empty block."""
+    items = [
         TraceEvent(3, 0.003, PU_VACATED, 7, 2),
         TraceEvent(3, 0.003, SENSE, 7, 11, "falseAlarm"),
         TraceEvent(3, 0.0035, SU_BACKOFF, -1, 11),
@@ -68,15 +80,27 @@ def test_trace_writer_rows_match_the_reference_format(tmp_path):
         TraceEvent(3, 0.003, SU_OCCUPIED, 7, 11),
         TraceEvent(4, 0.003, SU_OCCUPIED, 8, 12),
         TraceEvent(4, 0.003, SENSE, 8, -1, "misdetection"),
+        SenseRows(5, 0.005, [0, 9, 10, 99], 4, [0, 1, 2, 0]),
+        TraceEvent(5, 0.005, SU_BACKOFF, -1, 4),
+        TraceEvent(6, 0.006, PU_OCCUPIED, 9, 1),
+        SenseRows(6, 0.006, [9, 123, 0], 12, [2, 2, 1]),
+        SenseRows(6, 0.006, [], 13, []),
+        SenseRows(7, 0.007, [], 13, []),
+        TraceEvent(7, 0.007, SU_OCCUPIED, 123, 12),
+        SenseRows(7, 0.0075, [5], 1000, [1]),
     ]
+    events = [e for item in items for e in (item if isinstance(item, SenseRows) else [item])]
     path = tmp_path / "trace.csv"
     writer = _TraceWriter(str(path))
     with writer.file:
-        for event in events:
-            writer.append(event)
+        for item in items:
+            if isinstance(item, SenseRows):
+                writer.extend(item)
+            else:
+                writer.append(item)
     assert path.read_text(encoding="ascii") == "tick,time,event,channel,actor,detail\n" + "".join(
         "%d,%.6f,%s,%d,%d,%s\n" % event for event in events)
-    assert len(writer) == len(events)
+    assert len(writer) == len(events) == 18
 
 
 # sha256 of `crvanet simulate --trace` output for each scheme at a 0.3 s

@@ -5,15 +5,19 @@ import pytest
 
 from crvanet.config import ScenarioConfig, Scheme
 from crvanet.plots import PlotDataError, render_chart, render_plots
+import crvanet.report
 from crvanet.report import (
     COUNTERS,
     PU_VACATED,
     SENSE,
+    SU_BACKOFF,
     SU_OCCUPIED,
     SimulationReport,
     TraceEvent,
     record_event,
+    record_senses,
 )
+from crvanet.sensing import CLASSES
 import crvanet.sweep as sweep_module
 from crvanet.sweep import (
     CSV_HEADER,
@@ -77,6 +81,53 @@ class TestRecordEvent:
         assert (vacated.tick, vacated.time, vacated.event) == (4, 0.004, PU_VACATED)
         assert (vacated.channel_id, vacated.actor_id, vacated.detail) == (3, 0, "")
         assert (sensed.event, sensed.actor_id, sensed.detail) == (SENSE, 1, "falseAlarm")
+
+
+class TestRecordSenses:
+    """record_senses must leave the counters and the trace exactly as one
+    sense record_event per channel would."""
+
+    BLOCKS = [([4, 0, 9, 2, 7, 1], [0, 1, 2, 0, 0, 1]), ([], []), ([3], [2])]
+
+    @staticmethod
+    def _per_event(report, tick, time, channel_ids, actor_id, classes):
+        for channel, cls in zip(channel_ids, classes):
+            record_event(report, SENSE, tick, time, channel, actor_id, CLASSES[cls])
+
+    @pytest.mark.parametrize("channel_ids, classes", BLOCKS, ids=["mixed", "empty", "one"])
+    def test_untraced_counters_equal_per_event_calls(self, channel_ids, classes):
+        block, events = SimulationReport(), SimulationReport()
+        record_senses(block, 5, 0.005, channel_ids, 3, classes)
+        self._per_event(events, 5, 0.005, channel_ids, 3, classes)
+        assert block.counters == events.counters
+        assert block.sensing_events == len(classes) and block.conservation_holds()
+
+    def test_untraced_calls_record_event_by_module_name(self, monkeypatch):
+        """perfbench counts untraced sense events by patching record_event
+        on the module, so each channel must still be one such call."""
+        calls = []
+        monkeypatch.setattr(crvanet.report, "record_event",
+                            lambda *args: calls.append(args[1:]))
+        record_senses(SimulationReport(), 5, 0.005, [4, 0], 3, [1, 0])
+        assert calls == [(SENSE, 5, 0.005, 4, 3, "falseAlarm"),
+                         (SENSE, 5, 0.005, 0, 3, "correctDetection")]
+
+    def test_list_sink_collects_the_per_event_trace(self):
+        """Mixed classes, an empty block, and blocks between single events
+        of the same tick: the same TraceEvents, in the same order."""
+        def run(record):
+            report = SimulationReport(trace=[])
+            record_event(report, PU_VACATED, 5, 0.005, 4, 0)
+            for channel_ids, classes in self.BLOCKS:
+                record(report, 5, 0.005, channel_ids, 3, classes)
+                record_event(report, SU_BACKOFF, 5, 0.005, -1, 3)
+            record(report, 6, 0.006, [8, 9], 2, [2, 0])
+            return report
+
+        block, events = run(record_senses), run(self._per_event)
+        assert block.trace == events.trace and len(block.trace) == 13
+        assert [type(e) for e in block.trace] == [TraceEvent] * 13
+        assert block.counters == events.counters
 
 
 class TestSweepSpec:

@@ -585,6 +585,19 @@ class TestBandPath:
         with pytest.raises(ValueError, match=rf"{n + 20} channels .* band of {n}\b"):
             sensor.sense_block(0, 500.0, sensor.band, cmap, 0.0, _streams(default_config, 0))
 
+    @pytest.mark.parametrize("map_channels", [30, 5])
+    def test_short_band_against_a_map_of_another_size_rejected(self, map_channels):
+        """A one-observer band of at most SMALL_CALL channels takes the short
+        path, and must fail as the array path does, not sense 10 channels."""
+        config = replace(ScenarioConfig(), n_channels=10, channels_per_tower=5,
+                         n_pu_towers=2).validate()
+        sensor = ChannelSensor(config)
+        assert sensor.band.size <= SMALL_CALL
+        cmap = ChannelMap(map_channels, config.n_vehicles)
+        with pytest.raises(ValueError,
+                           match=rf"channel map of {map_channels} channels for a band of 10$"):
+            sensor.sense_block(0, 500.0, sensor.band, cmap, 0.0, _streams(config, 0))
+
 
 class TestMedianPuSnr:
     def test_equals_hata_suburban_exactly(self, default_config):
