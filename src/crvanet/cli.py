@@ -40,20 +40,15 @@ class _ChannelText(dict):   # channel id -> its decimal text, made on first use
 class _TraceWriter:
     """The --trace sink: writes each event as the CSV row "%d,%.6f,%s,%d,%d,%s\n" % event
     as it arrives, a single event through append() and a sensing block
-    through extend() in one write; len() counts rows. Events come grouped
-    by tick, so append() formats the "tick,time," prefix once per pair."""
+    through extend() in one write; len() counts rows."""
 
     def __init__(self, path: str):
         self.file = open(path, "w", encoding="ascii", newline="")
         self.write, self.rows, self.channels = self.file.write, 0, _ChannelText()
-        self.tick = self.time = self.prefix = None
         self.write("tick,time,event,channel,actor,detail\n")
 
     def append(self, event: TraceEvent) -> None:
-        tick, time, kind, channel, actor, detail = event
-        if tick != self.tick or time != self.time:
-            self.tick, self.time, self.prefix = tick, time, "%d,%.6f," % (tick, time)
-        self.write("%s%s,%d,%d,%s\n" % (self.prefix, kind, channel, actor, detail))
+        self.write("%d,%.6f,%s,%d,%d,%s\n" % event)
         self.rows += 1
 
     def extend(self, rows: SenseRows) -> None:

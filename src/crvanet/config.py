@@ -166,6 +166,8 @@ def _parse_value(kind: str, raw: str, line_no: int):
                 line_no, f"unknown scheme {raw!r} (expected standalone/cooperative/proposed)"
             ) from None
     parts = raw.split(None, 1)
+    if not parts:
+        raise ScenarioParseError(line_no, "missing value")
     num_text = parts[0]
     unit = parts[1].strip().lower() if len(parts) == 2 else ""
     # units can also be glued to the number ("10ms")
@@ -230,8 +232,13 @@ def load_scenario(config_text: str) -> ScenarioConfig:
 
 
 def load_scenario_file(path: str) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_scenario(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+    return load_scenario(text)
 
 
 def num_time_slices(running_time: float, time_step: float) -> int:

@@ -22,16 +22,18 @@ the ground truth at the same instant and the statistic, plus the
 threshold they were decided against; classify_block classifies decisions
 against truth. One call senses a whole grid of observers and channels;
 each observer draws from its own streams exactly as it would sensing
-alone. The draws land in place: each observer's statistic draws fill its
-rows of one (observers, blocks, channels) grid, and its fading draws fill
-the same slots of a gain grid, one draw per run of consecutive channels
-of one tower, found once per call. A call over the sensor's read-only
-`band` (every channel, as standalone attempts and proposed epochs sense)
-skips the id check and the search: it reads the channel map whole and
-takes the band's tower runs, stored once. One observer's call for at most
-SMALL_CALL channels (cooperative shortlists, proposed re-checks) runs the
-same arithmetic bit for bit in Python floats, as numpy's fixed cost per
-operation would dominate it.
+alone. The call's shape picks its route. The sensor's read-only `band`
+(every channel, as standalone attempts and proposed epochs sense) and
+observer arrays (cooperative epoch grids) take the array path over one
+fading block: each observer's statistic draws fill its row of one
+(observers, channels) grid, and its fading draws fill the same slots of a
+gain grid, one draw per run of consecutive channels of one tower. A band
+call skips the id check and the run search: it reads the channel map
+whole and takes the band's tower runs, stored once. One observer's listed
+channels (cooperative shortlists, proposed re-checks) run the same
+arithmetic bit for bit in Python floats, as numpy's fixed cost per
+operation would dominate them; this is the only route that senses over
+several blocks.
 """
 
 from __future__ import annotations
@@ -51,11 +53,6 @@ from .propagation import (
 # SUs sensed within sensingRange are modeled at a flat, strongly detectable
 # SNR instead of a full SU link budget.
 SU_SENSE_SNR_DB = 20.0
-
-# one observer's call for at most this many channels runs in Python floats:
-# the array path wins from about 24 channels at one block and 20 at two
-# (measured on a 2-core Xeon, Python 3.11, numpy 2.4)
-SMALL_CALL = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,10 +180,6 @@ class ChannelSensor:
         loss = self.hata.suburban_loss(distance / 1000.0)
         return 10.0 ** ((self.config.tx_power_pu - loss - self.noise_dbw) / 10.0)
 
-    def median_pu_snrs(self, positions: list[float]) -> list[float]:
-        """median_pu_snr at each road position, in one pass of Python floats."""
-        return list(map(self.median_pu_snr, positions))
-
     def threshold_for(self, blocks: int) -> float:
         """Per-block threshold for a max-hold decision over `blocks`
         blocks, calibrated once per block count."""
@@ -206,10 +199,10 @@ class ChannelSensor:
         positions) sense either the same 1-D channel_ids or one row each of
         an (m, k) channel_ids grid, and get (m, k) result arrays. Every
         generator is drawn exactly as if each observer sensed alone, in
-        turn, straight into preallocated (m, blocks, k) grids: no draw is
-        copied into place afterwards. One observer's call for at most
-        SMALL_CALL channels takes _sense_short, the same computation in
-        Python floats, bit for bit.
+        turn. The call's shape picks one of two routes, bit for bit the
+        same computation: one observer's listed channels take _sense_short
+        in Python floats; the band and observer arrays take the array path,
+        whose draws land straight in preallocated (m, k) grids.
 
         Passing the sensor's `band` itself as channel_ids takes the band
         path: no id check, the map's arrays read whole rather than gathered
@@ -218,32 +211,37 @@ class ChannelSensor:
         and are new arrays; the SenseBlock's channel_ids is the read-only
         band.
 
-        With blocks > 1 each channel is observed over that many independent
-        fading blocks and decided occupied if any block's statistic crosses
-        the per-block threshold (max-hold time diversity); the per-block
-        false-alarm target is compensated for the max-hold, so the overall
-        rate is targetPfa only as far as the Gaussian-tail threshold is
-        exact (ROADMAP item 1).
+        Only one observer's listed channels may take blocks > 1: each
+        channel is observed over that many independent fading blocks and
+        decided occupied if any block's statistic crosses the per-block
+        threshold (max-hold time diversity); the per-block false-alarm
+        target is compensated for the max-hold, so the overall rate is
+        targetPfa only as far as the Gaussian-tail threshold is exact
+        (ROADMAP item 1).
         """
+        single = isinstance(observer_ids, (int, np.integer))
         band = channel_ids is self.band
         if not band:
             channel_ids = np.asarray(channel_ids, dtype=int)
-        elif channel_map.n_channels != channel_ids.size:   # before the short path, too
+            if single:
+                if channel_ids.ndim != 1:
+                    raise ValueError(
+                        f"one observer needs 1-D channel_ids, got shape {channel_ids.shape}")
+                return self._sense_short(int(observer_ids), float(observer_pos), channel_ids,
+                                         channel_map, streams, blocks)
+        elif channel_map.n_channels != channel_ids.size:
             raise ValueError(f"channel map of {channel_map.n_channels} channels "
                              f"for a band of {channel_ids.size}")
-        single = isinstance(observer_ids, (int, np.integer))
-        if single and channel_ids.ndim != 1:
-            raise ValueError(f"one observer needs 1-D channel_ids, got shape {channel_ids.shape}")
-        if single and channel_ids.size <= SMALL_CALL:
-            return self._sense_short(int(observer_ids), float(observer_pos), channel_ids,
-                                     channel_map, streams, blocks)
+        if blocks != 1:
+            raise ValueError(f"band and grid calls sense one block, got blocks={blocks}; "
+                             "only one observer's listed channels take several")
         k = channel_ids.shape[-1]
         # Each observer's row of channels splits into runs of consecutive
         # channels of one tower. A run's gains come from the observer's
-        # stream for that tower, in position order and block after block, so
-        # drawing every run straight into its slots of the gain grid gives
-        # each stream the sequence of one draw of shape (blocks, count). The
-        # statistic draws fill the observer's (blocks, k) rows of its grid.
+        # stream for that tower, in position order, so drawing every run
+        # straight into its slots of the gain grid gives each stream the
+        # sequence of one draw of the run's count. The statistic draws fill
+        # the observer's row of its grid.
         if band:   # valid ids, the map read whole, the towers' runs stored once
             pu_active, holders, holder_pos = (channel_map.pu_active, channel_map.su_holder,
                                               channel_map.su_holder_pos)
@@ -263,7 +261,7 @@ class ChannelSensor:
             starts = run_start.ravel().nonzero()[0].tolist()
             run_towers, rows = towers[run_start].tolist(), len(towers)
 
-        threshold = self.threshold_for(blocks)
+        threshold = self.threshold_for(1)
         # one median PU SNR per observer: every tower is as far from it
         if single:
             observers, pos = [int(observer_ids)], float(observer_pos)
@@ -273,7 +271,7 @@ class ChannelSensor:
             if not observers or len(set(observers)) < len(observers):
                 raise ValueError(f"sense_block needs distinct observers, got {observers}")
             pos = np.asarray(observer_pos, dtype=float)[:, None]
-            snr_pu = np.array(self.median_pu_snrs(pos[:, 0].tolist()))[:, None]
+            snr_pu = np.array(list(map(self.median_pu_snr, pos[:, 0].tolist())))[:, None]
         m = len(observers)
         # ground truth at each observer
         su_in_range = (holders >= 0) & (np.abs(holder_pos - pos) <= self.config.sensing_range)
@@ -281,39 +279,30 @@ class ChannelSensor:
         if rows < m:
             starts = [o * k + start for o in range(m) for start in starts]
             run_towers = run_towers * m   # a new list: the band's runs are stored
-        runs = list(zip(run_towers, starts, starts[1:] + [m * k]))
-        gains = np.empty((m, blocks, k))
-        stat = np.empty((m, blocks, k))
-        fading, n_samples = streams.fading, self.n_samples
-        for b in range(blocks):
-            for tower, start, end in runs:
-                o, lo = divmod(start, k)
-                fading[tower][observers[o]].standard_exponential(
-                    out=gains[o, b, lo:lo + end - start])
+        gains = np.empty((m, k))
+        stat = np.empty((m, k))
+        fading, flat = streams.fading, gains.reshape(-1)
+        for tower, start, end in zip(run_towers, starts, starts[1:] + [m * k]):
+            fading[tower][observers[start // k]].standard_exponential(out=flat[start:end])
         for o, observer in enumerate(observers):
-            streams.sensing[observer].standard_gamma(n_samples, out=stat[o])
-        snr_median = pu_active * snr_pu + su_in_range * self.su_snr_linear
+            streams.sensing[observer].standard_gamma(self.n_samples, out=stat[o])
 
-        # One statistic per (observer, block, channel), drawn from its exact
+        # One statistic per (observer, channel), drawn from its exact
         # Gamma(N, (1 + snr * gain) / N) form: standard_gamma(N) * scale is
         # the very draw gamma(N, scale) makes, bit for bit, without gamma's
-        # costly checks of an array scale. The decision is max-hold over
-        # blocks.
-        gains *= snr_median[..., None, :]
+        # costly checks of an array scale.
+        gains *= pu_active * snr_pu + su_in_range * self.su_snr_linear
         gains += 1.0
-        gains /= n_samples
+        gains /= self.n_samples
         stat *= gains
-        statistic = stat[:, 0]
-        for b in range(1, blocks):
-            np.maximum(statistic, stat[:, b], out=statistic)
-        if single:
-            statistic = statistic[0]
+        statistic = stat[0] if single else stat
         return SenseBlock(channel_ids, statistic >= threshold, truth_occupied, statistic,
                           threshold)
 
     def _sense_short(self, observer, pos, channel_ids, channel_map, streams, blocks):
-        """sense_block for one observer and at most SMALL_CALL channels: the
-        array path's draws and IEEE operations, in order, on Python floats."""
+        """sense_block for one observer's listed channels: the array path's
+        draws and IEEE operations, in order, on Python floats, block after
+        block."""
         ids = channel_ids.tolist()
         if not all(0 <= c < self.config.n_channels for c in ids):
             raise ValueError(f"unknown channel in {ids}")

@@ -229,6 +229,25 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
     assert "scenario loading failed" in err
 
 
+@pytest.mark.parametrize("content, named", [
+    (b"nVehicles =\n", "line 1: missing value"),
+    (b"seed = 3\n# caf\xe9\n", "not UTF-8 text at byte 14"),
+], ids=["empty-value", "not-utf8"])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_bad_scenario_text_is_named(tmp_path, capsys, command, content, named):
+    """A scenario with an empty value or bytes that are not UTF-8 fails
+    scenario loading with exit 2 and a named cause, under both commands."""
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(content)
+    argv = [command, "--config", str(bad)]
+    if command == "sweep":
+        argv += ["--axis", "vehicles", "--values", "2,4", "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_simulate_rejects_short_sensing_window(tmp_path, capsys):
     short = tmp_path / "short.txt"
     short.write_text(SMALL_SCENARIO + "sensingSamples = 20\n")

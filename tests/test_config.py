@@ -1,14 +1,17 @@
 import math
+import re
 from dataclasses import fields, replace
 
 import pytest
 
 from crvanet.config import (
     ScenarioConfig,
+    ScenarioError,
     ScenarioParseError,
     ScenarioValidationError,
     Scheme,
     load_scenario,
+    load_scenario_file,
     num_time_slices,
 )
 
@@ -80,6 +83,20 @@ def test_bad_number_rejected():
     with pytest.raises(ScenarioParseError) as err:
         load_scenario("nVehicles = lots")
     assert "line 1" in str(err.value)
+
+
+@pytest.mark.parametrize("text, line", [("nVehicles =", 1),
+                                        ("seed = 1\nroadLength =   # m\n", 2), ("scheme =", 1)])
+def test_empty_value_rejected_with_line_number(text, line):
+    with pytest.raises(ScenarioParseError, match=f"^line {line}: "):
+        load_scenario(text)
+
+
+def test_non_utf8_file_rejected_naming_file_and_byte(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("seed = 1\n# caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(ScenarioError, match=re.escape(f"{path}: not UTF-8 text at byte 14")):
+        load_scenario_file(str(path))
 
 
 def test_duplicate_key_rejected():

@@ -17,8 +17,8 @@ from crvanet.propagation import PropagationDomainError, hata_suburban_loss
 from crvanet.scheduling import ChannelMap
 from crvanet.sensing import (
     CLASSES,
-    SMALL_CALL,
     ChannelSensor,
+    SenseBlock,
     block_pfa,
     classify_block,
     detection_threshold,
@@ -49,6 +49,20 @@ def _at_midpoint(sense_everywhere, config, calls, seed):
     midpoint."""
     midpoint = np.full(config.n_vehicles, config.road_length / 2.0)
     return sense_everywhere(config, calls, seed, pu_active=True, positions=midpoint)
+
+
+def _max_hold(sensor, observers, positions, channels, cmap, now, streams, blocks):
+    """A call over `blocks` fading blocks as `blocks` consecutive 1-block
+    calls on the same streams: the max-hold of their statistics, decided
+    against the per-block threshold (one block: the call itself)."""
+    calls = [sensor.sense_block(observers, positions, channels, cmap, now, streams)
+             for _ in range(blocks)]
+    if blocks == 1:
+        return calls[0]
+    statistic = np.maximum.reduce([call.statistic for call in calls])
+    threshold = sensor.threshold_for(blocks)
+    return SenseBlock(calls[0].channel_ids, statistic >= threshold, calls[0].truth, statistic,
+                      threshold)
 
 
 def _drawn_map(config, draw):
@@ -342,12 +356,14 @@ class TestBatchedSenseBlock:
     @pytest.mark.parametrize("blocks", [1, 2])
     @pytest.mark.parametrize("shared", [True, False], ids=["shared-channels", "grid"])
     def test_batch_equals_single_calls(self, default_config, blocks, shared):
+        """Over 2 blocks, the batch is the max-hold of two consecutive 1-block
+        batched calls, as observer arrays sense one block per call."""
         sensor = ChannelSensor(default_config)
         cmap = self._channel_map(default_config)
         channels = np.arange(default_config.n_channels) if shared else self.GRID
         batched, single = _streams(default_config, 5), _streams(default_config, 5)
-        block = sensor.sense_block(self.OBSERVERS, self.POSITIONS, channels, cmap, 0.25,
-                                   batched, blocks=blocks)
+        block = _max_hold(sensor, self.OBSERVERS, self.POSITIONS, channels, cmap, 0.25,
+                          batched, blocks)
         assert block.occupied.shape == (len(self.OBSERVERS), channels.shape[-1])
         rows = [channels] * len(self.OBSERVERS) if shared else channels
         for r, (observer, position, ids) in enumerate(
@@ -377,13 +393,14 @@ class TestBatchedSenseBlock:
         return np.array(rows)[:, :width]
 
     @pytest.mark.parametrize("blocks", [1, 2])
-    @pytest.mark.parametrize("width", [1, SMALL_CALL, SMALL_CALL + 1])
+    @pytest.mark.parametrize("width", [1, 20, 21, 100])
     def test_short_calls_equal_batched_rows(self, default_config, monkeypatch, width, blocks):
-        """Single-observer calls of at most SMALL_CALL channels take the
+        """Single-observer calls over listed channels, however many, take the
         Python-float path; each equals its row of the batched array path
-        bit for bit, and leaves every generator in the same state. Under
-        the default two towers and under four, where each row spans more
-        than two towers' fading streams."""
+        (over 2 blocks, the max-hold of two consecutive batched calls) bit
+        for bit, and leaves every generator in the same state. Under the
+        default two towers and under four, where each row spans more than
+        two towers' fading streams."""
         short_calls, short = [], ChannelSensor._sense_short
 
         def counted(*args):
@@ -395,7 +412,7 @@ class TestBatchedSenseBlock:
         for config in (default_config, four_towers):
             short_calls.clear()
             self._check_short_calls(config, width, blocks)
-            assert len(short_calls) == (len(self.OBSERVERS) if width <= SMALL_CALL else 0)
+            assert len(short_calls) == len(self.OBSERVERS)
 
     def _check_short_calls(self, config, width, blocks):
         sensor = ChannelSensor(config)
@@ -406,8 +423,8 @@ class TestBatchedSenseBlock:
         in_range = distance <= config.sensing_range
         assert (holders & in_range).any() and (holders & ~in_range).any()
         batched, single = _streams(config, 5), _streams(config, 5)
-        block = sensor.sense_block(self.OBSERVERS, self.POSITIONS, grid, cmap, 0.25,
-                                   batched, blocks=blocks)
+        block = _max_hold(sensor, self.OBSERVERS, self.POSITIONS, grid, cmap, 0.25, batched,
+                          blocks)
         for r, (observer, position) in enumerate(
                 zip(self.OBSERVERS.tolist(), self.POSITIONS.tolist())):
             alone = sensor.sense_block(observer, position, grid[r], cmap, 0.25, single,
@@ -427,9 +444,9 @@ class TestBatchedSenseBlock:
     @given(data=st.data())
     def test_batch_equals_single_calls_on_drawn_inputs(self, data):
         """1-6 distinct observers sense a shared row or a grid of 1-25
-        channels, from 1-4 towers, over 1-3 blocks, under a drawn PU and SU
-        map: each row equals the observer's own call byte for byte, and
-        every fading and sensing generator ends in the same state."""
+        channels, from 1-4 towers, under a drawn PU and SU map: each row
+        equals the observer's own call byte for byte, and every fading and
+        sensing generator ends in the same state."""
         towers = data.draw(st.integers(1, 4), label="towers")
         per_tower = data.draw(st.integers(1, 25), label="channelsPerTower")
         config = replace(ScenarioConfig(), n_vehicles=8, n_pu_towers=towers,
@@ -437,7 +454,6 @@ class TestBatchedSenseBlock:
         n = config.n_channels
         m = data.draw(st.integers(1, 6), label="observers")
         k = data.draw(st.integers(1, 25), label="channels")
-        blocks = data.draw(st.integers(1, 3), label="blocks")
         shared = data.draw(st.booleans(), label="shared")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         draw = np.random.default_rng(seed)
@@ -448,19 +464,52 @@ class TestBatchedSenseBlock:
 
         sensor = ChannelSensor(config)
         batched, single = _streams(config, seed), _streams(config, seed)
-        block = sensor.sense_block(observers, positions, channels, cmap, 0.0, batched,
-                                   blocks=blocks)
+        block = sensor.sense_block(observers, positions, channels, cmap, 0.0, batched)
         rows = [channels] * m if shared else channels
         for r, (observer, position, ids) in enumerate(
                 zip(observers.tolist(), positions.tolist(), rows)):
-            alone = sensor.sense_block(observer, position, ids, cmap, 0.0, single,
-                                       blocks=blocks)
+            alone = sensor.sense_block(observer, position, ids, cmap, 0.0, single)
             for field in ("occupied", "truth", "statistic"):
                 expected, got = getattr(block, field)[r], getattr(alone, field)
                 assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
             assert alone.threshold == block.threshold
         for a, b in zip(batched.fading + [batched.sensing], single.fading + [single.sensing]):
             assert [g.bit_generator.state for g in a] == [g.bit_generator.state for g in b]
+
+    @pytest.mark.parametrize("blocks", [2, 3])
+    def test_listed_blocks_are_consecutive_single_blocks(self, default_config, blocks):
+        """One observer's listed call over several blocks equals, byte for
+        byte, the max-hold of as many consecutive 1-block calls on a twin
+        bundle, and leaves every generator in the same state."""
+        sensor = ChannelSensor(default_config)
+        cmap = self._channel_map(default_config)
+        many, one = _streams(default_config, 8), _streams(default_config, 8)
+        for observer, position, ids in zip(self.OBSERVERS.tolist(), self.POSITIONS.tolist(),
+                                           self._short_grid(30)):
+            got = sensor.sense_block(observer, position, ids, cmap, 0.25, many, blocks=blocks)
+            expected = _max_hold(sensor, observer, position, ids, cmap, 0.25, one, blocks)
+            for field in ("occupied", "truth", "statistic"):
+                e, g = getattr(expected, field), getattr(got, field)
+                assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+            assert got.threshold == expected.threshold
+        for a, b in zip(many.fading + [many.sensing], one.fading + [one.sensing]):
+            assert [g.bit_generator.state for g in a] == [g.bit_generator.state for g in b]
+
+    def test_band_and_grid_calls_sense_one_block(self, default_config):
+        """Only one observer's listed channels take several blocks: a band
+        call or an observer array's call over 2 blocks is rejected by name
+        before any draw."""
+        sensor = ChannelSensor(default_config)
+        cmap = self._channel_map(default_config)
+        calls = [(0, 500.0, sensor.band), (self.OBSERVERS, self.POSITIONS, sensor.band),
+                 (self.OBSERVERS, self.POSITIONS, self.GRID),
+                 (self.OBSERVERS, self.POSITIONS, np.arange(4))]
+        for observers, positions, channels in calls:
+            streams, fresh = _streams(default_config, 0), _streams(default_config, 0)
+            with pytest.raises(ValueError, match="sense one block, got blocks=2"):
+                sensor.sense_block(observers, positions, channels, cmap, 0.0, streams, blocks=2)
+            for a, b in zip(streams.fading + [streams.sensing], fresh.fading + [fresh.sensing]):
+                assert [g.bit_generator.state for g in a] == [g.bit_generator.state for g in b]
 
     def test_repeated_observer_rejected(self, default_config):
         sensor = ChannelSensor(default_config)
@@ -486,11 +535,10 @@ class TestBatchedSenseBlock:
                 sensor.sense_block(self.OBSERVERS[:2], self.POSITIONS[:2], channels, cmap,
                                    0.0, _streams(default_config, 0))
 
-    @pytest.mark.parametrize("shape", [(), (2, 2), (1, SMALL_CALL), (2, SMALL_CALL),
-                                       (SMALL_CALL + 1, 1)])
+    @pytest.mark.parametrize("shape", [(), (2, 2), (1, 20), (2, 20), (21, 1)])
     def test_one_observer_needs_1d_channels(self, default_config, shape):
-        """A scalar observer given a grid (or a bare id) is rejected by name, on
-        the short path (at most SMALL_CALL entries) and on the array path."""
+        """A scalar observer given a grid (or a bare id) is rejected by name,
+        whatever the grid's size."""
         sensor = ChannelSensor(default_config)
         cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
         channels = np.arange(math.prod(shape)).reshape(shape)
@@ -505,18 +553,17 @@ class TestBandPath:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_band_equals_general_path_on_drawn_inputs(self, data):
-        """1-4 towers of 1-30 channels (bands on both sides of SMALL_CALL),
-        a scalar observer or 1-6 distinct ones, 1-3 blocks, a drawn PU and
-        SU map: byte for byte the same results, every fading and sensing
-        generator in the same state, the map untouched, and a one-observer
-        band of at most SMALL_CALL channels still on the short path."""
+        """1-4 towers of 1-30 channels, a scalar observer or 1-6 distinct
+        ones, a drawn PU and SU map: byte for byte the same results, every
+        fading and sensing generator in the same state, and the map
+        untouched. A band call of any size takes the array path; a scalar
+        observer's np.arange(n) takes the short path."""
         towers = data.draw(st.integers(1, 4), label="towers")
         per_tower = data.draw(st.integers(1, 30), label="channelsPerTower")
         config = replace(ScenarioConfig(), n_vehicles=8, n_pu_towers=towers,
                          channels_per_tower=per_tower, n_channels=towers * per_tower).validate()
         n = config.n_channels
         m = data.draw(st.one_of(st.none(), st.integers(1, 6)), label="observers")
-        blocks = data.draw(st.integers(1, 3), label="blocks")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         draw = np.random.default_rng(seed)
         if m is None:   # a scalar observer
@@ -537,13 +584,12 @@ class TestBandPath:
 
         sensor._sense_short = counted
         on_band, general = _streams(config, seed), _streams(config, seed)
-        got = sensor.sense_block(observers, positions, sensor.band, cmap, 0.0, on_band,
-                                 blocks=blocks)
-        assert len(short_calls) == (m is None and n <= SMALL_CALL)
+        got = sensor.sense_block(observers, positions, sensor.band, cmap, 0.0, on_band)
+        assert not short_calls
         for a, b in zip(before, (cmap.pu_active, cmap.su_holder, cmap.su_holder_pos)):
             np.testing.assert_array_equal(a, b)
-        expected = sensor.sense_block(observers, positions, np.arange(n), cmap, 0.0, general,
-                                      blocks=blocks)
+        expected = sensor.sense_block(observers, positions, np.arange(n), cmap, 0.0, general)
+        assert len(short_calls) == (m is None)
         assert got.channel_ids is sensor.band and got.threshold == expected.threshold
         for field in ("occupied", "truth", "statistic"):
             e, g = getattr(expected, field), getattr(got, field)
@@ -556,7 +602,6 @@ class TestBandPath:
         ids=["one-observer", "three-observers"])
     def test_results_never_alias_the_map(self, default_config, observers, positions):
         sensor = ChannelSensor(default_config)
-        assert sensor.band.size > SMALL_CALL   # the array path
         cmap = TestBatchedSenseBlock._channel_map(default_config)
         cmap.set_holder(10, 3, 690.0)   # an SU in range of observer 3
         block = sensor.sense_block(observers, positions, sensor.band, cmap, 0.0,
@@ -587,12 +632,11 @@ class TestBandPath:
 
     @pytest.mark.parametrize("map_channels", [30, 5])
     def test_short_band_against_a_map_of_another_size_rejected(self, map_channels):
-        """A one-observer band of at most SMALL_CALL channels takes the short
-        path, and must fail as the array path does, not sense 10 channels."""
+        """A one-observer band of 10 channels fails as every band call does,
+        naming both sizes, rather than sensing 10 channels."""
         config = replace(ScenarioConfig(), n_channels=10, channels_per_tower=5,
                          n_pu_towers=2).validate()
         sensor = ChannelSensor(config)
-        assert sensor.band.size <= SMALL_CALL
         cmap = ChannelMap(map_channels, config.n_vehicles)
         with pytest.raises(ValueError,
                            match=rf"channel map of {map_channels} channels for a band of 10$"):
@@ -602,20 +646,16 @@ class TestBandPath:
 class TestMedianPuSnr:
     def test_equals_hata_suburban_exactly(self, default_config):
         """Every tower stands towerOffset from the road midpoint, so the
-        median SNR at a position is the Hata loss at that one distance, one
-        position at a time and in the batch sense_block takes over its
-        observers."""
+        median SNR at a position is the Hata loss at that one distance."""
         cfg = default_config
         sensor = ChannelSensor(cfg)
         positions = np.linspace(0.0, cfg.road_length, 81).tolist()
-        expected = []
         for position in positions:
             distance = math.hypot(position - cfg.road_length / 2.0, cfg.tower_offset)
             loss = hata_suburban_loss(cfg.frequency, cfg.base_station_height,
                                       cfg.mobile_height, distance / 1000.0)
-            expected.append(10 ** ((cfg.tx_power_pu - loss - sensor.noise_dbw) / 10))
-            assert sensor.median_pu_snr(position) == expected[-1]
-        assert sensor.median_pu_snrs(positions) == expected
+            assert sensor.median_pu_snr(position) == 10 ** (
+                (cfg.tx_power_pu - loss - sensor.noise_dbw) / 10)
 
     def test_out_of_range_inputs_raise(self, default_config):
         # both towers 100 m off the road at its 1000 m midpoint
@@ -623,14 +663,12 @@ class TestMedianPuSnr:
         with pytest.raises(PropagationDomainError):
             sensor.median_pu_snr(1000.0)   # 0.1 km
         cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
-        for channels in (np.arange(3), np.arange(SMALL_CALL + 1)):   # short and array path
+        for channels in (np.arange(3), np.arange(21), sensor.band):
             with pytest.raises(PropagationDomainError):
                 sensor.sense_block(0, 1000.0, channels, cmap, 0.0, _streams(default_config, 0))
             # an observer array, with the out-of-range observer second
             with pytest.raises(PropagationDomainError):
                 sensor.sense_block(np.array([0, 1]), np.array([0.0, 1000.0]), channels, cmap,
                                    0.0, _streams(default_config, 0))
-        with pytest.raises(PropagationDomainError):
-            sensor.median_pu_snrs([0.0, 1000.0])
         with pytest.raises(PropagationDomainError):
             ChannelSensor(replace(default_config, frequency=2000.0))

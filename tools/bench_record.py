@@ -22,10 +22,15 @@ def main(n: str, checkout: str = str(HERE)) -> None:
     record = {"provenance": None, "runs": {}}
     for workload in (w["name"] for w in spec["workloads"]):
         for seed in (1, 2, 3):
-            out = subprocess.run(
+            run = subprocess.run(
                 [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                  "--seconds", str(spec["run_seconds"]), "--trace", "0"],
-                cwd=checkout, capture_output=True, text=True, check=True).stdout.splitlines()
+                cwd=checkout, capture_output=True, text=True)
+            if run.returncode:
+                print(f"{workload} seed {seed} failed (exit {run.returncode}); stderr ends:\n"
+                      + "\n".join(run.stderr.splitlines()[-20:]), file=sys.stderr, flush=True)
+                run.check_returncode()
+            out = run.stdout.splitlines()
             record["provenance"] = json.loads(out[-2])["provenance"]
             line = json.loads(out[-1])
             line["metrics"] = {k: m["value"] for k, m in line["metrics"].items()}
