@@ -67,7 +67,6 @@ class ScenarioConfig:
     n_channels: int = 100
     n_pu_towers: int = 2
     tower_offset: Metres = 10_000.0     # perpendicular distance to road
-    channels_per_tower: int = 50
     frequency: MHz = 150.0
     base_station_height: Metres = 50.0
     mobile_height: Metres = 1.5
@@ -103,11 +102,16 @@ class ScenarioConfig:
         for key, (name, kind) in _FIELDS.items():
             if kind in _POSITIVE_KINDS and getattr(self, name) <= 0:
                 raise ScenarioValidationError(f"{key} > 0 violated")
-        if self.n_channels != self.n_pu_towers * self.channels_per_tower:
+        # the towers split the channels evenly (ChannelSensor holds the plan)
+        if self.n_pu_towers < 1:
+            raise ScenarioValidationError("nPuTowers >= 1 violated")
+        if self.n_channels < self.n_pu_towers:
             raise ScenarioValidationError(
-                "nChannels = nPuTowers * channelsPerTower violated "
-                f"({self.n_channels} != {self.n_pu_towers} * {self.channels_per_tower})"
-            )
+                f"nChannels >= nPuTowers violated ({self.n_channels} < {self.n_pu_towers})")
+        if self.n_channels % self.n_pu_towers:
+            raise ScenarioValidationError(
+                "nChannels % nPuTowers == 0 violated "
+                f"({self.n_channels} channels over {self.n_pu_towers} towers)")
         if not (0.0 < self.target_pfa < 1.0):
             raise ScenarioValidationError("0 < targetPfa < 1 violated")
         if not (0.0 <= self.fleet_speed_spread < 1.0):
@@ -120,8 +124,6 @@ class ScenarioConfig:
             raise ScenarioValidationError("nVehicles >= 0 violated")
         if self.seed < 0:
             raise ScenarioValidationError("seed >= 0 violated")
-        if self.n_pu_towers < 1 or self.channels_per_tower < 1:
-            raise ScenarioValidationError("nPuTowers >= 1 and channelsPerTower >= 1 violated")
         if not (0.0 <= self.human_error_min <= self.human_error_max):
             raise ScenarioValidationError("0 <= humanErrorMin <= humanErrorMax violated")
         if self.sensing_samples < 50:

@@ -85,6 +85,11 @@ def elect_coordinators(positions: np.ndarray, directions: np.ndarray,
     return cluster_of, np.array(roles)
 
 
+def pick(channels: np.ndarray, rng: np.random.Generator) -> int | None:
+    """A channel drawn uniformly from `channels`, or None if it is empty."""
+    return int(channels[rng.integers(channels.size)]) if channels.size else None
+
+
 class Strategy:
     """Scheme interface: epoch work plus per-attempt candidate sensing."""
 
@@ -114,13 +119,9 @@ class StandaloneStrategy(Strategy):
 
     def attempt(self, vehicle_id, positions, now, channel_map, streams):
         block = self.sensor.sense_block(
-            vehicle_id, float(positions[vehicle_id]), self.sensor.band, channel_map, now, streams
+            vehicle_id, float(positions[vehicle_id]), self.sensor.band, channel_map, streams
         )
-        vacant = block.channel_ids[~block.occupied]
-        if vacant.size == 0:
-            return block, None
-        pick = int(streams.su[vehicle_id].integers(vacant.size))
-        return block, int(vacant[pick])
+        return block, pick(block.channel_ids[~block.occupied], streams.su[vehicle_id])
 
 
 class CooperativeStrategy(Strategy):
@@ -141,9 +142,7 @@ class CooperativeStrategy(Strategy):
         count = min(VOTE_CHANNELS_PER_EPOCH, n)
         vehicles = np.arange(len(fleet))
         channels = (self._epoch_index * count + vehicles[:, None] * 7 + np.arange(count)) % n
-        block = self.sensor.sense_block(
-            vehicles, fleet.positions, channels, channel_map, now, streams,
-        )
+        block = self.sensor.sense_block(vehicles, fleet.positions, channels, channel_map, streams)
         self.votes[vehicles[:, None], channels] = block.occupied
         self._epoch_index += 1
 
@@ -172,15 +171,11 @@ class CooperativeStrategy(Strategy):
         rng = streams.su[vehicle_id]
         shortlist = self.shortlist(vehicle_id, positions, rng)
         block = self.sensor.sense_block(
-            vehicle_id, float(positions[vehicle_id]), shortlist, channel_map, now, streams
+            vehicle_id, float(positions[vehicle_id]), shortlist, channel_map, streams
         )
         # verification doubles as the requester's own freshest votes
         self.votes[vehicle_id, block.channel_ids] = block.occupied
-        vacant = block.channel_ids[~block.occupied]
-        if vacant.size == 0:
-            return block, None
-        pick = int(rng.integers(vacant.size))
-        return block, int(vacant[pick])
+        return block, pick(block.channel_ids[~block.occupied], rng)
 
 
 class ProposedStrategy(Strategy):
@@ -211,7 +206,7 @@ class ProposedStrategy(Strategy):
             coordinators.extend(dict.fromkeys(role))
         block = self.sensor.sense_block(
             np.array(coordinators), fleet.positions[coordinators],
-            self.sensor.band, channel_map, now, streams,
+            self.sensor.band, channel_map, streams,
         )
         self.vacant = ~np.logical_or.reduceat(block.occupied, starts, axis=0)
         self.report_time = now
@@ -226,15 +221,14 @@ class ProposedStrategy(Strategy):
         return np.nonzero(self.vacant[cluster])[0]
 
     def attempt(self, vehicle_id, positions, now, channel_map, streams):
-        candidates = self.candidates(vehicle_id, now)
-        if candidates.size == 0:
+        channel = pick(self.candidates(vehicle_id, now), streams.su[vehicle_id])
+        if channel is None:
             return None, None
-        pick = int(candidates[int(streams.su[vehicle_id].integers(candidates.size))])
         block = self.sensor.sense_block(
-            vehicle_id, float(positions[vehicle_id]), np.array([pick]), channel_map,
-            now, streams, blocks=RECHECK_BLOCKS,
+            vehicle_id, float(positions[vehicle_id]), np.array([channel]), channel_map,
+            streams, blocks=RECHECK_BLOCKS,
         )
-        return block, None if block.occupied[0] else pick
+        return block, None if block.occupied[0] else channel
 
 
 def make_strategy(config: ScenarioConfig, sensor: ChannelSensor) -> Strategy:

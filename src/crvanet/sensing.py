@@ -18,9 +18,10 @@ Qinv(p) = -ndtri(p), where ndtri is a port of the Cephes inverse normal
 CDF (S. Moshier), bit-identical to SciPy's stats.norm.isf(p).
 
 A sense block holds, per sensed (observer, channel) pair, the decision,
-the ground truth at the same instant and the statistic, plus the
-threshold they were decided against; classify_block classifies decisions
-against truth. One call senses a whole grid of observers and channels;
+the ground truth at the same instant and the statistic; classify_block
+classifies decisions against truth. The sensor owns the channel plan: the
+PU towers split the band evenly, each owning one contiguous run of
+channels. One call senses a whole grid of observers and channels;
 each observer draws from its own streams exactly as it would sensing
 alone. The call's shape picks its route. The sensor's read-only `band`
 (every channel, as standalone attempts and proposed epochs sense) and
@@ -64,7 +65,6 @@ class SenseBlock:
     occupied: np.ndarray      # bool decision: statistic >= threshold
     truth: np.ndarray         # bool: truly occupied at the observer
     statistic: np.ndarray     # linear power
-    threshold: float          # linear power
 
 
 # Cephes ndtri coefficients, highest power first: P0/Q0 for the centre, P1/Q1 and P2/Q2
@@ -161,14 +161,15 @@ class ChannelSensor:
         self.n_samples = config.sensing_samples
         self.target_pfa = config.target_pfa
         self.su_snr_linear = 10.0 ** (SU_SENSE_SNR_DB / 10.0)
-        # the tower owning each channel: contiguous blocks of channelsPerTower
-        self.tower_of = np.repeat(np.arange(config.n_pu_towers), config.channels_per_tower)
-        # the whole band, read-only, and its tower runs: tower t covers
-        # channels [t * channelsPerTower, (t + 1) * channelsPerTower)
+        # the channel plan: the towers split the band evenly, tower t owning
+        # the contiguous channels [t * per_tower, (t + 1) * per_tower)
+        self._per_tower = per_tower = config.n_channels // config.n_pu_towers
+        self.tower_of = np.repeat(np.arange(config.n_pu_towers), per_tower)
+        # the whole band, read-only, and its tower runs
         self.band = np.arange(config.n_channels)
         self.band.flags.writeable = False
         self._band_towers = list(range(config.n_pu_towers))
-        self._band_starts = [t * config.channels_per_tower for t in self._band_towers]
+        self._band_starts = list(range(0, config.n_channels, per_tower))
         self._thresholds = {1: detection_threshold(self.target_pfa, self.n_samples)}
 
     def median_pu_snr(self, observer_pos: float) -> float:
@@ -190,9 +191,9 @@ class ChannelSensor:
         return threshold
 
     def sense_block(self, observer_ids, observer_pos, channel_ids: np.ndarray,
-                    channel_map, now: float, streams, blocks: int = 1) -> SenseBlock:
+                    channel_map, streams, *, blocks: int = 1) -> SenseBlock:
         """Sense channels at one or more observers; channel_map holds the
-        ground truth at the sensing instant `now`.
+        ground truth at the sensing instant.
 
         One observer (scalar id and position) senses the 1-D channel_ids
         and gets 1-D result arrays. m distinct observers (1-D ids and
@@ -211,13 +212,13 @@ class ChannelSensor:
         and are new arrays; the SenseBlock's channel_ids is the read-only
         band.
 
-        Only one observer's listed channels may take blocks > 1: each
-        channel is observed over that many independent fading blocks and
-        decided occupied if any block's statistic crosses the per-block
-        threshold (max-hold time diversity); the per-block false-alarm
-        target is compensated for the max-hold, so the overall rate is
-        targetPfa only as far as the Gaussian-tail threshold is exact
-        (ROADMAP item 1).
+        Only one observer's listed channels may take blocks > 1 (keyword
+        only, so perfbench's tracer finds it by name): each channel is
+        observed over that many independent fading blocks and decided
+        occupied if any block's statistic crosses the per-block threshold
+        (max-hold time diversity); the per-block false-alarm target is
+        compensated for the max-hold, so the overall rate is targetPfa
+        only as far as the Gaussian-tail threshold is exact (ROADMAP item 1).
         """
         single = isinstance(observer_ids, (int, np.integer))
         band = channel_ids is self.band
@@ -296,8 +297,7 @@ class ChannelSensor:
         gains /= self.n_samples
         stat *= gains
         statistic = stat[0] if single else stat
-        return SenseBlock(channel_ids, statistic >= threshold, truth_occupied, statistic,
-                          threshold)
+        return SenseBlock(channel_ids, statistic >= threshold, truth_occupied, statistic)
 
     def _sense_short(self, observer, pos, channel_ids, channel_map, streams, blocks):
         """sense_block for one observer's listed channels: the array path's
@@ -307,7 +307,7 @@ class ChannelSensor:
         if not all(0 <= c < self.config.n_channels for c in ids):
             raise ValueError(f"unknown channel in {ids}")
         threshold = self.threshold_for(blocks)
-        towers_here = [c // self.config.channels_per_tower for c in ids]
+        towers_here = [c // self._per_tower for c in ids]
         gains = {t: iter(streams.fading[t][observer]   # per sensed tower, block-major
                          .standard_exponential(blocks * towers_here.count(t)).tolist())
                  for t in set(towers_here)}
@@ -328,4 +328,4 @@ class ChannelSensor:
                      for stat, t, med in zip(stats, towers_here, meds)]
         statistic = np.array(stats)
         return SenseBlock(channel_ids, statistic >= threshold, np.array(truth, dtype=bool),
-                          statistic, threshold)
+                          statistic)

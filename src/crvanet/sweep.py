@@ -92,8 +92,7 @@ def apply_axis(config: ScenarioConfig, axis: str, value: float,
     if axis == "vehicles":
         fields = {"n_vehicles": int(value)}
     elif axis == "channels":
-        n = int(value)
-        fields = {"n_channels": n, "channels_per_tower": n // config.n_pu_towers}
+        fields = {"n_channels": int(value)}
     else:
         fields = {"avg_speed": value / 3.6}
     return replace(config, scheme=scheme, seed=seed, **fields).validate()

@@ -34,7 +34,7 @@ def _sense_everywhere(config, calls, seed, pu_active=False, positions=None):
         positions = np.linspace(0.0, config.road_length, config.n_vehicles)
     observers, channels = np.arange(config.n_vehicles), np.arange(config.n_channels)
     streams = StreamBundle(seed, config.n_vehicles, config.n_channels, config.n_pu_towers)
-    blocks = [sensor.sense_block(observers, positions, channels, cmap, 0.0, streams)
+    blocks = [sensor.sense_block(observers, positions, channels, cmap, streams)
               for _ in range(calls)]
     return sensor, positions, blocks
 

@@ -24,7 +24,6 @@ SMALL_SCENARIO = """\
 runningTime = 0.2 s
 nVehicles = 6
 nChannels = 10
-channelsPerTower = 5
 seed = 3
 """
 
@@ -232,11 +231,13 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
 @pytest.mark.parametrize("content, named", [
     (b"nVehicles =\n", "line 1: missing value"),
     (b"seed = 3\n# caf\xe9\n", "not UTF-8 text at byte 14"),
-], ids=["empty-value", "not-utf8"])
+    (b"nChannels = 100\nchannelsPerTower = 50\n", "line 2: unknown key 'channelsPerTower'"),
+], ids=["empty-value", "not-utf8", "channels-per-tower"])
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_bad_scenario_text_is_named(tmp_path, capsys, command, content, named):
-    """A scenario with an empty value or bytes that are not UTF-8 fails
-    scenario loading with exit 2 and a named cause, under both commands."""
+    """A scenario with an empty value, bytes that are not UTF-8 or the
+    retired channelsPerTower key fails scenario loading with exit 2 and a
+    named cause, under both commands."""
     bad = tmp_path / "bad.txt"
     bad.write_bytes(content)
     argv = [command, "--config", str(bad)]
@@ -270,7 +271,7 @@ def test_simulate_rejects_non_finite_seed(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "scenario loading failed" in err
-    assert "line 6: 'inf' is not a finite number" in err
+    assert "line 5: 'inf' is not a finite number" in err
 
 
 def test_sweep_writes_csv_and_charts(scenario_file, tmp_path, capsys):
@@ -332,6 +333,7 @@ def test_sweep_rejects_a_single_value(scenario_file, tmp_path, monkeypatch, caps
 @pytest.mark.parametrize("axis, values, named", [
     ("speed", "-10,20", "speed value -10"),
     ("channels", "0,20", "channels value 0"),
+    ("channels", "100,101", "channels value 101"),
     ("vehicles", "10.2,10.7", "vehicles value 10.2"),
 ])
 def test_sweep_rejects_every_bad_point_before_running(scenario_file, tmp_path, capsys,

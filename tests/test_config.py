@@ -1,6 +1,7 @@
 import math
 import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -106,9 +107,32 @@ def test_duplicate_key_rejected():
 
 def test_channel_tower_mismatch_is_validation_error():
     with pytest.raises(ScenarioValidationError) as err:
-        load_scenario("nChannels = 99\nchannelsPerTower = 50\nnPuTowers = 2")
+        load_scenario("nChannels = 99\nnPuTowers = 2")
     assert "nChannels" in str(err.value)
     assert "99" in str(err.value)
+
+
+@pytest.mark.parametrize("text, named", [
+    ("nChannels = 101\nnPuTowers = 2",
+     "nChannels % nPuTowers == 0 violated (101 channels over 2 towers)"),
+    ("nChannels = 1\nnPuTowers = 2", "nChannels >= nPuTowers violated (1 < 2)"),
+    ("nPuTowers = 0", "nPuTowers >= 1 violated"),
+    ("nChannels = 0\nnPuTowers = 0", "nPuTowers >= 1 violated"),
+])
+def test_channel_plan_violation_names_its_keys(text, named):
+    """The towers must split the channels evenly; each violation is a named
+    validation error, never a ZeroDivisionError from the split."""
+    with pytest.raises(ScenarioValidationError, match=f"^{re.escape(named)}$"):
+        load_scenario(text)
+
+
+def test_readme_scenario_example_loads():
+    """README's one ini scenario example loads, and holds the defaults its
+    comment says it holds, so a retired or renamed key in it fails here."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    examples = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    assert len(examples) == 1 and "comparative-study defaults" in examples[0]
+    assert load_scenario(examples[0]) == ScenarioConfig()
 
 
 def test_target_pfa_bounds():
@@ -179,7 +203,6 @@ nVehicles = 20
 nChannels = 60
 nPuTowers = 3
 towerOffset = 8 km
-channelsPerTower = 20
 frequency = 0.2 GHz
 baseStationHeight = 4000 cm
 mobileHeight = 2 m
@@ -211,7 +234,7 @@ def test_every_key_loads_into_its_field():
     # names each field, so renaming one (and with it its file key) fails here
     expected = ScenarioConfig(
         running_time=2.0, time_step=0.0005, road_length=3000.0, n_vehicles=20, n_channels=60,
-        n_pu_towers=3, tower_offset=8000.0, channels_per_tower=20, frequency=200.0,
+        n_pu_towers=3, tower_offset=8000.0, frequency=200.0,
         base_station_height=40.0, mobile_height=2.0, sensing_range=500.0, comm_range=300.0,
         tx_power_pu=20.0, noise_temperature=300.0, channel_bandwidth=5e6, avg_speed=25.0,
         fleet_speed_spread=0.3, per_vehicle_speed_deviation=0.05, reaction_time=1.5,
@@ -220,7 +243,7 @@ def test_every_key_loads_into_its_field():
         pu_hold_mean=0.03, pu_gap_mean=0.04, su_hold_mean=0.05, su_gap_mean=0.1,
         sensing_samples=200, seed=7,
     )
-    assert len(ALL_KEYS_TEXT.split("=")) - 1 == len(fields(ScenarioConfig)) == 32
+    assert len(ALL_KEYS_TEXT.split("=")) - 1 == len(fields(ScenarioConfig)) == 31
     assert all(getattr(expected, f.name) != f.default for f in fields(ScenarioConfig))
     assert load_scenario(ALL_KEYS_TEXT) == expected
 

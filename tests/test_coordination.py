@@ -107,8 +107,7 @@ class TestCoordinatedSense:
     def _setup(self, n_channels=4):
         # vehicles 0-2 chain into one cluster, vehicle 3 is alone
         config = replace(
-            ScenarioConfig(), n_vehicles=4, n_channels=n_channels,
-            channels_per_tower=n_channels // 2, scheme=Scheme.PROPOSED,
+            ScenarioConfig(), n_vehicles=4, n_channels=n_channels, scheme=Scheme.PROPOSED,
         ).validate()
         engine = SimulationEngine(config)
         engine.fleet.positions[:] = [100.0, 300.0, 500.0, 1300.0]
@@ -147,8 +146,7 @@ class TestCoordinatedSense:
         per_coord = []
         for cid in dict.fromkeys(role):
             block = engine.sensor.sense_block(cid, float(fleet.positions[cid]), np.arange(4),
-                                              engine.channel_map, 0.0,
-                                              _streams(engine.config, 3))
+                                              engine.channel_map, _streams(engine.config, 3))
             per_coord.append(~block.occupied)
         expected = np.logical_and.reduce(np.array(per_coord))
         np.testing.assert_array_equal(fused, expected)
@@ -186,7 +184,7 @@ def test_epoch_equals_per_coordinator_sensing(n_vehicles):
         vacant = np.ones(config.n_channels, dtype=bool)
         for cid in dict.fromkeys(role):
             block = sensor.sense_block(cid, float(fleet.positions[cid]),
-                                       np.arange(config.n_channels), cmap, 0.25, reference)
+                                       np.arange(config.n_channels), cmap, reference)
             vacant &= ~block.occupied
         expected.append(vacant)
     np.testing.assert_array_equal(engine.strategy.vacant, np.array(expected))

@@ -24,8 +24,8 @@ _ORDER = {MOVE: 0, PU_OCCUPIED: 1, PU_VACATED: 1, SU_OCCUPIED: 2, SU_VACATED: 2,
 
 
 def test_clock_is_exact_product():
-    config = replace(ScenarioConfig(), running_time=7.92, n_vehicles=1, n_channels=2,
-                     channels_per_tower=1).validate()
+    config = replace(ScenarioConfig(), running_time=7.92, n_vehicles=1,
+                     n_channels=2).validate()
     report = run_simulation(config, trace=[], trace_mobility=True)
     moves = [e for e in report.trace if e.event == MOVE]
     assert len(moves) == 7920
@@ -199,7 +199,7 @@ def test_motion_memory_is_bounded_by_the_block():
     few blocks of vehicles x BLOCK positions, far below one period's."""
     n = 2000
     config = replace(ScenarioConfig(), running_time=1.0, n_vehicles=n, n_channels=2,
-                     channels_per_tower=1, su_gap_mean=1e6, scheme=Scheme.STANDALONE).validate()
+                     su_gap_mean=1e6, scheme=Scheme.STANDALONE).validate()
     engine = SimulationEngine(config)
     assert engine.decision_period == 1000 and BLOCK <= 200
     block_bytes = n * BLOCK * 8

@@ -17,7 +17,7 @@ from crvanet.report import (
     record_event,
     record_senses,
 )
-from crvanet.sensing import CLASSES
+from crvanet.sensing import CLASSES, ChannelSensor
 import crvanet.sweep as sweep_module
 from crvanet.sweep import (
     CSV_HEADER,
@@ -34,10 +34,7 @@ from crvanet.sweep import (
 
 def small_base():
     """Scaled-down scenario so sweep tests stay fast."""
-    return replace(
-        ScenarioConfig(), running_time=0.2, n_vehicles=6,
-        n_channels=10, channels_per_tower=5,
-    ).validate()
+    return replace(ScenarioConfig(), running_time=0.2, n_vehicles=6, n_channels=10).validate()
 
 
 class TestRecordEvent:
@@ -145,7 +142,7 @@ class TestSweepSpec:
 
     @pytest.mark.parametrize("axis, values, named", [
         ("speed", (-10.0, 20.0), "speed value -10: avgSpeed > 0 violated"),
-        ("channels", (0.0, 20.0), "channels value 0: nPuTowers >= 1"),
+        ("channels", (0.0, 20.0), "channels value 0: nChannels >= nPuTowers violated"),
         ("vehicles", (4.0, 10.2), "vehicles value 10.2 is not a whole count"),
         ("channels", (10.0, 12.5), "channels value 12.5 is not a whole count"),
     ])
@@ -180,7 +177,8 @@ class TestApplyAxis:
 
     def test_channels_keep_tower_split(self):
         cfg = apply_axis(small_base(), "channels", 8, Scheme.PROPOSED, 1)
-        assert cfg.n_channels == 8 and cfg.channels_per_tower == 4
+        assert cfg.n_channels == 8 and cfg.n_pu_towers == 2
+        assert ChannelSensor(cfg).tower_of.tolist() == [0] * 4 + [1] * 4
 
     def test_speed_converts_kmh(self):
         cfg = apply_axis(small_base(), "speed", 120, Scheme.PROPOSED, 1)

@@ -57,7 +57,6 @@ def small_configs(draw, scheme=None):
         road_length=draw(st.sampled_from([300.0, 800.0, 2000.0])),
         n_vehicles=draw(st.integers(0, 12)),
         n_pu_towers=towers,
-        channels_per_tower=per_tower,
         n_channels=towers * per_tower,
         pu_hold_mean=draw(means),
         pu_gap_mean=draw(means),

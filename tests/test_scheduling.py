@@ -196,7 +196,7 @@ class _PinnedStrategy:
             channel_ids=np.array([self.channel_id]),
             occupied=np.array([self.occupied]),
             truth=np.array([self.truth]),
-            statistic=np.zeros(1), threshold=1.0,
+            statistic=np.zeros(1),
         )
         chosen = None if self.occupied else self.channel_id
         return block, chosen

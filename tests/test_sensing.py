@@ -51,18 +51,17 @@ def _at_midpoint(sense_everywhere, config, calls, seed):
     return sense_everywhere(config, calls, seed, pu_active=True, positions=midpoint)
 
 
-def _max_hold(sensor, observers, positions, channels, cmap, now, streams, blocks):
+def _max_hold(sensor, observers, positions, channels, cmap, streams, blocks):
     """A call over `blocks` fading blocks as `blocks` consecutive 1-block
     calls on the same streams: the max-hold of their statistics, decided
     against the per-block threshold (one block: the call itself)."""
-    calls = [sensor.sense_block(observers, positions, channels, cmap, now, streams)
+    calls = [sensor.sense_block(observers, positions, channels, cmap, streams)
              for _ in range(blocks)]
     if blocks == 1:
         return calls[0]
     statistic = np.maximum.reduce([call.statistic for call in calls])
-    threshold = sensor.threshold_for(blocks)
-    return SenseBlock(calls[0].channel_ids, statistic >= threshold, calls[0].truth, statistic,
-                      threshold)
+    return SenseBlock(calls[0].channel_ids, statistic >= sensor.threshold_for(blocks),
+                      calls[0].truth, statistic)
 
 
 def _drawn_map(config, draw):
@@ -105,7 +104,8 @@ class TestDetectionThreshold:
         occupied = np.concatenate([b.occupied for b in blocks], axis=None)
         assert occupied.size == 100_000
         assert np.mean(occupied) == pytest.approx(0.1, abs=0.01)
-        assert all(b.threshold == sensor.threshold_for(1) for b in blocks)
+        statistics = np.concatenate([b.statistic for b in blocks], axis=None)
+        np.testing.assert_array_equal(occupied, statistics >= sensor.threshold_for(1))
 
 
 class TestNdtri:
@@ -174,7 +174,7 @@ class TestEnergyStatistic:
         cmap.pu_active[1] = True
         cmap.set_holder(2, vehicle_id=4, position=600.0)
         block = ChannelSensor(default_config).sense_block(
-            0, 500.0, np.array([0, 1, 2]), cmap, 0.0, _streams(default_config, 4))
+            0, 500.0, np.array([0, 1, 2]), cmap, _streams(default_config, 4))
         assert block.statistic.shape == (3,)
         assert block.truth.tolist() == [False, True, True]
 
@@ -220,7 +220,7 @@ class TestClassification:
         cmap.set_holder(7, vehicle_id=4, position=600.0)
         weak = _config_at_snr(default_config, 0.0)   # weak PUs: misdetections occur
         block = ChannelSensor(weak).sense_block(
-            np.arange(50), np.linspace(0.0, 2000.0, 50), np.arange(100), cmap, 0.0,
+            np.arange(50), np.linspace(0.0, 2000.0, 50), np.arange(100), cmap,
             _streams(default_config, 12))
         got = classify_block(block.occupied, block.truth)
         assert got.shape == (50, 100)
@@ -255,7 +255,7 @@ class TestSenseChannel:
 
     def _sense(self, config, cmap, position, channel_id, streams):
         block = ChannelSensor(config).sense_block(
-            0, position, np.array([channel_id]), cmap, 0.0, streams
+            0, position, np.array([channel_id]), cmap, streams
         )
         assert block.channel_ids.tolist() == [channel_id]
         return block
@@ -296,11 +296,22 @@ class TestSenseChannel:
         assert not far.truth[0]
 
     def test_decision_iff_statistic_crosses_threshold(self, default_config):
+        """A 1-block call is decided against threshold_for(1), and the listed
+        2-block call's max-hold statistic against threshold_for(2); some
+        2-block statistics fall between the two thresholds."""
+        sensor = ChannelSensor(default_config)
+        one, two = sensor.threshold_for(1), sensor.threshold_for(2)
         cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
         streams = _streams(default_config, 4)
         for _ in range(50):
             b = self._sense(default_config, cmap, 800.0, 11, streams)
-            assert b.occupied[0] == (b.statistic[0] >= b.threshold)
+            assert b.occupied[0] == (b.statistic[0] >= one)
+        between = 0
+        for _ in range(100):
+            b = sensor.sense_block(0, 800.0, np.array([11]), cmap, streams, blocks=2)
+            assert b.occupied[0] == (b.statistic[0] >= two)
+            between += one <= b.statistic[0] < two
+        assert between > 0
 
 
 def test_threshold_for_is_cached_and_exact(default_config, monkeypatch):
@@ -331,9 +342,17 @@ def test_two_block_sense_keeps_target_pfa(default_config):
     hits = 0
     n = 4000
     for i in range(n):
-        block = sensor.sense_block(0, 500.0, np.array([2]), cmap, 0.0, streams, blocks=2)
+        block = sensor.sense_block(0, 500.0, np.array([2]), cmap, streams, blocks=2)
         hits += bool(block.occupied[0])
     assert hits / n == pytest.approx(0.1, abs=0.02)
+
+
+def test_blocks_is_keyword_only(default_config):
+    """A positional blocks is refused: callers and tracers find it by name."""
+    sensor = ChannelSensor(default_config)
+    cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
+    with pytest.raises(TypeError):
+        sensor.sense_block(0, 500.0, np.array([2]), cmap, _streams(default_config, 0), 2)
 
 
 class TestBatchedSenseBlock:
@@ -362,18 +381,16 @@ class TestBatchedSenseBlock:
         cmap = self._channel_map(default_config)
         channels = np.arange(default_config.n_channels) if shared else self.GRID
         batched, single = _streams(default_config, 5), _streams(default_config, 5)
-        block = _max_hold(sensor, self.OBSERVERS, self.POSITIONS, channels, cmap, 0.25,
-                          batched, blocks)
+        block = _max_hold(sensor, self.OBSERVERS, self.POSITIONS, channels, cmap, batched, blocks)
         assert block.occupied.shape == (len(self.OBSERVERS), channels.shape[-1])
         rows = [channels] * len(self.OBSERVERS) if shared else channels
         for r, (observer, position, ids) in enumerate(
                 zip(self.OBSERVERS.tolist(), self.POSITIONS.tolist(), rows)):
-            alone = sensor.sense_block(observer, position, ids, cmap, 0.25, single,
+            alone = sensor.sense_block(observer, position, ids, cmap, single,
                                        blocks=blocks)
             np.testing.assert_array_equal(block.occupied[r], alone.occupied)
             np.testing.assert_array_equal(block.truth[r], alone.truth)
             np.testing.assert_array_equal(block.statistic[r], alone.statistic)
-            assert block.threshold == alone.threshold
         # every generator was left in the same state
         for observer in self.OBSERVERS.tolist():
             for tower in range(default_config.n_pu_towers):
@@ -408,7 +425,7 @@ class TestBatchedSenseBlock:
             return short(*args)
 
         monkeypatch.setattr(ChannelSensor, "_sense_short", counted)
-        four_towers = replace(default_config, n_pu_towers=4, channels_per_tower=25).validate()
+        four_towers = replace(default_config, n_pu_towers=4).validate()
         for config in (default_config, four_towers):
             short_calls.clear()
             self._check_short_calls(config, width, blocks)
@@ -423,16 +440,15 @@ class TestBatchedSenseBlock:
         in_range = distance <= config.sensing_range
         assert (holders & in_range).any() and (holders & ~in_range).any()
         batched, single = _streams(config, 5), _streams(config, 5)
-        block = _max_hold(sensor, self.OBSERVERS, self.POSITIONS, grid, cmap, 0.25, batched,
+        block = _max_hold(sensor, self.OBSERVERS, self.POSITIONS, grid, cmap, batched,
                           blocks)
         for r, (observer, position) in enumerate(
                 zip(self.OBSERVERS.tolist(), self.POSITIONS.tolist())):
-            alone = sensor.sense_block(observer, position, grid[r], cmap, 0.25, single,
+            alone = sensor.sense_block(observer, position, grid[r], cmap, single,
                                        blocks=blocks)
             for field in ("occupied", "truth", "statistic"):
                 expected, got = getattr(block, field)[r], getattr(alone, field)
                 assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
-            assert alone.threshold == block.threshold
         for observer in self.OBSERVERS.tolist():
             for tower in range(config.n_pu_towers):
                 assert (batched.fading[tower][observer].bit_generator.state
@@ -448,9 +464,9 @@ class TestBatchedSenseBlock:
         equals the observer's own call byte for byte, and every fading and
         sensing generator ends in the same state."""
         towers = data.draw(st.integers(1, 4), label="towers")
-        per_tower = data.draw(st.integers(1, 25), label="channelsPerTower")
+        per_tower = data.draw(st.integers(1, 25), label="perTower")
         config = replace(ScenarioConfig(), n_vehicles=8, n_pu_towers=towers,
-                         channels_per_tower=per_tower, n_channels=towers * per_tower).validate()
+                         n_channels=towers * per_tower).validate()
         n = config.n_channels
         m = data.draw(st.integers(1, 6), label="observers")
         k = data.draw(st.integers(1, 25), label="channels")
@@ -464,15 +480,14 @@ class TestBatchedSenseBlock:
 
         sensor = ChannelSensor(config)
         batched, single = _streams(config, seed), _streams(config, seed)
-        block = sensor.sense_block(observers, positions, channels, cmap, 0.0, batched)
+        block = sensor.sense_block(observers, positions, channels, cmap, batched)
         rows = [channels] * m if shared else channels
         for r, (observer, position, ids) in enumerate(
                 zip(observers.tolist(), positions.tolist(), rows)):
-            alone = sensor.sense_block(observer, position, ids, cmap, 0.0, single)
+            alone = sensor.sense_block(observer, position, ids, cmap, single)
             for field in ("occupied", "truth", "statistic"):
                 expected, got = getattr(block, field)[r], getattr(alone, field)
                 assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
-            assert alone.threshold == block.threshold
         for a, b in zip(batched.fading + [batched.sensing], single.fading + [single.sensing]):
             assert [g.bit_generator.state for g in a] == [g.bit_generator.state for g in b]
 
@@ -486,12 +501,11 @@ class TestBatchedSenseBlock:
         many, one = _streams(default_config, 8), _streams(default_config, 8)
         for observer, position, ids in zip(self.OBSERVERS.tolist(), self.POSITIONS.tolist(),
                                            self._short_grid(30)):
-            got = sensor.sense_block(observer, position, ids, cmap, 0.25, many, blocks=blocks)
-            expected = _max_hold(sensor, observer, position, ids, cmap, 0.25, one, blocks)
+            got = sensor.sense_block(observer, position, ids, cmap, many, blocks=blocks)
+            expected = _max_hold(sensor, observer, position, ids, cmap, one, blocks)
             for field in ("occupied", "truth", "statistic"):
                 e, g = getattr(expected, field), getattr(got, field)
                 assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
-            assert got.threshold == expected.threshold
         for a, b in zip(many.fading + [many.sensing], one.fading + [one.sensing]):
             assert [g.bit_generator.state for g in a] == [g.bit_generator.state for g in b]
 
@@ -507,7 +521,7 @@ class TestBatchedSenseBlock:
         for observers, positions, channels in calls:
             streams, fresh = _streams(default_config, 0), _streams(default_config, 0)
             with pytest.raises(ValueError, match="sense one block, got blocks=2"):
-                sensor.sense_block(observers, positions, channels, cmap, 0.0, streams, blocks=2)
+                sensor.sense_block(observers, positions, channels, cmap, streams, blocks=2)
             for a, b in zip(streams.fading + [streams.sensing], fresh.fading + [fresh.sensing]):
                 assert [g.bit_generator.state for g in a] == [g.bit_generator.state for g in b]
 
@@ -516,14 +530,14 @@ class TestBatchedSenseBlock:
         cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
         with pytest.raises(ValueError, match="distinct observers"):
             sensor.sense_block(np.array([3, 5, 3]), np.array([0.0, 1.0, 2.0]), np.arange(4),
-                               cmap, 0.0, _streams(default_config, 0))
+                               cmap, _streams(default_config, 0))
 
     @pytest.mark.parametrize("channel_id", [100, -1])
     def test_unknown_channel_rejected_in_short_call(self, default_config, channel_id):
         sensor = ChannelSensor(default_config)
         cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
         with pytest.raises(ValueError, match="unknown channel"):
-            sensor.sense_block(0, 500.0, np.array([2, channel_id]), cmap, 0.0,
+            sensor.sense_block(0, 500.0, np.array([2, channel_id]), cmap,
                                _streams(default_config, 0))
 
     def test_unknown_channel_rejected_in_grid(self, default_config):
@@ -533,7 +547,7 @@ class TestBatchedSenseBlock:
             channels = np.array([[0, 1], [2, channel_id]])
             with pytest.raises(ValueError):
                 sensor.sense_block(self.OBSERVERS[:2], self.POSITIONS[:2], channels, cmap,
-                                   0.0, _streams(default_config, 0))
+                                   _streams(default_config, 0))
 
     @pytest.mark.parametrize("shape", [(), (2, 2), (1, 20), (2, 20), (21, 1)])
     def test_one_observer_needs_1d_channels(self, default_config, shape):
@@ -543,7 +557,7 @@ class TestBatchedSenseBlock:
         cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
         channels = np.arange(math.prod(shape)).reshape(shape)
         with pytest.raises(ValueError, match="one observer needs 1-D channel_ids"):
-            sensor.sense_block(0, 500.0, channels, cmap, 0.0, _streams(default_config, 0))
+            sensor.sense_block(0, 500.0, channels, cmap, _streams(default_config, 0))
 
 
 class TestBandPath:
@@ -559,9 +573,9 @@ class TestBandPath:
         untouched. A band call of any size takes the array path; a scalar
         observer's np.arange(n) takes the short path."""
         towers = data.draw(st.integers(1, 4), label="towers")
-        per_tower = data.draw(st.integers(1, 30), label="channelsPerTower")
+        per_tower = data.draw(st.integers(1, 30), label="perTower")
         config = replace(ScenarioConfig(), n_vehicles=8, n_pu_towers=towers,
-                         channels_per_tower=per_tower, n_channels=towers * per_tower).validate()
+                         n_channels=towers * per_tower).validate()
         n = config.n_channels
         m = data.draw(st.one_of(st.none(), st.integers(1, 6)), label="observers")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
@@ -584,13 +598,13 @@ class TestBandPath:
 
         sensor._sense_short = counted
         on_band, general = _streams(config, seed), _streams(config, seed)
-        got = sensor.sense_block(observers, positions, sensor.band, cmap, 0.0, on_band)
+        got = sensor.sense_block(observers, positions, sensor.band, cmap, on_band)
         assert not short_calls
         for a, b in zip(before, (cmap.pu_active, cmap.su_holder, cmap.su_holder_pos)):
             np.testing.assert_array_equal(a, b)
-        expected = sensor.sense_block(observers, positions, np.arange(n), cmap, 0.0, general)
+        expected = sensor.sense_block(observers, positions, np.arange(n), cmap, general)
         assert len(short_calls) == (m is None)
-        assert got.channel_ids is sensor.band and got.threshold == expected.threshold
+        assert got.channel_ids is sensor.band
         for field in ("occupied", "truth", "statistic"):
             e, g = getattr(expected, field), getattr(got, field)
             assert g.dtype == e.dtype and g.shape == e.shape and g.tobytes() == e.tobytes()
@@ -604,7 +618,7 @@ class TestBandPath:
         sensor = ChannelSensor(default_config)
         cmap = TestBatchedSenseBlock._channel_map(default_config)
         cmap.set_holder(10, 3, 690.0)   # an SU in range of observer 3
-        block = sensor.sense_block(observers, positions, sensor.band, cmap, 0.0,
+        block = sensor.sense_block(observers, positions, sensor.band, cmap,
                                    _streams(default_config, 2))
         results = [block.occupied, block.truth, block.statistic]
         for result in results:
@@ -628,19 +642,24 @@ class TestBandPath:
         n = default_config.n_channels
         cmap = ChannelMap(n + 20, default_config.n_vehicles)
         with pytest.raises(ValueError, match=rf"{n + 20} channels .* band of {n}\b"):
-            sensor.sense_block(0, 500.0, sensor.band, cmap, 0.0, _streams(default_config, 0))
+            sensor.sense_block(0, 500.0, sensor.band, cmap, _streams(default_config, 0))
 
     @pytest.mark.parametrize("map_channels", [30, 5])
     def test_short_band_against_a_map_of_another_size_rejected(self, map_channels):
         """A one-observer band of 10 channels fails as every band call does,
         naming both sizes, rather than sensing 10 channels."""
-        config = replace(ScenarioConfig(), n_channels=10, channels_per_tower=5,
-                         n_pu_towers=2).validate()
+        config = replace(ScenarioConfig(), n_channels=10, n_pu_towers=2).validate()
         sensor = ChannelSensor(config)
         cmap = ChannelMap(map_channels, config.n_vehicles)
         with pytest.raises(ValueError,
                            match=rf"channel map of {map_channels} channels for a band of 10$"):
-            sensor.sense_block(0, 500.0, sensor.band, cmap, 0.0, _streams(config, 0))
+            sensor.sense_block(0, 500.0, sensor.band, cmap, _streams(config, 0))
+
+
+def test_channel_plan_splits_the_band_evenly():
+    """Three towers over 12 channels: tower t owns channels 4t to 4t + 3."""
+    sensor = ChannelSensor(replace(ScenarioConfig(), n_channels=12, n_pu_towers=3).validate())
+    assert sensor.tower_of.tolist() == [c // 4 for c in range(12)]
 
 
 class TestMedianPuSnr:
@@ -665,10 +684,10 @@ class TestMedianPuSnr:
         cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
         for channels in (np.arange(3), np.arange(21), sensor.band):
             with pytest.raises(PropagationDomainError):
-                sensor.sense_block(0, 1000.0, channels, cmap, 0.0, _streams(default_config, 0))
+                sensor.sense_block(0, 1000.0, channels, cmap, _streams(default_config, 0))
             # an observer array, with the out-of-range observer second
             with pytest.raises(PropagationDomainError):
                 sensor.sense_block(np.array([0, 1]), np.array([0.0, 1000.0]), channels, cmap,
-                                   0.0, _streams(default_config, 0))
+                                   _streams(default_config, 0))
         with pytest.raises(PropagationDomainError):
             ChannelSensor(replace(default_config, frequency=2000.0))

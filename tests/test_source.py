@@ -1,8 +1,10 @@
 """Every name a crvanet module imports is used in that module, unless its
 import line says noqa; __init__.py, which re-exports, is exempt. Every
-private top-level name a module defines is read in that module."""
+private top-level name a module defines is read in that module. Every
+parameter of every function is read, except in overrides and hook stubs."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -71,3 +73,87 @@ def test_unused_imports_are_found():
               "from dataclasses import (\n    dataclass,\n    field,  # noqa: F401\n)\n"
               "x = np.zeros(1)\n")
     assert unused_imports(source) == ["line 2: math", "line 3: os", "line 6: dataclass"]
+
+
+def _declared_by_base(tree: ast.Module, cls: ast.ClassDef, method: str) -> bool:
+    """Whether a base class of `cls` declares `method`: a base defined in
+    the same source, searched through its own bases, or one the source
+    imports by name from another module, searched through its MRO."""
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    imported = {alias.asname or alias.name: ("." * node.level + (node.module or ""), alias.name)
+                for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    for base in cls.bases:
+        name = base.id if isinstance(base, ast.Name) else None
+        if name in classes:
+            local = classes[name]
+            if (any(isinstance(node, ast.FunctionDef) and node.name == method
+                    for node in local.body) or _declared_by_base(tree, local, method)):
+                return True
+        elif name in imported:
+            module, attr = imported[name]
+            found = getattr(importlib.import_module(module, "crvanet"), attr)
+            if any(method in vars(k) for k in found.__mro__ if k is not object):
+                return True
+    return False
+
+
+def _is_stub(body: list[ast.stmt]) -> bool:
+    """A hook body: a docstring, `raise NotImplementedError`, or both."""
+    for i, stmt in enumerate(body):
+        doc = (i == 0 and isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+               and isinstance(stmt.value.value, str))
+        raised = stmt.exc if isinstance(stmt, ast.Raise) else None
+        raised = raised.func if isinstance(raised, ast.Call) else raised
+        if not doc and not (isinstance(raised, ast.Name) and raised.id == "NotImplementedError"):
+            return False
+    return True
+
+
+def unread_parameters(source: str) -> list[str]:
+    """The parameters (but self and cls) of functions in `source` that
+    their bodies never read, skipping methods that override a base-class
+    method, stub bodies and def lines that say noqa."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    owner = {id(node): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for node in cls.body}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        cls = owner.get(id(node))
+        if ("noqa" in lines[node.lineno - 1] or _is_stub(node.body)
+                or (cls is not None and _declared_by_base(tree, cls, node.name))):
+            continue
+        args = node.args
+        params = [a.arg for a in [*args.posonlyargs, *args.args, args.vararg,
+                                  *args.kwonlyargs, args.kwarg] if a]
+        read = {name.id for stmt in node.body for name in ast.walk(stmt)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+        found += [(node.lineno, f"line {node.lineno}: {node.name}({param})") for param in params
+                  if param not in read and param not in ("self", "cls")]
+    return [entry for _, entry in sorted(found, key=lambda item: item[0])]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []
+
+
+def test_unread_parameters_are_found():
+    source = ("from numpy.random.bit_generator import ISeedSequence\n\n\n"
+              "class Base:\n"
+              "    def hook(self, a):\n        \"\"\"A hook.\"\"\"\n\n"
+              "    def stub(self, a):\n        raise NotImplementedError\n\n\n"
+              "class Child(Base):\n"
+              "    def hook(self, a):\n        return 1\n\n"
+              "    def other(self, b):\n        return 2\n\n\n"
+              "class Words(ISeedSequence):\n"
+              "    def __init__(self, words):\n        pass\n\n"
+              "    def generate_state(self, n_words, dtype=None):\n        return 0\n\n\n"
+              "def f(x, *args, y, **kw):\n"
+              "    def inner(z):\n        return x + z\n    return inner\n\n\n"
+              "def g(unused):  # noqa: ARG001\n    return 0\n")
+    assert unread_parameters(source) == ["line 16: other(b)", "line 21: __init__(words)",
+                                         "line 28: f(args)", "line 28: f(y)", "line 28: f(kw)"]
