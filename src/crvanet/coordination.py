@@ -85,9 +85,10 @@ def elect_coordinators(positions: np.ndarray, directions: np.ndarray,
     return cluster_of, np.array(roles)
 
 
-def pick(channels: np.ndarray, rng: np.random.Generator) -> int | None:
-    """A channel drawn uniformly from `channels`, or None if it is empty."""
-    return int(channels[rng.integers(channels.size)]) if channels.size else None
+def pick(channels, rng: np.random.Generator) -> int | None:
+    """A channel drawn uniformly from the sequence `channels`, or None if
+    it is empty."""
+    return int(channels[rng.integers(len(channels))]) if len(channels) else None
 
 
 class Strategy:
@@ -147,7 +148,7 @@ class CooperativeStrategy(Strategy):
         self._epoch_index += 1
 
     def shortlist(self, vehicle_id: int, positions: np.ndarray,
-                  rng: np.random.Generator) -> np.ndarray:
+                  rng: np.random.Generator) -> list[int]:
         """Up to VERIFY_SHORTLIST candidates drawn from the best-ranked vote
         group: vacant-voted channels first, then unvoted, then
         occupied-voted. Draws spread concurrent requesters apart."""
@@ -165,7 +166,7 @@ class CooperativeStrategy(Strategy):
                 pool = pool[rng.choice(pool.size, want, replace=False)]
                 pool.sort()
             picked.extend(pool.tolist())
-        return np.array(picked, dtype=int)
+        return picked
 
     def attempt(self, vehicle_id, positions, now, channel_map, streams):
         rng = streams.su[vehicle_id]
@@ -174,8 +175,9 @@ class CooperativeStrategy(Strategy):
             vehicle_id, float(positions[vehicle_id]), shortlist, channel_map, streams
         )
         # verification doubles as the requester's own freshest votes
-        self.votes[vehicle_id, block.channel_ids] = block.occupied
-        return block, pick(block.channel_ids[~block.occupied], rng)
+        self.votes[vehicle_id, shortlist] = block.occupied
+        vacant = [c for c, occupied in zip(shortlist, block.occupied) if not occupied]
+        return block, pick(vacant, rng)
 
 
 class ProposedStrategy(Strategy):
@@ -218,14 +220,14 @@ class ProposedStrategy(Strategy):
         cluster = self.cluster_of[vehicle_id]
         if cluster < 0 or now - self.report_time > self.config.coordination_interval + 1e-12:
             return np.empty(0, dtype=int)
-        return np.nonzero(self.vacant[cluster])[0]
+        return self.vacant[cluster].nonzero()[0]
 
     def attempt(self, vehicle_id, positions, now, channel_map, streams):
         channel = pick(self.candidates(vehicle_id, now), streams.su[vehicle_id])
         if channel is None:
             return None, None
         block = self.sensor.sense_block(
-            vehicle_id, float(positions[vehicle_id]), np.array([channel]), channel_map,
+            vehicle_id, float(positions[vehicle_id]), [channel], channel_map,
             streams, blocks=RECHECK_BLOCKS,
         )
         return block, None if block.occupied[0] else channel

@@ -205,8 +205,12 @@ def step_su(vehicle_id: int, positions: np.ndarray, now: float, tick: int,
 
     block, chosen = coord_view.attempt(vehicle_id, positions, now, channel_map, streams)
     if block is not None:
-        record_senses(report, tick, now, block.channel_ids.tolist(), vehicle_id,
-                      classify_block(block.occupied, block.truth).tolist())
+        ids, occupied, truth = block.channel_ids, block.occupied, block.truth
+        if isinstance(ids, list):   # listed channels: classify_block's formula, in Python
+            classes = [(o != t) * (2 - o) for o, t in zip(occupied, truth)]
+        else:
+            ids, classes = ids.tolist(), classify_block(occupied, truth).tolist()
+        record_senses(report, tick, now, ids, vehicle_id, classes)
     if chosen is None:
         channel_map.su_next[vehicle_id] = now + back_off_time
         record_event(report, SU_BACKOFF, tick, now, -1, vehicle_id)

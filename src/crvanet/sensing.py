@@ -21,20 +21,20 @@ A sense block holds, per sensed (observer, channel) pair, the decision,
 the ground truth at the same instant and the statistic; classify_block
 classifies decisions against truth. The sensor owns the channel plan: the
 PU towers split the band evenly, each owning one contiguous run of
-channels. One call senses a whole grid of observers and channels;
-each observer draws from its own streams exactly as it would sensing
-alone. The call's shape picks its route. The sensor's read-only `band`
-(every channel, as standalone attempts and proposed epochs sense) and
-observer arrays (cooperative epoch grids) take the array path over one
-fading block: each observer's statistic draws fill its row of one
+channels. Each observer draws from its own streams exactly as it would
+sensing alone, and the type of the channel ids picks the route, bit for
+bit the same computation either way. Lists in, lists out: one observer's
+listed channels (cooperative shortlists, proposed re-checks) run in
+Python floats, as numpy's fixed cost per operation would dominate them,
+and return lists; this is the only route that senses over several
+blocks. Arrays in, arrays out, over one fading block: the sensor's
+read-only `band` (every channel, as standalone attempts and proposed
+epochs sense), listed ids and observer grids (cooperative epochs) take
+the array path. Each observer's statistic draws fill its row of one
 (observers, channels) grid, and its fading draws fill the same slots of a
 gain grid, one draw per run of consecutive channels of one tower. A band
 call skips the id check and the run search: it reads the channel map
-whole and takes the band's tower runs, stored once. One observer's listed
-channels (cooperative shortlists, proposed re-checks) run the same
-arithmetic bit for bit in Python floats, as numpy's fixed cost per
-operation would dominate them; this is the only route that senses over
-several blocks.
+whole and takes the band's tower runs, stored once.
 """
 
 from __future__ import annotations
@@ -59,12 +59,13 @@ SU_SENSE_SNR_DB = 20.0
 @dataclass(frozen=True, eq=False)
 class SenseBlock:
     """Sensing of a set of channels: one entry per channel for one
-    observer, one row per observer for several."""
+    observer, one row per observer for several. The fields are lists when
+    the channel ids came in as a list, else arrays."""
 
-    channel_ids: np.ndarray   # int, as passed (maybe the read-only band): 1-D when shared
-    occupied: np.ndarray      # bool decision: statistic >= threshold
-    truth: np.ndarray         # bool: truly occupied at the observer
-    statistic: np.ndarray     # linear power
+    channel_ids: list | np.ndarray   # int, as passed (maybe the read-only band): 1-D when shared
+    occupied: list | np.ndarray      # bool decision: statistic >= threshold
+    truth: list | np.ndarray         # bool: truly occupied at the observer
+    statistic: list | np.ndarray     # linear power
 
 
 # Cephes ndtri coefficients, highest power first: P0/Q0 for the centre, P1/Q1 and P2/Q2
@@ -190,20 +191,22 @@ class ChannelSensor:
                 block_pfa(self.target_pfa, blocks), self.n_samples)
         return threshold
 
-    def sense_block(self, observer_ids, observer_pos, channel_ids: np.ndarray,
-                    channel_map, streams, *, blocks: int = 1) -> SenseBlock:
+    def sense_block(self, observer_ids, observer_pos, channel_ids, channel_map, streams, *,
+                    blocks: int = 1) -> SenseBlock:
         """Sense channels at one or more observers; channel_map holds the
         ground truth at the sensing instant.
 
-        One observer (scalar id and position) senses the 1-D channel_ids
-        and gets 1-D result arrays. m distinct observers (1-D ids and
-        positions) sense either the same 1-D channel_ids or one row each of
-        an (m, k) channel_ids grid, and get (m, k) result arrays. Every
-        generator is drawn exactly as if each observer sensed alone, in
-        turn. The call's shape picks one of two routes, bit for bit the
-        same computation: one observer's listed channels take _sense_short
-        in Python floats; the band and observer arrays take the array path,
-        whose draws land straight in preallocated (m, k) grids.
+        The type of channel_ids picks the route: lists in, lists out;
+        arrays in, arrays out. One observer (scalar id and position) given
+        a list of channel ids takes _sense_listed, in Python floats, and
+        gets a SenseBlock of lists: the ids as passed and one entry each.
+        An ndarray of ids takes the array path, whose draws land straight
+        in preallocated grids: one observer senses 1-D channel_ids and gets
+        1-D arrays; m distinct observers (1-D ids and positions) sense
+        either the same 1-D channel_ids or one row each of an (m, k) grid,
+        and get (m, k) arrays. Both routes are bit for bit the same
+        computation, and every generator is drawn exactly as if each
+        observer sensed alone, in turn.
 
         Passing the sensor's `band` itself as channel_ids takes the band
         path: no id check, the map's arrays read whole rather than gathered
@@ -212,30 +215,31 @@ class ChannelSensor:
         and are new arrays; the SenseBlock's channel_ids is the read-only
         band.
 
-        Only one observer's listed channels may take blocks > 1 (keyword
-        only, so perfbench's tracer finds it by name): each channel is
-        observed over that many independent fading blocks and decided
-        occupied if any block's statistic crosses the per-block threshold
-        (max-hold time diversity); the per-block false-alarm target is
-        compensated for the max-hold, so the overall rate is targetPfa
-        only as far as the Gaussian-tail threshold is exact (ROADMAP item 1).
+        Only a list call may take blocks > 1 (keyword only, so perfbench's
+        tracer finds it by name); the array path senses one block. Each
+        listed channel is then observed over that many independent fading
+        blocks and decided occupied if any block's statistic crosses the
+        per-block threshold (max-hold time diversity); the per-block
+        false-alarm target is compensated for the max-hold, so the overall
+        rate is targetPfa only as far as the Gaussian-tail threshold is
+        exact (ROADMAP item 1).
         """
         single = isinstance(observer_ids, (int, np.integer))
+        if single and isinstance(channel_ids, list):
+            return self._sense_listed(int(observer_ids), float(observer_pos), channel_ids,
+                                      channel_map, streams, blocks)
+        if blocks != 1:
+            raise ValueError(f"array calls sense one block, got blocks={blocks}; "
+                             "only one observer's listed channels take several")
         band = channel_ids is self.band
         if not band:
             channel_ids = np.asarray(channel_ids, dtype=int)
-            if single:
-                if channel_ids.ndim != 1:
-                    raise ValueError(
-                        f"one observer needs 1-D channel_ids, got shape {channel_ids.shape}")
-                return self._sense_short(int(observer_ids), float(observer_pos), channel_ids,
-                                         channel_map, streams, blocks)
+            if single and channel_ids.ndim != 1:
+                raise ValueError(
+                    f"one observer needs 1-D channel_ids, got shape {channel_ids.shape}")
         elif channel_map.n_channels != channel_ids.size:
             raise ValueError(f"channel map of {channel_map.n_channels} channels "
                              f"for a band of {channel_ids.size}")
-        if blocks != 1:
-            raise ValueError(f"band and grid calls sense one block, got blocks={blocks}; "
-                             "only one observer's listed channels take several")
         k = channel_ids.shape[-1]
         # Each observer's row of channels splits into runs of consecutive
         # channels of one tower. A run's gains come from the observer's
@@ -299,11 +303,10 @@ class ChannelSensor:
         statistic = stat[0] if single else stat
         return SenseBlock(channel_ids, statistic >= threshold, truth_occupied, statistic)
 
-    def _sense_short(self, observer, pos, channel_ids, channel_map, streams, blocks):
+    def _sense_listed(self, observer, pos, ids, channel_map, streams, blocks):
         """sense_block for one observer's listed channels: the array path's
         draws and IEEE operations, in order, on Python floats, block after
-        block."""
-        ids = channel_ids.tolist()
+        block; lists out."""
         if not all(0 <= c < self.config.n_channels for c in ids):
             raise ValueError(f"unknown channel in {ids}")
         threshold = self.threshold_for(blocks)
@@ -315,17 +318,15 @@ class ChannelSensor:
             self.n_samples, blocks * len(ids)).tolist())
         snr = self.median_pu_snr(pos)
         meds, truth, sensing_range, su_snr = [], [], self.config.sensing_range, self.su_snr_linear
-        for t, pu, holder, holder_pos in zip(
-                towers_here, channel_map.pu_active[channel_ids].tolist(),
-                channel_map.su_holder[channel_ids].tolist(),
-                channel_map.su_holder_pos[channel_ids].tolist()):
-            su = holder >= 0 and abs(holder_pos - pos) <= sensing_range
+        pu_active, holder, holder_pos = (channel_map.pu_active, channel_map.su_holder,
+                                         channel_map.su_holder_pos)
+        for c in ids:
+            pu = pu_active.item(c)
+            su = holder.item(c) >= 0 and abs(holder_pos.item(c) - pos) <= sensing_range
             meds.append((snr if pu else 0.0) + (su_snr if su else 0.0))
             truth.append(pu or su)
         stats, n_samples = [0.0] * len(ids), self.n_samples   # max-hold of positive statistics
         for _ in range(blocks):   # block after block, each channel takes its next draws
             stats = [max(stat, next(draws) * ((1.0 + med * next(gains[t])) / n_samples))
                      for stat, t, med in zip(stats, towers_here, meds)]
-        statistic = np.array(stats)
-        return SenseBlock(channel_ids, statistic >= threshold, np.array(truth, dtype=bool),
-                          statistic)
+        return SenseBlock(ids, [stat >= threshold for stat in stats], truth, stats)

@@ -1,9 +1,11 @@
 import os
+import sys
 from dataclasses import fields, replace
 
 import pytest
 
 from crvanet.config import ScenarioConfig, Scheme
+from crvanet.engine import run_simulation
 from crvanet.plots import PlotDataError, render_chart, render_plots
 import crvanet.report
 from crvanet.report import (
@@ -125,6 +127,34 @@ class TestRecordSenses:
         assert block.trace == events.trace and len(block.trace) == 13
         assert [type(e) for e in block.trace] == [TraceEvent] * 13
         assert block.counters == events.counters
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda scheme: scheme.value)
+def test_untraced_record_event_calls_equal_trace_rows(monkeypatch, scheme):
+    """perfbench checks a traced run against the untraced run's
+    record_event calls, counted by patching every crvanet module name bound
+    to it: a run of each scheme must make one such call per trace row, with
+    that row's fields, in the row's order."""
+    config = replace(ScenarioConfig(), running_time=0.5, seed=5, scheme=scheme).validate()
+    calls = []
+
+    def counted(report, kind, tick, time, channel_id=-1, actor_id=-1, detail=""):
+        calls.append(TraceEvent(tick, time, kind, channel_id, actor_id, detail))
+        original(report, kind, tick, time, channel_id, actor_id, detail)
+
+    original = crvanet.report.record_event
+    for name, module in list(sys.modules.items()):
+        if name == "crvanet" or name.startswith("crvanet."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    untraced = run_simulation(config)
+    monkeypatch.undo()
+    trace = []
+    traced = run_simulation(config, trace=trace)
+    assert untraced.counters == traced.counters
+    assert untraced.sensing_events > 0 and untraced.allocations > 0
+    assert len(trace) == len(calls) and trace == calls
 
 
 class TestSweepSpec:

@@ -132,13 +132,13 @@ class TestNeighbors:
         strategy.votes[origin] = VOTE_OCCUPIED
         strategy.votes[other, 40:43] = VOTE_VACANT
         short = strategy.shortlist(origin, positions, np.random.default_rng(0))
-        return short.tolist() == [40, 41, 42]
+        return short == [40, 41, 42]
 
     def test_single_vehicle_has_no_neighbors(self):
         strategy = self._strategy(1)
         strategy.votes[0, 40:43] = VOTE_VACANT
         short = strategy.shortlist(0, np.array([100.0]), np.random.default_rng(0))
-        assert short.tolist() == [40, 41, 42]
+        assert short == [40, 41, 42]
 
     def test_boundary_inclusive(self):
         positions = np.array([0.0, 240.0])
@@ -156,7 +156,7 @@ class TestNeighbors:
         rng = np.random.default_rng(0)
         heard = set()
         for _ in range(50):
-            heard.update(strategy.shortlist(10, positions, rng).tolist())
+            heard.update(strategy.shortlist(10, positions, rng))
         assert heard == set(range(7, 14))
         assert len(heard - {10}) == 6
 

@@ -64,6 +64,15 @@ def _max_hold(sensor, observers, positions, channels, cmap, streams, blocks):
                       calls[0].truth, statistic)
 
 
+def _assert_listed_equals(got, expected):
+    """A list call's field equals an array row bit for bit: a list of
+    Python scalars, never an ndarray or numpy scalars."""
+    assert type(got) is list
+    assert {type(x) for x in got} <= {bool, float}
+    as_array = np.array(got, dtype=expected.dtype)
+    assert as_array.shape == expected.shape and as_array.tobytes() == expected.tobytes()
+
+
 def _drawn_map(config, draw):
     """A ChannelMap with a drawn share of PU-active channels and SU holders
     on about half of the channels, at drawn positions."""
@@ -251,13 +260,12 @@ def test_block_pfa_compensation():
 
 
 class TestSenseChannel:
-    """Sensing one channel at a time through ChannelSensor.sense_block."""
+    """Sensing one channel at a time through ChannelSensor.sense_block, as a
+    list: the route attempts take."""
 
     def _sense(self, config, cmap, position, channel_id, streams):
-        block = ChannelSensor(config).sense_block(
-            0, position, np.array([channel_id]), cmap, streams
-        )
-        assert block.channel_ids.tolist() == [channel_id]
+        block = ChannelSensor(config).sense_block(0, position, [channel_id], cmap, streams)
+        assert block.channel_ids == [channel_id]
         return block
 
     def test_unknown_channel_rejected(self, default_config):
@@ -272,7 +280,8 @@ class TestSenseChannel:
         classes = []
         for _ in range(300):
             block = self._sense(default_config, cmap, 500.0, 3, streams)
-            classes.append(CLASSES[classify_block(block.occupied, block.truth)[0]])
+            classes.append(CLASSES[classify_block(np.array(block.occupied),
+                                                  np.array(block.truth))[0]])
         fa = sum(c == "falseAlarm" for c in classes)
         assert all(c != "misdetection" for c in classes)
         assert 0 < fa < 80  # ~10% of 300
@@ -308,7 +317,7 @@ class TestSenseChannel:
             assert b.occupied[0] == (b.statistic[0] >= one)
         between = 0
         for _ in range(100):
-            b = sensor.sense_block(0, 800.0, np.array([11]), cmap, streams, blocks=2)
+            b = sensor.sense_block(0, 800.0, [11], cmap, streams, blocks=2)
             assert b.occupied[0] == (b.statistic[0] >= two)
             between += one <= b.statistic[0] < two
         assert between > 0
@@ -342,7 +351,7 @@ def test_two_block_sense_keeps_target_pfa(default_config):
     hits = 0
     n = 4000
     for i in range(n):
-        block = sensor.sense_block(0, 500.0, np.array([2]), cmap, streams, blocks=2)
+        block = sensor.sense_block(0, 500.0, [2], cmap, streams, blocks=2)
         hits += bool(block.occupied[0])
     assert hits / n == pytest.approx(0.1, abs=0.02)
 
@@ -352,7 +361,7 @@ def test_blocks_is_keyword_only(default_config):
     sensor = ChannelSensor(default_config)
     cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
     with pytest.raises(TypeError):
-        sensor.sense_block(0, 500.0, np.array([2]), cmap, _streams(default_config, 0), 2)
+        sensor.sense_block(0, 500.0, [2], cmap, _streams(default_config, 0), 2)
 
 
 class TestBatchedSenseBlock:
@@ -375,8 +384,9 @@ class TestBatchedSenseBlock:
     @pytest.mark.parametrize("blocks", [1, 2])
     @pytest.mark.parametrize("shared", [True, False], ids=["shared-channels", "grid"])
     def test_batch_equals_single_calls(self, default_config, blocks, shared):
-        """Over 2 blocks, the batch is the max-hold of two consecutive 1-block
-        batched calls, as observer arrays sense one block per call."""
+        """Each row equals the observer's own list call. Over 2 blocks, the
+        batch is the max-hold of two consecutive 1-block batched calls, as
+        observer arrays sense one block per call."""
         sensor = ChannelSensor(default_config)
         cmap = self._channel_map(default_config)
         channels = np.arange(default_config.n_channels) if shared else self.GRID
@@ -386,7 +396,7 @@ class TestBatchedSenseBlock:
         rows = [channels] * len(self.OBSERVERS) if shared else channels
         for r, (observer, position, ids) in enumerate(
                 zip(self.OBSERVERS.tolist(), self.POSITIONS.tolist(), rows)):
-            alone = sensor.sense_block(observer, position, ids, cmap, single,
+            alone = sensor.sense_block(observer, position, ids.tolist(), cmap, single,
                                        blocks=blocks)
             np.testing.assert_array_equal(block.occupied[r], alone.occupied)
             np.testing.assert_array_equal(block.truth[r], alone.truth)
@@ -411,25 +421,16 @@ class TestBatchedSenseBlock:
 
     @pytest.mark.parametrize("blocks", [1, 2])
     @pytest.mark.parametrize("width", [1, 20, 21, 100])
-    def test_short_calls_equal_batched_rows(self, default_config, monkeypatch, width, blocks):
-        """Single-observer calls over listed channels, however many, take the
-        Python-float path; each equals its row of the batched array path
-        (over 2 blocks, the max-hold of two consecutive batched calls) bit
-        for bit, and leaves every generator in the same state. Under the
-        default two towers and under four, where each row spans more than
-        two towers' fading streams."""
-        short_calls, short = [], ChannelSensor._sense_short
-
-        def counted(*args):
-            short_calls.append(args)
-            return short(*args)
-
-        monkeypatch.setattr(ChannelSensor, "_sense_short", counted)
+    def test_short_calls_equal_batched_rows(self, default_config, width, blocks):
+        """Single-observer calls over a list of channels, however many, take
+        the Python-float path and return lists; each equals its row of the
+        batched array path (over 2 blocks, the max-hold of two consecutive
+        batched calls) bit for bit, and leaves every generator in the same
+        state. Under the default two towers and under four, where each row
+        spans more than two towers' fading streams."""
         four_towers = replace(default_config, n_pu_towers=4).validate()
         for config in (default_config, four_towers):
-            short_calls.clear()
             self._check_short_calls(config, width, blocks)
-            assert len(short_calls) == len(self.OBSERVERS)
 
     def _check_short_calls(self, config, width, blocks):
         sensor = ChannelSensor(config)
@@ -444,11 +445,11 @@ class TestBatchedSenseBlock:
                           blocks)
         for r, (observer, position) in enumerate(
                 zip(self.OBSERVERS.tolist(), self.POSITIONS.tolist())):
-            alone = sensor.sense_block(observer, position, grid[r], cmap, single,
+            alone = sensor.sense_block(observer, position, grid[r].tolist(), cmap, single,
                                        blocks=blocks)
+            assert alone.channel_ids == grid[r].tolist()
             for field in ("occupied", "truth", "statistic"):
-                expected, got = getattr(block, field)[r], getattr(alone, field)
-                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+                _assert_listed_equals(getattr(alone, field), getattr(block, field)[r])
         for observer in self.OBSERVERS.tolist():
             for tower in range(config.n_pu_towers):
                 assert (batched.fading[tower][observer].bit_generator.state
@@ -493,29 +494,72 @@ class TestBatchedSenseBlock:
 
     @pytest.mark.parametrize("blocks", [2, 3])
     def test_listed_blocks_are_consecutive_single_blocks(self, default_config, blocks):
-        """One observer's listed call over several blocks equals, byte for
-        byte, the max-hold of as many consecutive 1-block calls on a twin
-        bundle, and leaves every generator in the same state."""
+        """One observer's list call over several blocks equals, byte for
+        byte, the max-hold of as many consecutive 1-block array calls on a
+        twin bundle, and leaves every generator in the same state."""
         sensor = ChannelSensor(default_config)
         cmap = self._channel_map(default_config)
         many, one = _streams(default_config, 8), _streams(default_config, 8)
         for observer, position, ids in zip(self.OBSERVERS.tolist(), self.POSITIONS.tolist(),
                                            self._short_grid(30)):
-            got = sensor.sense_block(observer, position, ids, cmap, many, blocks=blocks)
+            got = sensor.sense_block(observer, position, ids.tolist(), cmap, many,
+                                     blocks=blocks)
             expected = _max_hold(sensor, observer, position, ids, cmap, one, blocks)
             for field in ("occupied", "truth", "statistic"):
-                e, g = getattr(expected, field), getattr(got, field)
-                assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+                _assert_listed_equals(getattr(got, field), getattr(expected, field))
         for a, b in zip(many.fading + [many.sensing], one.fading + [one.sensing]):
             assert [g.bit_generator.state for g in a] == [g.bit_generator.state for g in b]
 
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_list_call_equals_array_path_on_drawn_inputs(self, data):
+        """Lists in, lists out: one observer's list of 1-8 distinct channel
+        ids, in any order and from 1-4 towers, under a drawn PU and SU map,
+        over 1-3 blocks. Over one block it equals, bit for bit, the array
+        path's row for the same ids; over several, the max-hold of as many
+        consecutive 1-block list calls, decided against the per-block
+        threshold. Every fading and sensing generator ends in the same
+        state, and no field of the list call is an ndarray."""
+        towers = data.draw(st.integers(1, 4), label="towers")
+        per_tower = data.draw(st.integers(1, 12), label="perTower")
+        config = replace(ScenarioConfig(), n_vehicles=8, n_pu_towers=towers,
+                         n_channels=towers * per_tower).validate()
+        ids = data.draw(st.permutations(range(config.n_channels)), label="order")
+        ids = ids[:data.draw(st.integers(1, min(8, len(ids))), label="channels")]
+        blocks = data.draw(st.integers(1, 3), label="blocks")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        draw = np.random.default_rng(seed)
+        observer = int(draw.integers(config.n_vehicles))
+        position = float(draw.uniform(0.0, config.road_length))
+        cmap = _drawn_map(config, draw)
+
+        sensor = ChannelSensor(config)
+        listed, reference = _streams(config, seed), _streams(config, seed)
+        got = sensor.sense_block(observer, position, ids, cmap, listed, blocks=blocks)
+        assert got.channel_ids == ids
+        if blocks == 1:
+            expected = sensor.sense_block(observer, position, np.array(ids), cmap, reference)
+        else:
+            calls = [sensor.sense_block(observer, position, ids, cmap, reference)
+                     for _ in range(blocks)]
+            statistic = np.maximum.reduce([np.array(call.statistic) for call in calls])
+            expected = SenseBlock(ids, statistic >= sensor.threshold_for(blocks),
+                                  np.array(calls[0].truth), statistic)
+        for field in ("occupied", "truth", "statistic"):
+            _assert_listed_equals(getattr(got, field), getattr(expected, field))
+        for a, b in zip(listed.fading + [listed.sensing],
+                        reference.fading + [reference.sensing]):
+            assert [g.bit_generator.state for g in a] == [g.bit_generator.state for g in b]
+
     def test_band_and_grid_calls_sense_one_block(self, default_config):
-        """Only one observer's listed channels take several blocks: a band
-        call or an observer array's call over 2 blocks is rejected by name
-        before any draw."""
+        """Only one observer's list of channels takes several blocks: a call
+        with an array of ids (the band, one observer's listed ids, an
+        observer array's) over 2 blocks is rejected by name before any
+        draw."""
         sensor = ChannelSensor(default_config)
         cmap = self._channel_map(default_config)
-        calls = [(0, 500.0, sensor.band), (self.OBSERVERS, self.POSITIONS, sensor.band),
+        calls = [(0, 500.0, sensor.band), (0, 500.0, np.array([2, 60])),
+                 (self.OBSERVERS, self.POSITIONS, sensor.band),
                  (self.OBSERVERS, self.POSITIONS, self.GRID),
                  (self.OBSERVERS, self.POSITIONS, np.arange(4))]
         for observers, positions, channels in calls:
@@ -534,11 +578,12 @@ class TestBatchedSenseBlock:
 
     @pytest.mark.parametrize("channel_id", [100, -1])
     def test_unknown_channel_rejected_in_short_call(self, default_config, channel_id):
+        """As a list or as an array of one observer's listed ids."""
         sensor = ChannelSensor(default_config)
         cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
-        with pytest.raises(ValueError, match="unknown channel"):
-            sensor.sense_block(0, 500.0, np.array([2, channel_id]), cmap,
-                               _streams(default_config, 0))
+        for channels in ([2, channel_id], np.array([2, channel_id])):
+            with pytest.raises(ValueError, match="unknown channel"):
+                sensor.sense_block(0, 500.0, channels, cmap, _streams(default_config, 0))
 
     def test_unknown_channel_rejected_in_grid(self, default_config):
         sensor = ChannelSensor(default_config)
@@ -570,8 +615,9 @@ class TestBandPath:
         """1-4 towers of 1-30 channels, a scalar observer or 1-6 distinct
         ones, a drawn PU and SU map: byte for byte the same results, every
         fading and sensing generator in the same state, and the map
-        untouched. A band call of any size takes the array path; a scalar
-        observer's np.arange(n) takes the short path."""
+        untouched. A band call of any size takes the array path, as does a
+        scalar observer's np.arange(n); that observer's list(range(n))
+        equals both, as lists."""
         towers = data.draw(st.integers(1, 4), label="towers")
         per_tower = data.draw(st.integers(1, 30), label="perTower")
         config = replace(ScenarioConfig(), n_vehicles=8, n_pu_towers=towers,
@@ -590,26 +636,25 @@ class TestBandPath:
         before = [a.copy() for a in (cmap.pu_active, cmap.su_holder, cmap.su_holder_pos)]
 
         sensor = ChannelSensor(config)
-        short_calls, short = [], sensor._sense_short
-
-        def counted(*args):
-            short_calls.append(args)
-            return short(*args)
-
-        sensor._sense_short = counted
         on_band, general = _streams(config, seed), _streams(config, seed)
         got = sensor.sense_block(observers, positions, sensor.band, cmap, on_band)
-        assert not short_calls
         for a, b in zip(before, (cmap.pu_active, cmap.su_holder, cmap.su_holder_pos)):
             np.testing.assert_array_equal(a, b)
         expected = sensor.sense_block(observers, positions, np.arange(n), cmap, general)
-        assert len(short_calls) == (m is None)
         assert got.channel_ids is sensor.band
         for field in ("occupied", "truth", "statistic"):
             e, g = getattr(expected, field), getattr(got, field)
+            assert isinstance(e, np.ndarray) and isinstance(g, np.ndarray)
             assert g.dtype == e.dtype and g.shape == e.shape and g.tobytes() == e.tobytes()
-        for a, b in zip(on_band.fading + [on_band.sensing], general.fading + [general.sensing]):
-            assert [g.bit_generator.state for g in a] == [g.bit_generator.state for g in b]
+        bundles = [on_band, general]
+        if m is None:
+            bundles.append(_streams(config, seed))
+            listed = sensor.sense_block(observers, positions, list(range(n)), cmap, bundles[-1])
+            for field in ("occupied", "truth", "statistic"):
+                _assert_listed_equals(getattr(listed, field), getattr(got, field))
+        for domain in zip(*(bundle.fading + [bundle.sensing] for bundle in bundles)):
+            states = [[g.bit_generator.state for g in generators] for generators in domain]
+            assert all(state == states[0] for state in states)
 
     @pytest.mark.parametrize("observers, positions", [
         (3, 700.0), (np.array([3, 0, 9]), np.array([700.0, 10.0, 1500.0]))],
