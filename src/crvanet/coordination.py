@@ -22,7 +22,8 @@ proposed     Each cluster, a maximal chain of same-direction vehicles
 The engine keeps the coordination clock and calls ``on_epoch`` every
 coordination interval from time 0, for the schemes with ``needs_epoch``.
 An epoch is one batched sensing call (every vehicle's votes, or every
-cluster's coordinators), and its results are held as arrays. Between
+cluster's coordinators), and its results are held until the next: the
+votes as an array, each cluster's report as a list of channels. Between
 epochs a requester acts on reports up to one interval old, which is the
 entire cost of coordination in this model. Requesters pick uniformly
 among their qualifying candidates (drawn from their own stream) so
@@ -73,14 +74,14 @@ def elect_coordinators(positions: np.ndarray, directions: np.ndarray,
     first[1:] = (np.diff(directions[order]) != 0) | (np.diff(positions[order]) > comm_range)
     cluster_of = np.empty(order.size, dtype=int)
     cluster_of[order] = np.cumsum(first) - 1
-    roles = []
-    for members in np.split(order, np.flatnonzero(first)[1:]):
+    roles, bounds = [], first.nonzero()[0].tolist() + [order.size]
+    for start, end in zip(bounds, bounds[1:]):
         # argmax/argmin return the first hit, so id order breaks the ties
-        members = np.sort(members)
+        members = np.sort(order[start:end])
         at = positions[members]
         along = at * directions[members[0]]
-        # np.mean sums pairwise in id order; a reduceat sum can differ in the last bit
-        main = np.abs(at - np.mean(at)).argmin()
+        # np.mean's own sum, pairwise in id order; a reduceat sum can differ in the last bit
+        main = np.abs(at - np.add.reduce(at) / at.size).argmin()
         roles.append(members[[main, along.argmax(), along.argmin()]])
     return cluster_of, np.array(roles)
 
@@ -175,7 +176,9 @@ class CooperativeStrategy(Strategy):
             vehicle_id, float(positions[vehicle_id]), shortlist, channel_map, streams
         )
         # verification doubles as the requester's own freshest votes
-        self.votes[vehicle_id, shortlist] = block.occupied
+        votes = self.votes[vehicle_id]
+        for channel, occupied in zip(shortlist, block.occupied):
+            votes[channel] = occupied
         vacant = [c for c, occupied in zip(shortlist, block.occupied) if not occupied]
         return block, pick(vacant, rng)
 
@@ -189,9 +192,9 @@ class ProposedStrategy(Strategy):
     def __init__(self, config: ScenarioConfig, sensor: ChannelSensor):
         super().__init__(config, sensor)
         # each vehicle's cluster (-1 before the first epoch), each cluster's
-        # vacancy report, and the time the reports were sensed
+        # report (its vacant channels, ascending) and the time it was sensed
         self.cluster_of = np.full(config.n_vehicles, -1, dtype=int)
-        self.vacant = np.zeros((0, config.n_channels), dtype=bool)
+        self.vacant: list[list[int]] = []
         self.report_time = 0.0
 
     def on_epoch(self, now, fleet, channel_map, streams):
@@ -210,17 +213,19 @@ class ProposedStrategy(Strategy):
             np.array(coordinators), fleet.positions[coordinators],
             self.sensor.band, channel_map, streams,
         )
-        self.vacant = ~np.logical_or.reduceat(block.occupied, starts, axis=0)
+        occupied = np.logical_or.reduceat(block.occupied, starts, axis=0)
+        self.vacant = [(~row).nonzero()[0].tolist() for row in occupied]
         self.report_time = now
 
-    def candidates(self, vehicle_id: int, now: float) -> np.ndarray:
-        """Fresh vacant-reported channels for this vehicle's cluster,
-        ascending id; empty when the vehicle has no cluster or the report
-        is more than one coordination interval old."""
-        cluster = self.cluster_of[vehicle_id]
+    def candidates(self, vehicle_id: int, now: float) -> list[int]:
+        """Fresh vacant-reported channels for this vehicle's cluster: its
+        stored report, ascending id, which callers must not modify; empty
+        when the vehicle has no cluster or the report is more than one
+        coordination interval old."""
+        cluster = self.cluster_of.item(vehicle_id)
         if cluster < 0 or now - self.report_time > self.config.coordination_interval + 1e-12:
-            return np.empty(0, dtype=int)
-        return self.vacant[cluster].nonzero()[0]
+            return []
+        return self.vacant[cluster]
 
     def attempt(self, vehicle_id, positions, now, channel_map, streams):
         channel = pick(self.candidates(vehicle_id, now), streams.su[vehicle_id])

@@ -3,10 +3,12 @@
 A run divides its horizon into nTimeSlices fixed steps and executes, in
 every tick and in this order: vehicle movement, the tick's PU flips,
 coordination when the epoch clock fires and the scheme uses one, then
-sensing/occupation for every SU with a pending action, once the earliest
-is due. Speeds change only at decisions, so positions come in blocks of
-ticks computed at once; the PU flips come from the run's PU timeline,
-which alone reads the PU streams, in bulk.
+sensing/occupation for every SU whose pending action is due. Speeds
+change only at decisions, so positions come in blocks of ticks computed
+at once; the PU flips come from the run's PU timeline, which alone reads
+the PU streams, in bulk. Due SUs come off the agenda, a heap of (instant,
+vehicle) that ChannelMap.schedule pushes onto: a tick pops the entries
+due, drops those rescheduled since, and steps the rest by ascending id.
 Timestamps are always tickIndex * timeStep, computed fresh so no float
 error accumulates. All randomness flows through per-subsystem streams
 derived from the scenario seed, making a run a pure function of (config, seed).
@@ -14,7 +16,7 @@ derived from the scenario seed, making a run a pure function of (config, seed).
 
 from __future__ import annotations
 
-import numpy as np
+import heapq
 
 from .config import ScenarioConfig, num_time_slices
 from .coordination import make_strategy
@@ -41,8 +43,8 @@ class SimulationEngine:
 
         # every SU's first attempt, each drawn from its own stream
         self.channel_map = ChannelMap(config.n_channels, config.n_vehicles)
-        self.channel_map.su_next[:] = [schedule_next(config.su_gap_mean, rng)
-                                       for rng in self.streams.su]
+        for v, rng in enumerate(self.streams.su):
+            self.channel_map.schedule(v, schedule_next(config.su_gap_mean, rng))
 
         self.decision_period = max(1, round(config.reaction_time / config.time_step))
 
@@ -56,8 +58,11 @@ class SimulationEngine:
         next_epoch = 0.0
         timeline = pu_timeline(self.streams.pu, self.n_ticks, dt, config.pu_hold_mean,
                                config.pu_gap_mean)
-        # the current block of fleet positions, and the earliest pending SU action
-        block, row, next_due = (), 0, channel_map.su_next.min(initial=np.inf)
+        block, row = (), 0   # the current block of fleet positions
+        # the agenda, rebuilt from su_next, which may have been set since __init__
+        su_next, pop = channel_map.su_next, heapq.heappop
+        agenda = channel_map.agenda = [(t, v) for v, t in enumerate(su_next.tolist())]
+        heapq.heapify(agenda)
 
         for tick, pu_flips in enumerate(timeline):
             now = tick * dt
@@ -74,26 +79,28 @@ class SimulationEngine:
                 for i, (x, v) in enumerate(zip(fleet.positions.tolist(), fleet.speeds.tolist())):
                     record_event(report, MOVE, tick, now, -1, i, f"{x:.3f},{v:.3f}")
 
-            # 2. the tick's PU flips; a preempted SU may now be the earliest due
+            # 2. the tick's PU flips; a preempted SU is rescheduled onto the agenda
             for c in pu_flips:
-                if step_pu(c, tower_of[c], now, tick, channel_map, self.streams,
-                           config.su_gap_mean, report) is not None:
-                    next_due = channel_map.su_next.min()
+                step_pu(c, tower_of[c], now, tick, channel_map, self.streams,
+                        config.su_gap_mean, report)
 
             # 3. coordination epoch, for schemes that use one
             if has_epochs and now >= next_epoch - eps:
                 self.strategy.on_epoch(now, fleet, channel_map, self.streams)
                 next_epoch += config.coordination_interval
 
-            # 4. SU sensing/occupation for vehicles with pending actions; as
-            #    x - eps rounds monotonically, one is due iff the earliest is
-            if now >= next_due - eps:
-                due_vehicles = np.nonzero(now >= channel_map.su_next - eps)[0]
-                for v in due_vehicles.tolist():
+            # 4. SU sensing/occupation for the vehicles due, stale entries
+            #    dropped; as x - eps rounds monotonically, due entries come first
+            if agenda and now >= agenda[0][0] - eps:
+                due = []
+                while agenda and now >= agenda[0][0] - eps:
+                    instant, v = pop(agenda)
+                    if su_next.item(v) == instant and v not in due:
+                        due.append(v)
+                for v in sorted(due):
                     step_su(v, fleet.positions, now, tick, self.strategy, channel_map,
                             report, self.streams, config.su_hold_mean, config.su_gap_mean,
                             config.back_off_time)
-                next_due = channel_map.su_next.min()
 
         return report
 

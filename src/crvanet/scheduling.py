@@ -10,11 +10,14 @@ at most one SU ever holds a channel.
 
 SUs keep a pending instant each, drawn as they go, with an extra failure
 path: a failed acquisition attempt pushes the next attempt out by exactly
-the back-off time.
+the back-off time. ``ChannelMap.schedule`` alone sets a pending instant,
+and also pushes it onto the map's agenda, the heap the engine pops due
+SUs from.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
@@ -48,7 +51,8 @@ class ChannelMap:
     """The shared run state of both state machines: per channel the PU
     state and the SU holder (with its position when it took the channel),
     per vehicle the channel it holds (-1 when idle) and the pending
-    instant of its next action."""
+    instant of its next action; the agenda holds (instant, vehicle) for
+    every instant scheduled and not yet popped, as a heap."""
 
     def __init__(self, n_channels: int, n_vehicles: int):
         self.n_channels = n_channels
@@ -57,6 +61,12 @@ class ChannelMap:
         self.su_holder_pos = np.zeros(n_channels, dtype=float)
         self.su_channel = np.full(n_vehicles, -1, dtype=int)
         self.su_next = np.zeros(n_vehicles, dtype=float)
+        self.agenda: list[tuple[float, int]] = []
+
+    def schedule(self, vehicle_id: int, instant: float) -> None:
+        """Set the vehicle's pending instant; the only writer of su_next."""
+        self.su_next[vehicle_id] = instant
+        heapq.heappush(self.agenda, (instant, vehicle_id))
 
     def holder_of(self, channel_id: int) -> int | None:
         holder = int(self.su_holder[channel_id])
@@ -158,15 +168,14 @@ def _flip_ticks(c: int, rng, x, used, base, odd, start: int, end: int, dt: float
 
 
 def step_pu(channel_id: int, tower_id: int, now: float, tick: int, channel_map: ChannelMap,
-            streams, su_gap_mean: float, report: SimulationReport) -> int | None:
+            streams, su_gap_mean: float, report: SimulationReport) -> None:
     """Apply one PU flip from the run's timeline, recording its events in
-    order; returns the id of the SU it preempted, or None.
+    order.
 
     Occupation preempts any SU holding the channel: the SU is cleared and
     rescheduled (its next attempt drawn from its own gap process) before
     the pu-occupied event fires.
     """
-    holder = None
     if channel_map.pu_active[channel_id]:
         channel_map.pu_active[channel_id] = False
         record_event(report, PU_VACATED, tick, now, channel_id, tower_id)
@@ -174,12 +183,10 @@ def step_pu(channel_id: int, tower_id: int, now: float, tick: int, channel_map: 
         holder = channel_map.holder_of(channel_id)
         if holder is not None:
             channel_map.clear_holder(channel_id)
-            channel_map.su_next[holder] = now + schedule_next(
-                su_gap_mean, streams.su[holder])
+            channel_map.schedule(holder, now + schedule_next(su_gap_mean, streams.su[holder]))
             record_event(report, SU_PREEMPTED, tick, now, channel_id, holder)
         channel_map.pu_active[channel_id] = True
         record_event(report, PU_OCCUPIED, tick, now, channel_id, tower_id)
-    return holder
 
 
 def step_su(vehicle_id: int, positions: np.ndarray, now: float, tick: int,
@@ -199,7 +206,7 @@ def step_su(vehicle_id: int, positions: np.ndarray, now: float, tick: int,
     channel = int(channel_map.su_channel[vehicle_id])
     if channel >= 0:
         channel_map.clear_holder(channel)
-        channel_map.su_next[vehicle_id] = now + schedule_next(su_gap_mean, rng)
+        channel_map.schedule(vehicle_id, now + schedule_next(su_gap_mean, rng))
         record_event(report, SU_VACATED, tick, now, channel, vehicle_id)
         return
 
@@ -212,18 +219,18 @@ def step_su(vehicle_id: int, positions: np.ndarray, now: float, tick: int,
             ids, classes = ids.tolist(), classify_block(occupied, truth).tolist()
         record_senses(report, tick, now, ids, vehicle_id, classes)
     if chosen is None:
-        channel_map.su_next[vehicle_id] = now + back_off_time
+        channel_map.schedule(vehicle_id, now + back_off_time)
         record_event(report, SU_BACKOFF, tick, now, -1, vehicle_id)
         return
     if channel_map.holder_of(chosen) is not None:
-        channel_map.su_next[vehicle_id] = now + back_off_time
+        channel_map.schedule(vehicle_id, now + back_off_time)
         record_event(report, SU_BACKOFF, tick, now, chosen, vehicle_id, "holder-conflict")
         return
     if channel_map.pu_active[chosen]:
         record_event(report, SU_INTERFERENCE, tick, now, chosen, vehicle_id)
-        channel_map.su_next[vehicle_id] = now + back_off_time
+        channel_map.schedule(vehicle_id, now + back_off_time)
         record_event(report, SU_BACKOFF, tick, now, chosen, vehicle_id, "pu-collision")
         return
     channel_map.set_holder(chosen, vehicle_id, float(positions[vehicle_id]))
-    channel_map.su_next[vehicle_id] = now + schedule_next(su_hold_mean, rng)
+    channel_map.schedule(vehicle_id, now + schedule_next(su_hold_mean, rng))
     record_event(report, SU_OCCUPIED, tick, now, chosen, vehicle_id)

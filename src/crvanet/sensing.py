@@ -56,7 +56,7 @@ from .propagation import (
 SU_SENSE_SNR_DB = 20.0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class SenseBlock:
     """Sensing of a set of channels: one entry per channel for one
     observer, one row per observer for several. The fields are lists when
@@ -307,7 +307,7 @@ class ChannelSensor:
         """sense_block for one observer's listed channels: the array path's
         draws and IEEE operations, in order, on Python floats, block after
         block; lists out."""
-        if not all(0 <= c < self.config.n_channels for c in ids):
+        if ids and (min(ids) < 0 or max(ids) >= self.config.n_channels):
             raise ValueError(f"unknown channel in {ids}")
         threshold = self.threshold_for(blocks)
         towers_here = [c // self._per_tower for c in ids]
@@ -318,11 +318,11 @@ class ChannelSensor:
             self.n_samples, blocks * len(ids)).tolist())
         snr = self.median_pu_snr(pos)
         meds, truth, sensing_range, su_snr = [], [], self.config.sensing_range, self.su_snr_linear
-        pu_active, holder, holder_pos = (channel_map.pu_active, channel_map.su_holder,
-                                         channel_map.su_holder_pos)
+        pu_at, holder_at, holder_pos_at = (channel_map.pu_active.item, channel_map.su_holder.item,
+                                           channel_map.su_holder_pos.item)
         for c in ids:
-            pu = pu_active.item(c)
-            su = holder.item(c) >= 0 and abs(holder_pos.item(c) - pos) <= sensing_range
+            pu = pu_at(c)
+            su = holder_at(c) >= 0 and abs(holder_pos_at(c) - pos) <= sensing_range
             meds.append((snr if pu else 0.0) + (su_snr if su else 0.0))
             truth.append(pu or su)
         stats, n_samples = [0.0] * len(ids), self.n_samples   # max-hold of positive statistics

@@ -2,8 +2,10 @@
 
 Every example is a short run (at most 0.2 s) of 0-12 vehicles on 1-2
 towers with 1-5 channels each, with hold and gap means short enough that
-PUs and SUs change state many times. The coordinator election is checked
-on its own, over fleets of 1-40 vehicles. The CLI's streamed trace is
+PUs and SUs change state many times. The engine's agenda of due SUs is
+checked against a scan of every SU's pending instant on every tick, with
+means and back-off times of a few time steps. The coordinator election is
+checked on its own, over fleets of 1-40 vehicles. The CLI's streamed trace is
 checked against the list sink on the default scenario, at horizons of at
 most 0.15 s. Fleet motion in blocks is checked against one tick at a
 time over fleets of 0-6 vehicles. Examples are derandomized, so the suite
@@ -37,8 +39,9 @@ from crvanet.report import (
     SU_OCCUPIED,
     SU_PREEMPTED,
     SU_VACATED,
+    SimulationReport,
 )
-from crvanet.scheduling import WINDOW, pu_timeline, schedule_next
+from crvanet.scheduling import WINDOW, pu_timeline, schedule_next, step_pu, step_su
 from crvanet.sensing import CLASSES
 from crvanet.streams import StreamBundle
 
@@ -129,6 +132,68 @@ def test_mobility_and_pu_rows_identical_across_schemes(config):
     assert rows(Scheme.STANDALONE) == rows(Scheme.COOPERATIVE) == rows(Scheme.PROPOSED)
 
 
+def scan_run(engine, trace):
+    """The engine's run with the due rule the agenda replaces: on every
+    tick, every vehicle with now >= su_next - 1e-12 is stepped, by
+    ascending id. The fleet moves one tick at a time."""
+    config, cmap, fleet, strategy = engine.config, engine.channel_map, engine.fleet, engine.strategy
+    report, dt, eps = SimulationReport(trace=trace), config.time_step, 1e-12
+    tower_of, next_epoch = engine.sensor.tower_of.tolist(), 0.0
+    timeline = pu_timeline(engine.streams.pu, engine.n_ticks, dt, config.pu_hold_mean,
+                           config.pu_gap_mean)
+    for tick, pu_flips in enumerate(timeline):
+        now = tick * dt
+        if tick % engine.decision_period == 0:
+            fleet.decide()
+        fleet.advance(dt)
+        for c in pu_flips:
+            step_pu(c, tower_of[c], now, tick, cmap, engine.streams, config.su_gap_mean, report)
+        if strategy.needs_epoch and len(fleet) > 0 and now >= next_epoch - eps:
+            strategy.on_epoch(now, fleet, cmap, engine.streams)
+            next_epoch += config.coordination_interval
+        for v in np.nonzero(now >= cmap.su_next - eps)[0].tolist():
+            step_su(v, fleet.positions, now, tick, strategy, cmap, report, engine.streams,
+                    config.su_hold_mean, config.su_gap_mean, config.back_off_time)
+    return report
+
+
+@st.composite
+def busy_configs(draw):
+    """1-8 vehicles on 1-6 channels, with PU and SU means and the back-off
+    time a few time steps (or a fraction of one), so that SUs are preempted,
+    rescheduled and due on the same tick as others many times a run."""
+    towers = draw(st.integers(1, 2))
+    steps = st.sampled_from([0.4, 1.0, 2.0, 3.0, 5.0])
+    dt = ScenarioConfig().time_step
+    return replace(
+        ScenarioConfig(),
+        running_time=draw(st.integers(1, 150)) * dt,
+        road_length=draw(st.sampled_from([300.0, 2000.0])),
+        n_vehicles=draw(st.integers(1, 8)),
+        n_pu_towers=towers,
+        n_channels=towers * draw(st.integers(1, 3)),
+        pu_hold_mean=draw(steps) * dt,
+        pu_gap_mean=draw(steps) * dt,
+        su_hold_mean=draw(steps) * dt,
+        su_gap_mean=draw(steps) * dt,
+        back_off_time=draw(steps) * dt,
+        scheme=draw(st.sampled_from(list(Scheme))),
+        seed=draw(st.integers(0, 2**20)),
+    ).validate()
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(busy_configs())
+def test_agenda_steps_what_the_scan_steps(config):
+    """The engine's run equals scan_run, counter for counter and row for
+    row: the agenda steps exactly the vehicles a full scan finds due, on
+    the same ticks and in the same order, preempted ones included."""
+    report = SimulationEngine(config).run(trace=[])
+    expected = scan_run(SimulationEngine(config), trace=[])
+    assert report.counters == expected.counters
+    assert report.trace == expected.trace
+
+
 # the counter each trace row type or sense class bumps
 COUNTED_EVENTS = {SU_OCCUPIED: "allocations", SU_INTERFERENCE: "harmful_occupations",
                   SU_PREEMPTED: "preemptions", SU_BACKOFF: "backoffs", SENSE: "sensing_events"}
@@ -210,6 +275,56 @@ def test_election_follows_the_rule(fleet):
     for lower, upper in zip(clusters, clusters[1:]):
         if directions[lower[0]] == directions[upper[0]]:
             assert positions[upper].min() - positions[lower].max() > comm_range
+
+
+def reference_election(positions, directions, comm_range):
+    """The election rule written with np.split and np.mean: the reference
+    that elect_coordinators' bound slices and explicit sum must equal."""
+    order = np.lexsort((positions, -directions))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (np.diff(directions[order]) != 0) | (np.diff(positions[order]) > comm_range)
+    cluster_of = np.empty(order.size, dtype=int)
+    cluster_of[order] = np.cumsum(first) - 1
+    roles = []
+    for members in np.split(order, np.flatnonzero(first)[1:]):
+        members = np.sort(members)
+        at = positions[members]
+        along = at * directions[members[0]]
+        main = np.abs(at - np.mean(at)).argmin()
+        roles.append(members[[main, along.argmax(), along.argmin()]])
+    return cluster_of, np.array(roles)
+
+
+@st.composite
+def elections(draw):
+    """A fleet of 1-40 vehicles, sometimes all in one direction, or 2-40
+    vehicles of one direction placed in pairs about a centre, so that the
+    main's tie falls to the last bit of the mean; and a comm range from
+    none (every distinct position alone) to the whole road (one cluster per
+    direction, up to 40 members)."""
+    if draw(st.booleans()):
+        positions, directions = draw(fleets())
+        if draw(st.booleans()):
+            directions[:] = draw(st.sampled_from([1, -1]))
+    else:
+        centre = draw(st.floats(100.0, 1900.0))
+        offsets = draw(st.lists(st.floats(0.001, 60.0), min_size=1, max_size=20))
+        positions = np.array(draw(st.permutations([centre + d for d in offsets]
+                                                  + [centre - d for d in offsets])))
+        directions = np.full(positions.size, draw(st.sampled_from([1, -1])))
+    return positions, directions, draw(st.sampled_from([0.0, 60.0, 240.0, 1e4]))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(elections())
+def test_election_equals_the_reference(election):
+    """elect_coordinators gives reference_election's cluster_of and roles,
+    bit for bit, dtypes and shapes included."""
+    cluster_of, roles = elect_coordinators(*election)
+    expected_cluster_of, expected_roles = reference_election(*election)
+    assert cluster_of.dtype == expected_cluster_of.dtype and roles.dtype == expected_roles.dtype
+    assert cluster_of.tobytes() == expected_cluster_of.tobytes()
+    assert roles.shape == expected_roles.shape and roles.tobytes() == expected_roles.tobytes()
 
 
 def reference_timeline(rngs, n_ticks, dt, hold_mean, gap_mean):

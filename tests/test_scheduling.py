@@ -107,15 +107,17 @@ class TestStepPu:
         cmap, streams = self._setup()
         cmap.set_holder(2, vehicle_id=1, position=100.0)
         report = SimulationReport(trace=[])
-        preempted = step_pu(2, 0, 1.0, 1000, cmap, streams, 0.05, report)
+        step_pu(2, 0, 1.0, 1000, cmap, streams, 0.05, report)
         events = report.trace
         assert [e.event for e in events] == [SU_PREEMPTED, PU_OCCUPIED]
         assert events[0].channel_id == events[1].channel_id == 2
-        assert preempted == events[0].actor_id == 1
+        assert events[0].actor_id == 1
         assert report.preemptions == 1
         assert cmap.holder_of(2) is None
         assert cmap.su_channel[1] == -1
         assert cmap.su_next[1] > 1.0
+        # rescheduled through the agenda, which the engine pops due SUs from
+        assert cmap.agenda == [(cmap.su_next[1], 1)]
 
     def test_alternation_over_many_transitions(self):
         cmap, streams = self._setup()
@@ -369,3 +371,25 @@ def test_due_bound_refreshes_after_a_preemption(draw_stub):
     preempted = [e.tick for e in report.trace if e.event == SU_PREEMPTED]
     assert preempted == [3]
     assert _first_su_tick(report, 0) == _scan_tick(3 * dt + 2 * dt, dt) == 5
+
+
+def test_agenda_steps_a_vehicle_once_a_tick(draw_stub):
+    """A vehicle rescheduled to an instant it held before has two agenda
+    entries for it, both current, and is still stepped once: vehicle 0
+    holds channel 3 until 10 ticks in, is preempted at tick 3, draws a
+    2-tick gap, backs off at tick 5 by 5 ticks, and backs off once more
+    at tick 10."""
+    config = replace(ScenarioConfig(), running_time=0.012, n_vehicles=2, seed=3,
+                     back_off_time=0.005).validate()
+    engine = SimulationEngine(config)
+    engine.strategy = _PinnedStrategy(None)
+    dt = config.time_step
+    cmap = engine.channel_map
+    cmap.set_holder(3, 0, float(engine.fleet.positions[0]))
+    cmap.su_next[:] = [10 * dt, 1.0]
+    engine.streams.pu[3] = draw_stub([3 * dt / config.pu_gap_mean])
+    engine.streams.su[0] = draw_stub([2 * dt / config.su_gap_mean])
+    report = engine.run(trace=[])
+    assert 5 * dt + config.back_off_time == 10 * dt
+    assert [e.tick for e in report.trace if e.event == SU_PREEMPTED] == [3]
+    assert [e.tick for e in report.trace if e.event == SU_BACKOFF] == [5, 10]

@@ -1,7 +1,9 @@
 """Every name a crvanet module imports is used in that module, unless its
 import line says noqa; __init__.py, which re-exports, is exempt. Every
 private top-level name a module defines is read in that module. Every
-parameter of every function is read, except in overrides and hook stubs."""
+parameter of every function is read, except in overrides and hook stubs.
+Only ChannelMap.schedule writes into su_next, so that every pending
+instant also reaches the engine's agenda."""
 
 import ast
 import importlib
@@ -157,3 +159,49 @@ def test_unread_parameters_are_found():
               "def g(unused):  # noqa: ARG001\n    return 0\n")
     assert unread_parameters(source) == ["line 16: other(b)", "line 21: __init__(words)",
                                          "line 28: f(args)", "line 28: f(y)", "line 28: f(kw)"]
+
+
+def su_next_writes(source: str) -> list[str]:
+    """Writes into su_next outside ChannelMap.schedule: a (possibly
+    augmented or tuple) assignment into `x.su_next[...]`, or into a
+    subscript of any name called su_next, and any rebinding of
+    `x.su_next` but ChannelMap.__init__'s."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+        for target in targets:
+            for part in ast.walk(target):
+                into = part.value if isinstance(part, ast.Subscript) else None
+                if ((isinstance(into, ast.Attribute) and into.attr == "su_next")
+                        or (isinstance(into, ast.Name) and into.id == "su_next")):
+                    if scope != "ChannelMap.schedule":
+                        found.append(f"line {part.lineno}: {scope or '<module>'}")
+                elif (isinstance(part, ast.Attribute) and part.attr == "su_next"
+                      and isinstance(part.ctx, ast.Store) and scope != "ChannelMap.__init__"):
+                    found.append(f"line {part.lineno}: {scope or '<module>'}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_schedule_writes_su_next(path):
+    assert su_next_writes(path.read_text()) == []
+
+
+def test_su_next_writes_are_found():
+    source = ("class ChannelMap:\n"
+              "    def __init__(self):\n        self.su_next = [0.0]\n\n"
+              "    def schedule(self, v, t):\n        self.su_next[v] = t\n\n\n"
+              "def step(cmap, v):\n    cmap.su_next[v] = 1.0\n    cmap.su_next[:] += 1\n"
+              "    su_next = cmap.su_next\n    x, su_next[v] = 3, 2.0\n"
+              "    cmap.su_next = None\n    y: float = su_next[v]\n\n\n"
+              "class Other:\n    def __init__(self, cmap):\n        self.su_next = cmap.su_next\n")
+    assert su_next_writes(source) == ["line 10: step", "line 11: step", "line 13: step",
+                                      "line 14: step", "line 20: Other.__init__"]
