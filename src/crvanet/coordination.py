@@ -43,7 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ScenarioConfig, Scheme
-from .scheduling import ChannelMap
+from .scheduling import DUE_TOLERANCE, ChannelMap
 from .sensing import ChannelSensor, SenseBlock
 
 # cooperative scheme tuning
@@ -223,7 +223,7 @@ class ProposedStrategy(Strategy):
         when the vehicle has no cluster or the report is more than one
         coordination interval old."""
         cluster = self.cluster_of.item(vehicle_id)
-        if cluster < 0 or now - self.report_time > self.config.coordination_interval + 1e-12:
+        if cluster < 0 or now - self.report_time > self.config.coordination_interval + DUE_TOLERANCE:
             return []
         return self.vacant[cluster]
 

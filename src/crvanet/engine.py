@@ -7,10 +7,10 @@ sensing/occupation for every SU whose pending action is due. Speeds
 change only at decisions, so positions come in blocks of ticks computed
 at once; the PU flips come from the run's PU timeline, which alone reads
 the PU streams, in bulk. Due SUs come off the agenda, a heap of (instant,
-vehicle) that ChannelMap.schedule pushes onto: a tick pops the entries
+vehicle) that ChannelMap.schedule alone fills: a tick pops the entries
 due, drops those rescheduled since, and steps the rest by ascending id.
-Timestamps are always tickIndex * timeStep, computed fresh so no float
-error accumulates. All randomness flows through per-subsystem streams
+Tick k is at k * timeStep and epoch k at k * coordinationInterval, computed
+fresh so no float error accumulates. All randomness flows through streams
 derived from the scenario seed, making a run a pure function of (config, seed).
 """
 
@@ -22,7 +22,7 @@ from .config import ScenarioConfig, num_time_slices
 from .coordination import make_strategy
 from .mobility import Fleet
 from .report import MOVE, SimulationReport, record_event
-from .scheduling import ChannelMap, pu_timeline, schedule_next, step_pu, step_su
+from .scheduling import DUE_TOLERANCE, ChannelMap, pu_timeline, schedule_next, step_pu, step_su
 from .sensing import ChannelSensor
 from .streams import StreamBundle
 
@@ -50,19 +50,15 @@ class SimulationEngine:
 
     def run(self, trace=None, trace_mobility: bool = False) -> SimulationReport:
         config, channel_map, fleet = self.config, self.channel_map, self.fleet
-        tower_of = self.sensor.tower_of.tolist()
-        report = SimulationReport(trace=trace)
-        dt, eps, period = config.time_step, 1e-12, self.decision_period
-        # the coordination clock: epochs fire every coordinationInterval from 0
+        per_tower, report = self.sensor.per_tower, SimulationReport(trace=trace)
+        dt, eps, period = config.time_step, DUE_TOLERANCE, self.decision_period
+        # the coordination clock: epoch k is due at k * coordinationInterval
         has_epochs = self.strategy.needs_epoch and len(fleet) > 0
-        next_epoch = 0.0
+        epochs, next_epoch = 0, 0.0
         timeline = pu_timeline(self.streams.pu, self.n_ticks, dt, config.pu_hold_mean,
                                config.pu_gap_mean)
         block, row = (), 0   # the current block of fleet positions
-        # the agenda, rebuilt from su_next, which may have been set since __init__
-        su_next, pop = channel_map.su_next, heapq.heappop
-        agenda = channel_map.agenda = [(t, v) for v, t in enumerate(su_next.tolist())]
-        heapq.heapify(agenda)
+        su_next, agenda, pop = channel_map.su_next, channel_map.agenda, heapq.heappop
 
         for tick, pu_flips in enumerate(timeline):
             now = tick * dt
@@ -81,13 +77,14 @@ class SimulationEngine:
 
             # 2. the tick's PU flips; a preempted SU is rescheduled onto the agenda
             for c in pu_flips:
-                step_pu(c, tower_of[c], now, tick, channel_map, self.streams,
+                step_pu(c, c // per_tower, now, tick, channel_map, self.streams,
                         config.su_gap_mean, report)
 
             # 3. coordination epoch, for schemes that use one
             if has_epochs and now >= next_epoch - eps:
                 self.strategy.on_epoch(now, fleet, channel_map, self.streams)
-                next_epoch += config.coordination_interval
+                epochs += 1
+                next_epoch = epochs * config.coordination_interval
 
             # 4. SU sensing/occupation for the vehicles due, stale entries
             #    dropped; as x - eps rounds monotonically, due entries come first

@@ -129,16 +129,14 @@ class Fleet:
         """Move every vehicle `ticks` ticks at its held speed, wrapping at the
         road ends; returns the positions after each tick, one row per tick,
         each (previous row + step) % road bit for bit: cumsum adds left to
-        right and x % road is x on [0, road), so only an entry that leaves
-        the road is reduced, and its column's sum restarts from there."""
+        right and x % road is x on [0, road), so only a column that leaves
+        the road is redone, tick by tick on Python floats (% as numpy's)."""
         road, step = self.config.road_length, self.speeds * self.directions * dt
         rows = np.vstack([self.positions, np.tile(step, (ticks, 1))]).cumsum(axis=0)[1:]
         off = np.signbit(rows) | (rows >= road)  # -0.0 % road is 0.0
-        while (cols := np.flatnonzero(off.any(axis=0))).size:
-            t, first = np.arange(ticks)[:, None], off[:, cols].argmax(axis=0)
-            sub = np.where(t < first, 0.0, step[cols])  # 0.0 + x is x
-            sub[first, range(cols.size)] = rows[first, cols] % road
-            rows[:, cols] = sub = np.where(t < first, rows[:, cols], sub.cumsum(axis=0))
-            off[:, cols] = (np.signbit(sub) | (sub >= road)) & (t > first)  # -tiny % road is road
+        for c in np.flatnonzero(off.any(axis=0)).tolist():
+            x, s = self.positions.item(c), step.item(c)
+            for t in range(ticks):
+                rows[t, c] = x = (x + s) % road
         self.positions = rows[-1]
         return rows

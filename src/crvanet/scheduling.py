@@ -10,9 +10,8 @@ at most one SU ever holds a channel.
 
 SUs keep a pending instant each, drawn as they go, with an extra failure
 path: a failed acquisition attempt pushes the next attempt out by exactly
-the back-off time. ``ChannelMap.schedule`` alone sets a pending instant,
-and also pushes it onto the map's agenda, the heap the engine pops due
-SUs from.
+the back-off time. ``ChannelMap.schedule`` alone sets a pending instant
+and pushes it onto the agenda, the heap the engine pops due SUs from.
 """
 
 from __future__ import annotations
@@ -36,6 +35,8 @@ from .report import (
 )
 from .sensing import classify_block
 
+DUE_TOLERANCE = 1e-12  # s: an event is due at the first tick k with k * dt >= instant - this
+
 
 def schedule_next(mean: float, rng: np.random.Generator) -> float:
     """Exponential holding/gap draw, strictly positive."""
@@ -49,10 +50,10 @@ def schedule_next(mean: float, rng: np.random.Generator) -> float:
 
 class ChannelMap:
     """The shared run state of both state machines: per channel the PU
-    state and the SU holder (with its position when it took the channel),
-    per vehicle the channel it holds (-1 when idle) and the pending
-    instant of its next action; the agenda holds (instant, vehicle) for
-    every instant scheduled and not yet popped, as a heap."""
+    state and the SU holder (-1 for none) with its position when it took
+    the channel, per vehicle the channel it holds (-1 when idle) and the
+    pending instant of its next action; the agenda holds (instant,
+    vehicle) for every instant scheduled and not yet popped, as a heap."""
 
     def __init__(self, n_channels: int, n_vehicles: int):
         self.n_channels = n_channels
@@ -67,10 +68,6 @@ class ChannelMap:
         """Set the vehicle's pending instant; the only writer of su_next."""
         self.su_next[vehicle_id] = instant
         heapq.heappush(self.agenda, (instant, vehicle_id))
-
-    def holder_of(self, channel_id: int) -> int | None:
-        holder = int(self.su_holder[channel_id])
-        return holder if holder >= 0 else None
 
     def set_holder(self, channel_id: int, vehicle_id: int, position: float) -> None:
         if self.su_holder[channel_id] >= 0:
@@ -98,9 +95,9 @@ def pu_timeline(rngs, n_ticks: int, dt: float, hold_mean: float, gap_mean: float
     is due one draw from rngs[c] after flip j-1, or after 0.0: standard
     exponential times the gap mean for even j, the hold mean for odd j, a
     draw <= 0 skipped. It fires at the first tick k after flip j-1 (from
-    tick 0) with k * dt >= due - 1e-12. Per block of ticks, steps taken
-    from each draw alone are summed, all flips are checked against that
-    rule at once, and only a channel that fails is redone flip by flip."""
+    tick 0) with k * dt >= due - DUE_TOLERANCE. Per block of ticks, the
+    steps from each draw alone are summed, every flip is checked against
+    that rule at once, and a channel that fails is redone flip by flip."""
     n, span = len(rngs), min(WINDOW, n_ticks)
     width = int(min(span, 4 * span * dt / (gap_mean + hold_mean) + 16))  # draws per block
     # per channel: a block of draws, how many the last block used, time and parity of the last flip
@@ -112,7 +109,7 @@ def pu_timeline(rngs, n_ticks: int, dt: float, hold_mean: float, gap_mean: float
 @np.errstate(over="ignore")  # a draw past float range is due never
 def _pu_block(rngs, x, used, base, odd, start: int, end: int, dt: float, means: tuple):
     """The flips of ticks [start, end), one list per tick; updates the state."""
-    eps, (n, width) = 1e-12, x.shape
+    eps, (n, width) = DUE_TOLERANCE, x.shape
     rows, columns, alternating = np.arange(n), np.arange(width), np.resize(means, width + 1)
     x[columns < width - used[:, None]] = x[columns >= used[:, None]]  # the draws left unused
     for rng, row, u in zip(rngs, x, used.tolist()):
@@ -153,7 +150,7 @@ def _flip_ticks(c: int, rng, x, used, base, odd, start: int, end: int, dt: float
         draw = raw * means[parity]
         if draw <= 0.0:
             continue
-        target = now + draw - 1e-12
+        target = now + draw - DUE_TOLERANCE
         if target > (end - 1) * dt:
             draws.insert(0, raw)
             break
@@ -180,8 +177,8 @@ def step_pu(channel_id: int, tower_id: int, now: float, tick: int, channel_map: 
         channel_map.pu_active[channel_id] = False
         record_event(report, PU_VACATED, tick, now, channel_id, tower_id)
     else:
-        holder = channel_map.holder_of(channel_id)
-        if holder is not None:
+        holder = channel_map.su_holder.item(channel_id)
+        if holder >= 0:
             channel_map.clear_holder(channel_id)
             channel_map.schedule(holder, now + schedule_next(su_gap_mean, streams.su[holder]))
             record_event(report, SU_PREEMPTED, tick, now, channel_id, holder)
@@ -213,8 +210,8 @@ def step_su(vehicle_id: int, positions: np.ndarray, now: float, tick: int,
     block, chosen = coord_view.attempt(vehicle_id, positions, now, channel_map, streams)
     if block is not None:
         ids, occupied, truth = block.channel_ids, block.occupied, block.truth
-        if isinstance(ids, list):   # listed channels: classify_block's formula, in Python
-            classes = [(o != t) * (2 - o) for o, t in zip(occupied, truth)]
+        if isinstance(ids, list):   # listed channels: classified pair by pair, in Python
+            classes = list(map(classify_block, occupied, truth))
         else:
             ids, classes = ids.tolist(), classify_block(occupied, truth).tolist()
         record_senses(report, tick, now, ids, vehicle_id, classes)
@@ -222,7 +219,7 @@ def step_su(vehicle_id: int, positions: np.ndarray, now: float, tick: int,
         channel_map.schedule(vehicle_id, now + back_off_time)
         record_event(report, SU_BACKOFF, tick, now, -1, vehicle_id)
         return
-    if channel_map.holder_of(chosen) is not None:
+    if channel_map.su_holder.item(chosen) >= 0:
         channel_map.schedule(vehicle_id, now + back_off_time)
         record_event(report, SU_BACKOFF, tick, now, chosen, vehicle_id, "holder-conflict")
         return

@@ -129,11 +129,11 @@ def detection_threshold(target_pfa: float, n_samples: int) -> float:
 CLASSES = ("correctDetection", "falseAlarm", "misdetection")
 
 
-def classify_block(occupied: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """Classify arrays of (decided occupied, truly occupied) against each
-    other: one index into CLASSES per entry. Agreement is a correct
-    detection, a wrong occupied decision a false alarm, a wrong vacant one
-    a misdetection: a disagreement times 1 if occupied, 2 if vacant."""
+def classify_block(occupied, truth):
+    """One index into CLASSES per (decided occupied, truly occupied) pair,
+    of two bool arrays or of two bools. Agreement is a correct detection,
+    a wrong occupied decision a false alarm, a wrong vacant one a
+    misdetection: a disagreement times 1 if occupied, 2 if vacant."""
     return (occupied != truth) * (2 - occupied)
 
 
@@ -164,8 +164,7 @@ class ChannelSensor:
         self.su_snr_linear = 10.0 ** (SU_SENSE_SNR_DB / 10.0)
         # the channel plan: the towers split the band evenly, tower t owning
         # the contiguous channels [t * per_tower, (t + 1) * per_tower)
-        self._per_tower = per_tower = config.n_channels // config.n_pu_towers
-        self.tower_of = np.repeat(np.arange(config.n_pu_towers), per_tower)
+        self.per_tower = per_tower = config.n_channels // config.n_pu_towers
         # the whole band, read-only, and its tower runs
         self.band = np.arange(config.n_channels)
         self.band.flags.writeable = False
@@ -259,7 +258,7 @@ class ChannelSensor:
             pu_active = channel_map.pu_active[channel_ids]
             holders = channel_map.su_holder[channel_ids]
             holder_pos = channel_map.su_holder_pos[channel_ids]
-            towers = self.tower_of[channel_ids].reshape(-1, k)   # one row shared, or one each
+            towers = (channel_ids // self.per_tower).reshape(-1, k)   # one row shared, or one each
             run_start = np.empty(towers.shape, dtype=bool)
             run_start[:, 0] = True
             np.not_equal(towers[:, 1:], towers[:, :-1], out=run_start[:, 1:])
@@ -310,7 +309,7 @@ class ChannelSensor:
         if ids and (min(ids) < 0 or max(ids) >= self.config.n_channels):
             raise ValueError(f"unknown channel in {ids}")
         threshold = self.threshold_for(blocks)
-        towers_here = [c // self._per_tower for c in ids]
+        towers_here = [c // self.per_tower for c in ids]
         gains = {t: iter(streams.fading[t][observer]   # per sensed tower, block-major
                          .standard_exponential(blocks * towers_here.count(t)).tolist())
                  for t in set(towers_here)}

@@ -33,6 +33,26 @@ def test_clock_is_exact_product():
     assert all(e.time == e.tick * config.time_step for e in report.trace)
 
 
+def test_epoch_clock_is_counted_not_accumulated():
+    """Epoch k fires on tick 20k (20 ms interval, 1 ms step) for all of a
+    43 s run; a clock that adds the interval per epoch drifts, and fires
+    its epochs one tick late from tick 42,261 on."""
+    config = replace(ScenarioConfig(), running_time=43.0, n_vehicles=1, n_channels=1,
+                     n_pu_towers=1, pu_hold_mean=1e4, pu_gap_mean=1e4, su_hold_mean=1e4,
+                     su_gap_mean=1e4, scheme=Scheme.PROPOSED).validate()
+    engine = SimulationEngine(config)
+    fired, on_epoch = [], engine.strategy.on_epoch
+
+    def record(now, *args):
+        fired.append(now)
+        on_epoch(now, *args)
+
+    engine.strategy.on_epoch = record
+    engine.run()
+    assert round(config.coordination_interval / config.time_step) == 20
+    assert fired == [20 * k * config.time_step for k in range(2150)]
+
+
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_traced_and_untraced_runs_count_alike(scheme):
     config = replace(ScenarioConfig(), running_time=0.2, seed=11, scheme=scheme).validate()

