@@ -16,11 +16,12 @@ import contextlib
 import os
 import sys
 from dataclasses import replace
+from operator import itemgetter
 
 from .config import ScenarioConfig, Scheme, ScenarioError, load_scenario_file
 from .engine import run_simulation
 from .plots import render_plots
-from .report import COUNTERS, SENSE, SenseRows, TraceEvent
+from .report import COUNTERS, MOVE, SENSE, MoveRows, PuRows, SenseRows, TraceEvent
 from .sensing import CLASSES
 from .sweep import AXES, SweepSpec, run_sweep, write_csv
 
@@ -37,28 +38,46 @@ class _ChannelText(dict):   # channel id -> its decimal text, made on first use
         return text
 
 
+def _gather(table, keys) -> tuple | list:   # itemgetter alone gives a bare item for one key
+    return itemgetter(*keys)(table) if len(keys) > 1 else [table[k] for k in keys]
+
+
 class _TraceWriter:
     """The --trace sink: writes each event as the CSV row "%d,%.6f,%s,%d,%d,%s\n" % event
-    as it arrives, a single event through append() and a sensing block
-    through extend() in one write; len() counts rows."""
+    as it arrives, through a 64 KiB buffer: a single event through append(),
+    a block (SenseRows, PuRows or MoveRows) through extend() as one string
+    with its "tick,time," formatted once; len() counts rows."""
 
     def __init__(self, path: str):
-        self.file = open(path, "w", encoding="ascii", newline="")
+        self.file = open(path, "w", encoding="ascii", newline="", buffering=1 << 16)
         self.write, self.rows, self.channels = self.file.write, 0, _ChannelText()
+        self.speeds = None   # the last MoveRows' speeds, with self.moves its rows' format
         self.write("tick,time,event,channel,actor,detail\n")
 
     def append(self, event: TraceEvent) -> None:
         self.write("%d,%.6f,%s,%d,%d,%s\n" % event)
         self.rows += 1
 
-    def extend(self, rows: SenseRows) -> None:
-        """One SenseRows block: "tick,time,sense," and the actor's class tails
-        are formatted once, each row joins its channel's text and its tail."""
-        head, channels = "%d,%.6f,%s," % (rows.tick, rows.time, SENSE), self.channels
-        tails = [",%d,%s\n" % (rows.actor_id, detail) for detail in CLASSES]
-        self.write("".join([head + channels[c] + tails[k]
-                            for c, k in zip(rows.channel_ids, rows.classes)]))
-        self.rows += len(rows.classes)
+    def extend(self, rows: SenseRows | PuRows | MoveRows) -> None:
+        head = "%d,%.6f," % (rows.tick, rows.time)
+        if type(rows) is SenseRows:   # pieces: the channels' texts, the actor's class tails
+            n, tails = len(rows.classes), [",%d,%s\n" % (rows.actor_id, c) for c in CLASSES]
+            pieces = [head + SENSE + ","] * (3 * n)
+            pieces[1::3] = _gather(self.channels, rows.channel_ids)
+            pieces[2::3] = _gather(tails, rows.classes)
+            text = "".join(pieces)
+        elif type(rows) is PuRows:
+            n = len(rows.events) // 3
+            text = (head + "%s,%d,%d,\n") * n % tuple(rows.events)
+        else:   # speeds hold until Fleet.decide makes a new array: their text is made once
+            if rows.speeds is not self.speeds:   # \0 stands for the head, which has no %
+                self.speeds, self.moves = rows.speeds, "".join(
+                    "\0%s,-1,%d,%%.3f,%.3f\n" % (MOVE, i, v)
+                    for i, v in enumerate(rows.speeds.tolist()))
+            n = len(rows.speeds)
+            text = self.moves.replace("\0", head) % tuple(rows.positions.tolist())
+        self.write(text)
+        self.rows += n
 
     def __len__(self) -> int:
         return self.rows

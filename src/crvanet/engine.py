@@ -21,7 +21,7 @@ import heapq
 from .config import ScenarioConfig, num_time_slices
 from .coordination import make_strategy
 from .mobility import Fleet
-from .report import MOVE, SimulationReport, record_event
+from .report import MoveRows, SimulationReport, record_event  # noqa: F401  perfbench's lookup site
 from .scheduling import DUE_TOLERANCE, ChannelMap, pu_timeline, schedule_next, step_pu, step_su
 from .sensing import ChannelSensor
 from .streams import StreamBundle
@@ -72,12 +72,11 @@ class SimulationEngine:
                                                    self.n_ticks - tick)), 0
             fleet.positions, row = block[row], row + 1
             if trace_mobility and trace is not None:
-                for i, (x, v) in enumerate(zip(fleet.positions.tolist(), fleet.speeds.tolist())):
-                    record_event(report, MOVE, tick, now, -1, i, f"{x:.3f},{v:.3f}")
+                trace.extend(MoveRows(tick, now, fleet.positions, fleet.speeds))
 
             # 2. the tick's PU flips; a preempted SU is rescheduled onto the agenda
-            for c in pu_flips:
-                step_pu(c, c // per_tower, now, tick, channel_map, self.streams,
+            if pu_flips:
+                step_pu(pu_flips, per_tower, now, tick, channel_map, self.streams,
                         config.su_gap_mean, report)
 
             # 3. coordination epoch, for schemes that use one

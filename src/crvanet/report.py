@@ -60,8 +60,8 @@ class SimulationReport:
     harmful_occupations: int = 0
     preemptions: int = 0
     backoffs: int = 0
-    # or any sink with a list's append(event) and extend(events); each sensing
-    # block comes through extend() as one SenseRows, every other event alone
+    # or any sink with a list's append(event) and extend(events): SU events come
+    # through append(), blocks (SenseRows, PuRows, MoveRows) through extend()
     trace: list[TraceEvent] | None = None
 
     @property
@@ -137,3 +137,28 @@ def record_senses(report: SimulationReport, tick: int, time: float, channel_ids:
     report.misdetections += classes.count(2)
     report.sensing_events += len(classes)
     report.trace.extend(SenseRows(tick, time, channel_ids, actor_id, classes))
+
+
+class PuRows:
+    """One tick's PU events in step_pu's order, flat: event, channel, actor
+    per row. Iterates as the TraceEvents record_event would build."""
+
+    def __init__(self, tick: int, time: float, events: list):
+        self.tick, self.time, self.events = tick, time, events
+
+    def __iter__(self):
+        events = iter(self.events)
+        for row in zip(events, events, events):
+            yield _tuple_new(TraceEvent, (self.tick, self.time, *row, ""))
+
+
+class MoveRows:
+    """The fleet's position and speed arrays, by vehicle id, at one tick.
+    Iterates as the TraceEvents one move record_event per vehicle would build."""
+
+    def __init__(self, tick: int, time: float, positions, speeds):
+        self.tick, self.time, self.positions, self.speeds = tick, time, positions, speeds
+
+    def __iter__(self):
+        for i, (x, v) in enumerate(zip(self.positions.tolist(), self.speeds.tolist())):
+            yield _tuple_new(TraceEvent, (self.tick, self.time, MOVE, -1, i, f"{x:.3f},{v:.3f}"))

@@ -3,10 +3,10 @@
 Each licensed channel runs an occupy/vacate state machine with
 exponential hold and gap times. Its flips never depend on the SUs, so
 ``pu_timeline`` draws them in bulk, a block of ticks ahead of the tick
-loop, and ``step_pu`` applies one. A PU occupying a channel held by an SU tears the SU down
-first — the abstract control-channel notification — before it starts
-transmitting, so occupy events strictly alternate with vacate events and
-at most one SU ever holds a channel.
+loop, and ``step_pu`` applies a tick's flips. A PU occupying a channel
+held by an SU tears the SU down first — the abstract control-channel
+notification — before it starts transmitting, so occupy events strictly
+alternate with vacate events and at most one SU ever holds a channel.
 
 SUs keep a pending instant each, drawn as they go, with an extra failure
 path: a failed acquisition attempt pushes the next attempt out by exactly
@@ -29,6 +29,7 @@ from .report import (
     SU_OCCUPIED,
     SU_PREEMPTED,
     SU_VACATED,
+    PuRows,
     SimulationReport,
     record_event,
     record_senses,
@@ -164,26 +165,31 @@ def _flip_ticks(c: int, rng, x, used, base, odd, start: int, end: int, dt: float
     return ticks
 
 
-def step_pu(channel_id: int, tower_id: int, now: float, tick: int, channel_map: ChannelMap,
+def step_pu(channel_ids: list[int], per_tower: int, now: float, tick: int, channel_map: ChannelMap,
             streams, su_gap_mean: float, report: SimulationReport) -> None:
-    """Apply one PU flip from the run's timeline, recording its events in
-    order.
+    """Apply one tick's PU flips from the run's timeline by ascending channel,
+    recording their events in order; a PU event's actor is channel // per_tower.
 
     Occupation preempts any SU holding the channel: the SU is cleared and
     rescheduled (its next attempt drawn from its own gap process) before
-    the pu-occupied event fires.
+    the pu-occupied event fires. Untraced, each event is one record_event
+    call; traced, the sink gets the tick's events as one PuRows.
     """
-    if channel_map.pu_active[channel_id]:
-        channel_map.pu_active[channel_id] = False
-        record_event(report, PU_VACATED, tick, now, channel_id, tower_id)
-    else:
-        holder = channel_map.su_holder.item(channel_id)
+    pu_active, su_holder, rows = channel_map.pu_active, channel_map.su_holder, []
+    emit = record_event if report.trace is None else (   # traced: rows, flat, 3 items a row
+        lambda _report, kind, _tick, _now, channel, actor: rows.extend((kind, channel, actor)))
+    for c in channel_ids:
+        occupied = not pu_active[c]
+        pu_active[c] = occupied
+        holder = su_holder.item(c) if occupied else -1
         if holder >= 0:
-            channel_map.clear_holder(channel_id)
+            channel_map.clear_holder(c)
             channel_map.schedule(holder, now + schedule_next(su_gap_mean, streams.su[holder]))
-            record_event(report, SU_PREEMPTED, tick, now, channel_id, holder)
-        channel_map.pu_active[channel_id] = True
-        record_event(report, PU_OCCUPIED, tick, now, channel_id, tower_id)
+            emit(report, SU_PREEMPTED, tick, now, c, holder)
+        emit(report, PU_OCCUPIED if occupied else PU_VACATED, tick, now, c, c // per_tower)
+    if rows:
+        report.preemptions += rows.count(SU_PREEMPTED)
+        report.trace.extend(PuRows(tick, now, rows))
 
 
 def step_su(vehicle_id: int, positions: np.ndarray, now: float, tick: int,

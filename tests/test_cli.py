@@ -3,6 +3,7 @@ import hashlib
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import crvanet.cli
@@ -15,6 +16,10 @@ from crvanet.report import (
     SENSE,
     SU_BACKOFF,
     SU_OCCUPIED,
+    SU_PREEMPTED,
+    SU_VACATED,
+    MoveRows,
+    PuRows,
     SenseRows,
     TraceEvent,
 )
@@ -65,12 +70,15 @@ def test_simulate_writes_trace(scenario_file, tmp_path, capsys, monkeypatch):
 
 
 def test_trace_writer_rows_match_the_reference_format(tmp_path):
-    """The writer reuses each (tick, time) prefix and writes a sensing block
-    in one go; every row must still read as the one-format row of its event:
-    one tick at two times, a tick that returns after another, -1 ids, a move
-    detail with a comma, an empty detail, a block at a new tick, a block
-    after an append at the same (tick, time) and an append after it, channel
-    ids the writer has not seen and seen ones, and an empty block."""
+    """The writer writes each block (SenseRows, PuRows, MoveRows) in one go,
+    formatting its (tick, time) prefix once and a fleet's speed texts once
+    per speed array; every row must still read as the one-format row of its
+    event: one tick at two times, a tick that returns after another, -1 ids,
+    a move detail with a comma, an empty detail, blocks of each kind at a new
+    tick, after an append at the same (tick, time) and before an append,
+    channel ids the writer has not seen and seen ones, empty and one-row
+    blocks, 0.0 and -0.0 at one tick, and moves at held and at new speeds."""
+    speeds = np.array([27.7775, 0.0625, 33.3333])
     items = [
         TraceEvent(3, 0.003, PU_VACATED, 7, 2),
         TraceEvent(3, 0.003, SENSE, 7, 11, "falseAlarm"),
@@ -87,19 +95,32 @@ def test_trace_writer_rows_match_the_reference_format(tmp_path):
         SenseRows(7, 0.007, [], 13, []),
         TraceEvent(7, 0.007, SU_OCCUPIED, 123, 12),
         SenseRows(7, 0.0075, [5], 1000, [1]),
+        PuRows(7, 0.0075, []),
+        PuRows(8, 0.008, [PU_VACATED, 5, 0]),
+        TraceEvent(8, 0.008, SU_OCCUPIED, 5, 3),
+        PuRows(8, 0.008, [SU_PREEMPTED, 4321, 3, PU_OCCUPIED, 4321, 43, PU_OCCUPIED, 9, 0]),
+        TraceEvent(8, 0.008, SU_BACKOFF, -1, 7),
+        SenseRows(9, 0.0, [77], 2, [0]),
+        PuRows(9, -0.0, [PU_VACATED, 77, 7]),
+        MoveRows(9, -0.0, np.array([]), np.array([])),
+        MoveRows(10, 0.01, np.array([12.3456]), speeds[:1]),
+        TraceEvent(10, 0.01, SU_VACATED, 8, 0),
+        MoveRows(10, 0.01, np.array([0.0, 1999.9996, 1e-4]), speeds),
+        MoveRows(11, 0.011, np.array([0.0005, 2.5, 1e300]), speeds),
+        MoveRows(12, 0.012, np.array([3.0, 4.0, 5.0]), speeds + 1.0),
     ]
-    events = [e for item in items for e in (item if isinstance(item, SenseRows) else [item])]
+    events = [e for item in items for e in ([item] if isinstance(item, TraceEvent) else item)]
     path = tmp_path / "trace.csv"
     writer = _TraceWriter(str(path))
     with writer.file:
         for item in items:
-            if isinstance(item, SenseRows):
-                writer.extend(item)
-            else:
+            if isinstance(item, TraceEvent):
                 writer.append(item)
+            else:
+                writer.extend(item)
     assert path.read_text(encoding="ascii") == "tick,time,event,channel,actor,detail\n" + "".join(
         "%d,%.6f,%s,%d,%d,%s\n" % event for event in events)
-    assert len(writer) == len(events) == 18
+    assert len(writer) == len(events) == 37
 
 
 # sha256 of `crvanet simulate --trace` output for each scheme at a 0.3 s
@@ -157,6 +178,9 @@ class _FillsUp:
 
 def test_write_error_during_run_is_a_trace_failure(scenario_file, tmp_path, capsys,
                                                    monkeypatch):
+    """A write that fails part-way, through a block or a single event, with
+    and without the move rows, fails the run as trace writing and leaves no
+    file."""
     fills_up = []
 
     def open_fills_up(*args, **kwargs):
@@ -165,12 +189,15 @@ def test_write_error_during_run_is_a_trace_failure(scenario_file, tmp_path, caps
 
     monkeypatch.setattr(crvanet.cli, "open", open_fills_up, raising=False)
     trace = tmp_path / "trace.csv"
-    assert main(["simulate", "--config", scenario_file, "--trace", str(trace)]) == 1
-    err = capsys.readouterr().err
-    assert "trace writing failed" in err and os.strerror(errno.ENOSPC) in err
-    assert "simulation failed" not in err
-    assert fills_up[0].room == 0 and fills_up[0].file.closed
-    assert not trace.exists()
+    argv = ["simulate", "--config", scenario_file, "--trace", str(trace)]
+    for mobility in (False, True):
+        assert main(argv + ["--trace-mobility"] * mobility) == 1
+        err = capsys.readouterr().err
+        assert "trace writing failed" in err and os.strerror(errno.ENOSPC) in err
+        assert "simulation failed" not in err
+        assert fills_up[-1].room == 0 and fills_up[-1].file.closed
+        assert not trace.exists()
+    assert len(fills_up) == 2
 
 
 def test_failed_run_leaves_no_partial_trace(scenario_file, tmp_path, capsys, monkeypatch):
@@ -200,17 +227,20 @@ def _peak_traced_bytes(argv):
 
 def test_traced_run_memory_stays_flat(tmp_path, capsys):
     """Trace rows go to the file as they happen: a traced 1 s standalone run
-    (about 70k rows) peaks within 2 MB of the untraced run, where holding
-    every event until the end took about 9.5 MB more."""
+    (about 70k rows, 50k more with the moves) peaks within 2 MB of the
+    untraced run, where holding every event until the end took about 9.5 MB
+    more; each block's text and the 64 KiB write buffer stay small."""
     scenario = tmp_path / "scenario.txt"
     scenario.write_text("scheme = standalone\nrunningTime = 1 s\n")
     argv = ["simulate", "--config", str(scenario), "--seed", "1"]
     assert main(argv) == 0   # warm lazy state outside the measurement
     untraced = _peak_traced_bytes(argv)
     trace = tmp_path / "trace.csv"
-    traced = _peak_traced_bytes(argv + ["--trace", str(trace)])
-    assert len(trace.read_text().splitlines()) > 50_000
-    assert traced - untraced < 2_000_000
+    for mobility in (False, True):
+        traced = _peak_traced_bytes(argv + ["--trace", str(trace)]
+                                    + ["--trace-mobility"] * mobility)
+        assert len(trace.read_text().splitlines()) > 50_000 + 50_000 * mobility
+        assert traced - untraced < 2_000_000
 
 
 def test_trace_mobility_needs_trace(scenario_file, capsys):

@@ -4,8 +4,10 @@ Every example is a short run (at most 0.2 s) of 0-12 vehicles on 1-2
 towers with 1-5 channels each, with hold and gap means short enough that
 PUs and SUs change state many times. The engine's agenda of due SUs is
 checked against a scan of every SU's pending instant on every tick, with
-means and back-off times of a few time steps. The coordinator election is
-checked on its own, over fleets of 1-40 vehicles. The CLI's streamed trace is
+means and back-off times of a few time steps. One tick's PU flips are
+checked against the flip-by-flip rule on maps of 1-12 channels whose idle
+channels may have SU holders, traced and untraced. The coordinator
+election is checked on its own, over fleets of 1-40 vehicles. The CLI's streamed trace is
 checked against the list sink on the default scenario, at horizons of at
 most 0.15 s. Fleet motion in blocks is checked against one tick at a
 time over fleets of 0-6 vehicles. Examples are derandomized, so the suite
@@ -18,12 +20,14 @@ import os
 import tempfile
 from collections import Counter, defaultdict
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import crvanet.scheduling
 from crvanet.cli import main
 from crvanet.config import ScenarioConfig, Scheme, load_scenario_file
 from crvanet.coordination import elect_coordinators
@@ -40,8 +44,10 @@ from crvanet.report import (
     SU_PREEMPTED,
     SU_VACATED,
     SimulationReport,
+    TraceEvent,
+    record_event,
 )
-from crvanet.scheduling import WINDOW, pu_timeline, schedule_next, step_pu, step_su
+from crvanet.scheduling import ChannelMap, WINDOW, pu_timeline, schedule_next, step_pu, step_su
 from crvanet.sensing import CLASSES
 from crvanet.streams import StreamBundle
 
@@ -146,8 +152,9 @@ def scan_run(engine, trace):
         if tick % engine.decision_period == 0:
             fleet.decide()
         fleet.advance(dt)
-        for c in pu_flips:
-            step_pu(c, c // per_tower, now, tick, cmap, engine.streams, config.su_gap_mean, report)
+        if pu_flips:
+            step_pu(pu_flips, per_tower, now, tick, cmap, engine.streams, config.su_gap_mean,
+                    report)
         if (strategy.needs_epoch and len(fleet) > 0
                 and now >= epochs * config.coordination_interval - eps):
             strategy.on_epoch(now, fleet, cmap, engine.streams)
@@ -193,6 +200,96 @@ def test_agenda_steps_what_the_scan_steps(config):
     expected = scan_run(SimulationEngine(config), trace=[])
     assert report.counters == expected.counters
     assert report.trace == expected.trace
+
+
+def step_pu_per_flip(channel_id, tower_id, now, tick, channel_map, streams, su_gap_mean,
+                     report):
+    """The PU rule one flip at a time, as step_pu applied it before it took
+    a tick's flips: the reference for the per-tick step_pu."""
+    if channel_map.pu_active[channel_id]:
+        channel_map.pu_active[channel_id] = False
+        record_event(report, PU_VACATED, tick, now, channel_id, tower_id)
+    else:
+        holder = channel_map.su_holder.item(channel_id)
+        if holder >= 0:
+            channel_map.clear_holder(channel_id)
+            channel_map.schedule(holder, now + schedule_next(su_gap_mean, streams.su[holder]))
+            record_event(report, SU_PREEMPTED, tick, now, channel_id, holder)
+        channel_map.pu_active[channel_id] = True
+        record_event(report, PU_OCCUPIED, tick, now, channel_id, tower_id)
+
+
+@st.composite
+def pu_ticks(draw):
+    """One tick's ascending PU flips over 1-3 towers of 1-4 channels, on a
+    map where each idle channel may have an SU holder (1-8 vehicles, each
+    with a pending instant on the agenda); returns the step_pu arguments
+    but the map and streams, and a function that builds those afresh."""
+    towers, per_tower = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    n_vehicles = draw(st.integers(1, 8))
+    n_channels = towers * per_tower
+    active = draw(st.lists(st.booleans(), min_size=n_channels, max_size=n_channels))
+    idle = [c for c in range(n_channels) if not active[c] and draw(st.booleans())]
+    held = dict(zip(idle, draw(st.permutations(range(n_vehicles)))))
+    flips = sorted(draw(st.sets(st.integers(0, n_channels - 1), min_size=1)))
+    tick, seed = draw(st.integers(0, 10**6)), draw(st.integers(0, 2**20))
+    pending = draw(st.lists(st.floats(0.0, 1e3), min_size=n_vehicles, max_size=n_vehicles))
+
+    def fresh():
+        cmap = ChannelMap(n_channels, n_vehicles)
+        cmap.pu_active[:] = active
+        for v, instant in enumerate(pending):
+            cmap.schedule(v, instant)
+        for c, v in held.items():
+            cmap.set_holder(c, v, 10.0 * v + c)
+        return cmap, StreamBundle(seed, n_vehicles, n_channels, towers)
+
+    gap = draw(st.sampled_from([0.001, 0.05]))
+    return (flips, per_tower, tick * 0.001, tick, gap), fresh
+
+
+def map_state(cmap, streams):
+    """Everything a PU flip may change, and the state of every SU generator."""
+    return (cmap.pu_active.tolist(), cmap.su_holder.tolist(), cmap.su_holder_pos.tolist(),
+            cmap.su_channel.tolist(), cmap.su_next.tolist(), list(cmap.agenda),
+            [rng.bit_generator.state for rng in streams.su])
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(pu_ticks())
+def test_step_pu_applies_a_tick_flip_by_flip(case):
+    """step_pu on a tick's flips leaves the map, the agenda and the SU
+    generators as step_pu_per_flip on each flip in turn does, with the same
+    counters; traced into a list it collects the same events, and untraced
+    it makes the same record_event calls, in order and field for field."""
+    (flips, per_tower, now, tick, gap), fresh = case
+    cmap, streams = fresh()
+    expected = SimulationReport(trace=[])
+    for c in flips:
+        step_pu_per_flip(c, c // per_tower, now, tick, cmap, streams, gap, expected)
+    expected_state = map_state(cmap, streams)
+
+    cmap, streams = fresh()
+    traced = SimulationReport(trace=[])
+    step_pu(flips, per_tower, now, tick, cmap, streams, gap, traced)
+    assert map_state(cmap, streams) == expected_state
+    assert traced.counters == expected.counters
+    assert traced.trace == expected.trace
+    assert {type(e) for e in traced.trace} == {TraceEvent}
+
+    calls = []
+
+    def counted(report, kind, tick, time, channel_id=-1, actor_id=-1, detail=""):
+        calls.append(TraceEvent(tick, time, kind, channel_id, actor_id, detail))
+        record_event(report, kind, tick, time, channel_id, actor_id, detail)
+
+    cmap, streams = fresh()
+    untraced = SimulationReport()
+    with mock.patch.object(crvanet.scheduling, "record_event", counted):
+        step_pu(flips, per_tower, now, tick, cmap, streams, gap, untraced)
+    assert map_state(cmap, streams) == expected_state
+    assert untraced.counters == expected.counters
+    assert calls == expected.trace
 
 
 # the counter each trace row type or sense class bumps

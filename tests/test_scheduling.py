@@ -51,8 +51,10 @@ class TestScheduleNext:
 
 
 class TestStepPu:
-    """step_pu applies one flip of the run's PU timeline; the channel is 2
-    on tower 0, and its flips come from pu_timeline at a 1 ms step."""
+    """step_pu applies one tick of the run's PU timeline; here the tick's
+    only flip is channel 2's, on tower 0 of 4 channels, and its flips come
+    from pu_timeline at a 1 ms step. tests/test_properties.py checks ticks
+    of many flips against the flip-by-flip rule."""
 
     def _setup(self):
         return ChannelMap(4, 3), StreamBundle(5, 3, 4, 1)
@@ -61,7 +63,7 @@ class TestStepPu:
     def _step(tick, cmap, streams):
         """step_pu at the tick into a fresh traced report; returns the recorded events."""
         report = SimulationReport(trace=[])
-        step_pu(2, 0, tick * 0.001, tick, cmap, streams, 0.05, report)
+        step_pu([2], 4, tick * 0.001, tick, cmap, streams, 0.05, report)
         return report.trace
 
     @staticmethod
@@ -107,7 +109,7 @@ class TestStepPu:
         cmap, streams = self._setup()
         cmap.set_holder(2, vehicle_id=1, position=100.0)
         report = SimulationReport(trace=[])
-        step_pu(2, 0, 1.0, 1000, cmap, streams, 0.05, report)
+        step_pu([2], 4, 1.0, 1000, cmap, streams, 0.05, report)
         events = report.trace
         assert [e.event for e in events] == [SU_PREEMPTED, PU_OCCUPIED]
         assert events[0].channel_id == events[1].channel_id == 2
