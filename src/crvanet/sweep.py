@@ -6,12 +6,17 @@ collects the per-run counters into a table ordered by (value, scheme,
 seed) regardless of execution order. Runs share nothing, so sweep points
 may execute in parallel; the CRVANET_PARALLEL environment variable sets
 the worker count (default and ceiling: one worker per usable core, 1
-forces in-process serial execution).
+forces in-process serial execution). The calling process is one of the
+workers: it forks workers - 1 helpers, each of which runs an interleaved
+share of the points and pipes its rows back, and runs share 0 itself.
+Where os.fork is missing, sweeps run serially in process.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 from dataclasses import dataclass, replace
 
 from .config import ScenarioConfig, ScenarioError, Scheme
@@ -134,7 +139,8 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepTable:
     """Run every (value, scheme, seed) combination, rows in that order.
 
     Execution may be parallel; the result is identical either way. A run
-    failure aborts the sweep naming the offending triple.
+    failure aborts the sweep naming the offending triple, the first one in
+    sweep order.
     """
     spec.validate()
     jobs = []
@@ -145,13 +151,77 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepTable:
                 jobs.append((config, value, scheme, seed))
 
     workers = resolve_workers(workers, len(jobs))
-    if workers == 1:
+    if workers == 1 or not hasattr(os, "fork"):
         rows = tuple(map(_run_point, jobs))
     else:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(_run_point, jobs))
+        rows = _fan_out(jobs, workers)
     return SweepTable(spec_axis=spec.axis, rows=rows)
+
+
+def _run_share(jobs: list, start: int, step: int) -> tuple:
+    """The rows of jobs[start::step] in order, stopping at the first failure;
+    with that failure as (job index, error), or None."""
+    rows = []
+    for index in range(start, len(jobs), step):
+        try:
+            rows.append(_run_point(jobs[index]))
+        except RuntimeError as exc:
+            return rows, (index, exc)
+    return rows, None
+
+
+def _fan_out(jobs: list, workers: int) -> tuple[SweepRow, ...]:
+    """Run jobs[k::workers] in forked helper k for k >= 1, and share 0 here.
+
+    Each helper sends its _run_share result as one pickled message over its
+    own pipe and leaves through os._exit. Every helper is reaped before this
+    returns or raises; one still running when this process's own share
+    raises, or is interrupted, is killed first.
+    """
+    helpers = []  # (pid, read end, share) of each helper not yet reaped
+    try:
+        for share in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:  # the helper: leaves only through os._exit
+                try:
+                    os.close(read_fd)
+                    with open(write_fd, "wb") as pipe:
+                        pickle.dump(_run_share(jobs, share, workers), pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write_fd)
+            helpers.append((pid, open(read_fd, "rb"), share))
+        shares = {0: _run_share(jobs, 0, workers)}
+        while helpers:
+            pid, pipe, share = helpers[0]
+            with pipe:
+                message = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del helpers[0]
+            if status or not message:
+                raise RuntimeError(f"sweep worker {pid} exited with status {status} "
+                                   "before sending its results")
+            shares[share] = pickle.loads(message)
+    finally:
+        for pid, pipe, _ in helpers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    failures = [failure for _, failure in shares.values() if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    rows = [None] * len(jobs)
+    for share, (share_rows, _) in shares.items():
+        rows[share::workers] = share_rows
+    return tuple(rows)
 
 
 def format_axis_value(value: float) -> str:

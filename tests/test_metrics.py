@@ -1,5 +1,7 @@
 import os
+import signal
 import sys
+import time
 from dataclasses import fields, replace
 
 import pytest
@@ -215,6 +217,7 @@ class TestApplyAxis:
         assert cfg.avg_speed == pytest.approx(120 / 3.6)
 
 
+@pytest.mark.usefixtures("deadline")
 class TestRunSweep:
     def test_cardinality_and_order(self):
         spec = SweepSpec("vehicles", (2, 4), (Scheme.STANDALONE, Scheme.PROPOSED),
@@ -224,15 +227,27 @@ class TestRunSweep:
         keys = [(r.axis_value, r.scheme.value, r.seed) for r in table.rows]
         assert keys == sorted(keys, key=lambda k: (k[0], _scheme_rank(k[1]), k[2]))
 
-    def test_serial_and_parallel_agree(self, tmp_path):
-        spec = SweepSpec("vehicles", (2, 4), (Scheme.PROPOSED,), (1, 2), small_base())
-        serial = run_sweep(spec, workers=1)
-        parallel = run_sweep(spec, workers=4)
-        assert serial == parallel
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_csv(serial, str(p1))
-        write_csv(parallel, str(p2))
-        assert p1.read_bytes() == p2.read_bytes()
+    def test_serial_and_parallel_agree(self, tmp_path, monkeypatch):
+        # 1-7 jobs split into 2 and 3 interleaved shares, uneven splits
+        # included; four usable cores, so only the job count caps the workers
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        for n_jobs in range(1, 8):
+            schemes = (Scheme.STANDALONE, Scheme.PROPOSED) if n_jobs % 2 == 0 else (Scheme.PROPOSED,)
+            seeds = (1, 2) if n_jobs % 4 == 0 else (1,)
+            values = tuple(range(2, 2 + n_jobs // (len(schemes) * len(seeds))))
+            spec = SweepSpec("vehicles", values, schemes, seeds, small_base())
+            serial = run_sweep(spec, workers=1)
+            assert len(serial.rows) == n_jobs
+            write_csv(serial, str(tmp_path / "serial.csv"))
+            for workers in (2, 3):
+                parallel = run_sweep(spec, workers=workers)
+                assert serial == parallel, (n_jobs, workers)
+                write_csv(parallel, str(tmp_path / "parallel.csv"))
+                assert ((tmp_path / "serial.csv").read_bytes()
+                        == (tmp_path / "parallel.csv").read_bytes()), (n_jobs, workers)
+        _assert_no_child_left()
+        monkeypatch.delattr(os, "fork")  # where fork is missing, the sweep runs in process
+        assert run_sweep(spec, workers=3) == serial
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_engine_failure_names_value_scheme_and_seed(self, workers):
@@ -255,10 +270,81 @@ class TestRunSweep:
             run_sweep(spec, workers=1)
         assert "seed" in str(err.value) or "runningTime" in str(err.value)
 
+    @pytest.mark.parametrize("failing, named", [((3, 4), 3), ((2, 5), 2)])
+    def test_lowest_failure_in_either_share_is_named(self, monkeypatch, failing, named):
+        # at 2 workers the caller runs values 2 and 4, the forked helper 3 and 5
+        def fail():
+            raise ValueError("injected")
+        _fail_runs_at(monkeypatch, failing, fail)
+        spec = SweepSpec("vehicles", (2, 3, 4, 5), (Scheme.PROPOSED,), (1,), small_base())
+        with pytest.raises(RuntimeError) as err:
+            run_sweep(spec, workers=2)
+        assert f"value={named}, scheme=proposed, seed=1)" in str(err.value)
+        assert "injected" in str(err.value)
+        _assert_no_child_left()
+
+    def test_helper_that_dies_is_a_failure_not_a_hang(self, monkeypatch):
+        caller = os.getpid()
+
+        def die():
+            if os.getpid() != caller:
+                os._exit(3)
+        _fail_runs_at(monkeypatch, (3,), die)
+        spec = SweepSpec("vehicles", (2, 3), (Scheme.PROPOSED,), (1,), small_base())
+        with pytest.raises(RuntimeError) as err:
+            run_sweep(spec, workers=2)
+        assert "status 3" in str(err.value)
+        _assert_no_child_left()
+
+    def test_interrupted_caller_kills_its_helpers(self, monkeypatch):
+        # the helper would run for a minute; the interrupt must not wait for it
+        caller = os.getpid()
+
+        def interrupt_or_stall():
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            time.sleep(60)
+        _fail_runs_at(monkeypatch, (2, 3), interrupt_or_stall)
+        spec = SweepSpec("vehicles", (2, 3), (Scheme.PROPOSED,), (1,), small_base())
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(spec, workers=2)
+        assert time.monotonic() - start < 30
+        _assert_no_child_left()
+
+
+@pytest.fixture
+def deadline():
+    """Fails a test that runs past 60 s instead of letting a sweep hang."""
+    def expire(signum, frame):
+        raise TimeoutError("sweep still running after 60 s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _fail_runs_at(monkeypatch, vehicles, action):
+    """Runs at these vehicle counts call `action` first; it is patched before
+    the sweep forks, so forked helpers see it too."""
+    real = sweep_module.run_simulation
+
+    def run(config):
+        if config.n_vehicles in vehicles:
+            action()
+        return real(config)
+    monkeypatch.setattr(sweep_module, "run_simulation", run)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
 
 class TestResolveWorkers:
     """A pure function of the argument, the environment and the usable
-    cores, which are monkeypatched here; no pool is started."""
+    cores, which are monkeypatched here; no process is started."""
 
     @pytest.fixture
     def cores(self, monkeypatch):

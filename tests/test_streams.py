@@ -51,3 +51,33 @@ def test_a_run_builds_no_generator_after_init(scheme, monkeypatch):
         monkeypatch.setattr(np.random, name, refuse)
     report = engine.run()
     assert report.sensing_events > 0
+
+
+# The first draws of every Generator method the engine calls, in the forms it
+# calls them, from one fixed PCG64 state (recorded with numpy 2.4.6). Every
+# golden digest rests on these algorithms, which numpy may change between
+# versions (NEP 19); such a change fails here by method name first.
+PINNED_DRAWS = {
+    "standard_gamma": (lambda rng: rng.standard_gamma(100, 4).tolist(),
+                       [101.79485582362338, 98.16228311579002,
+                        97.02773043898426, 107.4932305758257]),
+    "standard_exponential": (lambda rng: rng.standard_exponential(4).tolist(),
+                             [0.48710508570151523, 0.19496529229895246,
+                              1.3601130203188903, 0.109084109601754]),
+    "exponential": (lambda rng: [rng.exponential(0.025) for _ in range(3)],
+                    [0.01217762714253788, 0.004874132307473812, 0.034002825507972255]),
+    "integers": (lambda rng: [int(rng.integers(7)) for _ in range(6)], [2, 1, 2, 0, 4, 6]),
+    "choice(replace=False)": (lambda rng: [rng.choice(10, 3, replace=False).tolist(),
+                                           rng.choice(40, 5, replace=False).tolist()],
+                              [[3, 8, 2], [31, 2, 5, 20, 0]]),
+    "random": (lambda rng: [rng.random() for _ in range(3)],
+               [0.2727755408973487, 0.06333372704672868, 0.8853879581786736]),
+    "uniform": (lambda rng: [rng.uniform(0.9, 1.1) for _ in range(3)],
+                [0.9545551081794698, 0.9126667454093458, 1.0770775916357347]),
+}
+
+
+@pytest.mark.parametrize("method", list(PINNED_DRAWS))
+def test_generator_draws_are_pinned(method):
+    draw, expected = PINNED_DRAWS[method]
+    assert draw(np.random.Generator(np.random.PCG64(20150701))) == expected
