@@ -19,6 +19,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Annotated, get_type_hints
 
+from .propagation import HataModel, PropagationDomainError
+
 
 class ScenarioError(Exception):
     """Base class for scenario file problems."""
@@ -128,6 +130,16 @@ class ScenarioConfig:
             raise ScenarioValidationError("0 <= humanErrorMin <= humanErrorMax violated")
         if self.sensing_samples < 50:
             raise ScenarioValidationError("sensingSamples >= 50 violated")
+        # Hata's ranges, by the model's own checks: the frequency and heights, then the towers'
+        # distances at the road's midpoint and ends, the values median_pu_snr computes there
+        hata = None
+        try:
+            hata = HataModel(self.frequency, self.base_station_height, self.mobile_height)
+            for x in (0.0, self.road_length / 2.0):
+                hata.suburban_loss(math.hypot(x, self.tower_offset) / 1000.0)
+        except PropagationDomainError as exc:
+            at = f" at towerOffset = {self.tower_offset:g} m, roadLength = {self.road_length:g} m"
+            raise ScenarioValidationError(f"{exc}{at if hata else ''}") from None
         return self
 
 

@@ -68,21 +68,31 @@ def elect_coordinators(positions: np.ndarray, directions: np.ndarray,
     ordered by direction (+1 first) then leading position, and one (main,
     forward, backward) row per cluster: forward is furthest along the
     travel direction, backward the rearmost, main the nearest the cluster
-    centroid; all ties go to the lowest id, and roles may coincide."""
+    centroid; all ties go to the lowest id, and roles may coincide.
+
+    One stable sort by direction and position makes each cluster a run of
+    the sorted fleet. Its first member and the first at its last position
+    are the lowest ids at its two ends: its backward and forward, or its
+    forward and backward when it heads -1. Only the main reads the members
+    in id order: np.mean's own sum, pairwise in id order (a reduceat sum
+    can differ in the last bit), and argmin's first hit breaks the ties."""
     order = np.lexsort((positions, -directions))   # stable: ties keep id order
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = (np.diff(directions[order]) != 0) | (np.diff(positions[order]) > comm_range)
+    at, heading = positions[order], directions[order]
+    first = np.ones(order.size, dtype=bool)         # each cluster's first in that order
+    np.greater(at[1:] - at[:-1], comm_range, out=first[1:])
+    first[1:] |= heading[1:] != heading[:-1]
     cluster_of = np.empty(order.size, dtype=int)
-    cluster_of[order] = np.cumsum(first) - 1
+    cluster_of[order] = first.cumsum() - 1
     roles, bounds = [], first.nonzero()[0].tolist() + [order.size]
+    sorted_ids, sorted_at = order.tolist(), at.tolist()
     for start, end in zip(bounds, bounds[1:]):
-        # argmax/argmin return the first hit, so id order breaks the ties
-        members = np.sort(order[start:end])
-        at = positions[members]
-        along = at * directions[members[0]]
-        # np.mean's own sum, pairwise in id order; a reduceat sum can differ in the last bit
-        main = np.abs(at - np.add.reduce(at) / at.size).argmin()
-        roles.append(members[[main, along.argmax(), along.argmin()]])
+        ends = sorted_ids[start], sorted_ids[sorted_at.index(sorted_at[end - 1], start, end)]
+        members = order[start:end].copy()
+        members.sort()
+        here = positions[members]
+        main = members.item(np.abs(here - np.add.reduce(here) / here.size).argmin())
+        backward, forward = ends if heading.item(start) > 0 else ends[::-1]
+        roles.append((main, forward, backward))
     return cluster_of, np.array(roles)
 
 
@@ -204,17 +214,14 @@ class ProposedStrategy(Strategy):
         vacant (AND-of-vacancy)."""
         self.cluster_of, roles = elect_coordinators(fleet.positions, fleet.directions,
                                                      self.config.comm_range)
-        coordinators: list[int] = []
-        starts: list[int] = []           # each cluster's first row in the block
+        coordinators, starts = [], []   # starts: each cluster's first row in the block
         for role in roles.tolist():
             starts.append(len(coordinators))
             coordinators.extend(dict.fromkeys(role))
-        block = self.sensor.sense_block(
-            np.array(coordinators), fleet.positions[coordinators],
-            self.sensor.band, channel_map, streams,
-        )
-        occupied = np.logical_or.reduceat(block.occupied, starts, axis=0)
-        self.vacant = [(~row).nonzero()[0].tolist() for row in occupied]
+        block = self.sensor.sense_block(coordinators, fleet.positions.take(coordinators),
+                                        self.sensor.band, channel_map, streams)
+        vacant = ~np.logical_or.reduceat(block.occupied, starts, axis=0)
+        self.vacant = [row.nonzero()[0].tolist() for row in vacant]
         self.report_time = now
 
     def candidates(self, vehicle_id: int, now: float) -> list[int]:
@@ -231,10 +238,8 @@ class ProposedStrategy(Strategy):
         channel = pick(self.candidates(vehicle_id, now), streams.su[vehicle_id])
         if channel is None:
             return None, None
-        block = self.sensor.sense_block(
-            vehicle_id, float(positions[vehicle_id]), [channel], channel_map,
-            streams, blocks=RECHECK_BLOCKS,
-        )
+        block = self.sensor.sense_block(vehicle_id, positions.item(vehicle_id), [channel],
+                                        channel_map, streams, blocks=RECHECK_BLOCKS)
         return block, None if block.occupied[0] else channel
 
 

@@ -71,16 +71,16 @@ class ChannelMap:
         heapq.heappush(self.agenda, (instant, vehicle_id))
 
     def set_holder(self, channel_id: int, vehicle_id: int, position: float) -> None:
-        if self.su_holder[channel_id] >= 0:
+        if self.su_holder.item(channel_id) >= 0:
             raise ValueError(f"channel {channel_id} already has an SU holder")
-        if self.su_channel[vehicle_id] >= 0:
+        if self.su_channel.item(vehicle_id) >= 0:
             raise ValueError(f"vehicle {vehicle_id} already holds a channel")
         self.su_holder[channel_id] = vehicle_id
         self.su_holder_pos[channel_id] = position
         self.su_channel[vehicle_id] = channel_id
 
     def clear_holder(self, channel_id: int) -> None:
-        holder = self.su_holder[channel_id]
+        holder = self.su_holder.item(channel_id)
         if holder >= 0:
             self.su_channel[holder] = -1
         self.su_holder[channel_id] = -1
@@ -206,7 +206,7 @@ def step_su(vehicle_id: int, positions: np.ndarray, now: float, tick: int,
     immediately, counted but never an allocation.
     """
     rng = streams.su[vehicle_id]
-    channel = int(channel_map.su_channel[vehicle_id])
+    channel = channel_map.su_channel.item(vehicle_id)
     if channel >= 0:
         channel_map.clear_holder(channel)
         channel_map.schedule(vehicle_id, now + schedule_next(su_gap_mean, rng))
@@ -229,11 +229,11 @@ def step_su(vehicle_id: int, positions: np.ndarray, now: float, tick: int,
         channel_map.schedule(vehicle_id, now + back_off_time)
         record_event(report, SU_BACKOFF, tick, now, chosen, vehicle_id, "holder-conflict")
         return
-    if channel_map.pu_active[chosen]:
+    if channel_map.pu_active.item(chosen):
         record_event(report, SU_INTERFERENCE, tick, now, chosen, vehicle_id)
         channel_map.schedule(vehicle_id, now + back_off_time)
         record_event(report, SU_BACKOFF, tick, now, chosen, vehicle_id, "pu-collision")
         return
-    channel_map.set_holder(chosen, vehicle_id, float(positions[vehicle_id]))
+    channel_map.set_holder(chosen, vehicle_id, positions.item(vehicle_id))
     channel_map.schedule(vehicle_id, now + schedule_next(su_hold_mean, rng))
     record_event(report, SU_OCCUPIED, tick, now, chosen, vehicle_id)

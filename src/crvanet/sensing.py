@@ -175,7 +175,8 @@ class ChannelSensor:
     def median_pu_snr(self, observer_pos: float) -> float:
         """Median (no fading) linear SNR of every PU tower's signal at a road
         position: each tower stands towerOffset from the road midpoint (with
-        the default 2 km road and 10 km offset, 10 to 10.05 km away)."""
+        the default 2 km road and 10 km offset, 10 to 10.05 km away), a
+        distance ScenarioConfig.validate keeps in Hata's range."""
         distance = math.hypot(observer_pos - self.config.road_length / 2.0,
                               self.config.tower_offset)
         loss = self.hata.suburban_loss(distance / 1000.0)
@@ -195,33 +196,25 @@ class ChannelSensor:
         """Sense channels at one or more observers; channel_map holds the
         ground truth at the sensing instant.
 
-        The type of channel_ids picks the route: lists in, lists out;
-        arrays in, arrays out. One observer (scalar id and position) given
-        a list of channel ids takes _sense_listed, in Python floats, and
-        gets a SenseBlock of lists: the ids as passed and one entry each.
-        An ndarray of ids takes the array path, whose draws land straight
-        in preallocated grids: one observer senses 1-D channel_ids and gets
-        1-D arrays; m distinct observers (1-D ids and positions) sense
-        either the same 1-D channel_ids or one row each of an (m, k) grid,
-        and get (m, k) arrays. Both routes are bit for bit the same
-        computation, and every generator is drawn exactly as if each
-        observer sensed alone, in turn.
-
-        Passing the sensor's `band` itself as channel_ids takes the band
-        path: no id check, the map's arrays read whole rather than gathered
-        (channel_map must hold exactly the band's channels), and the stored
-        tower runs repeated per observer. Results are the same bit for bit
-        and are new arrays; the SenseBlock's channel_ids is the read-only
-        band.
+        The type of channel_ids picks the route (see the module docstring),
+        bit for bit the same computation either way, every generator drawn
+        exactly as if each observer sensed alone, in turn. One observer
+        (scalar id and position) given a list of ids takes _sense_listed and
+        gets a SenseBlock of lists: the ids as passed and one entry each. An
+        ndarray of ids takes the array path: one observer senses 1-D ids and
+        gets 1-D arrays; m distinct observers (1-D ids and positions) sense
+        the same 1-D ids or one row each of an (m, k) grid and get (m, k)
+        arrays. The sensor's `band` itself (channel_map must hold exactly
+        its channels) skips the id check and reads the map whole; results
+        are new arrays, and the SenseBlock's channel_ids is the band.
 
         Only a list call may take blocks > 1 (keyword only, so perfbench's
-        tracer finds it by name); the array path senses one block. Each
-        listed channel is then observed over that many independent fading
-        blocks and decided occupied if any block's statistic crosses the
-        per-block threshold (max-hold time diversity); the per-block
-        false-alarm target is compensated for the max-hold, so the overall
-        rate is targetPfa only as far as the Gaussian-tail threshold is
-        exact (ROADMAP item 1).
+        tracer finds it by name). Each listed channel is then observed over
+        that many independent fading blocks and decided occupied if any
+        block's statistic crosses the per-block threshold (max-hold time
+        diversity), whose false-alarm target is compensated for the
+        max-hold; the overall rate is targetPfa only as far as the
+        Gaussian-tail threshold is exact (ROADMAP item 1).
         """
         single = isinstance(observer_ids, (int, np.integer))
         if single and isinstance(channel_ids, list):
@@ -283,8 +276,7 @@ class ChannelSensor:
         if rows < m:
             starts = [o * k + start for o in range(m) for start in starts]
             run_towers = run_towers * m   # a new list: the band's runs are stored
-        gains = np.empty((m, k))
-        stat = np.empty((m, k))
+        gains, stat = np.empty((m, k)), np.empty((m, k))
         fading, flat = streams.fading, gains.reshape(-1)
         for tower, start, end in zip(run_towers, starts, starts[1:] + [m * k]):
             fading[tower][observers[start // k]].standard_exponential(out=flat[start:end])
@@ -304,28 +296,35 @@ class ChannelSensor:
 
     def _sense_listed(self, observer, pos, ids, channel_map, streams, blocks):
         """sense_block for one observer's listed channels: the array path's
-        draws and IEEE operations, in order, on Python floats, block after
-        block; lists out."""
-        if ids and (min(ids) < 0 or max(ids) >= self.config.n_channels):
+        draws and IEEE operations, in order, on Python floats; lists out.
+        Window b * k + i is the i-th of the k channels in block b. A tower's
+        gains are one draw in window order: as drawn for a list within one
+        tower (a re-check's one channel), else dealt out to each tower's
+        channels. One pass finds each channel's truth and max-hold statistic."""
+        k, n_samples, per_tower = len(ids), self.n_samples, self.per_tower
+        lo, hi = (min(ids), max(ids)) if ids else (0, 0)
+        if lo < 0 or hi >= self.config.n_channels:
             raise ValueError(f"unknown channel in {ids}")
-        threshold = self.threshold_for(blocks)
-        towers_here = [c // self.per_tower for c in ids]
-        gains = {t: iter(streams.fading[t][observer]   # per sensed tower, block-major
-                         .standard_exponential(blocks * towers_here.count(t)).tolist())
-                 for t in set(towers_here)}
-        draws = iter(streams.sensing[observer].standard_gamma(
-            self.n_samples, blocks * len(ids)).tolist())
-        snr = self.median_pu_snr(pos)
-        meds, truth, sensing_range, su_snr = [], [], self.config.sensing_range, self.su_snr_linear
+        threshold, windows, fading = self.threshold_for(blocks), blocks * k, streams.fading
+        if lo // per_tower == hi // per_tower:
+            gains = fading[lo // per_tower][observer].standard_exponential(windows).tolist()
+        else:
+            towers = [c // per_tower for c in ids]
+            runs = {t: iter(fading[t][observer].standard_exponential(blocks * towers.count(t))
+                            .tolist()) for t in set(towers)}
+            gains = list(map(next, [runs[t] for t in towers] * blocks))
+        draws = streams.sensing[observer].standard_gamma(n_samples, windows).tolist()
+        snr, su_snr = self.median_pu_snr(pos), self.su_snr_linear
         pu_at, holder_at, holder_pos_at = (channel_map.pu_active.item, channel_map.su_holder.item,
                                            channel_map.su_holder_pos.item)
-        for c in ids:
+        occupied, truth, stats, sensing_range = [], [], [], self.config.sensing_range
+        for i, c in enumerate(ids):
             pu = pu_at(c)
             su = holder_at(c) >= 0 and abs(holder_pos_at(c) - pos) <= sensing_range
-            meds.append((snr if pu else 0.0) + (su_snr if su else 0.0))
+            med, stat = (snr if pu else 0.0) + (su_snr if su else 0.0), 0.0
+            for w in range(i, windows, k):   # the max-hold of positive statistics
+                stat = max(stat, draws[w] * ((1.0 + med * gains[w]) / n_samples))
+            occupied.append(stat >= threshold)
             truth.append(pu or su)
-        stats, n_samples = [0.0] * len(ids), self.n_samples   # max-hold of positive statistics
-        for _ in range(blocks):   # block after block, each channel takes its next draws
-            stats = [max(stat, next(draws) * ((1.0 + med * next(gains[t])) / n_samples))
-                     for stat, t, med in zip(stats, towers_here, meds)]
-        return SenseBlock(ids, [stat >= threshold for stat in stats], truth, stats)
+            stats.append(stat)
+        return SenseBlock(ids, occupied, truth, stats)

@@ -262,12 +262,14 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
     (b"nVehicles =\n", "line 1: missing value"),
     (b"seed = 3\n# caf\xe9\n", "not UTF-8 text at byte 14"),
     (b"nChannels = 100\nchannelsPerTower = 50\n", "line 2: unknown key 'channelsPerTower'"),
-], ids=["empty-value", "not-utf8", "channels-per-tower"])
+    (b"towerOffset = 500 m\nroadLength = 60 km\n", "at towerOffset = 500 m, roadLength = 60000 m"),
+], ids=["empty-value", "not-utf8", "channels-per-tower", "outside-hata"])
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_bad_scenario_text_is_named(tmp_path, capsys, command, content, named):
-    """A scenario with an empty value, bytes that are not UTF-8 or the
-    retired channelsPerTower key fails scenario loading with exit 2 and a
-    named cause, under both commands."""
+    """A scenario with an empty value, bytes that are not UTF-8, the
+    retired channelsPerTower key or towers outside Hata's distance range
+    fails scenario loading with exit 2 and a named cause, under both
+    commands, before any run."""
     bad = tmp_path / "bad.txt"
     bad.write_bytes(content)
     argv = [command, "--config", str(bad)]

@@ -126,6 +126,38 @@ def test_channel_plan_violation_names_its_keys(text, named):
         load_scenario(text)
 
 
+@pytest.mark.parametrize("text, named", [
+    ("frequency = 100 MHz", "frequency = 100 MHz outside Hata validity [150, 1500] MHz"),
+    ("frequency = 2 GHz", "frequency = 2000 MHz outside Hata validity [150, 1500] MHz"),
+    ("baseStationHeight = 20 m", "baseStationHeight = 20 m outside Hata validity [30, 200] m"),
+    ("mobileHeight = 12 m", "mobileHeight = 12 m outside Hata validity [1, 10] m"),
+    # the model's inputs are checked before the towers' distances
+    ("towerOffset = 500 m\nroadLength = 60 km\nfrequency = 100 MHz",
+     "frequency = 100 MHz outside Hata validity [150, 1500] MHz"),
+    # the towers too near the road's midpoint, then too far from its ends
+    ("towerOffset = 500 m\nroadLength = 60 km",
+     "distance = 0.5 km outside Hata validity [1, 20] km at towerOffset = 500 m, "
+     "roadLength = 60000 m"),
+    ("towerOffset = 19.99 km\nroadLength = 10 km",
+     "distance = 20.6058 km outside Hata validity [1, 20] km at towerOffset = 19990 m, "
+     "roadLength = 10000 m"),
+])
+def test_hata_domain_violation_names_its_keys(text, named):
+    """A scenario outside Hata's ranges fails validation, naming the keys,
+    instead of failing its first run inside the propagation model."""
+    with pytest.raises(ScenarioValidationError, match=f"^{re.escape(named)}$"):
+        load_scenario(text)
+
+
+@pytest.mark.parametrize("text", [
+    "towerOffset = 1 km",                       # 1 km from the midpoint
+    "towerOffset = 16 km\nroadLength = 24 km",  # 20 km from the ends
+    "frequency = 1500 MHz\nbaseStationHeight = 30 m\nmobileHeight = 10 m",
+])
+def test_hata_domain_edges_load(text):
+    load_scenario(text)
+
+
 def test_readme_scenario_example_loads():
     """README's one ini scenario example loads, and holds the defaults its
     comment says it holds, so a retired or renamed key in it fails here."""

@@ -7,8 +7,10 @@ from dataclasses import fields, replace
 import pytest
 
 from crvanet.config import ScenarioConfig, Scheme
+import crvanet.engine
 from crvanet.engine import run_simulation
 from crvanet.plots import PlotDataError, render_chart, render_plots
+from crvanet.propagation import PropagationDomainError
 import crvanet.report
 from crvanet.report import (
     COUNTERS,
@@ -250,16 +252,19 @@ class TestRunSweep:
         assert run_sweep(spec, workers=3) == serial
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_engine_failure_names_value_scheme_and_seed(self, workers):
-        # 100 MHz passes validate() but is outside Hata's range, so every run
-        # fails when its engine is built; the first in sweep order is named
-        base = replace(small_base(), frequency=100.0).validate()
-        spec = SweepSpec("vehicles", (10.0, 20.0), (Scheme.STANDALONE,), (1,), base)
+    def test_engine_failure_names_value_scheme_and_seed(self, monkeypatch, workers):
+        # every run fails as its engine builds the sensor (patched before the
+        # sweep forks, so helpers fail too); the first in sweep order is named
+        def failing_sensor(config):
+            raise PropagationDomainError(f"injected at nVehicles = {config.n_vehicles}")
+        monkeypatch.setattr(crvanet.engine, "ChannelSensor", failing_sensor)
+        spec = SweepSpec("vehicles", (10.0, 20.0), (Scheme.STANDALONE,), (1,), small_base())
         with pytest.raises(RuntimeError) as err:
             run_sweep(spec, workers=workers)
         message = str(err.value)
         assert "value=10," in message and "scheme=standalone" in message
-        assert "seed=1)" in message and "frequency" in message
+        assert "seed=1)" in message and "injected at nVehicles = 10" in message
+        _assert_no_child_left()
 
     def test_failure_names_the_triple(self):
         # running_time below time_step fails validation inside apply_axis

@@ -69,10 +69,14 @@ def test_correction_at_28mhz_would_be_minus_5_4():
     dict(f=150, hb=50, hm=0.5, d=10),
     dict(f=150, hb=50, hm=1.5, d=25),
     dict(f=150, hb=50, hm=1.5, d=0.5),
+    dict(f=150, hb=50, hm=1.5, d=math.nextafter(1.0, 0.0)),
+    dict(f=150, hb=50, hm=1.5, d=math.nextafter(20.0, 21.0)),
 ])
 def test_out_of_domain_inputs_are_errors(kwargs):
     with pytest.raises(PropagationDomainError):
         urban_loss(**kwargs)
+    with pytest.raises(PropagationDomainError):
+        hata_suburban_loss(**kwargs)
 
 
 def test_loss_monotone_in_distance_and_height():

@@ -2,11 +2,12 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import gamma, norm
@@ -510,46 +511,57 @@ class TestBatchedSenseBlock:
         for a, b in zip(many.fading + [many.sensing], one.fading + [one.sensing]):
             assert [g.bit_generator.state for g in a] == [g.bit_generator.state for g in b]
 
-    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-    @given(data=st.data())
-    def test_list_call_equals_array_path_on_drawn_inputs(self, data):
+    def test_list_call_equals_array_path_on_drawn_inputs(self):
         """Lists in, lists out: one observer's list of 1-8 distinct channel
         ids, in any order and from 1-4 towers, under a drawn PU and SU map,
         over 1-3 blocks. Over one block it equals, bit for bit, the array
         path's row for the same ids; over several, the max-hold of as many
         consecutive 1-block list calls, decided against the per-block
         threshold. Every fading and sensing generator ends in the same
-        state, and no field of the list call is an ndarray."""
-        towers = data.draw(st.integers(1, 4), label="towers")
-        per_tower = data.draw(st.integers(1, 12), label="perTower")
-        config = replace(ScenarioConfig(), n_vehicles=8, n_pu_towers=towers,
-                         n_channels=towers * per_tower).validate()
-        ids = data.draw(st.permutations(range(config.n_channels)), label="order")
-        ids = ids[:data.draw(st.integers(1, min(8, len(ids))), label="channels")]
-        blocks = data.draw(st.integers(1, 3), label="blocks")
-        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        draw = np.random.default_rng(seed)
-        observer = int(draw.integers(config.n_vehicles))
-        position = float(draw.uniform(0.0, config.road_length))
-        cmap = _drawn_map(config, draw)
+        state, and no field of the list call is an ndarray. The examples
+        are counted by the form the list takes, lists within one tower or
+        over several, and by blocks: each form is drawn at 1 and at 2."""
+        forms = Counter()
 
-        sensor = ChannelSensor(config)
-        listed, reference = _streams(config, seed), _streams(config, seed)
-        got = sensor.sense_block(observer, position, ids, cmap, listed, blocks=blocks)
-        assert got.channel_ids == ids
-        if blocks == 1:
-            expected = sensor.sense_block(observer, position, np.array(ids), cmap, reference)
-        else:
-            calls = [sensor.sense_block(observer, position, ids, cmap, reference)
-                     for _ in range(blocks)]
-            statistic = np.maximum.reduce([np.array(call.statistic) for call in calls])
-            expected = SenseBlock(ids, statistic >= sensor.threshold_for(blocks),
-                                  np.array(calls[0].truth), statistic)
-        for field in ("occupied", "truth", "statistic"):
-            _assert_listed_equals(getattr(got, field), getattr(expected, field))
-        for a, b in zip(listed.fading + [listed.sensing],
-                        reference.fading + [reference.sensing]):
-            assert [g.bit_generator.state for g in a] == [g.bit_generator.state for g in b]
+        @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+        @given(data=st.data())
+        def check(data):
+            towers = data.draw(st.integers(1, 4), label="towers")
+            per_tower = data.draw(st.integers(1, 12), label="perTower")
+            config = replace(ScenarioConfig(), n_vehicles=8, n_pu_towers=towers,
+                             n_channels=towers * per_tower).validate()
+            ids = data.draw(st.permutations(range(config.n_channels)), label="order")
+            ids = ids[:data.draw(st.integers(1, min(8, len(ids))), label="channels")]
+            blocks = data.draw(st.integers(1, 3), label="blocks")
+            seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+            draw = np.random.default_rng(seed)
+            observer = int(draw.integers(config.n_vehicles))
+            position = float(draw.uniform(0.0, config.road_length))
+            cmap = _drawn_map(config, draw)
+
+            sensor = ChannelSensor(config)
+            listed, reference = _streams(config, seed), _streams(config, seed)
+            got = sensor.sense_block(observer, position, ids, cmap, listed, blocks=blocks)
+            assert got.channel_ids == ids
+            if blocks == 1:
+                expected = sensor.sense_block(observer, position, np.array(ids), cmap, reference)
+            else:
+                calls = [sensor.sense_block(observer, position, ids, cmap, reference)
+                         for _ in range(blocks)]
+                statistic = np.maximum.reduce([np.array(call.statistic) for call in calls])
+                expected = SenseBlock(ids, statistic >= sensor.threshold_for(blocks),
+                                      np.array(calls[0].truth), statistic)
+            for field in ("occupied", "truth", "statistic"):
+                _assert_listed_equals(getattr(got, field), getattr(expected, field))
+            for a, b in zip(listed.fading + [listed.sensing],
+                            reference.fading + [reference.sensing]):
+                assert [g.bit_generator.state for g in a] == [g.bit_generator.state for g in b]
+            one_tower = len({c // per_tower for c in ids}) == 1
+            forms[one_tower, blocks] += 1
+
+        check()
+        drawn = {(one_tower, blocks) for one_tower in (True, False) for blocks in (1, 2)}
+        assert drawn <= set(forms), forms
 
     def test_band_and_grid_calls_sense_one_block(self, default_config):
         """Only one observer's list of channels takes several blocks: a call
@@ -707,11 +719,28 @@ def test_channel_plan_splits_the_band_evenly():
     assert sensor.per_tower == 4
 
 
+@st.composite
+def hata_geometries(draw):
+    """A scenario whose Hata inputs are drawn inside the model's ranges: the
+    carrier frequency, both antenna heights, and a road whose towers stand
+    1-20 km from every point of it."""
+    offset = draw(st.floats(1000.0, 19_999.0), label="towerOffset")
+    half = draw(st.floats(1.0, math.sqrt(20_000.0 ** 2 - offset ** 2) - 1.0), label="half road")
+    return replace(ScenarioConfig(), road_length=2.0 * half, tower_offset=offset,
+                   frequency=draw(st.floats(150.0, 1500.0), label="frequency"),
+                   base_station_height=draw(st.floats(30.0, 200.0), label="baseStationHeight"),
+                   mobile_height=draw(st.floats(1.0, 10.0), label="mobileHeight")).validate()
+
+
 class TestMedianPuSnr:
-    def test_equals_hata_suburban_exactly(self, default_config):
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(hata_geometries())
+    @example(ScenarioConfig())
+    def test_equals_hata_suburban_exactly(self, cfg):
         """Every tower stands towerOffset from the road midpoint, so the
-        median SNR at a position is the Hata loss at that one distance."""
-        cfg = default_config
+        median SNR at a position is the Hata loss at that one distance: bit
+        for bit, at 81 positions from end to end of the default road and of
+        drawn roads, towers and Hata inputs."""
         sensor = ChannelSensor(cfg)
         positions = np.linspace(0.0, cfg.road_length, 81).tolist()
         for position in positions:

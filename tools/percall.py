@@ -1,0 +1,67 @@
+"""Time proposed's per-call costs, and the sensing calls beside them, in process.
+
+usage: PYTHONPATH=src python3 tools/percall.py
+
+Builds the default proposed scenario (seed 1), runs it for 0.2 s so that
+the fleet, the channel map and the coordinators' reports hold a mid-run
+state, and then times each call below on that state: the best of 9
+repeats of 3,000 calls, printed in µs per call. Calls that draw advance
+the run's generators, which changes no call's cost. Each figure includes
+one Python lambda call (about 0.03 µs). Compare figures only within one
+session on one host.
+"""
+
+from __future__ import annotations
+
+import timeit
+from dataclasses import replace
+
+import numpy as np
+
+from crvanet.config import ScenarioConfig, Scheme
+from crvanet.coordination import RECHECK_BLOCKS, elect_coordinators
+from crvanet.engine import SimulationEngine
+
+REPEATS, NUMBER = 9, 3000
+
+
+def calls():
+    """(name, zero-argument callable) for every timed call, on one engine state."""
+    config = replace(ScenarioConfig(), running_time=0.2, scheme=Scheme.PROPOSED, seed=1).validate()
+    engine = SimulationEngine(config)
+    engine.run()
+    sensor, cmap, streams, fleet = engine.sensor, engine.channel_map, engine.streams, engine.fleet
+    strategy, positions = engine.strategy, fleet.positions
+    now = strategy.report_time
+    # a requester whose cluster reports vacant channels, so its attempt re-checks one
+    v = next(v for v in range(len(fleet)) if strategy.candidates(v, now))
+    pos, channel = float(positions[v]), strategy.candidates(v, now)[0]
+    shortlist = [7, 42, 61]   # cooperative's shape: 3 channels over both towers
+    vehicles = np.arange(len(fleet))
+    grid = (vehicles[:, None] * 7 + np.arange(5)) % config.n_channels   # cooperative's epoch
+    # the attempt is timed before on_epoch, which replaces the reports it picks from
+    return [
+        ("median_pu_snr", lambda: sensor.median_pu_snr(pos)),
+        ("listed 1 channel x 2 blocks", lambda: sensor.sense_block(
+            v, pos, [channel], cmap, streams, blocks=RECHECK_BLOCKS)),
+        ("listed 3 channels x 1 block", lambda: sensor.sense_block(
+            v, pos, shortlist, cmap, streams)),
+        ("band, 1 observer x 100", lambda: sensor.sense_block(
+            v, pos, sensor.band, cmap, streams)),
+        ("grid, 50 observers x 5", lambda: sensor.sense_block(
+            vehicles, positions, grid, cmap, streams)),
+        ("elect_coordinators", lambda: elect_coordinators(
+            positions, fleet.directions, config.comm_range)),
+        ("ProposedStrategy.attempt", lambda: strategy.attempt(v, positions, now, cmap, streams)),
+        ("ProposedStrategy.on_epoch", lambda: strategy.on_epoch(now, fleet, cmap, streams)),
+    ]
+
+
+def main() -> None:
+    for name, call in calls():
+        best = min(timeit.repeat(call, number=NUMBER, repeat=REPEATS)) / NUMBER
+        print(f"{name:30s} {best * 1e6:8.2f} µs")
+
+
+if __name__ == "__main__":
+    main()
