@@ -57,6 +57,8 @@ Kelvin = Annotated[float, "temperature"]
 # A physical quantity must be > 0, except a level in dBW, which may be zero or negative.
 _POSITIVE_KINDS = ("time", "distance", "speed", "freq_mhz", "freq_hz", "temperature")
 
+KMH = 1.0 / 3.6   # m/s per km/h: the one km/h conversion, for files, defaults and sweeps
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -77,7 +79,7 @@ class ScenarioConfig:
     tx_power_pu: DBW = 30.0
     noise_temperature: Kelvin = 500.0
     channel_bandwidth: Hz = 7e6
-    avg_speed: MetresPerSecond = 100.0 / 3.6   # 100 km/h
+    avg_speed: MetresPerSecond = 100.0 * KMH
     fleet_speed_spread: float = 0.2
     per_vehicle_speed_deviation: float = 0.1
     reaction_time: Seconds = 1.0
@@ -160,7 +162,7 @@ _FIELDS: dict[str, tuple[str, str]] = {
 _UNIT_TABLE: dict[str, dict[str, float]] = {
     "time": {"": 1.0, "s": 1.0, "ms": 1e-3, "us": 1e-6, "min": 60.0},
     "distance": {"": 1.0, "m": 1.0, "km": 1e3, "cm": 1e-2},
-    "speed": {"": 1.0, "m/s": 1.0, "mps": 1.0, "km/h": 1.0 / 3.6, "kmh": 1.0 / 3.6},
+    "speed": {"": 1.0, "m/s": 1.0, "mps": 1.0, "km/h": KMH, "kmh": KMH},
     "freq_mhz": {"": 1.0, "mhz": 1.0, "ghz": 1e3, "khz": 1e-3},
     "freq_hz": {"": 1.0, "hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9},
     "power_dbw": {"": 1.0, "dbw": 1.0},

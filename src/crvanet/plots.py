@@ -12,26 +12,16 @@ import os
 from collections import defaultdict
 
 from .config import Scheme
-from .sweep import SweepTable, format_axis_value
+from .sweep import AXES, SweepTable, format_axis_value
 
-METRICS = ("allocations", "false_alarms", "misdetections")
+# the charted counters and their labels
+METRICS = {"allocations": "successful allocations", "false_alarms": "false alarms",
+           "misdetections": "misdetections"}
 
 _COLORS = {
     Scheme.STANDALONE: "#d62728",
     Scheme.COOPERATIVE: "#1f77b4",
     Scheme.PROPOSED: "#2ca02c",
-}
-
-_AXIS_LABEL = {
-    "vehicles": "number of vehicles",
-    "channels": "number of channels",
-    "speed": "average speed (km/h)",
-}
-
-_METRIC_LABEL = {
-    "allocations": "successful allocations",
-    "false_alarms": "false alarms",
-    "misdetections": "misdetections",
 }
 
 WIDTH, HEIGHT = 640, 440
@@ -118,7 +108,8 @@ def render_chart(table: SweepTable, metric: str, title: str) -> str:
             f'font-family="sans-serif" font-size="11">{format_axis_value(x)}</text>'
         )
 
-    axis_name = _AXIS_LABEL.get(table.spec_axis, table.spec_axis or "axis value")
+    axis = table.spec_axis
+    axis_name = AXES[axis].label if axis in AXES else axis or "axis value"
     parts.append(
         f'<text x="{MARGIN_L + plot_w / 2:.0f}" y="{HEIGHT - 14}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12">{axis_name}</text>'
@@ -126,7 +117,7 @@ def render_chart(table: SweepTable, metric: str, title: str) -> str:
     parts.append(
         f'<text x="18" y="{MARGIN_T + plot_h / 2:.0f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.0f})">{_METRIC_LABEL[metric]}</text>'
+        f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.0f})">{METRICS[metric]}</text>'
     )
 
     legend_y = MARGIN_T + 10
@@ -170,11 +161,9 @@ def render_plots(table: SweepTable, out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     axis = table.spec_axis or "axis"
     paths = []
-    for metric in METRICS:
+    for metric, label in METRICS.items():
         doc = render_chart(
-            table, metric,
-            f"{_AXIS_LABEL.get(axis, axis)} vs {_METRIC_LABEL[metric]}",
-        )
+            table, metric, f"{AXES[axis].label if axis in AXES else axis} vs {label}")
         path = os.path.join(out_dir, f"fig_{axis}_{metric}.svg")
         with open(path, "w", encoding="ascii", newline="") as fh:
             fh.write(doc)

@@ -15,7 +15,7 @@ collides immediately and the vehicle backs off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .sensing import CLASSES
@@ -30,10 +30,6 @@ SU_BACKOFF = "su-backoff"
 SU_INTERFERENCE = "su-interference"
 SENSE = "sense"
 MOVE = "move"
-
-# the run counters, in the order every output lists them
-COUNTERS = ("allocations", "false_alarms", "misdetections", "correct_detections",
-            "sensing_events", "harmful_occupations", "preemptions", "backoffs")
 
 
 class TraceEvent(NamedTuple):
@@ -71,6 +67,10 @@ class SimulationReport:
     def conservation_holds(self) -> bool:
         return (self.false_alarms + self.misdetections + self.correct_detections
                 == self.sensing_events)
+
+
+# the run counters, in the order every output lists them: the report's fields but its trace
+COUNTERS = tuple(f.name for f in fields(SimulationReport) if f.name != "trace")
 
 
 def record_event(report: SimulationReport, kind: str, tick: int, time: float,

@@ -297,22 +297,15 @@ class ChannelSensor:
     def _sense_listed(self, observer, pos, ids, channel_map, streams, blocks):
         """sense_block for one observer's listed channels: the array path's
         draws and IEEE operations, in order, on Python floats; lists out.
-        Window b * k + i is the i-th of the k channels in block b. A tower's
-        gains are one draw in window order: as drawn for a list within one
-        tower (a re-check's one channel), else dealt out to each tower's
-        channels. One pass finds each channel's truth and max-hold statistic."""
+        Window b * k + i is the i-th of the k channels in block b. Each
+        window's gain is one draw from its channel's tower stream, taken in
+        window order: the sequence the array path's one draw per run gives
+        each stream. One pass finds each channel's truth and max-hold statistic."""
         k, n_samples, per_tower = len(ids), self.n_samples, self.per_tower
-        lo, hi = (min(ids), max(ids)) if ids else (0, 0)
-        if lo < 0 or hi >= self.config.n_channels:
+        if ids and (min(ids) < 0 or max(ids) >= self.config.n_channels):
             raise ValueError(f"unknown channel in {ids}")
         threshold, windows, fading = self.threshold_for(blocks), blocks * k, streams.fading
-        if lo // per_tower == hi // per_tower:
-            gains = fading[lo // per_tower][observer].standard_exponential(windows).tolist()
-        else:
-            towers = [c // per_tower for c in ids]
-            runs = {t: iter(fading[t][observer].standard_exponential(blocks * towers.count(t))
-                            .tolist()) for t in set(towers)}
-            gains = list(map(next, [runs[t] for t in towers] * blocks))
+        gains = [fading[c // per_tower][observer].standard_exponential() for c in ids * blocks]
         draws = streams.sensing[observer].standard_gamma(n_samples, windows).tolist()
         snr, su_snr = self.median_pu_snr(pos), self.su_snr_linear
         pu_at, holder_at, holder_pos_at = (channel_map.pu_active.item, channel_map.su_holder.item,

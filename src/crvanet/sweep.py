@@ -1,15 +1,15 @@
 """Parameter sweeps across schemes and seeds, with CSV output.
 
-A sweep varies one axis (vehicle count, channel count, or average speed)
-over a value grid, runs every (value, scheme, seed) combination, and
-collects the per-run counters into a table ordered by (value, scheme,
-seed) regardless of execution order. Runs share nothing, so sweep points
-may execute in parallel; the CRVANET_PARALLEL environment variable sets
-the worker count (default and ceiling: one worker per usable core, 1
-forces in-process serial execution). The calling process is one of the
+A sweep varies one axis of AXES (vehicle count, channel count, or average
+speed, in km/h as a scenario file reads it) over a value grid, runs every
+(value, scheme, seed) combination, and collects the per-run counters into
+a table ordered by (value, scheme, seed) regardless of execution order.
+Runs share nothing, so sweep points may execute in parallel; the
+CRVANET_PARALLEL environment variable sets the worker count (default and
+ceiling: one worker per usable core). The calling process is one of the
 workers: it forks workers - 1 helpers, each of which runs an interleaved
-share of the points and pipes its rows back, and runs share 0 itself.
-Where os.fork is missing, sweeps run serially in process.
+share of the points and pipes its rows back, and runs share 0 itself; one
+worker, or a platform without os.fork, forks nothing.
 """
 
 from __future__ import annotations
@@ -17,15 +17,25 @@ from __future__ import annotations
 import os
 import pickle
 import signal
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, make_dataclass, replace
+from typing import NamedTuple
 
-from .config import ScenarioConfig, ScenarioError, Scheme
+from .config import KMH, ScenarioConfig, ScenarioError, Scheme
 from .engine import run_simulation
 from .report import COUNTERS
 
 PARALLEL_ENV = "CRVANET_PARALLEL"
 
-AXES = ("vehicles", "channels", "speed")
+
+class Axis(NamedTuple):
+    field: str             # the ScenarioConfig field a value sets
+    factor: float | None   # from the unit values are quoted in; None for a whole count
+    label: str             # the charts' axis label
+
+
+AXES = {"vehicles": Axis("n_vehicles", None, "number of vehicles"),
+        "channels": Axis("n_channels", None, "number of channels"),
+        "speed": Axis("avg_speed", KMH, "average speed (km/h)")}
 
 CSV_HEADER = ",".join(("axis_value", "scheme", "seed") + COUNTERS)
 
@@ -40,7 +50,7 @@ class SweepSpec:
 
     def validate(self) -> "SweepSpec":
         if self.axis not in AXES:
-            raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
+            raise ValueError(f"axis must be one of {tuple(AXES)}, got {self.axis!r}")
         if not self.values:
             raise ValueError("values must be nonempty")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
@@ -54,7 +64,7 @@ class SweepSpec:
                 raise ValueError(f"{kind} {repeated[0]} is repeated")
         # every point's config is checked here, so a bad value fails before any run
         for value in self.values:
-            if self.axis != "speed" and not float(value).is_integer():
+            if AXES[self.axis].factor is None and not float(value).is_integer():
                 raise ValueError(f"{self.axis} value {value} is not a whole count")
             try:
                 apply_axis(self.base_config, self.axis, value, self.schemes[0], self.seeds[0])
@@ -63,22 +73,11 @@ class SweepSpec:
         return self
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One run of a sweep: one attribute per CSV column, the counters in
-    report.COUNTERS order."""
-
-    axis_value: float
-    scheme: Scheme
-    seed: int
-    allocations: int = 0
-    false_alarms: int = 0
-    misdetections: int = 0
-    correct_detections: int = 0
-    sensing_events: int = 0
-    harmful_occupations: int = 0
-    preemptions: int = 0
-    backoffs: int = 0
+# One run of a sweep: one attribute per CSV column, the counters in COUNTERS
+# order. Its module is named so that forked helpers can pickle rows.
+SweepRow = make_dataclass("SweepRow", [("axis_value", float), ("scheme", Scheme), ("seed", int)]
+                          + [(name, int, 0) for name in COUNTERS],
+                          frozen=True, namespace={"__module__": __name__})
 
 
 @dataclass(frozen=True)
@@ -91,16 +90,13 @@ def apply_axis(config: ScenarioConfig, axis: str, value: float,
                scheme: Scheme, seed: int) -> ScenarioConfig:
     """Clone the base config with one axis value, scheme and seed applied.
 
-    Speed values are given in km/h, matching how the sweep grids are
-    quoted; they are converted on application.
+    AXES names the field the value sets: a whole count as an int, else the
+    value times the factor from its unit, as a scenario file converts it
+    (speeds are quoted in km/h).
     """
-    if axis == "vehicles":
-        fields = {"n_vehicles": int(value)}
-    elif axis == "channels":
-        fields = {"n_channels": int(value)}
-    else:
-        fields = {"avg_speed": value / 3.6}
-    return replace(config, scheme=scheme, seed=seed, **fields).validate()
+    field, factor, _ = AXES[axis]
+    value = int(value) if factor is None else value * factor
+    return replace(config, scheme=scheme, seed=seed, **{field: value}).validate()
 
 
 def _run_point(args: tuple) -> SweepRow:
@@ -138,7 +134,8 @@ def resolve_workers(workers: int | None, n_jobs: int) -> int:
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepTable:
     """Run every (value, scheme, seed) combination, rows in that order.
 
-    Execution may be parallel; the result is identical either way. A run
+    Every sweep runs through _fan_out, with one worker (no helper) where
+    os.fork is missing; the result is identical at any worker count. A run
     failure aborts the sweep naming the offending triple, the first one in
     sweep order.
     """
@@ -151,10 +148,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepTable:
                 jobs.append((config, value, scheme, seed))
 
     workers = resolve_workers(workers, len(jobs))
-    if workers == 1 or not hasattr(os, "fork"):
-        rows = tuple(map(_run_point, jobs))
-    else:
-        rows = _fan_out(jobs, workers)
+    rows = _fan_out(jobs, workers if hasattr(os, "fork") else 1)
     return SweepTable(spec_axis=spec.axis, rows=rows)
 
 
@@ -171,7 +165,8 @@ def _run_share(jobs: list, start: int, step: int) -> tuple:
 
 
 def _fan_out(jobs: list, workers: int) -> tuple[SweepRow, ...]:
-    """Run jobs[k::workers] in forked helper k for k >= 1, and share 0 here.
+    """Run jobs[k::workers] in forked helper k for k >= 1, and share 0 here;
+    one worker forks nothing.
 
     Each helper sends its _run_share result as one pickled message over its
     own pipe and leaves through os._exit. Every helper is reaped before this

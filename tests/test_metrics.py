@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from crvanet.config import ScenarioConfig, Scheme
+from crvanet.config import ScenarioConfig, Scheme, load_scenario
 import crvanet.engine
 from crvanet.engine import run_simulation
 from crvanet.plots import PlotDataError, render_chart, render_plots
@@ -216,7 +216,20 @@ class TestApplyAxis:
 
     def test_speed_converts_kmh(self):
         cfg = apply_axis(small_base(), "speed", 120, Scheme.PROPOSED, 1)
-        assert cfg.avg_speed == pytest.approx(120 / 3.6)
+        assert cfg.avg_speed == load_scenario("avgSpeed = 120 km/h").avg_speed
+
+    def test_a_point_is_the_scenario_its_file_names(self):
+        # every axis, by its file key and unit: test_acceptance's grids, and on
+        # the speed axis every whole km/h from 1 to 399 and a fractional one
+        points = {"vehicles": ("nVehicles", "", (10, 20, 30, 40, 50)),
+                  "channels": ("nChannels", "", (20, 40, 60, 80, 100)),
+                  "speed": ("avgSpeed", "km/h", (*range(1, 400), 80.25))}
+        base = ScenarioConfig().validate()
+        for axis, (key, unit, values) in points.items():
+            for v in map(float, values):
+                named = load_scenario(f"{key} = {v} {unit}")
+                assert apply_axis(base, axis, v, Scheme.COOPERATIVE, 3) == replace(
+                    named, scheme=Scheme.COOPERATIVE, seed=3), (axis, v)
 
 
 @pytest.mark.usefixtures("deadline")
@@ -277,16 +290,18 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("failing, named", [((3, 4), 3), ((2, 5), 2)])
     def test_lowest_failure_in_either_share_is_named(self, monkeypatch, failing, named):
-        # at 2 workers the caller runs values 2 and 4, the forked helper 3 and 5
+        # at 2 workers the caller runs values 2 and 4, the forked helper 3 and 5;
+        # at 1 the caller runs them all and forks nothing
         def fail():
             raise ValueError("injected")
         _fail_runs_at(monkeypatch, failing, fail)
         spec = SweepSpec("vehicles", (2, 3, 4, 5), (Scheme.PROPOSED,), (1,), small_base())
-        with pytest.raises(RuntimeError) as err:
-            run_sweep(spec, workers=2)
-        assert f"value={named}, scheme=proposed, seed=1)" in str(err.value)
-        assert "injected" in str(err.value)
-        _assert_no_child_left()
+        for workers in (1, 2):
+            with pytest.raises(RuntimeError) as err:
+                run_sweep(spec, workers=workers)
+            assert f"value={named}, scheme=proposed, seed=1)" in str(err.value), workers
+            assert "injected" in str(err.value)
+            _assert_no_child_left()
 
     def test_helper_that_dies_is_a_failure_not_a_hang(self, monkeypatch):
         caller = os.getpid()

@@ -518,9 +518,10 @@ class TestBatchedSenseBlock:
         path's row for the same ids; over several, the max-hold of as many
         consecutive 1-block list calls, decided against the per-block
         threshold. Every fading and sensing generator ends in the same
-        state, and no field of the list call is an ndarray. The examples
-        are counted by the form the list takes, lists within one tower or
-        over several, and by blocks: each form is drawn at 1 and at 2."""
+        state, and no field of the list call is an ndarray. As input
+        coverage, the examples are counted by the list's shape, within one
+        tower or over several, and by blocks: each shape is drawn at 1 and
+        at 2."""
         forms = Counter()
 
         @settings(max_examples=80, deadline=None, derandomize=True, database=None)

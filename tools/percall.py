@@ -4,11 +4,12 @@ usage: PYTHONPATH=src python3 tools/percall.py
 
 Builds the default proposed scenario (seed 1), runs it for 0.2 s so that
 the fleet, the channel map and the coordinators' reports hold a mid-run
-state, and then times each call below on that state: the best of 9
-repeats of 3,000 calls, printed in µs per call. Calls that draw advance
-the run's generators, which changes no call's cost. Each figure includes
-one Python lambda call (about 0.03 µs). Compare figures only within one
-session on one host.
+state, and then times each call below on that state; cooperative's attempt
+runs on the cooperative scenario's state, built the same way. Each figure
+is the best of 9 repeats of 3,000 calls, printed in µs per call. Calls
+that draw advance the run's generators, which changes no call's cost. Each
+figure includes one Python lambda call (about 0.03 µs). Compare figures
+only within one session on one host.
 """
 
 from __future__ import annotations
@@ -25,18 +26,26 @@ from crvanet.engine import SimulationEngine
 REPEATS, NUMBER = 9, 3000
 
 
-def calls():
-    """(name, zero-argument callable) for every timed call, on one engine state."""
-    config = replace(ScenarioConfig(), running_time=0.2, scheme=Scheme.PROPOSED, seed=1).validate()
-    engine = SimulationEngine(config)
+def mid_run(scheme: Scheme) -> SimulationEngine:
+    """The default scenario of `scheme` (seed 1), run for 0.2 s."""
+    engine = SimulationEngine(replace(ScenarioConfig(), running_time=0.2, scheme=scheme,
+                                      seed=1).validate())
     engine.run()
+    return engine
+
+
+def calls():
+    """(name, zero-argument callable) for every timed call, on mid-run engine states."""
+    engine, cooperative = mid_run(Scheme.PROPOSED), mid_run(Scheme.COOPERATIVE)
+    config = engine.config
     sensor, cmap, streams, fleet = engine.sensor, engine.channel_map, engine.streams, engine.fleet
     strategy, positions = engine.strategy, fleet.positions
     now = strategy.report_time
     # a requester whose cluster reports vacant channels, so its attempt re-checks one
     v = next(v for v in range(len(fleet)) if strategy.candidates(v, now))
     pos, channel = float(positions[v]), strategy.candidates(v, now)[0]
-    shortlist = [7, 42, 61]   # cooperative's shape: 3 channels over both towers
+    # cooperative's shortlist shapes: 3 channels over both towers, and within one
+    shortlist, one_tower = [7, 42, 61], [7, 12, 42]
     vehicles = np.arange(len(fleet))
     grid = (vehicles[:, None] * 7 + np.arange(5)) % config.n_channels   # cooperative's epoch
     # the attempt is timed before on_epoch, which replaces the reports it picks from
@@ -44,8 +53,10 @@ def calls():
         ("median_pu_snr", lambda: sensor.median_pu_snr(pos)),
         ("listed 1 channel x 2 blocks", lambda: sensor.sense_block(
             v, pos, [channel], cmap, streams, blocks=RECHECK_BLOCKS)),
-        ("listed 3 channels x 1 block", lambda: sensor.sense_block(
+        ("listed 3 x 1 block, 2 towers", lambda: sensor.sense_block(
             v, pos, shortlist, cmap, streams)),
+        ("listed 3 x 1 block, 1 tower", lambda: sensor.sense_block(
+            v, pos, one_tower, cmap, streams)),
         ("band, 1 observer x 100", lambda: sensor.sense_block(
             v, pos, sensor.band, cmap, streams)),
         ("grid, 50 observers x 5", lambda: sensor.sense_block(
@@ -54,6 +65,8 @@ def calls():
             positions, fleet.directions, config.comm_range)),
         ("ProposedStrategy.attempt", lambda: strategy.attempt(v, positions, now, cmap, streams)),
         ("ProposedStrategy.on_epoch", lambda: strategy.on_epoch(now, fleet, cmap, streams)),
+        ("CooperativeStrategy.attempt", lambda: cooperative.strategy.attempt(
+            v, cooperative.fleet.positions, now, cooperative.channel_map, cooperative.streams)),
     ]
 
 
