@@ -130,10 +130,10 @@ class StandaloneStrategy(Strategy):
     """Full-band self-scan: no shared state, no epochs."""
 
     def attempt(self, vehicle_id, positions, now, channel_map, streams):
-        block = self.sensor.sense_block(
-            vehicle_id, float(positions[vehicle_id]), self.sensor.band, channel_map, streams
-        )
-        return block, pick(block.channel_ids[~block.occupied], streams.su[vehicle_id])
+        block = self.sensor.sense_block(vehicle_id, positions.item(vehicle_id), self.sensor.band,
+                                        channel_map, streams)
+        # the band's ids are its indices
+        return block, pick((~block.occupied).nonzero()[0], streams.su[vehicle_id])
 
 
 class CooperativeStrategy(Strategy):

@@ -111,7 +111,7 @@ class SenseRows:
     """One actor's sense events at one (tick, time), by column; `classes`
     index CLASSES. Iterates as the TraceEvents record_event would build."""
 
-    def __init__(self, tick: int, time: float, channel_ids: list[int], actor_id: int,
+    def __init__(self, tick: int, time: float, channel_ids: list[int] | range, actor_id: int,
                  classes: list[int]):
         self.tick, self.time, self.channel_ids = tick, time, channel_ids
         self.actor_id, self.classes = actor_id, classes
@@ -122,8 +122,8 @@ class SenseRows:
             yield _tuple_new(TraceEvent, head + (channel, self.actor_id, CLASSES[cls]))
 
 
-def record_senses(report: SimulationReport, tick: int, time: float, channel_ids: list[int],
-                  actor_id: int, classes: list[int]) -> None:
+def record_senses(report: SimulationReport, tick: int, time: float,
+                  channel_ids: list[int] | range, actor_id: int, classes: list[int]) -> None:
     """Record one sensing block as one sense record_event per channel would.
     Untraced it makes those calls through this module's global name, which
     perfbench patches to count them; traced it folds the counters in one

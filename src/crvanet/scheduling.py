@@ -52,15 +52,16 @@ def schedule_next(mean: float, rng: np.random.Generator) -> float:
 class ChannelMap:
     """The shared run state of both state machines: per channel the PU
     state and the SU holder (-1 for none) with its position when it took
-    the channel, per vehicle the channel it holds (-1 when idle) and the
-    pending instant of its next action; the agenda holds (instant,
-    vehicle) for every instant scheduled and not yet popped, as a heap."""
+    the channel (+inf for none), per vehicle the channel it holds (-1 when
+    idle) and the pending instant of its next action; the agenda holds
+    (instant, vehicle) for every instant scheduled and not yet popped, as
+    a heap."""
 
     def __init__(self, n_channels: int, n_vehicles: int):
         self.n_channels = n_channels
         self.pu_active = np.zeros(n_channels, dtype=bool)
         self.su_holder = np.full(n_channels, -1, dtype=int)
-        self.su_holder_pos = np.zeros(n_channels, dtype=float)
+        self.su_holder_pos = np.full(n_channels, math.inf)
         self.su_channel = np.full(n_vehicles, -1, dtype=int)
         self.su_next = np.zeros(n_vehicles, dtype=float)
         self.agenda: list[tuple[float, int]] = []
@@ -84,7 +85,7 @@ class ChannelMap:
         if holder >= 0:
             self.su_channel[holder] = -1
         self.su_holder[channel_id] = -1
-        self.su_holder_pos[channel_id] = 0.0
+        self.su_holder_pos[channel_id] = math.inf
 
 
 WINDOW = 512  # ticks per block of the PU timeline, whose memory is O(channels x WINDOW)
@@ -198,12 +199,14 @@ def step_su(vehicle_id: int, positions: np.ndarray, now: float, tick: int,
     """Advance one due SU by one tick, recording its events.
 
     Transmitting and due: tear down, schedule the next attempt. Idle and
-    due: obtain and sense candidates through the active scheme, recording
-    the attempt's sensing as one block (record_senses), then occupy on
-    success or back off on failure. Landing on a channel whose SU holder
-    is set is a failure (collision avoided at the map level); landing on a
-    PU-active channel is harmful interference — the transmission collides
-    immediately, counted but never an allocation.
+    due: obtain and sense candidates through the active scheme, coord_view,
+    recording the attempt's sensing as one block (record_senses; a block
+    over coord_view.sensor's band records the band's indices as its
+    channel ids), then occupy on success or back off on failure. Landing
+    on a channel whose SU holder is set is a failure (collision avoided at
+    the map level); landing on a PU-active channel is harmful interference
+    — the transmission collides immediately, counted but never an
+    allocation.
     """
     rng = streams.su[vehicle_id]
     channel = channel_map.su_channel.item(vehicle_id)
@@ -218,8 +221,9 @@ def step_su(vehicle_id: int, positions: np.ndarray, now: float, tick: int,
         ids, occupied, truth = block.channel_ids, block.occupied, block.truth
         if isinstance(ids, list):   # listed channels: classified pair by pair, in Python
             classes = list(map(classify_block, occupied, truth))
-        else:
-            ids, classes = ids.tolist(), classify_block(occupied, truth).tolist()
+        else:   # the band's ids are its indices
+            classes = classify_block(occupied, truth).tolist()
+            ids = range(len(classes)) if ids is coord_view.sensor.band else ids.tolist()
         record_senses(report, tick, now, ids, vehicle_id, classes)
     if chosen is None:
         channel_map.schedule(vehicle_id, now + back_off_time)

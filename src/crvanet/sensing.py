@@ -30,11 +30,16 @@ and return lists; this is the only route that senses over several
 blocks. Arrays in, arrays out, over one fading block: the sensor's
 read-only `band` (every channel, as standalone attempts and proposed
 epochs sense), listed ids and observer grids (cooperative epochs) take
-the array path. Each observer's statistic draws fill its row of one
-(observers, channels) grid, and its fading draws fill the same slots of a
-gain grid, one draw per run of consecutive channels of one tower. A band
-call skips the id check and the run search: it reads the channel map
-whole and takes the band's tower runs, stored once.
+the array path, 1-D for one observer and (observers, channels) for
+several. Each observer's statistic draws fill its row, and its fading
+draws fill the same slots of the gains, one draw per run of consecutive
+channels of one tower. A band call skips the id check and the run
+search: it reads the channel map whole and takes the band's tower runs,
+stored once, so one observer's band (a standalone attempt) costs a
+fading draw per tower, one statistic draw and one pass of 1-D
+operations. On every route an SU holder makes a channel truly occupied
+within sensingRange of the observer; the channel map holds +inf as the
+position of no holder, so the range test alone decides.
 """
 
 from __future__ import annotations
@@ -131,10 +136,10 @@ CLASSES = ("correctDetection", "falseAlarm", "misdetection")
 
 def classify_block(occupied, truth):
     """One index into CLASSES per (decided occupied, truly occupied) pair,
-    of two bool arrays or of two bools. Agreement is a correct detection,
-    a wrong occupied decision a false alarm, a wrong vacant one a
-    misdetection: a disagreement times 1 if occupied, 2 if vacant."""
-    return (occupied != truth) * (2 - occupied)
+    of two bool arrays or of two bools (a plain int). Agreement is a
+    correct detection, a wrong occupied decision a false alarm, a wrong
+    vacant one a misdetection: a disagreement shifted left by the truth."""
+    return (occupied ^ truth) << truth
 
 
 def block_pfa(target_pfa: float, blocks: int) -> float:
@@ -168,8 +173,8 @@ class ChannelSensor:
         # the whole band, read-only, and its tower runs
         self.band = np.arange(config.n_channels)
         self.band.flags.writeable = False
-        self._band_towers = list(range(config.n_pu_towers))
-        self._band_starts = list(range(0, config.n_channels, per_tower))
+        self._band_runs = [(t, t * per_tower, (t + 1) * per_tower)
+                           for t in range(config.n_pu_towers)]
         self._thresholds = {1: detection_threshold(self.target_pfa, self.n_samples)}
 
     def median_pu_snr(self, observer_pos: float) -> float:
@@ -236,27 +241,25 @@ class ChannelSensor:
         # Each observer's row of channels splits into runs of consecutive
         # channels of one tower. A run's gains come from the observer's
         # stream for that tower, in position order, so drawing every run
-        # straight into its slots of the gain grid gives each stream the
+        # straight into its slots of the flat gains gives each stream the
         # sequence of one draw of the run's count. The statistic draws fill
-        # the observer's row of its grid.
+        # one array for one observer, else each observer's row.
         if band:   # valid ids, the map read whole, the towers' runs stored once
-            pu_active, holders, holder_pos = (channel_map.pu_active, channel_map.su_holder,
-                                              channel_map.su_holder_pos)
-            starts, run_towers, rows = self._band_starts, self._band_towers, 1
+            pu_active, holder_pos = channel_map.pu_active, channel_map.su_holder_pos
+            runs, rows = self._band_runs, 1
         else:
             # as unsigned, a negative id is larger than every valid one
             if channel_ids.size and not (np.maximum.reduce(channel_ids.view(np.uint64),
                                                            axis=None) < self.config.n_channels):
                 raise ValueError(f"unknown channel in {channel_ids.tolist()}")
             pu_active = channel_map.pu_active[channel_ids]
-            holders = channel_map.su_holder[channel_ids]
             holder_pos = channel_map.su_holder_pos[channel_ids]
             towers = (channel_ids // self.per_tower).reshape(-1, k)   # one row shared, or one each
             run_start = np.empty(towers.shape, dtype=bool)
             run_start[:, 0] = True
             np.not_equal(towers[:, 1:], towers[:, :-1], out=run_start[:, 1:])
-            starts = run_start.ravel().nonzero()[0].tolist()
-            run_towers, rows = towers[run_start].tolist(), len(towers)
+            starts, rows = run_start.ravel().nonzero()[0].tolist(), len(towers)
+            runs = list(zip(towers[run_start].tolist(), starts, starts[1:] + [rows * k]))
 
         threshold = self.threshold_for(1)
         # one median PU SNR per observer: every tower is as far from it
@@ -270,18 +273,21 @@ class ChannelSensor:
             pos = np.asarray(observer_pos, dtype=float)[:, None]
             snr_pu = np.array(list(map(self.median_pu_snr, pos[:, 0].tolist())))[:, None]
         m = len(observers)
-        # ground truth at each observer
-        su_in_range = (holders >= 0) & (np.abs(holder_pos - pos) <= self.config.sensing_range)
+        # ground truth at each observer; no SU holder sits at +inf
+        su_in_range = np.abs(holder_pos - pos) <= self.config.sensing_range
         truth_occupied = pu_active | su_in_range
-        if rows < m:
-            starts = [o * k + start for o in range(m) for start in starts]
-            run_towers = run_towers * m   # a new list: the band's runs are stored
-        gains, stat = np.empty((m, k)), np.empty((m, k))
-        fading, flat = streams.fading, gains.reshape(-1)
-        for tower, start, end in zip(run_towers, starts, starts[1:] + [m * k]):
-            fading[tower][observers[start // k]].standard_exponential(out=flat[start:end])
-        for o, observer in enumerate(observers):
-            streams.sensing[observer].standard_gamma(self.n_samples, out=stat[o])
+        if rows < m:   # one row shared: each observer takes its runs
+            runs = [(tower, o * k + start, o * k + end)
+                    for o in range(m) for tower, start, end in runs]
+        gains, fading = np.empty(m * k), streams.fading
+        for tower, start, end in runs:
+            fading[tower][observers[start // k]].standard_exponential(out=gains[start:end])
+        if single:
+            stat = streams.sensing[observers[0]].standard_gamma(self.n_samples, k)
+        else:
+            gains, stat = gains.reshape(m, k), np.empty((m, k))
+            for observer, row in zip(observers, stat):
+                streams.sensing[observer].standard_gamma(self.n_samples, out=row)
 
         # One statistic per (observer, channel), drawn from its exact
         # Gamma(N, (1 + snr * gain) / N) form: standard_gamma(N) * scale is
@@ -291,8 +297,7 @@ class ChannelSensor:
         gains += 1.0
         gains /= self.n_samples
         stat *= gains
-        statistic = stat[0] if single else stat
-        return SenseBlock(channel_ids, statistic >= threshold, truth_occupied, statistic)
+        return SenseBlock(channel_ids, stat >= threshold, truth_occupied, stat)
 
     def _sense_listed(self, observer, pos, ids, channel_map, streams, blocks):
         """sense_block for one observer's listed channels: the array path's
@@ -308,12 +313,11 @@ class ChannelSensor:
         gains = [fading[c // per_tower][observer].standard_exponential() for c in ids * blocks]
         draws = streams.sensing[observer].standard_gamma(n_samples, windows).tolist()
         snr, su_snr = self.median_pu_snr(pos), self.su_snr_linear
-        pu_at, holder_at, holder_pos_at = (channel_map.pu_active.item, channel_map.su_holder.item,
-                                           channel_map.su_holder_pos.item)
+        pu_at, holder_pos_at = channel_map.pu_active.item, channel_map.su_holder_pos.item
         occupied, truth, stats, sensing_range = [], [], [], self.config.sensing_range
         for i, c in enumerate(ids):
             pu = pu_at(c)
-            su = holder_at(c) >= 0 and abs(holder_pos_at(c) - pos) <= sensing_range
+            su = abs(holder_pos_at(c) - pos) <= sensing_range
             med, stat = (snr if pu else 0.0) + (su_snr if su else 0.0), 0.0
             for w in range(i, windows, k):   # the max-hold of positive statistics
                 stat = max(stat, draws[w] * ((1.0 + med * gains[w]) / n_samples))

@@ -93,6 +93,8 @@ def test_single_holder_and_consistent_holder_maps(config):
     cmap = engine.channel_map
     assert {c: v for c, v in enumerate(cmap.su_holder.tolist()) if v >= 0} == holder
     assert {v: c for v, c in enumerate(cmap.su_channel.tolist()) if c >= 0} == held
+    # no holder, and only no holder, sits at +inf
+    assert ((cmap.su_holder_pos == np.inf) == (cmap.su_holder == -1)).all()
 
 
 @PROPERTY_SETTINGS

@@ -22,7 +22,7 @@ from crvanet.report import (
     SimulationReport,
 )
 from crvanet.scheduling import ChannelMap, pu_timeline, schedule_next, step_pu, step_su
-from crvanet.sensing import SenseBlock
+from crvanet.sensing import ChannelSensor, SenseBlock
 from crvanet.streams import StreamBundle
 
 
@@ -184,9 +184,11 @@ class TestPuTimeline:
 
 
 class _PinnedStrategy:
-    """Test double: always proposes the given channel with a vacant decision."""
+    """Test double: always proposes the given channel with a vacant decision,
+    sensed as an array of ids that is not its sensor's band."""
 
     needs_epoch = False
+    sensor = ChannelSensor(replace(ScenarioConfig(), n_channels=8).validate())
 
     def __init__(self, channel_id, occupied=False, truth=False):
         self.channel_id = channel_id
@@ -238,7 +240,7 @@ class TestStepSu:
         assert cmap.su_holder[3] == 0
         assert cmap.su_next[0] > 0.5
         assert report.allocations == 1
-        assert [e.event for e in report.trace] == [SENSE, SU_OCCUPIED]
+        assert [(e.event, e.channel_id) for e in report.trace] == [(SENSE, 3), (SU_OCCUPIED, 3)]
 
     def test_occupied_decision_backs_off(self):
         cmap, report, positions, streams = self._setup()

@@ -210,9 +210,15 @@ class TestClassification:
     PAIRS = [(False, False), (True, True), (True, False), (False, True)]  # (occupied, truth)
 
     def test_truth_table(self):
+        """As arrays, and pair by pair as Python bools (the listed route),
+        where each class is a plain int equal to the array form's."""
         occupied, truth = np.array(self.PAIRS).T
-        assert [CLASSES[i] for i in classify_block(occupied, truth)] == [
+        indices = classify_block(occupied, truth)
+        assert [CLASSES[i] for i in indices] == [
             "correctDetection", "correctDetection", "falseAlarm", "misdetection"]
+        pairwise = [classify_block(o, t) for o, t in self.PAIRS]
+        assert [type(i) for i in pairwise] == [int] * 4
+        assert pairwise == indices.tolist()
 
     def test_every_pair_maps_to_exactly_one_class(self):
         occupied, truth = np.array(self.PAIRS).T
@@ -380,6 +386,8 @@ class TestBatchedSenseBlock:
         cmap.pu_active[:] = np.random.default_rng(11).random(config.n_channels) < 0.5
         for channel, vehicle, position in ((3, 9, 450.0), (60, 2, 1700.0), (99, 5, 20.0)):
             cmap.set_holder(channel, vehicle, position)
+        # PU-idle channel 2's SU sits exactly sensingRange from observer 0
+        cmap.set_holder(2, 7, 480.0 + config.sensing_range)
         return cmap
 
     @pytest.mark.parametrize("blocks", [1, 2])
@@ -395,6 +403,10 @@ class TestBatchedSenseBlock:
         block = _max_hold(sensor, self.OBSERVERS, self.POSITIONS, channels, cmap, batched, blocks)
         assert block.occupied.shape == (len(self.OBSERVERS), channels.shape[-1])
         rows = [channels] * len(self.OBSERVERS) if shared else channels
+        # an SU exactly sensingRange away is in range: on the band, in this
+        # call's row of observer 0, and (as the rows are equal) in its list call
+        band = sensor.sense_block(0, 480.0, sensor.band, cmap, _streams(default_config, 6))
+        assert band.truth[2] and block.truth[1, rows[1].tolist().index(2)]
         for r, (observer, position, ids) in enumerate(
                 zip(self.OBSERVERS.tolist(), self.POSITIONS.tolist(), rows)):
             alone = sensor.sense_block(observer, position, ids.tolist(), cmap, single,

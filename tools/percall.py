@@ -4,12 +4,12 @@ usage: PYTHONPATH=src python3 tools/percall.py
 
 Builds the default proposed scenario (seed 1), runs it for 0.2 s so that
 the fleet, the channel map and the coordinators' reports hold a mid-run
-state, and then times each call below on that state; cooperative's attempt
-runs on the cooperative scenario's state, built the same way. Each figure
-is the best of 9 repeats of 3,000 calls, printed in µs per call. Calls
-that draw advance the run's generators, which changes no call's cost. Each
-figure includes one Python lambda call (about 0.03 µs). Compare figures
-only within one session on one host.
+state, and then times each call below on that state; cooperative's and
+standalone's attempts run on their own scenario's state, built the same
+way. Each figure is the best of 9 repeats of 3,000 calls, printed in µs
+per call. Calls that draw advance the run's generators, which changes no
+call's cost. Each figure includes one Python lambda call (about 0.03 µs).
+Compare figures only within one session on one host.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ def mid_run(scheme: Scheme) -> SimulationEngine:
 
 def calls():
     """(name, zero-argument callable) for every timed call, on mid-run engine states."""
-    engine, cooperative = mid_run(Scheme.PROPOSED), mid_run(Scheme.COOPERATIVE)
+    engine, cooperative, standalone = map(mid_run, (Scheme.PROPOSED, Scheme.COOPERATIVE,
+                                                    Scheme.STANDALONE))
     config = engine.config
     sensor, cmap, streams, fleet = engine.sensor, engine.channel_map, engine.streams, engine.fleet
     strategy, positions = engine.strategy, fleet.positions
@@ -67,6 +68,8 @@ def calls():
         ("ProposedStrategy.on_epoch", lambda: strategy.on_epoch(now, fleet, cmap, streams)),
         ("CooperativeStrategy.attempt", lambda: cooperative.strategy.attempt(
             v, cooperative.fleet.positions, now, cooperative.channel_map, cooperative.streams)),
+        ("StandaloneStrategy.attempt", lambda: standalone.strategy.attempt(
+            v, standalone.fleet.positions, now, standalone.channel_map, standalone.streams)),
     ]
 
 
