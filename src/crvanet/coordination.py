@@ -98,8 +98,10 @@ def elect_coordinators(positions: np.ndarray, directions: np.ndarray,
 
 def pick(channels, rng: np.random.Generator) -> int | None:
     """A channel drawn uniformly from the sequence `channels`, or None if
-    it is empty."""
-    return int(channels[rng.integers(len(channels))]) if len(channels) else None
+    it is empty. A lone channel is taken without a call: integers(1) draws
+    nothing (tests/test_streams.py pins this)."""
+    n = len(channels)
+    return int(channels[rng.integers(n) if n > 1 else 0]) if n else None
 
 
 class Strategy:
@@ -146,16 +148,18 @@ class CooperativeStrategy(Strategy):
         super().__init__(config, sensor)
         self.votes = np.full((config.n_vehicles, config.n_channels), VOTE_UNKNOWN, dtype=np.int8)
         self._epoch_index = 0
+        # epoch e senses (e * count + rotation) % nChannels, one row per vehicle
+        self._count = min(VOTE_CHANNELS_PER_EPOCH, config.n_channels)
+        self._vehicles = np.arange(config.n_vehicles)
+        self._rotation = self._vehicles[:, None] * 7 + np.arange(self._count)
 
     def on_epoch(self, now, fleet, channel_map, streams):
         """Every vehicle senses its rotating handful of channels, all in
         one sensing call, and records the decisions as its votes."""
-        n = self.config.n_channels
-        count = min(VOTE_CHANNELS_PER_EPOCH, n)
-        vehicles = np.arange(len(fleet))
-        channels = (self._epoch_index * count + vehicles[:, None] * 7 + np.arange(count)) % n
-        block = self.sensor.sense_block(vehicles, fleet.positions, channels, channel_map, streams)
-        self.votes[vehicles[:, None], channels] = block.occupied
+        channels = (self._epoch_index * self._count + self._rotation) % self.config.n_channels
+        block = self.sensor.sense_block(self._vehicles, fleet.positions, channels, channel_map,
+                                        streams)
+        self.votes[self._vehicles[:, None], channels] = block.occupied
         self._epoch_index += 1
 
     def shortlist(self, vehicle_id: int, positions: np.ndarray,
@@ -164,32 +168,32 @@ class CooperativeStrategy(Strategy):
         group: vacant-voted channels first, then unvoted, then
         occupied-voted. Draws spread concurrent requesters apart."""
         # the requester and every vehicle within comm range, either direction
-        rows = self.votes[np.abs(positions - positions[vehicle_id]) <= self.config.comm_range]
-        rank = np.minimum.reduce(rows, axis=0)
+        near = np.abs(positions - positions.item(vehicle_id)) <= self.config.comm_range
+        rank = np.minimum.reduce(self.votes.take(near.nonzero()[0], axis=0), axis=0)
         picked: list[int] = []
         for level in (VOTE_VACANT, VOTE_UNKNOWN, VOTE_OCCUPIED):
-            want = VERIFY_SHORTLIST - len(picked)
-            if want <= 0:
-                break
             pool = (rank == level).nonzero()[0]
+            want = VERIFY_SHORTLIST - len(picked)
             if pool.size > want:
                 # drawing indices takes the draws rng.choice(pool, ...) takes
                 pool = pool[rng.choice(pool.size, want, replace=False)]
                 pool.sort()
             picked.extend(pool.tolist())
+            if len(picked) == VERIFY_SHORTLIST:   # this level filled the list
+                break
         return picked
 
     def attempt(self, vehicle_id, positions, now, channel_map, streams):
         rng = streams.su[vehicle_id]
         shortlist = self.shortlist(vehicle_id, positions, rng)
-        block = self.sensor.sense_block(
-            vehicle_id, float(positions[vehicle_id]), shortlist, channel_map, streams
-        )
+        block = self.sensor.sense_block(vehicle_id, positions.item(vehicle_id), shortlist,
+                                        channel_map, streams)
         # verification doubles as the requester's own freshest votes
-        votes = self.votes[vehicle_id]
+        votes, vacant = self.votes[vehicle_id], []
         for channel, occupied in zip(shortlist, block.occupied):
             votes[channel] = occupied
-        vacant = [c for c, occupied in zip(shortlist, block.occupied) if not occupied]
+            if not occupied:
+                vacant.append(channel)
         return block, pick(vacant, rng)
 
 

@@ -209,9 +209,10 @@ class ChannelSensor:
         ndarray of ids takes the array path: one observer senses 1-D ids and
         gets 1-D arrays; m distinct observers (1-D ids and positions) sense
         the same 1-D ids or one row each of an (m, k) grid and get (m, k)
-        arrays. The sensor's `band` itself (channel_map must hold exactly
-        its channels) skips the id check and reads the map whole; results
-        are new arrays, and the SenseBlock's channel_ids is the band.
+        arrays; no ids at all give empty arrays of that shape and no draw.
+        The sensor's `band` itself (channel_map must hold exactly its
+        channels) skips the id check and reads the map whole; results are
+        new arrays, and the SenseBlock's channel_ids is the band.
 
         Only a list call may take blocks > 1 (keyword only, so perfbench's
         tracer finds it by name). Each listed channel is then observed over
@@ -248,18 +249,22 @@ class ChannelSensor:
             pu_active, holder_pos = channel_map.pu_active, channel_map.su_holder_pos
             runs, rows = self._band_runs, 1
         else:
+            if not channel_ids.size:   # no window: the list route's empty block, as arrays
+                empty = np.zeros(channel_ids.shape if single else (len(observer_ids), k))
+                return SenseBlock(channel_ids, empty > 0, empty > 0, empty)
             # as unsigned, a negative id is larger than every valid one
-            if channel_ids.size and not (np.maximum.reduce(channel_ids.view(np.uint64),
-                                                           axis=None) < self.config.n_channels):
+            if not (np.maximum.reduce(channel_ids.view(np.uint64), axis=None)
+                    < self.config.n_channels):
                 raise ValueError(f"unknown channel in {channel_ids.tolist()}")
             pu_active = channel_map.pu_active[channel_ids]
             holder_pos = channel_map.su_holder_pos[channel_ids]
-            towers = (channel_ids // self.per_tower).reshape(-1, k)   # one row shared, or one each
-            run_start = np.empty(towers.shape, dtype=bool)
-            run_start[:, 0] = True
-            np.not_equal(towers[:, 1:], towers[:, :-1], out=run_start[:, 1:])
-            starts, rows = run_start.ravel().nonzero()[0].tolist(), len(towers)
-            runs = list(zip(towers[run_start].tolist(), starts, starts[1:] + [rows * k]))
+            # the rows (one shared, or one each) flat: a run starts at a row's start or a new tower
+            towers = (channel_ids // self.per_tower).ravel()
+            run_start = np.empty(towers.size, dtype=bool)
+            np.not_equal(towers[1:], towers[:-1], out=run_start[1:])
+            run_start[::k] = True
+            starts, rows = run_start.nonzero()[0].tolist(), towers.size // k
+            runs = list(zip(towers[run_start].tolist(), starts, starts[1:] + [towers.size]))
 
         threshold = self.threshold_for(1)
         # one median PU SNR per observer: every tower is as far from it

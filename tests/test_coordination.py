@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crvanet.config import ScenarioConfig, Scheme
 from crvanet.coordination import (
@@ -15,6 +17,7 @@ from crvanet.coordination import (
     StandaloneStrategy,
     elect_coordinators,
     make_strategy,
+    pick,
 )
 from crvanet.engine import SimulationEngine
 from crvanet.scheduling import ChannelMap
@@ -278,6 +281,36 @@ class TestCooperativeStrategy:
         per_vehicle = (strategy.votes != VOTE_UNKNOWN).sum(axis=1)
         assert (per_vehicle == 5).all()
 
+    @pytest.mark.parametrize("n_channels, epoch", [(100, 0), (100, 1), (100, 23), (4, 0), (4, 3)])
+    def test_epoch_votes_equal_the_reference_write(self, n_channels, epoch, monkeypatch):
+        """The epoch grid built once in __init__ is the grid first written
+        inline, (epoch * count + vehicle * 7 + j) % nChannels over count =
+        min(5, nChannels) columns, and the votes after on_epoch equal that
+        grid's fancy-index write of the sensed decisions on a copy. Epoch
+        23's offset, 115, starts past channel n - 1; 4 channels take
+        count = n."""
+        engine = self._engine(n_channels=n_channels)
+        strategy, sensor = engine.strategy, engine.sensor
+        strategy.votes[:] = np.random.default_rng(epoch).integers(3, size=strategy.votes.shape)
+        strategy._epoch_index = epoch
+        count = min(5, n_channels)
+        vehicles = np.arange(engine.config.n_vehicles)
+        channels = (epoch * count + vehicles[:, None] * 7 + np.arange(count)) % n_channels
+        expected, calls = strategy.votes.copy(), []
+
+        def sense_block(*args, **kwargs):
+            calls.append((args, ChannelSensor.sense_block(sensor, *args, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(sensor, "sense_block", sense_block)
+        strategy.on_epoch(0.0, engine.fleet, engine.channel_map, engine.streams)
+        (args, block), = calls
+        assert args[0].tolist() == vehicles.tolist()
+        assert np.array_equal(args[2], channels)
+        expected[vehicles[:, None], channels] = block.occupied
+        assert np.array_equal(strategy.votes, expected)
+        assert strategy._epoch_index == epoch + 1
+
     def test_shortlist_prefers_vacant_votes(self):
         engine = self._engine()
         strategy = engine.strategy
@@ -405,6 +438,22 @@ class TestStandaloneStrategy:
             )
             misses += chosen is None
         assert misses == 5
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(channels=st.lists(st.integers(0, 99), max_size=6), as_array=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_pick_equals_the_reference_draw(channels, as_array, seed):
+    """pick is the draw first written, a uniform index from integers(len)
+    (None when empty), for 0-6 candidates as a list or an array, and leaves
+    the generator in the reference's state: a lone candidate takes no call,
+    which draws nothing (tests/test_streams.py pins integers(1))."""
+    candidates = np.array(channels, dtype=int) if as_array else channels
+    got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = int(candidates[ref_rng.integers(len(candidates))]) if len(candidates) else None
+    got = pick(candidates, got_rng)
+    assert got == expected and (got is None or type(got) is int)
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_make_strategy_dispatch(default_config):

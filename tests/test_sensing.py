@@ -629,6 +629,26 @@ class TestBatchedSenseBlock:
         with pytest.raises(ValueError, match="one observer needs 1-D channel_ids"):
             sensor.sense_block(0, 500.0, channels, cmap, _streams(default_config, 0))
 
+    @pytest.mark.parametrize("observers, positions, channels, shape", [
+        (0, 500.0, np.array([], dtype=int), (0,)),
+        (OBSERVERS, POSITIONS, np.empty((4, 0), dtype=int), (4, 0)),
+    ], ids=["one-observer", "grid"])
+    def test_no_channels_give_an_empty_block(self, default_config, observers, positions,
+                                             channels, shape):
+        """An empty array of ids, 1-D for one observer or an (m, 0) grid,
+        gets empty arrays of the call's shape, as a list call gets empty
+        lists, and draws nothing."""
+        sensor = ChannelSensor(default_config)
+        cmap = self._channel_map(default_config)
+        streams, fresh = _streams(default_config, 0), _streams(default_config, 0)
+        block = sensor.sense_block(observers, positions, channels, cmap, streams)
+        assert block.channel_ids.shape == channels.shape
+        for field, dtype in ((block.occupied, bool), (block.truth, bool),
+                             (block.statistic, float)):
+            assert field.shape == shape and field.dtype == dtype
+        for a, b in zip(streams.fading + [streams.sensing], fresh.fading + [fresh.sensing]):
+            assert [g.bit_generator.state for g in a] == [g.bit_generator.state for g in b]
+
 
 class TestBandPath:
     """sense_block over the sensor's read-only band takes the map whole and

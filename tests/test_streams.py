@@ -81,3 +81,14 @@ PINNED_DRAWS = {
 def test_generator_draws_are_pinned(method):
     draw, expected = PINNED_DRAWS[method]
     assert draw(np.random.Generator(np.random.PCG64(20150701))) == expected
+
+
+def test_integers_of_one_draws_nothing():
+    """coordination.pick takes a lone candidate without calling integers:
+    integers(1) returns 0 and leaves the generator where it was, so the
+    skip changes no later draw. A numpy that starts drawing here fails by
+    name, before any golden digest."""
+    rng = np.random.Generator(np.random.PCG64(20150701))
+    state = rng.bit_generator.state
+    assert [int(rng.integers(1)) for _ in range(3)] == [0, 0, 0]
+    assert rng.bit_generator.state == state

@@ -1,14 +1,17 @@
-"""Time proposed's per-call costs, and the sensing calls beside them, in process.
+"""Time each scheme's per-call costs, and the sensing calls beside them, in process.
 
 usage: PYTHONPATH=src python3 tools/percall.py
 
-Builds the default proposed scenario (seed 1), runs it for 0.2 s so that
-the fleet, the channel map and the coordinators' reports hold a mid-run
-state, and then times each call below on that state; cooperative's and
-standalone's attempts run on their own scenario's state, built the same
-way. Each figure is the best of 9 repeats of 3,000 calls, printed in µs
-per call. Calls that draw advance the run's generators, which changes no
-call's cost. Each figure includes one Python lambda call (about 0.03 µs).
+Builds the default scenario of each scheme (seed 1) and runs it for 0.2 s,
+so that the fleet, the channel map and the scheme's shared state (the
+coordinators' reports, the cooperative votes) hold a mid-run state. The
+sensing calls and proposed's calls are timed on proposed's state;
+cooperative's attempt, shortlist and epoch and standalone's attempt on
+their own scheme's state. Each figure is the best of 9 repeats of 3,000
+calls, printed in µs per call. Calls that draw advance the run's
+generators, and each epoch call advances the cooperative vote rotation,
+which changes no call's cost. Each figure includes one Python lambda call
+(about 0.03 µs).
 Compare figures only within one session on one host.
 """
 
@@ -68,6 +71,10 @@ def calls():
         ("ProposedStrategy.on_epoch", lambda: strategy.on_epoch(now, fleet, cmap, streams)),
         ("CooperativeStrategy.attempt", lambda: cooperative.strategy.attempt(
             v, cooperative.fleet.positions, now, cooperative.channel_map, cooperative.streams)),
+        ("CooperativeStrategy.shortlist", lambda: cooperative.strategy.shortlist(
+            v, cooperative.fleet.positions, cooperative.streams.su[v])),
+        ("CooperativeStrategy.on_epoch", lambda: cooperative.strategy.on_epoch(
+            now, cooperative.fleet, cooperative.channel_map, cooperative.streams)),
         ("StandaloneStrategy.attempt", lambda: standalone.strategy.attempt(
             v, standalone.fleet.positions, now, standalone.channel_map, standalone.streams)),
     ]
