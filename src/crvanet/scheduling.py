@@ -200,9 +200,9 @@ def step_su(vehicle_id: int, positions: np.ndarray, now: float, tick: int,
 
     Transmitting and due: tear down, schedule the next attempt. Idle and
     due: obtain and sense candidates through the active scheme, coord_view,
-    recording the attempt's sensing as one block (record_senses; a block
-    over coord_view.sensor's band records the band's indices as its
-    channel ids), then occupy on success or back off on failure. Landing
+    recording the attempt's sensing as one block (record_senses; an
+    array block is the band, recorded with its indices as channel ids),
+    then occupy on success or back off on failure. Landing
     on a channel whose SU holder is set is a failure (collision avoided at
     the map level); landing on a PU-active channel is harmful interference
     — the transmission collides immediately, counted but never an
@@ -221,9 +221,9 @@ def step_su(vehicle_id: int, positions: np.ndarray, now: float, tick: int,
         ids, occupied, truth = block.channel_ids, block.occupied, block.truth
         if isinstance(ids, list):   # listed channels: classified pair by pair, in Python
             classes = list(map(classify_block, occupied, truth))
-        else:   # the band's ids are its indices
+        else:   # an array block is the band, whose ids are its indices
             classes = classify_block(occupied, truth).tolist()
-            ids = range(len(classes)) if ids is coord_view.sensor.band else ids.tolist()
+            ids = range(len(classes))
         record_senses(report, tick, now, ids, vehicle_id, classes)
     if chosen is None:
         channel_map.schedule(vehicle_id, now + back_off_time)

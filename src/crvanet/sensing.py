@@ -21,25 +21,24 @@ A sense block holds, per sensed (observer, channel) pair, the decision,
 the ground truth at the same instant and the statistic; classify_block
 classifies decisions against truth. The sensor owns the channel plan: the
 PU towers split the band evenly, each owning one contiguous run of
-channels. Each observer draws from its own streams exactly as it would
-sensing alone, and the type of the channel ids picks the route, bit for
-bit the same computation either way. Lists in, lists out: one observer's
-listed channels (cooperative shortlists, proposed re-checks) run in
-Python floats, as numpy's fixed cost per operation would dominate them,
-and return lists; this is the only route that senses over several
+channels. sense_block takes the three shapes the schemes send, each
+observer drawing from its own streams exactly as it would sensing alone,
+bit for bit the same computation on every route. Lists in, lists out:
+one observer's listed channels (cooperative shortlists, proposed
+re-checks) run in Python floats, as numpy's fixed cost per operation
+would dominate them; this is the only route that senses over several
 blocks. Arrays in, arrays out, over one fading block: the sensor's
-read-only `band` (every channel, as standalone attempts and proposed
-epochs sense), listed ids and observer grids (cooperative epochs) take
-the array path, 1-D for one observer and (observers, channels) for
-several. Each observer's statistic draws fill its row, and its fading
-draws fill the same slots of the gains, one draw per run of consecutive
-channels of one tower. A band call skips the id check and the run
-search: it reads the channel map whole and takes the band's tower runs,
-stored once, so one observer's band (a standalone attempt) costs a
-fading draw per tower, one statistic draw and one pass of 1-D
-operations. On every route an SU holder makes a channel truly occupied
-within sensingRange of the observer; the channel map holds +inf as the
-position of no holder, so the range test alone decides.
+read-only `band` (every channel) at one observer (standalone attempts)
+or several (proposed epochs), and an (observers, k) grid of one row per
+observer (cooperative epochs). Each observer's statistic draws fill its
+row, and its fading draws fill the same slots of the gains, one draw per
+run of consecutive channels of one tower. A band call skips the id check
+and the run search: it reads the channel map whole and takes the band's
+tower runs, stored once, so one observer's band costs a fading draw per
+tower, one statistic draw and one pass of 1-D operations. On every route
+an SU holder makes a channel truly occupied within sensingRange of the
+observer; the channel map holds +inf as the position of no holder, so
+the range test alone decides.
 """
 
 from __future__ import annotations
@@ -64,10 +63,10 @@ SU_SENSE_SNR_DB = 20.0
 @dataclass(eq=False, slots=True)
 class SenseBlock:
     """Sensing of a set of channels: one entry per channel for one
-    observer, one row per observer for several. The fields are lists when
-    the channel ids came in as a list, else arrays."""
+    observer, one row per observer for several. The fields are lists for
+    one observer's list of ids, else arrays."""
 
-    channel_ids: list | np.ndarray   # int, as passed (maybe the read-only band): 1-D when shared
+    channel_ids: list | np.ndarray   # int, as passed: the list, the read-only band or the grid
     occupied: list | np.ndarray      # bool decision: statistic >= threshold
     truth: list | np.ndarray         # bool: truly occupied at the observer
     statistic: list | np.ndarray     # linear power
@@ -201,18 +200,16 @@ class ChannelSensor:
         """Sense channels at one or more observers; channel_map holds the
         ground truth at the sensing instant.
 
-        The type of channel_ids picks the route (see the module docstring),
-        bit for bit the same computation either way, every generator drawn
-        exactly as if each observer sensed alone, in turn. One observer
-        (scalar id and position) given a list of ids takes _sense_listed and
-        gets a SenseBlock of lists: the ids as passed and one entry each. An
-        ndarray of ids takes the array path: one observer senses 1-D ids and
-        gets 1-D arrays; m distinct observers (1-D ids and positions) sense
-        the same 1-D ids or one row each of an (m, k) grid and get (m, k)
-        arrays; no ids at all give empty arrays of that shape and no draw.
-        The sensor's `band` itself (channel_map must hold exactly its
-        channels) skips the id check and reads the map whole; results are
-        new arrays, and the SenseBlock's channel_ids is the band.
+        Three call shapes, each bit for bit every observer sensing alone in
+        turn, every generator drawn exactly so. One observer (scalar id and
+        position) given a list of ids takes _sense_listed and gets lists:
+        the ids as passed and one entry each. The sensor's `band` itself
+        (channel_map must hold exactly its channels), at one observer or m
+        distinct ones (1-D ids and positions), reads the map whole and gets
+        1-D or (m, n) arrays; an (m, k) grid of ids, k >= 1, one row for
+        each of m distinct observers, gets (m, k) arrays. Any other array
+        shape is rejected by name before any draw. Results are new arrays;
+        the SenseBlock's channel_ids is the band or the grid.
 
         Only a list call may take blocks > 1 (keyword only, so perfbench's
         tracer finds it by name). Each listed channel is then observed over
@@ -229,44 +226,6 @@ class ChannelSensor:
         if blocks != 1:
             raise ValueError(f"array calls sense one block, got blocks={blocks}; "
                              "only one observer's listed channels take several")
-        band = channel_ids is self.band
-        if not band:
-            channel_ids = np.asarray(channel_ids, dtype=int)
-            if single and channel_ids.ndim != 1:
-                raise ValueError(
-                    f"one observer needs 1-D channel_ids, got shape {channel_ids.shape}")
-        elif channel_map.n_channels != channel_ids.size:
-            raise ValueError(f"channel map of {channel_map.n_channels} channels "
-                             f"for a band of {channel_ids.size}")
-        k = channel_ids.shape[-1]
-        # Each observer's row of channels splits into runs of consecutive
-        # channels of one tower. A run's gains come from the observer's
-        # stream for that tower, in position order, so drawing every run
-        # straight into its slots of the flat gains gives each stream the
-        # sequence of one draw of the run's count. The statistic draws fill
-        # one array for one observer, else each observer's row.
-        if band:   # valid ids, the map read whole, the towers' runs stored once
-            pu_active, holder_pos = channel_map.pu_active, channel_map.su_holder_pos
-            runs, rows = self._band_runs, 1
-        else:
-            if not channel_ids.size:   # no window: the list route's empty block, as arrays
-                empty = np.zeros(channel_ids.shape if single else (len(observer_ids), k))
-                return SenseBlock(channel_ids, empty > 0, empty > 0, empty)
-            # as unsigned, a negative id is larger than every valid one
-            if not (np.maximum.reduce(channel_ids.view(np.uint64), axis=None)
-                    < self.config.n_channels):
-                raise ValueError(f"unknown channel in {channel_ids.tolist()}")
-            pu_active = channel_map.pu_active[channel_ids]
-            holder_pos = channel_map.su_holder_pos[channel_ids]
-            # the rows (one shared, or one each) flat: a run starts at a row's start or a new tower
-            towers = (channel_ids // self.per_tower).ravel()
-            run_start = np.empty(towers.size, dtype=bool)
-            np.not_equal(towers[1:], towers[:-1], out=run_start[1:])
-            run_start[::k] = True
-            starts, rows = run_start.nonzero()[0].tolist(), towers.size // k
-            runs = list(zip(towers[run_start].tolist(), starts, starts[1:] + [towers.size]))
-
-        threshold = self.threshold_for(1)
         # one median PU SNR per observer: every tower is as far from it
         if single:
             observers, pos = [int(observer_ids)], float(observer_pos)
@@ -278,12 +237,45 @@ class ChannelSensor:
             pos = np.asarray(observer_pos, dtype=float)[:, None]
             snr_pu = np.array(list(map(self.median_pu_snr, pos[:, 0].tolist())))[:, None]
         m = len(observers)
+        # Each observer's row of channels splits into runs of consecutive
+        # channels of one tower. A run's gains come from the observer's
+        # stream for that tower, in position order, so drawing every run
+        # straight into its slots of the flat gains gives each stream the
+        # sequence of one draw of the run's count. The statistic draws fill
+        # one array for one observer, else each observer's row.
+        if channel_ids is self.band:   # valid ids, the map read whole, the towers' runs stored once
+            if channel_map.n_channels != channel_ids.size:
+                raise ValueError(f"channel map of {channel_map.n_channels} channels "
+                                 f"for a band of {channel_ids.size}")
+            pu_active, holder_pos = channel_map.pu_active, channel_map.su_holder_pos
+            k, runs = channel_ids.size, self._band_runs
+            if not single:   # each observer takes the band's runs
+                runs = [(tower, o * k + start, o * k + end)
+                        for o in range(m) for tower, start, end in runs]
+        else:
+            shape = np.shape(channel_ids)
+            if single or len(shape) != 2 or shape[0] != m or not shape[1]:
+                raise ValueError(f"channel_ids of shape {shape} for {m} observer(s): an array "
+                                 "must be the band or one row of k >= 1 ids per observer")
+            channel_ids, k = np.asarray(channel_ids, dtype=int), shape[1]
+            # as unsigned, a negative id is larger than every valid one
+            if not (np.maximum.reduce(channel_ids.view(np.uint64), axis=None)
+                    < self.config.n_channels):
+                raise ValueError(f"unknown channel in {channel_ids.tolist()}")
+            pu_active = channel_map.pu_active[channel_ids]
+            holder_pos = channel_map.su_holder_pos[channel_ids]
+            # the rows flat: a run starts at a row's start or a new tower
+            towers = (channel_ids // self.per_tower).ravel()
+            run_start = np.empty(towers.size, dtype=bool)
+            np.not_equal(towers[1:], towers[:-1], out=run_start[1:])
+            run_start[::k] = True
+            starts = run_start.nonzero()[0].tolist()
+            runs = list(zip(towers[run_start].tolist(), starts, starts[1:] + [towers.size]))
+
+        threshold = self.threshold_for(1)
         # ground truth at each observer; no SU holder sits at +inf
         su_in_range = np.abs(holder_pos - pos) <= self.config.sensing_range
         truth_occupied = pu_active | su_in_range
-        if rows < m:   # one row shared: each observer takes its runs
-            runs = [(tower, o * k + start, o * k + end)
-                    for o in range(m) for tower, start, end in runs]
         gains, fading = np.empty(m * k), streams.fading
         for tower, start, end in runs:
             fading[tower][observers[start // k]].standard_exponential(out=gains[start:end])

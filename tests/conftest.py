@@ -22,7 +22,7 @@ def short_config():
 
 
 def _sense_everywhere(config, calls, seed, pu_active=False, positions=None):
-    """Every vehicle senses every channel, `calls` times over, through one
+    """Every vehicle senses the band, `calls` times over, through one
     ChannelSensor.sense_block call each; no SU holds a channel, and every
     PU transmits if pu_active. Vehicles sit evenly along the road unless
     `positions` places them. Returns the sensor, the positions and one
@@ -32,9 +32,9 @@ def _sense_everywhere(config, calls, seed, pu_active=False, positions=None):
     cmap.pu_active[:] = pu_active
     if positions is None:
         positions = np.linspace(0.0, config.road_length, config.n_vehicles)
-    observers, channels = np.arange(config.n_vehicles), np.arange(config.n_channels)
+    observers = np.arange(config.n_vehicles)
     streams = StreamBundle(seed, config.n_vehicles, config.n_channels, config.n_pu_towers)
-    blocks = [sensor.sense_block(observers, positions, channels, cmap, streams)
+    blocks = [sensor.sense_block(observers, positions, sensor.band, cmap, streams)
               for _ in range(calls)]
     return sensor, positions, blocks
 

@@ -148,8 +148,9 @@ class TestCoordinatedSense:
         fused, role = self._epoch(engine, _streams(engine.config, 3))
         per_coord = []
         for cid in dict.fromkeys(role):
-            block = engine.sensor.sense_block(cid, float(fleet.positions[cid]), np.arange(4),
-                                              engine.channel_map, _streams(engine.config, 3))
+            block = engine.sensor.sense_block(cid, float(fleet.positions[cid]),
+                                              engine.sensor.band, engine.channel_map,
+                                              _streams(engine.config, 3))
             per_coord.append(~block.occupied)
         expected = np.logical_and.reduce(np.array(per_coord))
         assert fused == np.flatnonzero(expected).tolist()
@@ -186,8 +187,8 @@ def test_epoch_equals_per_coordinator_sensing(n_vehicles):
     for role in roles.tolist():
         vacant = np.ones(config.n_channels, dtype=bool)
         for cid in dict.fromkeys(role):
-            block = sensor.sense_block(cid, float(fleet.positions[cid]),
-                                       np.arange(config.n_channels), cmap, reference)
+            block = sensor.sense_block(cid, float(fleet.positions[cid]), sensor.band, cmap,
+                                       reference)
             vacant &= ~block.occupied
         expected.append(np.flatnonzero(vacant).tolist())
     assert engine.strategy.vacant == expected

@@ -22,7 +22,7 @@ from crvanet.report import (
     SimulationReport,
 )
 from crvanet.scheduling import ChannelMap, pu_timeline, schedule_next, step_pu, step_su
-from crvanet.sensing import ChannelSensor, SenseBlock
+from crvanet.sensing import SenseBlock
 from crvanet.streams import StreamBundle
 
 
@@ -185,10 +185,9 @@ class TestPuTimeline:
 
 class _PinnedStrategy:
     """Test double: always proposes the given channel with a vacant decision,
-    sensed as an array of ids that is not its sensor's band."""
+    sensed as one observer's list of that one channel."""
 
     needs_epoch = False
-    sensor = ChannelSensor(replace(ScenarioConfig(), n_channels=8).validate())
 
     def __init__(self, channel_id, occupied=False, truth=False):
         self.channel_id = channel_id
@@ -198,12 +197,8 @@ class _PinnedStrategy:
     def attempt(self, vehicle_id, positions, now, channel_map, streams):
         if self.channel_id is None:
             return None, None
-        block = SenseBlock(
-            channel_ids=np.array([self.channel_id]),
-            occupied=np.array([self.occupied]),
-            truth=np.array([self.truth]),
-            statistic=np.zeros(1),
-        )
+        block = SenseBlock(channel_ids=[self.channel_id], occupied=[self.occupied],
+                           truth=[self.truth], statistic=[0.0])
         chosen = None if self.occupied else self.channel_id
         return block, chosen
 

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -184,9 +185,10 @@ class TestEnergyStatistic:
         cmap.pu_active[1] = True
         cmap.set_holder(2, vehicle_id=4, position=600.0)
         block = ChannelSensor(default_config).sense_block(
-            0, 500.0, np.array([0, 1, 2]), cmap, _streams(default_config, 4))
-        assert block.statistic.shape == (3,)
-        assert block.truth.tolist() == [False, True, True]
+            np.array([0]), np.array([500.0]), np.array([[0, 1, 2]]), cmap,
+            _streams(default_config, 4))
+        assert block.statistic.shape == (1, 3)
+        assert block.truth.tolist() == [[False, True, True]]
 
     def test_detection_probability_rises_with_snr(self, default_config, sense_everywhere):
         threshold = ChannelSensor(default_config).threshold_for(1)
@@ -235,9 +237,9 @@ class TestClassification:
         cmap.pu_active[::3] = True
         cmap.set_holder(7, vehicle_id=4, position=600.0)
         weak = _config_at_snr(default_config, 0.0)   # weak PUs: misdetections occur
-        block = ChannelSensor(weak).sense_block(
-            np.arange(50), np.linspace(0.0, 2000.0, 50), np.arange(100), cmap,
-            _streams(default_config, 12))
+        sensor = ChannelSensor(weak)
+        block = sensor.sense_block(np.arange(50), np.linspace(0.0, 2000.0, 50), sensor.band,
+                                   cmap, _streams(default_config, 12))
         got = classify_block(block.occupied, block.truth)
         assert got.shape == (50, 100)
         expected = np.where(block.occupied == block.truth, 0,
@@ -398,7 +400,7 @@ class TestBatchedSenseBlock:
         observer arrays sense one block per call."""
         sensor = ChannelSensor(default_config)
         cmap = self._channel_map(default_config)
-        channels = np.arange(default_config.n_channels) if shared else self.GRID
+        channels = sensor.band if shared else self.GRID
         batched, single = _streams(default_config, 5), _streams(default_config, 5)
         block = _max_hold(sensor, self.OBSERVERS, self.POSITIONS, channels, cmap, batched, blocks)
         assert block.occupied.shape == (len(self.OBSERVERS), channels.shape[-1])
@@ -473,10 +475,11 @@ class TestBatchedSenseBlock:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_batch_equals_single_calls_on_drawn_inputs(self, data):
-        """1-6 distinct observers sense a shared row or a grid of 1-25
-        channels, from 1-4 towers, under a drawn PU and SU map: each row
-        equals the observer's own call byte for byte, and every fading and
-        sensing generator ends in the same state."""
+        """1-6 distinct observers sense the band or a grid of 1-25 channels,
+        from 1-4 towers, under a drawn PU and SU map: each row equals the
+        observer's own call (its band, or its row as a one-row grid) byte
+        for byte, and every fading and sensing generator ends in the same
+        state."""
         towers = data.draw(st.integers(1, 4), label="towers")
         per_tower = data.draw(st.integers(1, 25), label="perTower")
         config = replace(ScenarioConfig(), n_vehicles=8, n_pu_towers=towers,
@@ -489,18 +492,21 @@ class TestBatchedSenseBlock:
         draw = np.random.default_rng(seed)
         observers = draw.permutation(config.n_vehicles)[:m]
         positions = draw.uniform(0.0, config.road_length, m)
-        channels = draw.integers(0, n, k if shared else (m, k))
+        grid = draw.integers(0, n, (m, k))
         cmap = _drawn_map(config, draw)
 
         sensor = ChannelSensor(config)
         batched, single = _streams(config, seed), _streams(config, seed)
+        channels = sensor.band if shared else grid
         block = sensor.sense_block(observers, positions, channels, cmap, batched)
-        rows = [channels] * m if shared else channels
-        for r, (observer, position, ids) in enumerate(
-                zip(observers.tolist(), positions.tolist(), rows)):
-            alone = sensor.sense_block(observer, position, ids, cmap, single)
+        for r, (observer, position) in enumerate(zip(observers.tolist(), positions.tolist())):
+            if shared:
+                alone = sensor.sense_block(observer, position, sensor.band, cmap, single)
+            else:
+                alone = sensor.sense_block(observers[r:r + 1], positions[r:r + 1],
+                                           grid[r:r + 1], cmap, single)
             for field in ("occupied", "truth", "statistic"):
-                expected, got = getattr(block, field)[r], getattr(alone, field)
+                expected, got = getattr(block, field)[r], getattr(alone, field).reshape(-1)
                 assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
         for a, b in zip(batched.fading + [batched.sensing], single.fading + [single.sensing]):
             assert [g.bit_generator.state for g in a] == [g.bit_generator.state for g in b]
@@ -508,8 +514,9 @@ class TestBatchedSenseBlock:
     @pytest.mark.parametrize("blocks", [2, 3])
     def test_listed_blocks_are_consecutive_single_blocks(self, default_config, blocks):
         """One observer's list call over several blocks equals, byte for
-        byte, the max-hold of as many consecutive 1-block array calls on a
-        twin bundle, and leaves every generator in the same state."""
+        byte, the max-hold of as many consecutive 1-block calls of its ids
+        as a one-row grid on a twin bundle, and leaves every generator in
+        the same state."""
         sensor = ChannelSensor(default_config)
         cmap = self._channel_map(default_config)
         many, one = _streams(default_config, 8), _streams(default_config, 8)
@@ -517,9 +524,10 @@ class TestBatchedSenseBlock:
                                            self._short_grid(30)):
             got = sensor.sense_block(observer, position, ids.tolist(), cmap, many,
                                      blocks=blocks)
-            expected = _max_hold(sensor, observer, position, ids, cmap, one, blocks)
+            expected = _max_hold(sensor, np.array([observer]), np.array([position]), ids[None],
+                                 cmap, one, blocks)
             for field in ("occupied", "truth", "statistic"):
-                _assert_listed_equals(getattr(got, field), getattr(expected, field))
+                _assert_listed_equals(getattr(got, field), getattr(expected, field)[0])
         for a, b in zip(many.fading + [many.sensing], one.fading + [one.sensing]):
             assert [g.bit_generator.state for g in a] == [g.bit_generator.state for g in b]
 
@@ -529,7 +537,8 @@ class TestBatchedSenseBlock:
         over 1-3 blocks. Over one block it equals, bit for bit, the array
         path's row for the same ids; over several, the max-hold of as many
         consecutive 1-block list calls, decided against the per-block
-        threshold. Every fading and sensing generator ends in the same
+        threshold. The array path's row is the ids as a one-row grid of
+        the observer. Every fading and sensing generator ends in the same
         state, and no field of the list call is an ndarray. As input
         coverage, the examples are counted by the list's shape, within one
         tower or over several, and by blocks: each shape is drawn at 1 and
@@ -557,7 +566,10 @@ class TestBatchedSenseBlock:
             got = sensor.sense_block(observer, position, ids, cmap, listed, blocks=blocks)
             assert got.channel_ids == ids
             if blocks == 1:
-                expected = sensor.sense_block(observer, position, np.array(ids), cmap, reference)
+                expected = sensor.sense_block(np.array([observer]), np.array([position]),
+                                              np.array([ids]), cmap, reference)
+                expected = SenseBlock(ids, *(getattr(expected, field)[0]
+                                             for field in ("occupied", "truth", "statistic")))
             else:
                 calls = [sensor.sense_block(observer, position, ids, cmap, reference)
                          for _ in range(blocks)]
@@ -578,15 +590,12 @@ class TestBatchedSenseBlock:
 
     def test_band_and_grid_calls_sense_one_block(self, default_config):
         """Only one observer's list of channels takes several blocks: a call
-        with an array of ids (the band, one observer's listed ids, an
-        observer array's) over 2 blocks is rejected by name before any
-        draw."""
+        with an array of ids (the band at one observer or several, a grid)
+        over 2 blocks is rejected by name before any draw."""
         sensor = ChannelSensor(default_config)
         cmap = self._channel_map(default_config)
-        calls = [(0, 500.0, sensor.band), (0, 500.0, np.array([2, 60])),
-                 (self.OBSERVERS, self.POSITIONS, sensor.band),
-                 (self.OBSERVERS, self.POSITIONS, self.GRID),
-                 (self.OBSERVERS, self.POSITIONS, np.arange(4))]
+        calls = [(0, 500.0, sensor.band), (self.OBSERVERS, self.POSITIONS, sensor.band),
+                 (self.OBSERVERS, self.POSITIONS, self.GRID)]
         for observers, positions, channels in calls:
             streams, fresh = _streams(default_config, 0), _streams(default_config, 0)
             with pytest.raises(ValueError, match="sense one block, got blocks=2"):
@@ -598,17 +607,19 @@ class TestBatchedSenseBlock:
         sensor = ChannelSensor(default_config)
         cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
         with pytest.raises(ValueError, match="distinct observers"):
-            sensor.sense_block(np.array([3, 5, 3]), np.array([0.0, 1.0, 2.0]), np.arange(4),
+            sensor.sense_block(np.array([3, 5, 3]), np.array([0.0, 1.0, 2.0]), sensor.band,
                                cmap, _streams(default_config, 0))
 
     @pytest.mark.parametrize("channel_id", [100, -1])
     def test_unknown_channel_rejected_in_short_call(self, default_config, channel_id):
-        """As a list or as an array of one observer's listed ids."""
+        """As one observer's list, or as its one-row grid."""
         sensor = ChannelSensor(default_config)
         cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
-        for channels in ([2, channel_id], np.array([2, channel_id])):
+        for observer, position, channels in ((0, 500.0, [2, channel_id]),
+                                             ([0], [500.0], np.array([[2, channel_id]]))):
             with pytest.raises(ValueError, match="unknown channel"):
-                sensor.sense_block(0, 500.0, channels, cmap, _streams(default_config, 0))
+                sensor.sense_block(observer, position, channels, cmap,
+                                   _streams(default_config, 0))
 
     def test_unknown_channel_rejected_in_grid(self, default_config):
         sensor = ChannelSensor(default_config)
@@ -621,38 +632,42 @@ class TestBatchedSenseBlock:
 
     @pytest.mark.parametrize("shape", [(), (2, 2), (1, 20), (2, 20), (21, 1)])
     def test_one_observer_needs_1d_channels(self, default_config, shape):
-        """A scalar observer given a grid (or a bare id) is rejected by name,
-        whatever the grid's size."""
+        """A scalar observer given a grid (or a bare id) is rejected by its
+        shape, whatever the grid's size: one observer senses a list or the
+        band."""
         sensor = ChannelSensor(default_config)
         cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
         channels = np.arange(math.prod(shape)).reshape(shape)
-        with pytest.raises(ValueError, match="one observer needs 1-D channel_ids"):
+        with pytest.raises(ValueError, match=rf"channel_ids of shape {re.escape(str(shape))}"):
             sensor.sense_block(0, 500.0, channels, cmap, _streams(default_config, 0))
 
     @pytest.mark.parametrize("observers, positions, channels, shape", [
-        (0, 500.0, np.array([], dtype=int), (0,)),
-        (OBSERVERS, POSITIONS, np.empty((4, 0), dtype=int), (4, 0)),
-    ], ids=["one-observer", "grid"])
-    def test_no_channels_give_an_empty_block(self, default_config, observers, positions,
+        (0, 500.0, np.array([2, 60]), r"\(2,\) for 1 observer"),
+        (0, 500.0, np.array([], dtype=int), r"\(0,\) for 1 observer"),
+        (OBSERVERS, POSITIONS, np.arange(4), r"\(4,\) for 4 observer"),
+        (OBSERVERS, POSITIONS, GRID[:3], r"\(3, 5\) for 4 observer"),
+        (OBSERVERS, POSITIONS, np.empty((4, 0), dtype=int), r"\(4, 0\) for 4 observer"),
+    ], ids=["one-observer-array", "one-observer-empty", "shared-row", "rows-unlike-observers",
+            "no-columns"])
+    def test_shapes_no_scheme_sends_rejected(self, default_config, observers, positions,
                                              channels, shape):
-        """An empty array of ids, 1-D for one observer or an (m, 0) grid,
-        gets empty arrays of the call's shape, as a list call gets empty
-        lists, and draws nothing."""
+        """An array of ids is the band or one row of k >= 1 ids per
+        observer: any other shape (one observer's array, empty or not, a
+        row shared by several, a grid whose rows are not one per observer,
+        a grid of no columns) is rejected by its shape before any draw."""
         sensor = ChannelSensor(default_config)
         cmap = self._channel_map(default_config)
         streams, fresh = _streams(default_config, 0), _streams(default_config, 0)
-        block = sensor.sense_block(observers, positions, channels, cmap, streams)
-        assert block.channel_ids.shape == channels.shape
-        for field, dtype in ((block.occupied, bool), (block.truth, bool),
-                             (block.statistic, float)):
-            assert field.shape == shape and field.dtype == dtype
+        with pytest.raises(ValueError, match=rf"channel_ids of shape {shape}"):
+            sensor.sense_block(observers, positions, channels, cmap, streams)
         for a, b in zip(streams.fading + [streams.sensing], fresh.fading + [fresh.sensing]):
             assert [g.bit_generator.state for g in a] == [g.bit_generator.state for g in b]
 
 
 class TestBandPath:
     """sense_block over the sensor's read-only band takes the map whole and
-    the stored tower runs, and equals the same call over np.arange(n)."""
+    the stored tower runs, and equals the same call over a grid of the
+    band's ids, one row per observer."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
@@ -660,8 +675,9 @@ class TestBandPath:
         """1-4 towers of 1-30 channels, a scalar observer or 1-6 distinct
         ones, a drawn PU and SU map: byte for byte the same results, every
         fading and sensing generator in the same state, and the map
-        untouched. A band call of any size takes the array path, as does a
-        scalar observer's np.arange(n); that observer's list(range(n))
+        untouched. A band call of any size takes the array path, and so
+        does its reference, the grid np.tile(band, (m, 1)) (for a scalar
+        observer, its one-row grid); a scalar observer's list(range(n))
         equals both, as lists."""
         towers = data.draw(st.integers(1, 4), label="towers")
         per_tower = data.draw(st.integers(1, 30), label="perTower")
@@ -685,10 +701,13 @@ class TestBandPath:
         got = sensor.sense_block(observers, positions, sensor.band, cmap, on_band)
         for a, b in zip(before, (cmap.pu_active, cmap.su_holder, cmap.su_holder_pos)):
             np.testing.assert_array_equal(a, b)
-        expected = sensor.sense_block(observers, positions, np.arange(n), cmap, general)
+        rows = np.atleast_1d(observers)
+        expected = sensor.sense_block(rows, np.atleast_1d(positions),
+                                      np.tile(sensor.band, (len(rows), 1)), cmap, general)
         assert got.channel_ids is sensor.band
         for field in ("occupied", "truth", "statistic"):
             e, g = getattr(expected, field), getattr(got, field)
+            e = e[0] if m is None else e
             assert isinstance(e, np.ndarray) and isinstance(g, np.ndarray)
             assert g.dtype == e.dtype and g.shape == e.shape and g.tobytes() == e.tobytes()
         bundles = [on_band, general]
@@ -789,12 +808,14 @@ class TestMedianPuSnr:
         with pytest.raises(PropagationDomainError):
             sensor.median_pu_snr(1000.0)   # 0.1 km
         cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
-        for channels in (np.arange(3), np.arange(21), sensor.band):
+        for k in (3, 21, None):
+            listed = sensor.band if k is None else list(range(k))
             with pytest.raises(PropagationDomainError):
-                sensor.sense_block(0, 1000.0, channels, cmap, _streams(default_config, 0))
+                sensor.sense_block(0, 1000.0, listed, cmap, _streams(default_config, 0))
             # an observer array, with the out-of-range observer second
+            grid = sensor.band if k is None else np.tile(np.arange(k), (2, 1))
             with pytest.raises(PropagationDomainError):
-                sensor.sense_block(np.array([0, 1]), np.array([0.0, 1000.0]), channels, cmap,
+                sensor.sense_block(np.array([0, 1]), np.array([0.0, 1000.0]), grid, cmap,
                                    _streams(default_config, 0))
         with pytest.raises(PropagationDomainError):
             ChannelSensor(replace(default_config, frequency=2000.0))

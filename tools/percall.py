@@ -7,16 +7,20 @@ so that the fleet, the channel map and the scheme's shared state (the
 coordinators' reports, the cooperative votes) hold a mid-run state. The
 sensing calls and proposed's calls are timed on proposed's state;
 cooperative's attempt, shortlist and epoch and standalone's attempt on
-their own scheme's state. Each figure is the best of 9 repeats of 3,000
-calls, printed in µs per call. Calls that draw advance the run's
-generators, and each epoch call advances the cooperative vote rotation,
-which changes no call's cost. Each figure includes one Python lambda call
-(about 0.03 µs).
+their own scheme's state. Each of 9 rounds times every row once, 3,000
+calls in turn, so that a noisy stretch of the host falls on all rows
+alike rather than on one row's repeats; each figure is the row's best
+round, printed in µs per call. Calls that draw advance the run's
+generators, and each epoch call advances the cooperative vote rotation
+and renews proposed's reports (the requester's cluster keeps reporting
+vacant channels), which changes no call's cost. Each figure includes one
+Python lambda call (about 0.03 µs).
 Compare figures only within one session on one host.
 """
 
 from __future__ import annotations
 
+import math
 import timeit
 from dataclasses import replace
 
@@ -52,7 +56,6 @@ def calls():
     shortlist, one_tower = [7, 42, 61], [7, 12, 42]
     vehicles = np.arange(len(fleet))
     grid = (vehicles[:, None] * 7 + np.arange(5)) % config.n_channels   # cooperative's epoch
-    # the attempt is timed before on_epoch, which replaces the reports it picks from
     return [
         ("median_pu_snr", lambda: sensor.median_pu_snr(pos)),
         ("listed 1 channel x 2 blocks", lambda: sensor.sense_block(
@@ -81,9 +84,13 @@ def calls():
 
 
 def main() -> None:
-    for name, call in calls():
-        best = min(timeit.repeat(call, number=NUMBER, repeat=REPEATS)) / NUMBER
-        print(f"{name:30s} {best * 1e6:8.2f} µs")
+    rows = calls()
+    best = [math.inf] * len(rows)
+    for _ in range(REPEATS):   # rounds, each timing every row once
+        for i, (_, call) in enumerate(rows):
+            best[i] = min(best[i], timeit.timeit(call, number=NUMBER))
+    for (name, _), seconds in zip(rows, best):
+        print(f"{name:30s} {seconds / NUMBER * 1e6:8.2f} µs")
 
 
 if __name__ == "__main__":
