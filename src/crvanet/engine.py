@@ -30,7 +30,7 @@ BLOCK = 128  # most ticks of fleet motion computed at once; memory O(vehicles x 
 
 
 class SimulationEngine:
-    """Owns all per-run state; one instance per (config, seed) run."""
+    """Owns all per-run state; one instance per (config, seed) run, run once."""
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
@@ -47,8 +47,13 @@ class SimulationEngine:
             self.channel_map.schedule(v, schedule_next(config.su_gap_mean, rng))
 
         self.decision_period = max(1, round(config.reaction_time / config.time_step))
+        self.ran = False
 
     def run(self, trace=None, trace_mobility: bool = False) -> SimulationReport:
+        if self.ran:   # its fleet, channels, streams and strategy hold the last run's end
+            raise RuntimeError("SimulationEngine.run() called twice: an engine runs once, "
+                               "so build a new one per run (run_simulation does)")
+        self.ran = True
         config, channel_map, fleet = self.config, self.channel_map, self.fleet
         per_tower, report = self.sensor.per_tower, SimulationReport(trace=trace)
         dt, eps, period = config.time_step, DUE_TOLERANCE, self.decision_period

@@ -52,8 +52,11 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def render_chart(table: SweepTable, metric: str, title: str) -> str:
-    """One SVG document for one metric."""
+def render_chart(table: SweepTable, metric: str) -> str:
+    """One SVG document for one metric, titled "<axis label> vs <metric label>"."""
+    if table.spec_axis not in AXES:
+        raise PlotDataError(f"sweep axis {table.spec_axis!r} is not one of {tuple(AXES)}")
+    axis_name = AXES[table.spec_axis].label
     series = _series(table, metric)
     axis_values = sorted({row.axis_value for row in table.rows})
     if len(axis_values) < 2:
@@ -82,7 +85,7 @@ def render_chart(table: SweepTable, metric: str, title: str) -> str:
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.0f}" y="22" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
+        f'font-family="sans-serif" font-size="15">{axis_name} vs {METRICS[metric]}</text>',
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#444" stroke-width="1"/>',
     ]
@@ -108,8 +111,6 @@ def render_chart(table: SweepTable, metric: str, title: str) -> str:
             f'font-family="sans-serif" font-size="11">{format_axis_value(x)}</text>'
         )
 
-    axis = table.spec_axis
-    axis_name = AXES[axis].label if axis in AXES else axis or "axis value"
     parts.append(
         f'<text x="{MARGIN_L + plot_w / 2:.0f}" y="{HEIGHT - 14}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12">{axis_name}</text>'
@@ -158,13 +159,11 @@ def render_plots(table: SweepTable, out_dir: str) -> list[str]:
     """Write fig_<axis>_<metric>.svg for each metric; returns the paths."""
     if not table.rows:
         raise PlotDataError("cannot plot an empty sweep table")
+    docs = {metric: render_chart(table, metric) for metric in METRICS}
     os.makedirs(out_dir, exist_ok=True)
-    axis = table.spec_axis or "axis"
     paths = []
-    for metric, label in METRICS.items():
-        doc = render_chart(
-            table, metric, f"{AXES[axis].label if axis in AXES else axis} vs {label}")
-        path = os.path.join(out_dir, f"fig_{axis}_{metric}.svg")
+    for metric, doc in docs.items():
+        path = os.path.join(out_dir, f"fig_{table.spec_axis}_{metric}.svg")
         with open(path, "w", encoding="ascii", newline="") as fh:
             fh.write(doc)
         paths.append(path)

@@ -206,11 +206,16 @@ def test_backoff_advances_next_attempt_exactly(short_config):
 
 
 def test_engine_reuse_is_rejected_by_fresh_runs():
-    # run_simulation always builds a fresh engine: two calls cannot interfere
+    """run_simulation builds a fresh engine, so two calls cannot interfere;
+    a second run() of one engine, which would go on from the state the
+    first left, raises and names the cause."""
     config = replace(ScenarioConfig(), running_time=0.2, seed=5).validate()
     first = run_simulation(config)
-    second = run_simulation(config)
-    assert first == second
+    assert run_simulation(config) == first and first.allocations > 0
+    engine = SimulationEngine(config)
+    assert engine.run() == first
+    with pytest.raises(RuntimeError, match=r"run\(\) called twice: an engine runs once"):
+        engine.run()
 
 
 def test_motion_memory_is_bounded_by_the_block():

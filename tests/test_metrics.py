@@ -498,7 +498,8 @@ class TestPlots:
             assert text.rstrip().endswith("</svg>")
 
     def test_one_polyline_per_scheme(self, tmp_path):
-        doc = render_chart(_toy_table(), "allocations", "t")
+        doc = render_chart(_toy_table(), "allocations")
+        assert ">number of vehicles vs successful allocations</text>" in doc
         assert doc.count("<polyline") == 2
         assert "standalone" in doc and "proposed" in doc
 
@@ -506,20 +507,31 @@ class TestPlots:
         rows = (SweepRow(10, Scheme.PROPOSED, 1, allocations=5, false_alarms=1,
                          sensing_events=10),)
         with pytest.raises(PlotDataError) as err:
-            render_chart(SweepTable("vehicles", rows), "allocations", "t")
+            render_chart(SweepTable("vehicles", rows), "allocations")
         assert "2 axis values" in str(err.value)
 
     def test_empty_table_is_an_error(self, tmp_path):
         with pytest.raises(PlotDataError):
             render_plots(SweepTable("vehicles", ()), str(tmp_path))
 
+    @pytest.mark.parametrize("axis", ["", "pfa"])
+    def test_unknown_axis_is_an_error(self, tmp_path, axis):
+        """An axis outside sweep.AXES has no chart label: both renderers
+        name it, and render_plots makes no directory."""
+        table = SweepTable(axis, _toy_table().rows)
+        with pytest.raises(PlotDataError, match=f"sweep axis {axis!r}"):
+            render_chart(table, "allocations")
+        with pytest.raises(PlotDataError, match=f"sweep axis {axis!r}"):
+            render_plots(table, str(tmp_path / "plots"))
+        assert not (tmp_path / "plots").exists()
+
     def test_flat_zero_series_renders(self, tmp_path):
-        doc = render_chart(_toy_table(), "misdetections", "t")
+        doc = render_chart(_toy_table(), "misdetections")
         assert "<polyline" in doc
 
     def test_deterministic_bytes(self, tmp_path):
-        a = render_chart(_toy_table(), "allocations", "t")
-        b = render_chart(_toy_table(), "allocations", "t")
+        a = render_chart(_toy_table(), "allocations")
+        b = render_chart(_toy_table(), "allocations")
         assert a == b
 
     def test_means_within_min_max(self):

@@ -6,12 +6,15 @@ PUs and SUs change state many times. The engine's agenda of due SUs is
 checked against a scan of every SU's pending instant on every tick, with
 means and back-off times of a few time steps. One tick's PU flips are
 checked against the flip-by-flip rule on maps of 1-12 channels whose idle
-channels may have SU holders, traced and untraced. The coordinator
-election is checked on its own, over fleets of 1-40 vehicles. The CLI's streamed trace is
-checked against the list sink on the default scenario, at horizons of at
-most 0.15 s. Fleet motion in blocks is checked against one tick at a
-time over fleets of 0-6 vehicles. Examples are derandomized, so the suite
-sees the same scenarios on every run.
+channels may have SU holders, traced and untraced, and the PU timeline
+against the per-tick rule on real and fixed draws. The coordinator
+election is checked on its own, over fleets of 1-40 vehicles. The CLI's
+streamed trace is checked against the list sink on the default scenario,
+at horizons of at most 0.15 s. Fleet motion in blocks is checked against
+one tick at a time over fleets of 0-6 vehicles, on -0.0 and zero-speed
+inputs that no run reaches. The whole engine is checked against the
+plain reference engine in test_reference_engine.py. Examples are
+derandomized, so the suite sees the same scenarios on every run.
 """
 
 import contextlib

@@ -1,6 +1,5 @@
 import math
 import os
-import re
 import subprocess
 import sys
 from collections import Counter
@@ -588,6 +587,24 @@ class TestBatchedSenseBlock:
         drawn = {(one_tower, blocks) for one_tower in (True, False) for blocks in (1, 2)}
         assert drawn <= set(forms), forms
 
+    def test_su_holder_at_sensing_range_is_in_range(self, default_config):
+        """An SU exactly sensingRange from the observer makes its channel
+        truly occupied on every route, and one just beyond does not."""
+        sensor = ChannelSensor(default_config)
+        cmap = self._channel_map(default_config)
+        streams = _streams(default_config, 0)
+        assert not cmap.pu_active[2]
+        for position, in_range in ((480.0, True), (479.0, False)):
+            positions = np.array([120.0, position, 1010.5, 1990.0])   # observer 0 second
+            assert sensor.sense_block(0, position, [2], cmap, streams).truth == [in_range]
+            assert sensor.sense_block(0, position, [2], cmap, streams,
+                                      blocks=2).truth == [in_range]
+            assert sensor.sense_block(0, position, sensor.band, cmap, streams).truth[2] == in_range
+            assert sensor.sense_block(self.OBSERVERS, positions, sensor.band, cmap,
+                                      streams).truth[1, 2] == in_range
+            assert sensor.sense_block(self.OBSERVERS, positions, self.GRID, cmap,
+                                      streams).truth[1, 3] == in_range   # GRID[1, 3] is 2
+
     def test_band_and_grid_calls_sense_one_block(self, default_config):
         """Only one observer's list of channels takes several blocks: a call
         with an array of ids (the band at one observer or several, a grid)
@@ -630,31 +647,27 @@ class TestBatchedSenseBlock:
                 sensor.sense_block(self.OBSERVERS[:2], self.POSITIONS[:2], channels, cmap,
                                    _streams(default_config, 0))
 
-    @pytest.mark.parametrize("shape", [(), (2, 2), (1, 20), (2, 20), (21, 1)])
-    def test_one_observer_needs_1d_channels(self, default_config, shape):
-        """A scalar observer given a grid (or a bare id) is rejected by its
-        shape, whatever the grid's size: one observer senses a list or the
-        band."""
-        sensor = ChannelSensor(default_config)
-        cmap = ChannelMap(default_config.n_channels, default_config.n_vehicles)
-        channels = np.arange(math.prod(shape)).reshape(shape)
-        with pytest.raises(ValueError, match=rf"channel_ids of shape {re.escape(str(shape))}"):
-            sensor.sense_block(0, 500.0, channels, cmap, _streams(default_config, 0))
-
     @pytest.mark.parametrize("observers, positions, channels, shape", [
         (0, 500.0, np.array([2, 60]), r"\(2,\) for 1 observer"),
         (0, 500.0, np.array([], dtype=int), r"\(0,\) for 1 observer"),
         (OBSERVERS, POSITIONS, np.arange(4), r"\(4,\) for 4 observer"),
         (OBSERVERS, POSITIONS, GRID[:3], r"\(3, 5\) for 4 observer"),
         (OBSERVERS, POSITIONS, np.empty((4, 0), dtype=int), r"\(4, 0\) for 4 observer"),
+        (0, 500.0, np.array(0), r"\(\) for 1 observer"),
+        (0, 500.0, np.arange(4).reshape(2, 2), r"\(2, 2\) for 1 observer"),
+        (0, 500.0, np.arange(20).reshape(1, 20), r"\(1, 20\) for 1 observer"),
+        (0, 500.0, np.arange(40).reshape(2, 20), r"\(2, 20\) for 1 observer"),
+        (0, 500.0, np.arange(21).reshape(21, 1), r"\(21, 1\) for 1 observer"),
     ], ids=["one-observer-array", "one-observer-empty", "shared-row", "rows-unlike-observers",
-            "no-columns"])
+            "no-columns", "one-observer-bare-id", "one-observer-grid", "one-observer-one-row",
+            "one-observer-two-rows", "one-observer-column"])
     def test_shapes_no_scheme_sends_rejected(self, default_config, observers, positions,
                                              channels, shape):
         """An array of ids is the band or one row of k >= 1 ids per
-        observer: any other shape (one observer's array, empty or not, a
-        row shared by several, a grid whose rows are not one per observer,
-        a grid of no columns) is rejected by its shape before any draw."""
+        observer: any other shape (one observer's array, empty or not, its
+        bare id or a grid of any size, a row shared by several, a grid
+        whose rows are not one per observer, a grid of no columns) is
+        rejected by its shape before any draw."""
         sensor = ChannelSensor(default_config)
         cmap = self._channel_map(default_config)
         streams, fresh = _streams(default_config, 0), _streams(default_config, 0)
