@@ -114,20 +114,21 @@ def _run_point(args: tuple) -> SweepRow:
 
 def resolve_workers(workers: int | None, n_jobs: int) -> int:
     """Worker processes for n_jobs sweep runs: `workers` if given, else
-    CRVANET_PARALLEL if set, else one per usable core; at most one per
-    usable core and one per run, and at least one."""
+    CRVANET_PARALLEL if set, else one per usable core, rejected by name
+    below one; at most one per usable core and one per run, at least one."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
         cores = os.cpu_count() or 1
+    source, given = "workers", workers
     if workers is None:
-        env = os.environ.get(PARALLEL_ENV, "").strip()
+        source, given = PARALLEL_ENV, os.environ.get(PARALLEL_ENV, "").strip()
         try:
-            workers = int(env) if env else cores
+            workers = int(given) if given else cores
         except ValueError:
             workers = 0
-        if workers < 1:
-            raise ValueError(f"{PARALLEL_ENV} must be an integer >= 1, got {env!r}")
+    if workers < 1:
+        raise ValueError(f"{source} must be an integer >= 1, got {given!r}")
     return max(1, min(workers, cores, n_jobs))
 
 

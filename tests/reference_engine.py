@@ -115,9 +115,10 @@ class ReferenceEngine:
                     and now >= epochs * config.coordination_interval - EPS):
                 self.epoch(epochs)
                 epochs += 1
-            for v, instant in enumerate(list(self.su_next)):
-                if now >= instant - EPS:
-                    self.step_su(v)
+            due = [v for v, instant in enumerate(self.su_next) if now >= instant - EPS]
+            self.reached["due together"] += len(due) > 1
+            for v in due:
+                self.step_su(v)
         return self.counters, self.trace
 
     def move(self, dt):
@@ -172,13 +173,16 @@ class ReferenceEngine:
             n, count = self.config.n_channels, min(VOTES_PER_EPOCH, self.config.n_channels)
             for v, votes in enumerate(self.votes):
                 channels = [(k * count + v * 7 + j) % n for j in range(count)]
+                self.reached["row crosses towers"] += (self.towers(channels) > 1
+                                                       or channels != sorted(channels))
                 for c, occupied, _ in self.sense(v, channels):
                     votes[c] = int(occupied)
             return
         # proposed: every cluster's coordinators sense the band; a channel is
         # reported vacant if all of them decide it vacant
-        self.reports, band = [], list(range(self.config.n_channels))
-        for index, (members, roles) in enumerate(self.elect()):
+        self.reports, band, elected = [], list(range(self.config.n_channels)), self.elect()
+        self.reached["several coordinators"] += len({v for _, roles in elected for v in roles}) > 1
+        for index, (members, roles) in enumerate(elected):
             for v in members:
                 self.cluster_of[v] = index
             occupied = set()
@@ -251,10 +255,16 @@ class ReferenceEngine:
                 self.reached["level drawn"] += 1
             elif pool:
                 self.reached["level taken whole"] += 1
+                self.reached["level of the size wanted"] += len(pool) == want
             picked += pool
             if len(picked) == SHORTLIST:
                 break
+        self.reached["list over towers"] += self.towers(picked) > 1
         return picked
+
+    def towers(self, channels):
+        """How many towers the channels belong to."""
+        return len({c // self.per_tower for c in channels})
 
     def step_su(self, v):
         config, rng, now = self.config, self.streams.su[v], self.now

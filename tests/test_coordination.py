@@ -1,4 +1,3 @@
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 
 from crvanet.config import ScenarioConfig, Scheme
 from crvanet.coordination import (
-    VERIFY_SHORTLIST,
     VOTE_OCCUPIED,
     VOTE_UNKNOWN,
     VOTE_VACANT,
@@ -20,7 +18,6 @@ from crvanet.coordination import (
     pick,
 )
 from crvanet.engine import SimulationEngine
-from crvanet.scheduling import ChannelMap
 from crvanet.sensing import ChannelSensor
 from crvanet.streams import StreamBundle
 
@@ -340,62 +337,13 @@ class TestCooperativeStrategy:
         short = strategy.shortlist(0, positions, np.random.default_rng(0))
         assert short == [30, 10, 11]
 
-    @staticmethod
-    def _reference_shortlist(votes, positions, vehicle_id, comm_range, rng):
-        """The shortlist as first written: each level's pool drawn with
-        rng.choice over the pool's ids, then sorted."""
-        rows = votes[np.abs(positions - positions[vehicle_id]) <= comm_range]
-        rank = rows.min(axis=0)
-        picked = []
-        for level in (VOTE_VACANT, VOTE_UNKNOWN, VOTE_OCCUPIED):
-            want = VERIFY_SHORTLIST - len(picked)
-            if want <= 0:
-                break
-            pool = np.nonzero(rank == level)[0]
-            if pool.size > want:
-                pool = np.sort(rng.choice(pool, size=want, replace=False))
-            picked.extend(pool.tolist())
-        return np.array(picked, dtype=int)
-
-    def test_shortlist_equals_the_reference_draws(self):
-        """Over random vote matrices, positions and seeds, shortlist returns
-        the reference's ids and leaves the SU generator in the reference's
-        state. The cases include levels that are empty and pools of exactly
-        the wanted size, which take no draw."""
-        engine = self._engine()
-        strategy, config = engine.strategy, engine.config
-        n_vehicles, n_channels = strategy.votes.shape
-        sizes = Counter()
-        for case in range(400):
-            draw = np.random.default_rng(case)
-            # level weights from all-vacant to none-vacant, so every pool size occurs
-            weights = draw.dirichlet([0.3, 0.3, 0.3])
-            strategy.votes[:] = draw.choice(3, size=(n_vehicles, n_channels), p=weights)
-            if case % 4 == 0:   # exactly VERIFY_SHORTLIST vacant channels, no draw
-                strategy.votes[:] = np.maximum(strategy.votes, VOTE_OCCUPIED)
-                strategy.votes[:, draw.choice(n_channels, VERIFY_SHORTLIST, replace=False)] = \
-                    VOTE_VACANT
-            positions = draw.uniform(0.0, config.road_length, n_vehicles)
-            vehicle = int(draw.integers(n_vehicles))
-            seed = int(draw.integers(2**32))
-            got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = strategy.shortlist(vehicle, positions, got_rng)
-            expected = self._reference_shortlist(strategy.votes, positions, vehicle,
-                                                 config.comm_range, ref_rng)
-            assert got == expected.tolist() and all(type(c) is int for c in got)
-            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
-            rows = strategy.votes[np.abs(positions - positions[vehicle]) <= config.comm_range]
-            rank = rows.min(axis=0)
-            sizes.update(min(int((rank == level).sum()), 4) for level in range(3))
-        # every level was seen empty, short of, exactly at and above the shortlist size
-        assert set(sizes) == {0, 1, 2, 3, 4}
-
     def test_shortlist_size_capped(self):
         engine = self._engine()
         short = engine.strategy.shortlist(0, engine.fleet.positions,
                                           np.random.default_rng(1))
         assert len(short) == 3
         assert len(set(short)) == 3
+        assert type(short) is list and all(type(c) is int for c in short)
 
     def test_attempt_senses_whole_shortlist(self):
         engine = self._engine()

@@ -2,7 +2,6 @@ import tracemalloc
 from collections import defaultdict
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from crvanet.config import ScenarioConfig, Scheme

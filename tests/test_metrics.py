@@ -407,12 +407,23 @@ class TestResolveWorkers:
         assert resolve_workers(workers, 4500) == 2
         assert resolve_workers(workers, 1) == 1
 
-    @pytest.mark.parametrize("value", ["two", "1.5", "0", "-3"])
-    def test_bad_env_value_names_variable_and_value(self, monkeypatch, value):
-        monkeypatch.setenv(PARALLEL_ENV, value)
+    @pytest.mark.parametrize("source, value", [
+        ("env", "two"), ("env", "1.5"), ("env", "0"), ("env", "-3"),
+        ("argument", 0), ("argument", -3)],
+        ids=["two", "1.5", "0", "-3", "argument-0", "argument--3"])
+    def test_bad_env_value_names_variable_and_value(self, monkeypatch, source, value):
+        """A count below one, or not an integer, is rejected naming its
+        source and the value, whether it came from CRVANET_PARALLEL or
+        from the workers argument."""
+        if source == "env":
+            monkeypatch.setenv(PARALLEL_ENV, value)
+            name, workers = PARALLEL_ENV, None
+        else:
+            monkeypatch.setenv(PARALLEL_ENV, "3")  # never read
+            name, workers = "workers", value
         with pytest.raises(ValueError) as err:
-            resolve_workers(None, 10)
-        assert PARALLEL_ENV in str(err.value) and repr(value) in str(err.value)
+            resolve_workers(workers, 10)
+        assert name in str(err.value) and repr(value) in str(err.value)
 
 
 def _scheme_rank(name):

@@ -2,19 +2,18 @@
 
 Every example is a short run (at most 0.2 s) of 0-12 vehicles on 1-2
 towers with 1-5 channels each, with hold and gap means short enough that
-PUs and SUs change state many times. The engine's agenda of due SUs is
-checked against a scan of every SU's pending instant on every tick, with
-means and back-off times of a few time steps. One tick's PU flips are
-checked against the flip-by-flip rule on maps of 1-12 channels whose idle
+PUs and SUs change state many times. One tick's PU flips are checked
+against the flip-by-flip rule on maps of 1-12 channels whose idle
 channels may have SU holders, traced and untraced, and the PU timeline
 against the per-tick rule on real and fixed draws. The coordinator
 election is checked on its own, over fleets of 1-40 vehicles. The CLI's
 streamed trace is checked against the list sink on the default scenario,
 at horizons of at most 0.15 s. Fleet motion in blocks is checked against
 one tick at a time over fleets of 0-6 vehicles, on -0.0 and zero-speed
-inputs that no run reaches. The whole engine is checked against the
-plain reference engine in test_reference_engine.py. Examples are
-derandomized, so the suite sees the same scenarios on every run.
+inputs that no run reaches. The whole engine, its agenda of due SUs
+included, is checked against the plain reference engine in
+test_reference_engine.py. Examples are derandomized, so the suite sees
+the same scenarios on every run.
 """
 
 import contextlib
@@ -50,7 +49,7 @@ from crvanet.report import (
     TraceEvent,
     record_event,
 )
-from crvanet.scheduling import ChannelMap, WINDOW, pu_timeline, schedule_next, step_pu, step_su
+from crvanet.scheduling import ChannelMap, WINDOW, pu_timeline, schedule_next, step_pu
 from crvanet.sensing import CLASSES
 from crvanet.streams import StreamBundle
 
@@ -141,70 +140,6 @@ def test_mobility_and_pu_rows_identical_across_schemes(config):
         return [e for e in report.trace if e.event in (MOVE, PU_OCCUPIED, PU_VACATED)]
 
     assert rows(Scheme.STANDALONE) == rows(Scheme.COOPERATIVE) == rows(Scheme.PROPOSED)
-
-
-def scan_run(engine, trace):
-    """The engine's run with the due rule the agenda replaces: on every
-    tick, every vehicle with now >= su_next - 1e-12 is stepped, by
-    ascending id. The fleet moves one tick at a time."""
-    config, cmap, fleet, strategy = engine.config, engine.channel_map, engine.fleet, engine.strategy
-    report, dt, eps = SimulationReport(trace=trace), config.time_step, 1e-12
-    per_tower, epochs = engine.sensor.per_tower, 0
-    timeline = pu_timeline(engine.streams.pu, engine.n_ticks, dt, config.pu_hold_mean,
-                           config.pu_gap_mean)
-    for tick, pu_flips in enumerate(timeline):
-        now = tick * dt
-        if tick % engine.decision_period == 0:
-            fleet.decide()
-        fleet.advance(dt)
-        if pu_flips:
-            step_pu(pu_flips, per_tower, now, tick, cmap, engine.streams, config.su_gap_mean,
-                    report)
-        if (strategy.needs_epoch and len(fleet) > 0
-                and now >= epochs * config.coordination_interval - eps):
-            strategy.on_epoch(now, fleet, cmap, engine.streams)
-            epochs += 1
-        for v in np.nonzero(now >= cmap.su_next - eps)[0].tolist():
-            step_su(v, fleet.positions, now, tick, strategy, cmap, report, engine.streams,
-                    config.su_hold_mean, config.su_gap_mean, config.back_off_time)
-    return report
-
-
-@st.composite
-def busy_configs(draw):
-    """1-8 vehicles on 1-6 channels, with PU and SU means and the back-off
-    time a few time steps (or a fraction of one), so that SUs are preempted,
-    rescheduled and due on the same tick as others many times a run."""
-    towers = draw(st.integers(1, 2))
-    steps = st.sampled_from([0.4, 1.0, 2.0, 3.0, 5.0])
-    dt = ScenarioConfig().time_step
-    return replace(
-        ScenarioConfig(),
-        running_time=draw(st.integers(1, 150)) * dt,
-        road_length=draw(st.sampled_from([300.0, 2000.0])),
-        n_vehicles=draw(st.integers(1, 8)),
-        n_pu_towers=towers,
-        n_channels=towers * draw(st.integers(1, 3)),
-        pu_hold_mean=draw(steps) * dt,
-        pu_gap_mean=draw(steps) * dt,
-        su_hold_mean=draw(steps) * dt,
-        su_gap_mean=draw(steps) * dt,
-        back_off_time=draw(steps) * dt,
-        scheme=draw(st.sampled_from(list(Scheme))),
-        seed=draw(st.integers(0, 2**20)),
-    ).validate()
-
-
-@settings(PROPERTY_SETTINGS, max_examples=60)
-@given(busy_configs())
-def test_agenda_steps_what_the_scan_steps(config):
-    """The engine's run equals scan_run, counter for counter and row for
-    row: the agenda steps exactly the vehicles a full scan finds due, on
-    the same ticks and in the same order, preempted ones included."""
-    report = SimulationEngine(config).run(trace=[])
-    expected = scan_run(SimulationEngine(config), trace=[])
-    assert report.counters == expected.counters
-    assert report.trace == expected.trace
 
 
 def step_pu_per_flip(channel_id, tower_id, now, tick, channel_map, streams, su_gap_mean,

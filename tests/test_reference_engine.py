@@ -57,15 +57,19 @@ def scenarios(draw):
 
 # the rare paths the examples must reach, as counted by the test
 PATHS = ("flip by flip", "wrap", "preemption", "level drawn", "level taken whole",
-         "recheck occupied")
+         "recheck occupied", "due together", "row crosses towers", "several coordinators",
+         "list over towers", "level of the size wanted")
 
 
 def test_engine_equals_the_reference(draw_stub):
     """Equal counters and list traces for every scheme on every example;
     over all of them, the examples reached the timeline's flip-by-flip
     redo (a spy on scheduling._flip_ticks), a wrap at a road end, a
-    preemption, a shortlist level drawn and one taken whole, and a
-    proposed re-check decided occupied."""
+    preemption, a shortlist level drawn, one taken whole and one of
+    exactly the size still wanted (no draw), a shortlist over two or more
+    towers, a proposed re-check decided occupied, a tick with two or more
+    SUs due, a cooperative epoch row over two towers or past channel
+    n - 1, and a proposed epoch of two or more distinct coordinators."""
     reached = Counter()
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None,

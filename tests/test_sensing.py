@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -72,18 +71,6 @@ def _assert_listed_equals(got, expected):
     assert {type(x) for x in got} <= {bool, float}
     as_array = np.array(got, dtype=expected.dtype)
     assert as_array.shape == expected.shape and as_array.tobytes() == expected.tobytes()
-
-
-def _drawn_map(config, draw):
-    """A ChannelMap with a drawn share of PU-active channels and SU holders
-    on about half of the channels, at drawn positions."""
-    n = config.n_channels
-    cmap = ChannelMap(n, config.n_vehicles)
-    cmap.pu_active[:] = draw.random(n) < draw.random()
-    for channel, vehicle in zip(draw.permutation(n), draw.permutation(config.n_vehicles)):
-        if draw.random() < 0.5:
-            cmap.set_holder(int(channel), int(vehicle), draw.uniform(0.0, config.road_length))
-    return cmap
 
 
 class TestDetectionThreshold:
@@ -394,15 +381,18 @@ class TestBatchedSenseBlock:
     @pytest.mark.parametrize("blocks", [1, 2])
     @pytest.mark.parametrize("shared", [True, False], ids=["shared-channels", "grid"])
     def test_batch_equals_single_calls(self, default_config, blocks, shared):
-        """Each row equals the observer's own list call. Over 2 blocks, the
-        batch is the max-hold of two consecutive 1-block batched calls, as
-        observer arrays sense one block per call."""
+        """Each row equals the observer's own list call and, on the band,
+        byte for byte the band at that observer alone (1-D arrays). Over 2
+        blocks, each array call is the max-hold of two consecutive 1-block
+        calls, as array calls sense one block per call."""
         sensor = ChannelSensor(default_config)
         cmap = self._channel_map(default_config)
         channels = sensor.band if shared else self.GRID
-        batched, single = _streams(default_config, 5), _streams(default_config, 5)
+        batched, single, own = (_streams(default_config, 5) for _ in range(3))
         block = _max_hold(sensor, self.OBSERVERS, self.POSITIONS, channels, cmap, batched, blocks)
         assert block.occupied.shape == (len(self.OBSERVERS), channels.shape[-1])
+        dtypes = (block.occupied.dtype, block.truth.dtype, block.statistic.dtype)
+        assert dtypes == (bool, bool, float)
         rows = [channels] * len(self.OBSERVERS) if shared else channels
         # an SU exactly sensingRange away is in range: on the band, in this
         # call's row of observer 0, and (as the rows are equal) in its list call
@@ -415,12 +405,15 @@ class TestBatchedSenseBlock:
             np.testing.assert_array_equal(block.occupied[r], alone.occupied)
             np.testing.assert_array_equal(block.truth[r], alone.truth)
             np.testing.assert_array_equal(block.statistic[r], alone.statistic)
+            if shared:
+                on_band = _max_hold(sensor, observer, position, channels, cmap, own, blocks)
+                for field in ("occupied", "truth", "statistic"):
+                    e, g = getattr(block, field)[r], getattr(on_band, field)
+                    assert g.dtype == e.dtype and g.shape == e.shape and g.tobytes() == e.tobytes()
         # every generator was left in the same state
-        for observer in self.OBSERVERS.tolist():
-            for tower in range(default_config.n_pu_towers):
-                assert (batched.fading[tower][observer].random()
-                        == single.fading[tower][observer].random())
-            assert batched.sensing[observer].random() == single.sensing[observer].random()
+        for other in (single, own) if shared else (single,):
+            for a, b in zip(batched.fading + [batched.sensing], other.fading + [other.sensing]):
+                assert [g.bit_generator.state for g in a] == [g.bit_generator.state for g in b]
 
     @staticmethod
     def _short_grid(width):
@@ -471,45 +464,6 @@ class TestBatchedSenseBlock:
             assert (batched.sensing[observer].bit_generator.state
                     == single.sensing[observer].bit_generator.state)
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(data=st.data())
-    def test_batch_equals_single_calls_on_drawn_inputs(self, data):
-        """1-6 distinct observers sense the band or a grid of 1-25 channels,
-        from 1-4 towers, under a drawn PU and SU map: each row equals the
-        observer's own call (its band, or its row as a one-row grid) byte
-        for byte, and every fading and sensing generator ends in the same
-        state."""
-        towers = data.draw(st.integers(1, 4), label="towers")
-        per_tower = data.draw(st.integers(1, 25), label="perTower")
-        config = replace(ScenarioConfig(), n_vehicles=8, n_pu_towers=towers,
-                         n_channels=towers * per_tower).validate()
-        n = config.n_channels
-        m = data.draw(st.integers(1, 6), label="observers")
-        k = data.draw(st.integers(1, 25), label="channels")
-        shared = data.draw(st.booleans(), label="shared")
-        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        draw = np.random.default_rng(seed)
-        observers = draw.permutation(config.n_vehicles)[:m]
-        positions = draw.uniform(0.0, config.road_length, m)
-        grid = draw.integers(0, n, (m, k))
-        cmap = _drawn_map(config, draw)
-
-        sensor = ChannelSensor(config)
-        batched, single = _streams(config, seed), _streams(config, seed)
-        channels = sensor.band if shared else grid
-        block = sensor.sense_block(observers, positions, channels, cmap, batched)
-        for r, (observer, position) in enumerate(zip(observers.tolist(), positions.tolist())):
-            if shared:
-                alone = sensor.sense_block(observer, position, sensor.band, cmap, single)
-            else:
-                alone = sensor.sense_block(observers[r:r + 1], positions[r:r + 1],
-                                           grid[r:r + 1], cmap, single)
-            for field in ("occupied", "truth", "statistic"):
-                expected, got = getattr(block, field)[r], getattr(alone, field).reshape(-1)
-                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
-        for a, b in zip(batched.fading + [batched.sensing], single.fading + [single.sensing]):
-            assert [g.bit_generator.state for g in a] == [g.bit_generator.state for g in b]
-
     @pytest.mark.parametrize("blocks", [2, 3])
     def test_listed_blocks_are_consecutive_single_blocks(self, default_config, blocks):
         """One observer's list call over several blocks equals, byte for
@@ -529,63 +483,6 @@ class TestBatchedSenseBlock:
                 _assert_listed_equals(getattr(got, field), getattr(expected, field)[0])
         for a, b in zip(many.fading + [many.sensing], one.fading + [one.sensing]):
             assert [g.bit_generator.state for g in a] == [g.bit_generator.state for g in b]
-
-    def test_list_call_equals_array_path_on_drawn_inputs(self):
-        """Lists in, lists out: one observer's list of 1-8 distinct channel
-        ids, in any order and from 1-4 towers, under a drawn PU and SU map,
-        over 1-3 blocks. Over one block it equals, bit for bit, the array
-        path's row for the same ids; over several, the max-hold of as many
-        consecutive 1-block list calls, decided against the per-block
-        threshold. The array path's row is the ids as a one-row grid of
-        the observer. Every fading and sensing generator ends in the same
-        state, and no field of the list call is an ndarray. As input
-        coverage, the examples are counted by the list's shape, within one
-        tower or over several, and by blocks: each shape is drawn at 1 and
-        at 2."""
-        forms = Counter()
-
-        @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-        @given(data=st.data())
-        def check(data):
-            towers = data.draw(st.integers(1, 4), label="towers")
-            per_tower = data.draw(st.integers(1, 12), label="perTower")
-            config = replace(ScenarioConfig(), n_vehicles=8, n_pu_towers=towers,
-                             n_channels=towers * per_tower).validate()
-            ids = data.draw(st.permutations(range(config.n_channels)), label="order")
-            ids = ids[:data.draw(st.integers(1, min(8, len(ids))), label="channels")]
-            blocks = data.draw(st.integers(1, 3), label="blocks")
-            seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-            draw = np.random.default_rng(seed)
-            observer = int(draw.integers(config.n_vehicles))
-            position = float(draw.uniform(0.0, config.road_length))
-            cmap = _drawn_map(config, draw)
-
-            sensor = ChannelSensor(config)
-            listed, reference = _streams(config, seed), _streams(config, seed)
-            got = sensor.sense_block(observer, position, ids, cmap, listed, blocks=blocks)
-            assert got.channel_ids == ids
-            if blocks == 1:
-                expected = sensor.sense_block(np.array([observer]), np.array([position]),
-                                              np.array([ids]), cmap, reference)
-                expected = SenseBlock(ids, *(getattr(expected, field)[0]
-                                             for field in ("occupied", "truth", "statistic")))
-            else:
-                calls = [sensor.sense_block(observer, position, ids, cmap, reference)
-                         for _ in range(blocks)]
-                statistic = np.maximum.reduce([np.array(call.statistic) for call in calls])
-                expected = SenseBlock(ids, statistic >= sensor.threshold_for(blocks),
-                                      np.array(calls[0].truth), statistic)
-            for field in ("occupied", "truth", "statistic"):
-                _assert_listed_equals(getattr(got, field), getattr(expected, field))
-            for a, b in zip(listed.fading + [listed.sensing],
-                            reference.fading + [reference.sensing]):
-                assert [g.bit_generator.state for g in a] == [g.bit_generator.state for g in b]
-            one_tower = len({c // per_tower for c in ids}) == 1
-            forms[one_tower, blocks] += 1
-
-        check()
-        drawn = {(one_tower, blocks) for one_tower in (True, False) for blocks in (1, 2)}
-        assert drawn <= set(forms), forms
 
     def test_su_holder_at_sensing_range_is_in_range(self, default_config):
         """An SU exactly sensingRange from the observer makes its channel
@@ -679,69 +576,25 @@ class TestBatchedSenseBlock:
 
 class TestBandPath:
     """sense_block over the sensor's read-only band takes the map whole and
-    the stored tower runs, and equals the same call over a grid of the
-    band's ids, one row per observer."""
-
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(data=st.data())
-    def test_band_equals_general_path_on_drawn_inputs(self, data):
-        """1-4 towers of 1-30 channels, a scalar observer or 1-6 distinct
-        ones, a drawn PU and SU map: byte for byte the same results, every
-        fading and sensing generator in the same state, and the map
-        untouched. A band call of any size takes the array path, and so
-        does its reference, the grid np.tile(band, (m, 1)) (for a scalar
-        observer, its one-row grid); a scalar observer's list(range(n))
-        equals both, as lists."""
-        towers = data.draw(st.integers(1, 4), label="towers")
-        per_tower = data.draw(st.integers(1, 30), label="perTower")
-        config = replace(ScenarioConfig(), n_vehicles=8, n_pu_towers=towers,
-                         n_channels=towers * per_tower).validate()
-        n = config.n_channels
-        m = data.draw(st.one_of(st.none(), st.integers(1, 6)), label="observers")
-        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        draw = np.random.default_rng(seed)
-        if m is None:   # a scalar observer
-            observers = int(draw.integers(config.n_vehicles))
-            positions = float(draw.uniform(0.0, config.road_length))
-        else:
-            observers = draw.permutation(config.n_vehicles)[:m]
-            positions = draw.uniform(0.0, config.road_length, m)
-        cmap = _drawn_map(config, draw)
-        before = [a.copy() for a in (cmap.pu_active, cmap.su_holder, cmap.su_holder_pos)]
-
-        sensor = ChannelSensor(config)
-        on_band, general = _streams(config, seed), _streams(config, seed)
-        got = sensor.sense_block(observers, positions, sensor.band, cmap, on_band)
-        for a, b in zip(before, (cmap.pu_active, cmap.su_holder, cmap.su_holder_pos)):
-            np.testing.assert_array_equal(a, b)
-        rows = np.atleast_1d(observers)
-        expected = sensor.sense_block(rows, np.atleast_1d(positions),
-                                      np.tile(sensor.band, (len(rows), 1)), cmap, general)
-        assert got.channel_ids is sensor.band
-        for field in ("occupied", "truth", "statistic"):
-            e, g = getattr(expected, field), getattr(got, field)
-            e = e[0] if m is None else e
-            assert isinstance(e, np.ndarray) and isinstance(g, np.ndarray)
-            assert g.dtype == e.dtype and g.shape == e.shape and g.tobytes() == e.tobytes()
-        bundles = [on_band, general]
-        if m is None:
-            bundles.append(_streams(config, seed))
-            listed = sensor.sense_block(observers, positions, list(range(n)), cmap, bundles[-1])
-            for field in ("occupied", "truth", "statistic"):
-                _assert_listed_equals(getattr(listed, field), getattr(got, field))
-        for domain in zip(*(bundle.fading + [bundle.sensing] for bundle in bundles)):
-            states = [[g.bit_generator.state for g in generators] for generators in domain]
-            assert all(state == states[0] for state in states)
+    the stored tower runs; its results equal every other route's in
+    test_batch_equals_single_calls and the reference engine's."""
 
     @pytest.mark.parametrize("observers, positions", [
         (3, 700.0), (np.array([3, 0, 9]), np.array([700.0, 10.0, 1500.0]))],
         ids=["one-observer", "three-observers"])
     def test_results_never_alias_the_map(self, default_config, observers, positions):
+        """A band call leaves the map as it was, returns the band itself as
+        its channel_ids and new arrays that no later change of the map
+        reaches."""
         sensor = ChannelSensor(default_config)
         cmap = TestBatchedSenseBlock._channel_map(default_config)
         cmap.set_holder(10, 3, 690.0)   # an SU in range of observer 3
+        before = [a.copy() for a in (cmap.pu_active, cmap.su_holder, cmap.su_holder_pos)]
         block = sensor.sense_block(observers, positions, sensor.band, cmap,
                                    _streams(default_config, 2))
+        assert block.channel_ids is sensor.band
+        for a, b in zip(before, (cmap.pu_active, cmap.su_holder, cmap.su_holder_pos)):
+            np.testing.assert_array_equal(a, b)   # the map untouched
         results = [block.occupied, block.truth, block.statistic]
         for result in results:
             for state in (cmap.pu_active, cmap.su_holder, cmap.su_holder_pos):

@@ -1,10 +1,11 @@
 """Every name a crvanet module imports is used in that module, unless its
 import line says noqa; __init__.py, which re-exports, is exempt. Every
-private top-level name a module defines is read in that module. Every
-parameter of every function is read, except in overrides and hook stubs.
-Only ChannelMap.schedule writes into su_next, so that every pending
-instant also reaches the engine's agenda, and only schedule pushes onto
-that agenda, which ChannelMap.__init__ alone binds."""
+private top-level name a module defines is read in that module. Both
+checks also run over every module under tests/. Every parameter of every
+function is read, except in overrides and hook stubs. Only
+ChannelMap.schedule writes into su_next, so that every pending instant
+also reaches the engine's agenda, and only schedule pushes onto that
+agenda, which ChannelMap.__init__ alone binds."""
 
 import ast
 import importlib
@@ -14,6 +15,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "crvanet"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+LINTED = MODULES + sorted(Path(__file__).resolve().parent.glob("*.py"))   # no name is in both
 
 
 def unused_imports(source: str) -> list[str]:
@@ -52,7 +54,7 @@ def unread_private_names(source: str) -> list[str]:
             if name.startswith("_") and not name.startswith("__") and name not in read]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", LINTED, ids=lambda p: p.name)
 def test_every_private_name_is_read(path):
     assert unread_private_names(path.read_text()) == []
 
@@ -65,7 +67,7 @@ def test_unread_private_names_are_found():
                                             "line 14: _Unused"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", LINTED, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
